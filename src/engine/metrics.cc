@@ -1,80 +1,6 @@
 #include "engine/metrics.h"
 
-#include <algorithm>
-
-#include "util/logging.h"
-#include "util/stats.h"
-
 namespace dw::engine {
-
-void LatencyRecorder::Decimate() {
-  size_t w = 0;
-  for (size_t r = 0; r < samples_ms_.size(); r += 2) {
-    samples_ms_[w++] = samples_ms_[r];
-  }
-  samples_ms_.resize(w);
-  stride_ *= 2;
-}
-
-void LatencyRecorder::Record(double ms) {
-  if (mode_ == Mode::kBounded) {
-    hist_.Record(ms);
-    return;
-  }
-  ++count_;
-  max_ms_ = std::max(max_ms_, ms);
-  if (skip_ > 0) {
-    --skip_;
-    return;
-  }
-  samples_ms_.push_back(ms);
-  skip_ = stride_ - 1;
-  if (samples_ms_.size() >= kMaxSamples) Decimate();
-}
-
-void LatencyRecorder::Merge(const LatencyRecorder& other) {
-  DW_CHECK(mode_ == other.mode_)
-      << "cannot merge latency recorders of different modes";
-  if (mode_ == Mode::kBounded) {
-    hist_.Merge(other.hist_);
-    return;
-  }
-  // Bring both sides to a common stride (strides are powers of two) so
-  // every retained sample carries the same weight; otherwise a decimated
-  // high-traffic worker would be underweighted in the percentiles.
-  while (stride_ < other.stride_) Decimate();
-  const uint64_t step = stride_ / other.stride_;
-  for (size_t r = 0; r < other.samples_ms_.size(); r += step) {
-    samples_ms_.push_back(other.samples_ms_[r]);
-  }
-  count_ += other.count_;
-  max_ms_ = std::max(max_ms_, other.max_ms_);
-  while (samples_ms_.size() >= kMaxSamples) Decimate();
-}
-
-double LatencyRecorder::Percentile(double p) const {
-  if (mode_ == Mode::kBounded) return hist_.Percentile(p);
-  return dw::Percentile(samples_ms_, p);
-}
-
-std::vector<double> LatencyRecorder::Percentiles(
-    const std::vector<double>& ps) const {
-  std::vector<double> out;
-  out.reserve(ps.size());
-  if (mode_ == Mode::kBounded) {
-    for (const double p : ps) out.push_back(hist_.Percentile(p));
-    return out;
-  }
-  std::vector<double> sorted = samples_ms_;
-  std::sort(sorted.begin(), sorted.end());
-  for (const double p : ps) out.push_back(PercentileSorted(sorted, p));
-  return out;
-}
-
-double LatencyRecorder::MeanMs() const {
-  if (mode_ == Mode::kBounded) return hist_.Mean();
-  return Mean(samples_ms_);
-}
 
 int RunResult::EpochsToLoss(double target) const {
   for (const auto& e : epochs) {

@@ -4,12 +4,13 @@
 // the logical traffic counters (the PMU substitute).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <vector>
 
 #include "numa/access_counters.h"
 #include "numa/memory_model.h"
-#include "obs/metrics.h"
 
 namespace dw::engine {
 
@@ -21,85 +22,6 @@ struct EpochRecord {
   double sim_sec = 0.0;        ///< memory-model seconds on the topology
   double loss_eval_sec = 0.0;  ///< convergence-check cost (reported apart)
   numa::AccessCounters traffic;  ///< totals across workers
-};
-
-/// Per-request latency sink for the serving path (src/serve). Each owner
-/// records without synchronization; Merge() and the percentile queries
-/// run on the cold stats-aggregation path.
-///
-/// Two modes:
-///   kBounded (default) -- an obs log-linear bucket histogram: CONSTANT
-///       memory regardless of traffic (the old sample vector grew, then
-///       decimated, forever on a long-running server), exact
-///       count/mean/max, and percentiles with relative error bounded by
-///       obs::LogLinearBuckets::kMaxRelativeError (< 19%).
-///   kExact -- the original decimating sample vector, for benches that
-///       need exact percentiles: past kMaxSamples it keeps every 2nd
-///       sample and doubles the weight each retained sample carries;
-///       Merge() renormalizes both sides to a common stride first, so
-///       percentiles stay traffic-weighted even when one worker
-///       decimated and another did not.
-class LatencyRecorder {
- public:
-  enum class Mode {
-    kBounded,  ///< constant-memory bucket histogram (default)
-    kExact,    ///< decimating sample vector, exact percentiles
-  };
-
-  static constexpr size_t kMaxSamples = 1 << 16;
-
-  LatencyRecorder() : LatencyRecorder(Mode::kBounded) {}
-  explicit LatencyRecorder(Mode mode) : mode_(mode) {}
-
-  /// Records one latency sample (milliseconds).
-  void Record(double ms);
-
-  /// Accumulates another recorder's samples into this one. Both sides
-  /// must share a mode (fatally checked: mixing an exact sample set
-  /// into buckets would silently discard its exactness).
-  void Merge(const LatencyRecorder& other);
-
-  /// The p-th percentile (p in [0, 100]) of recorded samples; 0 if none.
-  /// Exact in kExact mode, bounded-error in kBounded mode.
-  double Percentile(double p) const;
-
-  /// Several percentiles in one pass (cheaper than repeated
-  /// Percentile() on the stats-polling path).
-  std::vector<double> Percentiles(const std::vector<double>& ps) const;
-
-  /// Total samples recorded (including decimated-away ones).
-  uint64_t count() const {
-    return mode_ == Mode::kBounded ? hist_.count : count_;
-  }
-
-  /// Mean: exact (sum/count) in kBounded mode; the retained-sample mean
-  /// in kExact mode. 0 if none.
-  double MeanMs() const;
-
-  /// Exact maximum over ALL recorded samples (tracked outside both the
-  /// buckets and the sample buffer, so neither bucketing nor decimation
-  /// can drop the worst case -- the number an SLO report cares about
-  /// most); 0 if none.
-  double MaxMs() const {
-    return mode_ == Mode::kBounded ? hist_.max : max_ms_;
-  }
-
-  Mode mode() const { return mode_; }
-
- private:
-  /// Keeps every 2nd retained sample and doubles the stride (kExact).
-  void Decimate();
-
-  Mode mode_ = Mode::kBounded;
-  /// kBounded state: a plain (single-owner) bucket accumulator.
-  obs::HistogramSnapshot hist_;
-  /// kExact state.
-  std::vector<double> samples_ms_;
-  uint64_t count_ = 0;
-  double max_ms_ = 0.0;
-  /// Each retained sample stands for this many recorded ones.
-  uint64_t stride_ = 1;
-  uint64_t skip_ = 0;  ///< samples to drop before the next retained one
 };
 
 /// A full run: the loss curve plus helpers for the paper's

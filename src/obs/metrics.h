@@ -46,8 +46,7 @@ enum class MetricType { kCounter, kGauge, kHistogram };
 
 const char* ToString(MetricType t);
 
-/// The log-linear bucket layout shared by Histogram and
-/// engine::LatencyRecorder's bounded mode. Buckets cover
+/// The log-linear bucket layout of Histogram. Buckets cover
 /// [2^kMinExp, 2^kMaxExp) with kSubBucketsPerOctave geometric sub-buckets
 /// per octave (growth factor 2^(1/kSubBucketsPerOctave) ~= 1.19), plus an
 /// underflow bucket (index 0: zero, negatives, tiny values) and an
@@ -76,7 +75,7 @@ struct LogLinearBuckets {
 
 /// A mergeable point-in-time histogram value: the plain (unsynchronized)
 /// form of Histogram, also usable directly as a single-threaded
-/// accumulator (engine::LatencyRecorder's bounded mode does).
+/// accumulator.
 struct HistogramSnapshot {
   std::vector<uint64_t> counts;  ///< kNumBuckets entries once non-empty
   uint64_t count = 0;

@@ -45,7 +45,8 @@ struct SpanRecord {
   uint64_t seq = 0;  ///< assigned by the recorder, monotonically
   std::string family;
   std::string client;
-  bool by_id = false;
+  /// The request form that was traced: "carried" | "row_id" | "key".
+  std::string kind;
   /// Rows in the batch that served this request (batch-level stages are
   /// shared across them).
   uint64_t batch_rows = 0;

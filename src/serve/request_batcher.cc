@@ -19,6 +19,18 @@ const char* ToString(FlushReason r) {
   return "?";
 }
 
+const char* ToString(RequestKind kind) {
+  switch (kind) {
+    case RequestKind::kCarried:
+      return "carried";
+    case RequestKind::kRowId:
+      return "row_id";
+    case RequestKind::kKey:
+      return "key";
+  }
+  return "?";
+}
+
 Status ValidateClientId(const ClientId& client) {
   if (client.empty()) {
     return Status::InvalidArgument("client id must not be empty");
@@ -151,63 +163,18 @@ void RequestBatcher::EvictIdleClientsLocked(
 }
 
 StatusOr<std::future<double>> RequestBatcher::Submit(
-    FamilyId family, std::vector<matrix::Index> indices,
-    std::vector<double> values, ClientId client,
+    FamilyId family, ScoreRequest req,
     std::chrono::steady_clock::time_point admitted_at) {
   // Empty indices with nonempty values is the explicit dense form.
-  if (indices.size() != values.size() && !indices.empty()) {
+  if (req.kind == RequestKind::kCarried && !req.indices.empty() &&
+      req.indices.size() != req.values.size()) {
     return Status::InvalidArgument("indices/values length mismatch");
   }
-  ScoreRequest req;
-  req.indices = std::move(indices);
-  req.values = std::move(values);
-  return Enqueue(family, std::move(client), std::move(req), admitted_at);
-}
-
-StatusOr<std::future<double>> RequestBatcher::Submit(
-    FamilyId family, std::vector<matrix::Index> indices,
-    std::vector<double> values) {
-  return Submit(family, std::move(indices), std::move(values),
-                kDefaultClient);
-}
-
-StatusOr<std::future<double>> RequestBatcher::SubmitId(
-    FamilyId family, matrix::Index row_id, ClientId client,
-    std::chrono::steady_clock::time_point admitted_at) {
-  ScoreRequest req;
-  req.by_id = true;
-  req.row_id = row_id;
-  return Enqueue(family, std::move(client), std::move(req), admitted_at);
-}
-
-StatusOr<std::future<double>> RequestBatcher::SubmitId(FamilyId family,
-                                                       matrix::Index row_id) {
-  return SubmitId(family, row_id, kDefaultClient);
-}
-
-StatusOr<std::future<double>> RequestBatcher::SubmitKey(
-    FamilyId family, uint64_t key, ClientId client,
-    std::chrono::steady_clock::time_point admitted_at) {
-  ScoreRequest req;
-  req.by_key = true;
-  req.key = key;
-  return Enqueue(family, std::move(client), std::move(req), admitted_at);
-}
-
-StatusOr<std::future<double>> RequestBatcher::SubmitKey(FamilyId family,
-                                                        uint64_t key) {
-  return SubmitKey(family, key, kDefaultClient);
-}
-
-StatusOr<std::future<double>> RequestBatcher::Enqueue(
-    FamilyId family, ClientId client, ScoreRequest req,
-    std::chrono::steady_clock::time_point admitted_at) {
   // The id crosses a trust boundary (it becomes a stats key and a queue
   // map key), so it is bounds-checked like a feature index, with a
   // Status the caller can surface.
-  const Status v = ValidateClientId(client);
+  const Status v = ValidateClientId(req.client);
   if (!v.ok()) return v;
-  req.client = std::move(client);
   req.enqueued_at = std::chrono::steady_clock::now();
   // Admit stage: the caller's validation work before this enqueue. Only
   // charged when the caller passed its entry time (the serving engine

@@ -48,6 +48,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
@@ -55,6 +56,7 @@
 #include <ostream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "matrix/sparse_vector.h"
@@ -77,7 +79,7 @@ inline constexpr size_t kMaxClientIdBytes = 64;
 /// caller-supplied string that becomes a stats key).
 ///
 /// A deliberate strong type with EXPLICIT constructors rather than a
-/// bare std::string: the Score / Submit overload sets mix string-ish and
+/// bare std::string: the Score overload set mixes string-ish and
 /// brace-initializable parameters, and std::string's conversions would
 /// otherwise let `{4}` (initializer_list<char>) or a literal `0` (null
 /// pointer constant) silently become a client id and make existing
@@ -114,32 +116,65 @@ inline const ClientId kDefaultClient("default");
 /// InvalidArgument for an empty or oversized client id, OK otherwise.
 Status ValidateClientId(const ClientId& client);
 
-/// One single-row score request: an owned sparse feature vector plus the
-/// promise the scoring worker fulfills. Empty `indices` with nonempty
-/// `values` is the explicit DENSE form (value k at coordinate k) -- half
-/// the payload, and the batched kernels skip index loads entirely.
+/// Where a ScoreRequest's features come from: the three request forms.
+enum class RequestKind : uint8_t {
+  kCarried,  ///< the request ships its own feature row
+  kRowId,    ///< `row_id` names a row of the family's FeatureStore
+  kKey,      ///< `key` is resolved through the store's key index
+};
+
+/// "carried" | "row_id" | "key".
+const char* ToString(RequestKind kind);
+
+/// One single-row score request plus the promise the scoring worker
+/// fulfills. A CARRIED request owns a sparse feature vector; empty
+/// `indices` with nonempty `values` is the explicit DENSE form (value k
+/// at coordinate k) -- half the payload, and the batched kernels skip
+/// index loads entirely.
 ///
-/// The ID-KEYED form (`by_id`) carries no features at all: `row_id`
-/// names a row in the family's FeatureStore and the scoring worker
-/// gathers the features from its node's placement at scoring time, so
-/// the payload is one integer regardless of model width.
+/// The keyed forms carry no features at all: a ROW-ID request names a
+/// row in the family's FeatureStore and a KEY request names an entity key
+/// the worker resolves through the batch's pinned store snapshot index (a
+/// key evicted between admission and scoring misses instead of serving
+/// stale bytes). The scoring worker gathers the features from its node's
+/// placement at scoring time, so the payload is one integer regardless of
+/// model width.
 struct ScoreRequest {
+  static ScoreRequest Carried(std::vector<matrix::Index> indices,
+                              std::vector<double> values,
+                              ClientId client = kDefaultClient) {
+    ScoreRequest req;
+    req.indices = std::move(indices);
+    req.values = std::move(values);
+    req.client = std::move(client);
+    return req;
+  }
+  static ScoreRequest RowId(matrix::Index row_id,
+                            ClientId client = kDefaultClient) {
+    ScoreRequest req;
+    req.kind = RequestKind::kRowId;
+    req.row_id = row_id;
+    req.client = std::move(client);
+    return req;
+  }
+  static ScoreRequest Key(uint64_t key, ClientId client = kDefaultClient) {
+    ScoreRequest req;
+    req.kind = RequestKind::kKey;
+    req.key = key;
+    req.client = std::move(client);
+    return req;
+  }
+
+  RequestKind kind = RequestKind::kCarried;
+  /// kCarried only; the keyed forms leave both empty and must not use
+  /// View() -- the worker builds their view from the store snapshot it
+  /// acquired for the batch.
   std::vector<matrix::Index> indices;
   std::vector<double> values;
-  /// Id-keyed form (Score(family, row_id)): indices/values stay empty and
-  /// View() must not be used -- the worker builds the view from the
-  /// store snapshot it acquired for the batch.
-  bool by_id = false;
-  matrix::Index row_id = 0;
-  /// Key-keyed form (ScoreKey(family, key)): like by_id, but `key` is an
-  /// entity key the worker resolves through the batch's pinned store
-  /// snapshot index -- a key evicted between admission and scoring
-  /// misses (kNotFound) instead of serving stale bytes.
-  bool by_key = false;
-  uint64_t key = 0;
-  /// Submitting client (fair-queuing key; kDefaultClient when the caller
-  /// used the client-less Submit form).
-  ClientId client;
+  matrix::Index row_id = 0;  ///< kRowId only
+  uint64_t key = 0;          ///< kKey only
+  /// Submitting client: the fair-queuing key.
+  ClientId client = kDefaultClient;
   std::promise<double> result;
   std::chrono::steady_clock::time_point enqueued_at;
   /// Lifecycle tracing: sampled at admission (Options::trace_sample_every);
@@ -279,48 +314,21 @@ class RequestBatcher {
   void SetClientWeight(FamilyId family, const ClientId& client,
                        double weight);
 
-  /// Enqueues one carried-feature row on `family`'s queue for `client`
-  /// (trailing, so the client-less form stays a prefix of this one). The
-  /// future resolves once a worker scores the batch containing it. Fails
-  /// with InvalidArgument on a bad client id, ResourceExhausted when the
-  /// client's admission share (row cap or delay budget) is exhausted,
-  /// and FailedPrecondition after Shutdown(). `admitted_at`, when
-  /// non-default, is the caller's validation entry time and charges the
-  /// span's admit stage (the engine passes its Score() entry).
+  /// Enqueues one request of any form on `family`'s queue for
+  /// `req.client`. The future resolves once a worker scores the batch
+  /// containing it. Every form shares this admission, so analogous
+  /// failures carry identical Status codes: InvalidArgument on a carried
+  /// row whose indices and values differ in length or on a bad client
+  /// id, ResourceExhausted when the client's admission share (row cap or
+  /// delay budget) is exhausted, and FailedPrecondition after Shutdown().
+  /// The caller screens a row id against the family's store bounds and a
+  /// key against its index, as it screens carried feature indices against
+  /// the model dim. `admitted_at`, when non-default, is the caller's
+  /// validation entry time and charges the span's admit stage (the engine
+  /// passes its Score() entry).
   StatusOr<std::future<double>> Submit(
-      FamilyId family, std::vector<matrix::Index> indices,
-      std::vector<double> values, ClientId client,
+      FamilyId family, ScoreRequest req,
       std::chrono::steady_clock::time_point admitted_at = {});
-
-  /// Single-tenant convenience: Submit on kDefaultClient.
-  StatusOr<std::future<double>> Submit(FamilyId family,
-                                       std::vector<matrix::Index> indices,
-                                       std::vector<double> values);
-
-  /// Enqueues one id-keyed request on `family`'s queue for `client`.
-  /// Admission is UNIFIED with Submit(): the same status codes apply
-  /// (the caller validates row_id against the family's store bounds,
-  /// exactly as it validates carried feature indices against the model
-  /// dim, so both request forms report identical Status codes for
-  /// analogous failures).
-  StatusOr<std::future<double>> SubmitId(
-      FamilyId family, matrix::Index row_id, ClientId client,
-      std::chrono::steady_clock::time_point admitted_at = {});
-
-  /// Single-tenant convenience: SubmitId on kDefaultClient.
-  StatusOr<std::future<double>> SubmitId(FamilyId family,
-                                         matrix::Index row_id);
-
-  /// Enqueues one key-keyed request on `family`'s queue for `client`.
-  /// Shares the admission tail with Submit/SubmitId (identical Status
-  /// codes); the caller screens the key against the family's store index
-  /// the way SubmitId callers screen row ids against its bounds.
-  StatusOr<std::future<double>> SubmitKey(
-      FamilyId family, uint64_t key, ClientId client,
-      std::chrono::steady_clock::time_point admitted_at = {});
-
-  /// Single-tenant convenience: SubmitKey on kDefaultClient.
-  StatusOr<std::future<double>> SubmitKey(FamilyId family, uint64_t key);
 
   /// Blocks until some family has a batch ready under the flush policy;
   /// returns false only once the batcher is shut down AND every queue is
@@ -388,14 +396,6 @@ class RequestBatcher {
     obs::Counter* flush_drain = nullptr;
     obs::Gauge* depth = nullptr;
   };
-
-  /// Shared admission tail of Submit/SubmitId: validates the client,
-  /// applies the row cap and the delay budget (per-client shares under
-  /// fair queuing), and enqueues. Both request forms go through here so
-  /// their admission Status codes can never diverge.
-  StatusOr<std::future<double>> Enqueue(
-      FamilyId family, ClientId client, ScoreRequest req,
-      std::chrono::steady_clock::time_point admitted_at);
 
   /// The client's subqueue, created on first use with weight 1 (mu_ held).
   ClientQueue& GetOrAddClient(FamilyQueue& q, const ClientId& client);

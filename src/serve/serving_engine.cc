@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <future>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -31,6 +32,27 @@ opt::AdmissionControllerOptions AdmissionOptionsFor(
                         ? options.num_threads
                         : options.topology.total_cores();
   return o;
+}
+
+// The one wait behind the sync forms. A keyed row that vanished between
+// admission and the gather (a delta evicted its slot) surfaces as the
+// same NotFound an admission-time miss returns, so callers see one code
+// either way; carried rows never throw StoreKeyMiss.
+StatusOr<double> AwaitScore(StatusOr<std::future<double>> fut) {
+  if (!fut.ok()) return fut.status();
+  // Waited through a shared_future, which keeps the shared state -- and
+  // the StoreKeyMiss in it -- referenced until the handler below is done.
+  // future::get() drops that reference before the handler runs, leaving
+  // the exception's own refcount, kept inside the uninstrumented C++
+  // runtime, as the only order between the handler's read and the worker
+  // freeing the exception: correct, but ThreadSanitizer cannot see it and
+  // reports a race.
+  const std::shared_future<double> result = std::move(fut).value().share();
+  try {
+    return result.get();
+  } catch (const StoreKeyMiss& miss) {
+    return Status::NotFound(miss.what());
+  }
 }
 
 }  // namespace
@@ -397,71 +419,129 @@ void ServingEngine::Stop() {
   stopped_ = true;
 }
 
-const ServingEngine::FamilyState* ServingEngine::FindFamilyState(
-    const std::string& family,
-    std::shared_ptr<const FamilyTable>* keepalive) const {
-  // Post-Start the table is frozen and the raw pointer skips the
-  // shared_ptr machinery; pre-Start (cold setup/validation calls) fall
-  // back to the COW load that tolerates concurrent registration.
-  const FamilyTable* frozen = frozen_table_.load(std::memory_order_acquire);
-  if (frozen == nullptr) {
-    *keepalive = Table();
-    frozen = keepalive->get();
-  }
-  const auto it = frozen->ids.find(family);
-  return it == frozen->ids.end() ? nullptr : &frozen->families[it->second];
-}
-
-StatusOr<std::future<double>> ServingEngine::Score(
-    const std::string& family, std::vector<Index> indices,
-    std::vector<double> values) {
-  return Score(family, std::move(indices), std::move(values),
-               kDefaultClient);
-}
-
 StatusOr<std::future<double>> ServingEngine::Score(
     const std::string& family, std::vector<Index> indices,
     std::vector<double> values, ClientId client) {
+  return Admit(family, ScoreRequest::Carried(std::move(indices),
+                                             std::move(values),
+                                             std::move(client)));
+}
+
+StatusOr<std::future<double>> ServingEngine::Score(const std::string& family,
+                                                   Index row_id,
+                                                   ClientId client) {
+  return Admit(family, ScoreRequest::RowId(row_id, std::move(client)));
+}
+
+StatusOr<std::future<double>> ServingEngine::ScoreKey(
+    const std::string& family, uint64_t key, ClientId client) {
+  return Admit(family, ScoreRequest::Key(key, std::move(client)));
+}
+
+StatusOr<double> ServingEngine::ScoreSync(const std::string& family,
+                                          std::vector<Index> indices,
+                                          std::vector<double> values,
+                                          ClientId client) {
+  return AwaitScore(Score(family, std::move(indices), std::move(values),
+                          std::move(client)));
+}
+
+StatusOr<double> ServingEngine::ScoreSync(const std::string& family,
+                                          Index row_id, ClientId client) {
+  return AwaitScore(Score(family, row_id, std::move(client)));
+}
+
+StatusOr<double> ServingEngine::ScoreKeySync(const std::string& family,
+                                             uint64_t key, ClientId client) {
+  return AwaitScore(ScoreKey(family, key, std::move(client)));
+}
+
+StatusOr<std::future<double>> ServingEngine::Admit(const std::string& family,
+                                                   ScoreRequest req) {
   // Span anchor: validation from here to enqueue is the admit stage.
   // One clock read per submit, skipped on the no-telemetry baseline.
   const auto admitted_at = options_.telemetry
                                ? std::chrono::steady_clock::now()
                                : std::chrono::steady_clock::time_point{};
+  // Post-Start the table is frozen and the raw pointer skips the
+  // shared_ptr machinery; pre-Start (cold setup/validation calls) fall
+  // back to the COW load that tolerates concurrent registration.
   std::shared_ptr<const FamilyTable> keepalive;
-  const FamilyState* fsp = FindFamilyState(family, &keepalive);
-  if (fsp == nullptr) {
+  const FamilyTable* table = frozen_table_.load(std::memory_order_acquire);
+  if (table == nullptr) {
+    keepalive = Table();
+    table = keepalive.get();
+  }
+  const auto it = table->ids.find(family);
+  if (it == table->ids.end()) {
     return Status::NotFound("unknown family: " + family);
   }
-  const FamilyState& fs = *fsp;
-  // The family's dimension is fixed at registration, so admission can
-  // validate feature indices once, and the check holds for whichever
-  // version eventually scores the batch. Requests cross a trust
-  // boundary: an out-of-range index would read past the replica inside
-  // SparseVectorView::Dot.
+  const FamilyState& fs = table->families[it->second];
+  // The kind's own checks. Their order fixes which Status code a request
+  // failing several of them gets; the admission parity tests pin it.
+  const bool keyed = req.kind != RequestKind::kCarried;
+  if (keyed && fs.store == nullptr) {
+    return Status::FailedPrecondition(
+        "no feature store registered for family " + family);
+  }
   if (fs.family->current_version() == 0) {
     return Status::FailedPrecondition("no model published for family " +
                                       family);
   }
-  const Index dim = fs.family->dim();
-  if (indices.empty()) {
-    // Explicit dense form: value k scores against coordinate k.
-    if (values.size() > dim) {
-      return Status::InvalidArgument("dense row wider than the model");
+  if (!keyed) {
+    // The family's dimension is fixed at registration, so admission can
+    // validate feature indices once, and the check holds for whichever
+    // version eventually scores the batch. Requests cross a trust
+    // boundary: an out-of-range index would read past the replica inside
+    // SparseVectorView::Dot.
+    const Index dim = fs.family->dim();
+    std::vector<Index>& indices = req.indices;
+    if (indices.empty()) {
+      // Explicit dense form: value k scores against coordinate k.
+      if (req.values.size() > dim) {
+        return Status::InvalidArgument("dense row wider than the model");
+      }
+    } else {
+      // The validation scan doubles as an identity test: an
+      // identity-indexed row is rewritten to the dense form for free, so
+      // it skips index traffic and takes the tiled kernel downstream.
+      bool identity = indices.size() <= dim;
+      Index pos = 0;
+      for (const Index i : indices) {
+        if (i >= dim) {
+          return Status::InvalidArgument("feature index out of range");
+        }
+        identity = identity && i == pos++;
+      }
+      if (identity && indices.size() == req.values.size()) {
+        indices.clear();
+      }
     }
   } else {
-    // The validation scan doubles as an identity test: an identity-indexed
-    // row is rewritten to the dense form for free, so it skips index
-    // traffic and takes the tiled kernel downstream.
-    bool identity = indices.size() <= dim;
-    Index pos = 0;
-    for (const Index i : indices) {
-      if (i >= dim) {
-        return Status::InvalidArgument("feature index out of range");
-      }
-      identity = identity && i == pos++;
+    // Same trust boundary as the carried form's index scan, same Status
+    // code: the table shape is fixed at registration, so this one check
+    // holds for whichever version eventually serves the batch (an
+    // out-of-range id would read past a shard in RowForNode).
+    if (req.kind == RequestKind::kRowId && req.row_id >= fs.store->rows()) {
+      return Status::InvalidArgument("row id out of range for family " +
+                                     family);
     }
-    if (identity && indices.size() == values.size()) {
-      indices.clear();
+    if (fs.store->current_version() == 0) {
+      return Status::FailedPrecondition(
+          "no feature table published for family " + family);
+    }
+    // The admission-time analogue of the row-id range check, probed
+    // lock-free against the current index. Unlike the shape check this
+    // one is best-effort -- a delta landing after admission can still
+    // evict the key, which the worker surfaces as a StoreKeyMiss -- but
+    // it turns the common case (a key that was never published, or
+    // evicted long ago) into a cheap synchronous NotFound instead of a
+    // queued failure.
+    if (req.kind == RequestKind::kKey && !fs.store->ContainsKey(req.key)) {
+      fs.inst.key_misses->Add(1);
+      return Status::NotFound(
+          "key " + std::to_string(req.key) +
+          " not present in the feature store for family " + family);
     }
   }
   // Without workers a queued promise would never resolve (ScoreSync would
@@ -469,171 +549,7 @@ StatusOr<std::future<double>> ServingEngine::Score(
   if (!running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("engine not started");
   }
-  return batcher_.Submit(fs.queue, std::move(indices), std::move(values),
-                         std::move(client), admitted_at);
-}
-
-StatusOr<std::future<double>> ServingEngine::Score(const std::string& family,
-                                                   Index row_id) {
-  return Score(family, row_id, kDefaultClient);
-}
-
-StatusOr<std::future<double>> ServingEngine::Score(const std::string& family,
-                                                   Index row_id,
-                                                   ClientId client) {
-  const auto admitted_at = options_.telemetry
-                               ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
-  std::shared_ptr<const FamilyTable> keepalive;
-  const FamilyState* fsp = FindFamilyState(family, &keepalive);
-  if (fsp == nullptr) {
-    return Status::NotFound("unknown family: " + family);
-  }
-  const FamilyState& fs = *fsp;
-  if (fs.store == nullptr) {
-    return Status::FailedPrecondition(
-        "no feature store registered for family " + family);
-  }
-  if (fs.family->current_version() == 0) {
-    return Status::FailedPrecondition("no model published for family " +
-                                      family);
-  }
-  // Same trust boundary as the carried form's index scan, same Status
-  // code: the table shape is fixed at registration, so this one check
-  // holds for whichever version eventually serves the batch (an
-  // out-of-range id would read past a shard in RowForNode).
-  if (row_id >= fs.store->rows()) {
-    return Status::InvalidArgument("row id out of range for family " +
-                                   family);
-  }
-  if (fs.store->current_version() == 0) {
-    return Status::FailedPrecondition(
-        "no feature table published for family " + family);
-  }
-  if (!running_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("engine not started");
-  }
-  return batcher_.SubmitId(fs.queue, row_id, std::move(client), admitted_at);
-}
-
-StatusOr<std::future<double>> ServingEngine::ScoreKey(
-    const std::string& family, uint64_t key, ClientId client) {
-  const auto admitted_at = options_.telemetry
-                               ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
-  std::shared_ptr<const FamilyTable> keepalive;
-  const FamilyState* fsp = FindFamilyState(family, &keepalive);
-  if (fsp == nullptr) {
-    return Status::NotFound("unknown family: " + family);
-  }
-  const FamilyState& fs = *fsp;
-  if (fs.store == nullptr) {
-    return Status::FailedPrecondition(
-        "no feature store registered for family " + family);
-  }
-  if (fs.family->current_version() == 0) {
-    return Status::FailedPrecondition("no model published for family " +
-                                      family);
-  }
-  if (fs.store->current_version() == 0) {
-    return Status::FailedPrecondition(
-        "no feature table published for family " + family);
-  }
-  // The admission-time analogue of the id form's range check, probed
-  // lock-free against the current index. Unlike the shape check this one
-  // is best-effort -- a delta landing after admission can still evict
-  // the key, which the worker surfaces as a StoreKeyMiss -- but it turns
-  // the common case (a key that was never published, or evicted long
-  // ago) into a cheap synchronous NotFound instead of a queued failure.
-  if (!fs.store->ContainsKey(key)) {
-    fs.inst.key_misses->Add(1);
-    return Status::NotFound("key " + std::to_string(key) +
-                            " not present in the feature store for family " +
-                            family);
-  }
-  if (!running_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("engine not started");
-  }
-  return batcher_.SubmitKey(fs.queue, key, std::move(client), admitted_at);
-}
-
-StatusOr<std::future<double>> ServingEngine::ScoreKey(
-    const std::string& family, uint64_t key) {
-  return ScoreKey(family, key, kDefaultClient);
-}
-
-StatusOr<std::future<double>> ServingEngine::ScoreKey(
-    const std::string& family, std::string_view key, ClientId client) {
-  return ScoreKey(family, FeatureStore::HashKey(key), std::move(client));
-}
-
-StatusOr<std::future<double>> ServingEngine::ScoreKey(
-    const std::string& family, std::string_view key) {
-  return ScoreKey(family, FeatureStore::HashKey(key), kDefaultClient);
-}
-
-StatusOr<double> ServingEngine::ScoreSync(const std::string& family,
-                                          std::vector<Index> indices,
-                                          std::vector<double> values,
-                                          ClientId client) {
-  auto fut =
-      Score(family, std::move(indices), std::move(values), std::move(client));
-  if (!fut.ok()) return fut.status();
-  return std::move(fut).value().get();
-}
-
-StatusOr<double> ServingEngine::ScoreSync(const std::string& family,
-                                          std::vector<Index> indices,
-                                          std::vector<double> values) {
-  return ScoreSync(family, std::move(indices), std::move(values),
-                   kDefaultClient);
-}
-
-StatusOr<double> ServingEngine::ScoreSync(const std::string& family,
-                                          Index row_id, ClientId client) {
-  auto fut = Score(family, row_id, std::move(client));
-  if (!fut.ok()) return fut.status();
-  try {
-    return std::move(fut).value().get();
-  } catch (const StoreKeyMiss& miss) {
-    // A delta evicted the slot between admission and the gather; only
-    // reachable on stores mixing id traffic with delta publishes.
-    return Status::NotFound(miss.what());
-  }
-}
-
-StatusOr<double> ServingEngine::ScoreSync(const std::string& family,
-                                          Index row_id) {
-  return ScoreSync(family, row_id, kDefaultClient);
-}
-
-StatusOr<double> ServingEngine::ScoreKeySync(const std::string& family,
-                                             uint64_t key, ClientId client) {
-  auto fut = ScoreKey(family, key, std::move(client));
-  if (!fut.ok()) return fut.status();
-  try {
-    return std::move(fut).value().get();
-  } catch (const StoreKeyMiss& miss) {
-    // Evicted between admission and the gather: same Status the
-    // admission-time miss returns, so callers see one code either way.
-    return Status::NotFound(miss.what());
-  }
-}
-
-StatusOr<double> ServingEngine::ScoreKeySync(const std::string& family,
-                                             uint64_t key) {
-  return ScoreKeySync(family, key, kDefaultClient);
-}
-
-StatusOr<double> ServingEngine::ScoreKeySync(const std::string& family,
-                                             std::string_view key,
-                                             ClientId client) {
-  return ScoreKeySync(family, FeatureStore::HashKey(key), std::move(client));
-}
-
-StatusOr<double> ServingEngine::ScoreKeySync(const std::string& family,
-                                             std::string_view key) {
-  return ScoreKeySync(family, FeatureStore::HashKey(key), kDefaultClient);
+  return batcher_.Submit(fs.queue, std::move(req), admitted_at);
 }
 
 void ServingEngine::WorkerLoop(int worker_id) {
@@ -685,7 +601,7 @@ void ServingEngine::WorkerLoop(int worker_id) {
     // (keys resolve through the SNAPSHOT's index, not the live one).
     std::shared_ptr<const FeatureStoreSnapshot> store_snap;
     for (const ScoreRequest& req : batch.requests) {
-      if (req.by_id || req.by_key) {
+      if (req.kind != RequestKind::kCarried) {
         store_snap = fs.store->Acquire();
         while (store_snap == nullptr) {
           std::this_thread::yield();
@@ -740,9 +656,29 @@ void ServingEngine::WorkerLoop(int worker_id) {
     uint64_t store_remote_bytes = 0;
     for (size_t ri = 0; ri < batch.requests.size(); ++ri) {
       ScoreRequest& req = batch.requests[ri];
-      if (req.by_id || req.by_key) {
-        Index slot = req.row_id;
-        if (req.by_key) {
+      Index slot = 0;
+      switch (req.kind) {
+        case RequestKind::kCarried:
+          views.push_back(req.View());
+          view_req.push_back(ri);
+          // Carried payload arrives node-local (the batch was just
+          // written). Dense requests carry no index array.
+          delta.local_read_bytes += req.values.size() * sizeof(double) +
+                                    req.indices.size() * sizeof(Index);
+          continue;
+        case RequestKind::kRowId:
+          slot = req.row_id;
+          if (!store_snap->SlotLive(slot)) {
+            // The row id named a slot a delta has since evicted; same
+            // surfacing as a key miss (the row-id form predates eviction,
+            // so this only fires on stores mixing deltas with id traffic).
+            ++key_misses;
+            req.result.set_exception(std::make_exception_ptr(
+                StoreKeyMiss(fs.name, static_cast<uint64_t>(slot))));
+            continue;
+          }
+          break;
+        case RequestKind::kKey: {
           const std::optional<Index> found = store_snap->LookupSlot(req.key);
           if (!found.has_value()) {
             ++key_misses;
@@ -752,38 +688,25 @@ void ServingEngine::WorkerLoop(int worker_id) {
           }
           slot = *found;
           ++key_rows;
-        } else if (!store_snap->SlotLive(slot)) {
-          // The row id named a slot a delta has since evicted; same
-          // surfacing as a key miss (the id form predates eviction, so
-          // this only fires on stores mixing deltas with id traffic).
-          ++key_misses;
-          req.result.set_exception(std::make_exception_ptr(
-              StoreKeyMiss(fs.name, static_cast<uint64_t>(slot))));
-          continue;
+          break;
         }
-        // Feed the eviction clock: a gathered page is a hot page.
-        store_snap->TouchRow(slot);
-        const size_t fdim = store_snap->dim();
-        views.push_back({nullptr, store_snap->RowForNode(node, slot), fdim});
-        view_req.push_back(ri);
-        ++id_rows;
-        const uint64_t feature_bytes = fdim * sizeof(double);
-        if (store_snap->OwnerNodeFor(node, slot) == node) {
-          ++local_store_rows;
-          store_local_bytes += feature_bytes;
-          delta.local_read_bytes += feature_bytes;
-        } else {
-          ++remote_store_rows;
-          store_remote_bytes += feature_bytes;
-          delta.remote_read_bytes += feature_bytes;
-        }
+      }
+      // A keyed row resolved to a live slot. Feed the eviction clock: a
+      // gathered page is a hot page.
+      store_snap->TouchRow(slot);
+      const size_t fdim = store_snap->dim();
+      views.push_back({nullptr, store_snap->RowForNode(node, slot), fdim});
+      view_req.push_back(ri);
+      ++id_rows;
+      const uint64_t feature_bytes = fdim * sizeof(double);
+      if (store_snap->OwnerNodeFor(node, slot) == node) {
+        ++local_store_rows;
+        store_local_bytes += feature_bytes;
+        delta.local_read_bytes += feature_bytes;
       } else {
-        views.push_back(req.View());
-        view_req.push_back(ri);
-        // Carried payload arrives node-local (the batch was just
-        // written). Dense requests carry no index array.
-        delta.local_read_bytes += req.values.size() * sizeof(double) +
-                                  req.indices.size() * sizeof(Index);
+        ++remote_store_rows;
+        store_remote_bytes += feature_bytes;
+        delta.remote_read_bytes += feature_bytes;
       }
     }
     const size_t rows = views.size();
@@ -918,7 +841,7 @@ void ServingEngine::WorkerLoop(int worker_id) {
       obs::SpanRecord rec;
       rec.family = fs.name;
       rec.client = req.client.str();
-      rec.by_id = req.by_id;
+      rec.kind = ToString(req.kind);
       rec.batch_rows = rows;
       rec.stage_us[static_cast<int>(obs::Stage::kAdmit)] = req.admit_us;
       rec.stage_us[static_cast<int>(obs::Stage::kQueue)] =

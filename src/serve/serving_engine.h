@@ -15,15 +15,19 @@
 // hot path touches only node-local memory: the read-mostly endpoint of
 // the paper's Sec. 3.3 tradeoff.
 //
-// Requests come in two forms. CARRIED requests ship their own feature
-// vector (Score(family, indices, values)). ID-KEYED requests name a row
-// in the family's registered serve::FeatureStore (Score(family, row_id)):
-// the payload is one integer, and the worker gathers the features at
-// scoring time from the store's placement on its own node -- the
-// data/worker collocation of the paper's Fig. 9 applied to serving-time
-// feature fetch. Stores hot-swap atomically like model snapshots, and a
-// worker acquires ONE store snapshot per batch, so a refresh can never
-// tear the rows of an in-flight batch across table versions.
+// Requests come in three forms, one ScoreRequest kind each. CARRIED
+// requests ship their own feature vector (Score(family, indices,
+// values)). ROW-ID requests name a row in the family's registered
+// serve::FeatureStore (Score(family, row_id)), and KEY requests name an
+// entity key the store's index resolves (ScoreKey(family, key)): the
+// payload is one integer, and the worker gathers the features at scoring
+// time from the store's placement on its own node -- the data/worker
+// collocation of the paper's Fig. 9 applied to serving-time feature
+// fetch. All three share one admission path, so analogous failures
+// report identical Status codes. Stores hot-swap atomically like model
+// snapshots, and a worker acquires ONE store snapshot per batch, so a
+// refresh can never tear the rows of an in-flight batch across table
+// versions.
 //
 // Workers account their logical traffic with numa::AccessCounters exactly
 // like training epochs do, so bench_serving can report both measured
@@ -49,13 +53,11 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "engine/engine.h"
-#include "engine/metrics.h"
 #include "models/model_spec.h"
 #include "numa/access_counters.h"
 #include "numa/memory_model.h"
@@ -340,92 +342,54 @@ class ServingEngine {
   /// The live placement tuner; nullptr until EnableTuner().
   opt::PlacementTuner* tuner() { return tuner_.get(); }
 
-  /// Enqueues one sparse row for scoring against `family`, attributed to
-  /// the trailing `client` for fair queuing and per-client admission
-  /// shares. The future resolves with that family's ModelSpec::Predict
-  /// of the row under the family's current model. InvalidArgument on an
-  /// empty or oversized client id.
+  /// Enqueues one CARRIED sparse row for scoring against `family`,
+  /// attributed to `client` for fair queuing and per-client admission
+  /// shares. The future resolves with that family's ModelSpec::Predict of
+  /// the row under the family's current model. NotFound for an unknown
+  /// family, InvalidArgument for an out-of-range feature index, a
+  /// mismatched row, or a bad client id, FailedPrecondition before
+  /// Start() or a first Publish, ResourceExhausted on back-pressure.
   StatusOr<std::future<double>> Score(const std::string& family,
                                       std::vector<matrix::Index> indices,
                                       std::vector<double> values,
-                                      ClientId client);
+                                      ClientId client = kDefaultClient);
 
-  /// Single-tenant convenience: Score() as kDefaultClient.
+  /// Enqueues one ROW-ID request: the features for `row_id` come from
+  /// the family's registered FeatureStore, gathered by the scoring worker
+  /// from its node's placement -- the data/worker collocation of the
+  /// paper's Fig. 9, applied to serving. Same Status codes as the carried
+  /// form: InvalidArgument for an out-of-range row id (as for an
+  /// out-of-range feature index), plus FailedPrecondition when no store
+  /// is registered or nothing is published yet.
   StatusOr<std::future<double>> Score(const std::string& family,
-                                      std::vector<matrix::Index> indices,
-                                      std::vector<double> values);
+                                      matrix::Index row_id,
+                                      ClientId client = kDefaultClient);
 
-  /// Enqueues one ID-KEYED request for `client`: the features for
-  /// `row_id` come from the family's registered FeatureStore, gathered
-  /// by the scoring worker from its node's placement -- the data/worker
-  /// collocation of the paper's Fig. 9, applied to serving. Admission
-  /// mirrors the carried form's Status codes: NotFound for an unknown
-  /// family, InvalidArgument for an out-of-range row id (as for an
-  /// out-of-range feature index) or a bad client id, FailedPrecondition
-  /// when no store is registered or nothing is published yet,
-  /// ResourceExhausted on back-pressure.
-  StatusOr<std::future<double>> Score(const std::string& family,
-                                      matrix::Index row_id, ClientId client);
-
-  /// Single-tenant convenience: id-keyed Score() as kDefaultClient.
-  StatusOr<std::future<double>> Score(const std::string& family,
-                                      matrix::Index row_id);
-
-  /// Enqueues one KEY-KEYED request for `client`: the request ships a
-  /// 64-bit key instead of a dense row id, and the scoring worker
+  /// Enqueues one KEY request: the request ships a 64-bit key (hash
+  /// string keys with FeatureStore::HashKey) and the scoring worker
   /// resolves it through the store's sharded key index against the
   /// batch's pinned snapshot (lock-free probe, no master lock on the hot
-  /// path). Admission mirrors the id form's Status codes, plus NotFound
-  /// for a key absent from the current index (also counted as a
-  /// store.key_misses hit -- the caller-visible symptom of eviction). A
-  /// key evicted between admission and the gather resolves the future
-  /// with a StoreKeyMiss exception instead.
+  /// path). Same Status codes as the row-id form, plus NotFound for a key
+  /// absent from the current index (also counted as a store.key_misses
+  /// hit -- the caller-visible symptom of eviction). A key evicted
+  /// between admission and the gather resolves the future with a
+  /// StoreKeyMiss exception instead.
   StatusOr<std::future<double>> ScoreKey(const std::string& family,
-                                         uint64_t key, ClientId client);
+                                         uint64_t key,
+                                         ClientId client = kDefaultClient);
 
-  /// Single-tenant convenience: key-keyed ScoreKey() as kDefaultClient.
-  StatusOr<std::future<double>> ScoreKey(const std::string& family,
-                                         uint64_t key);
-
-  /// String-keyed convenience: hashes `key` through FeatureStore::HashKey
-  /// (FNV-1a). The caller owns collision avoidance at publish time --
-  /// the store keys rows by the 64-bit hash.
-  StatusOr<std::future<double>> ScoreKey(const std::string& family,
-                                         std::string_view key,
-                                         ClientId client);
-
-  StatusOr<std::future<double>> ScoreKey(const std::string& family,
-                                         std::string_view key);
-
-  /// Convenience: Score() and wait for the result.
+  /// Convenience: Score()/ScoreKey() and wait for the result. A row that
+  /// vanished between admission and the gather (StoreKeyMiss through the
+  /// future) comes back as Status::NotFound, same as an admission-time
+  /// miss.
   StatusOr<double> ScoreSync(const std::string& family,
                              std::vector<matrix::Index> indices,
-                             std::vector<double> values, ClientId client);
-
-  StatusOr<double> ScoreSync(const std::string& family,
-                             std::vector<matrix::Index> indices,
-                             std::vector<double> values);
-
-  /// Convenience: id-keyed Score() and wait for the result.
-  StatusOr<double> ScoreSync(const std::string& family,
-                             matrix::Index row_id, ClientId client);
-
-  StatusOr<double> ScoreSync(const std::string& family,
-                             matrix::Index row_id);
-
-  /// Convenience: key-keyed ScoreKey() and wait. A key that vanished
-  /// between admission and the gather (StoreKeyMiss through the future)
-  /// comes back as Status::NotFound, same as an admission-time miss.
+                             std::vector<double> values,
+                             ClientId client = kDefaultClient);
+  StatusOr<double> ScoreSync(const std::string& family, matrix::Index row_id,
+                             ClientId client = kDefaultClient);
   StatusOr<double> ScoreKeySync(const std::string& family, uint64_t key,
-                                ClientId client);
-
-  StatusOr<double> ScoreKeySync(const std::string& family, uint64_t key);
-
-  StatusOr<double> ScoreKeySync(const std::string& family,
-                                std::string_view key, ClientId client);
-
-  StatusOr<double> ScoreKeySync(const std::string& family,
-                                std::string_view key);
+                                ClientId client = kDefaultClient);
 
   /// Looks up a family's registered feature store; nullptr when the
   /// family is unknown or has no store. Valid for the engine's lifetime.
@@ -524,12 +488,12 @@ class ServingEngine {
   /// Current table (atomic_load; never nullptr).
   std::shared_ptr<const FamilyTable> Table() const;
 
-  /// Admission-path family lookup shared by both Score forms: frozen raw
-  /// pointer post-Start, COW load pre-Start (`keepalive` pins the cold
-  /// table for the caller's use). nullptr for unknown families.
-  const FamilyState* FindFamilyState(
-      const std::string& family,
-      std::shared_ptr<const FamilyTable>* keepalive) const;
+  /// The one admission path behind every public Score form: stamps the
+  /// admit-stage anchor, looks up the family, runs the request kind's
+  /// own trust-boundary checks, and enqueues. A carried row whose indices
+  /// are the identity is rewritten to the dense form on the way.
+  StatusOr<std::future<double>> Admit(const std::string& family,
+                                      ScoreRequest req);
 
   ServingOptions options_;
   /// Declared before everything that resolves instruments out of it

@@ -181,16 +181,18 @@ TEST(ClientIdTest, BatcherRejectsBadClientsOnBothRequestForms) {
   o.max_batch_size = 8;
   o.max_delay = std::chrono::seconds(10);
   const FamilyId f = b.AddQueue(o);
-  // Both forms share the Enqueue validation tail: identical codes.
-  EXPECT_EQ(b.Submit(f, {0}, {1.0}, ClientId("")).status().code(),
-            Status::Code::kInvalidArgument);
-  EXPECT_EQ(b.SubmitId(f, 0, ClientId("")).status().code(),
-            Status::Code::kInvalidArgument);
+  // Every form shares the one Submit validation: identical codes.
   const ClientId oversized(std::string(kMaxClientIdBytes + 1, 'c'));
-  EXPECT_EQ(b.Submit(f, {0}, {1.0}, oversized).status().code(),
-            Status::Code::kInvalidArgument);
-  EXPECT_EQ(b.SubmitId(f, 0, oversized).status().code(),
-            Status::Code::kInvalidArgument);
+  for (const ClientId& bad : {ClientId(""), oversized}) {
+    EXPECT_EQ(b.Submit(f, ScoreRequest::Carried({0}, {1.0}, bad))
+                  .status()
+                  .code(),
+              Status::Code::kInvalidArgument);
+    EXPECT_EQ(b.Submit(f, ScoreRequest::RowId(0, bad)).status().code(),
+              Status::Code::kInvalidArgument);
+    EXPECT_EQ(b.Submit(f, ScoreRequest::Key(0, bad)).status().code(),
+              Status::Code::kInvalidArgument);
+  }
   // Nothing was admitted or counted.
   EXPECT_EQ(b.queue_stats(f).accepted, 0u);
   EXPECT_TRUE(b.queue_stats(f).clients.empty());
@@ -225,7 +227,7 @@ RequestBatcher::Options FairOpts(size_t max_batch, size_t quantum,
 
 void MustSubmitAs(RequestBatcher& b, FamilyId f, const ClientId& c,
                   double v) {
-  auto fut = b.Submit(f, {0}, {v}, c);
+  auto fut = b.Submit(f, ScoreRequest::Carried({0}, {v}, c));
   ASSERT_TRUE(fut.ok()) << fut.status().ToString();
 }
 
@@ -303,7 +305,7 @@ TEST(FairQueuingTest, PerClientSharesSplitTheRowCap) {
   b.SetClientWeight(f, hog, 1.0);
   b.SetClientWeight(f, mouse, 1.0);
   for (int i = 0; i < 4; ++i) MustSubmitAs(b, f, hog, i);
-  EXPECT_EQ(b.Submit(f, {0}, {9.0}, hog).status().code(),
+  EXPECT_EQ(b.Submit(f, ScoreRequest::Carried({0}, {9.0}, hog)).status().code(),
             Status::Code::kResourceExhausted);
   for (int i = 0; i < 4; ++i) MustSubmitAs(b, f, mouse, i);
   const RequestBatcher::QueueStats qs = b.queue_stats(f);
@@ -327,7 +329,9 @@ TEST(FairQueuingTest, ClientRosterIsBoundedAgainstIdAbuse) {
   MustSubmitAs(b, f, ClientId("tenant-a"), 1.0);
   MustSubmitAs(b, f, ClientId("tenant-b"), 2.0);
   // A third distinct id is refused WITHOUT registering the client...
-  EXPECT_EQ(b.Submit(f, {0}, {3.0}, ClientId("req-123")).status().code(),
+  EXPECT_EQ(b.Submit(f, ScoreRequest::Carried({0}, {3.0}, ClientId("req-123")))
+                .status()
+                .code(),
             Status::Code::kResourceExhausted);
   EXPECT_EQ(b.queue_stats(f).clients.size(), 2u);
   // ...while known clients keep submitting.
@@ -364,16 +368,18 @@ TEST(FairQueuingTest, CostAwareAdmissionRejectsOverDelayBudget) {
   MustSubmitAs(b, f, kDefaultClient, 1.0);
   // ...but the next request would wait ~seconds behind it: over budget,
   // and the refusal is accounted as a COST rejection, not a full queue.
-  auto fut = b.Submit(f, {0}, {2.0}, kDefaultClient);
+  auto fut = b.Submit(f, ScoreRequest::Carried({0}, {2.0}, kDefaultClient));
   ASSERT_FALSE(fut.ok());
   EXPECT_EQ(fut.status().code(), Status::Code::kResourceExhausted);
   const RequestBatcher::QueueStats qs = b.queue_stats(f);
   EXPECT_EQ(qs.rejected_cost, 1u);
   EXPECT_EQ(qs.rejected_full, 0u);
-  // The id-keyed form hits the identical budget check.
-  EXPECT_EQ(b.SubmitId(f, 0, kDefaultClient).status().code(),
+  // The keyed forms hit the identical budget check.
+  EXPECT_EQ(b.Submit(f, ScoreRequest::RowId(0)).status().code(),
             Status::Code::kResourceExhausted);
-  EXPECT_EQ(b.queue_stats(f).rejected_cost, 2u);
+  EXPECT_EQ(b.Submit(f, ScoreRequest::Key(0)).status().code(),
+            Status::Code::kResourceExhausted);
+  EXPECT_EQ(b.queue_stats(f).rejected_cost, 3u);
 }
 
 TEST(FairQueuingTest, SeededOverloadBoundsMiceRejections) {
@@ -397,7 +403,7 @@ TEST(FairQueuingTest, SeededOverloadBoundsMiceRejections) {
   for (int tick = 0; tick < 2000; ++tick) {
     for (int k = 0; k < 12; ++k) {
       ++hog_submitted;
-      auto fut = b.Submit(f, {0}, {1.0}, hog);
+      auto fut = b.Submit(f, ScoreRequest::Carried({0}, {1.0}, hog));
       if (!fut.ok()) {
         ASSERT_EQ(fut.status().code(), Status::Code::kResourceExhausted);
         ++hog_rejected;
@@ -405,7 +411,7 @@ TEST(FairQueuingTest, SeededOverloadBoundsMiceRejections) {
     }
     const ClientId& m = mice[rng.Below(mice.size())];
     ++mice_submitted;
-    auto fut = b.Submit(f, {0}, {1.0}, m);
+    auto fut = b.Submit(f, ScoreRequest::Carried({0}, {1.0}, m));
     if (!fut.ok()) {
       ASSERT_EQ(fut.status().code(), Status::Code::kResourceExhausted);
       ++mice_rejected;
@@ -451,7 +457,7 @@ TEST(FairQueuingTest, IdleClientsAgeOutAndTheirShareReturns) {
 
   // Three clients, equal weights: cap 12 splits to 4 queued rows each.
   for (int i = 0; i < 4; ++i) MustSubmitAs(b, f, hog, i);
-  EXPECT_EQ(b.Submit(f, {0}, {9.0}, hog).status().code(),
+  EXPECT_EQ(b.Submit(f, ScoreRequest::Carried({0}, {9.0}, hog)).status().code(),
             Status::Code::kResourceExhausted);
   for (int i = 0; i < 4; ++i) MustSubmitAs(b, f, mouse, i);
 
@@ -464,8 +470,9 @@ TEST(FairQueuingTest, IdleClientsAgeOutAndTheirShareReturns) {
   // unpinned); the mouse's share grows from a third to a half, so it can
   // now hold 6 rows where 4 was its former ceiling.
   for (int i = 0; i < 6; ++i) MustSubmitAs(b, f, mouse, i);
-  EXPECT_EQ(b.Submit(f, {0}, {9.0}, mouse).status().code(),
-            Status::Code::kResourceExhausted);
+  EXPECT_EQ(
+      b.Submit(f, ScoreRequest::Carried({0}, {9.0}, mouse)).status().code(),
+      Status::Code::kResourceExhausted);
 
   const RequestBatcher::QueueStats qs = b.queue_stats(f);
   bool saw_hog = false;
@@ -547,7 +554,7 @@ TEST(FairQueuingTest, ReweightRacesSubmittersWithoutCorruption) {
   for (const ClientId* id : {&a, &c}) {
     producers.emplace_back([&b, f, id] {
       for (int i = 0; i < kPerClient;) {
-        auto fut = b.Submit(f, {0}, {1.0}, *id);
+        auto fut = b.Submit(f, ScoreRequest::Carried({0}, {1.0}, *id));
         if (fut.ok()) {
           ++i;
           continue;

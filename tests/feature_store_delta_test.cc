@@ -449,19 +449,19 @@ TEST(ScoreKeyServingTest, StringKeysRoundTripThroughTheHash) {
                                  PagedStore(StorePlacement::kSharded, 4))
                   .ok());
   server.Publish("kv", std::vector<double>(dim, 1.0));
-  // Entity rows keyed by name: publish under HashKey, score by string.
+  // Entity rows keyed by name: publish and score under HashKey.
   const StorePublishReport rep = server.PublishStoreDelta(
       "kv", {FeatureStore::HashKey("alice"), FeatureStore::HashKey("bob")},
       {1, 1, 1, 1, 2, 2, 2, 2});
   EXPECT_EQ(rep.live_rows, 2u);
   ASSERT_TRUE(server.Start().ok());
-  auto alice = server.ScoreKeySync("kv", std::string_view("alice"));
-  auto bob = server.ScoreKeySync("kv", std::string_view("bob"));
+  auto alice = server.ScoreKeySync("kv", FeatureStore::HashKey("alice"));
+  auto bob = server.ScoreKeySync("kv", FeatureStore::HashKey("bob"));
   ASSERT_TRUE(alice.ok());
   ASSERT_TRUE(bob.ok());
   EXPECT_DOUBLE_EQ(alice.value(), 4.0);
   EXPECT_DOUBLE_EQ(bob.value(), 8.0);
-  EXPECT_EQ(server.ScoreKeySync("kv", std::string_view("carol"))
+  EXPECT_EQ(server.ScoreKeySync("kv", FeatureStore::HashKey("carol"))
                 .status()
                 .code(),
             Status::Code::kNotFound);
