@@ -1,132 +1,72 @@
-// Serving benchmarks, nine experiments in one binary:
+// Serving bench: the serving gates that need a wall clock, six experiments
+// in one binary. Every gate prints one line with its measured value, its
+// threshold and a verdict.
 //
-//  1. Throughput vs thread count x replication strategy -- the serving
-//     analogue of Fig. 8, run with an explicit per-family replication
-//     override (the bench escape hatch; production lets the opt:: cost
-//     model decide). Serving has no statistical side at all (reads only),
-//     so PerNode should dominate PerMachine once readers span sockets.
-//  2. Batched vs scalar scoring kernels on a dense synthetic workload at
-//     max threads: one ModelSpec::PredictBatch call per mini-batch (the
-//     cache-blocked GLM kernel) against row-by-row Predict. This is the
-//     ROADMAP "batch-aware scoring kernels" number CI tracks; the bench
-//     exits nonzero if the batched kernel falls under the gate.
-//  3. A closed-loop SLO search (ROADMAP "latency SLOs in the bench"):
-//     binary-search the offered load for the max sustainable rows/sec
-//     whose measured p99 stays under a target.
-//  4. Live training->serving: two named families (a wide LR and a narrow
-//     SVM) with cost-model-chosen replication, each refreshed by its own
-//     serve::SnapshotExporter DURING training, under concurrent scoring
-//     load. Reports per-family rows/sec, p50/p99, admission counters,
-//     and measured snapshot staleness (ms + versions behind) -- the
-//     staleness-vs-throughput tradeoff of the async refresh pipeline.
-//  5. Collocated fetch vs request-carried features -- the wide-model
-//     serving analogue of Fig. 9's data-replication study. The same
-//     dense scoring load runs three ways: id-keyed against a kReplicated
-//     serve::FeatureStore (every gather node-local), id-keyed against a
-//     kSharded store (a (n-1)/n share of gathers crosses the
-//     interconnect), and carried-feature requests (the client ships
-//     every row). The memory-model numbers expose the locality gap the
-//     wall clock can't show on this single-domain host.
-//  6. Cost-aware admission + per-client fair queuing under overload: one
-//     unthrottled hog client floods a deliberately under-provisioned
-//     (one-worker) engine while several mice trickle paced synchronous
-//     requests, twice -- once with the per-family FIFO baseline
-//     (fair_queuing=false) and once with deficit-round-robin fair
-//     queuing. Admission runs against a queueing-delay budget costed by
-//     opt::AdmissionController (memory-model prior calibrated online by
-//     the workers' measured batch times). Gated on the mice's p99 AND
-//     served fraction being strictly better under fair queuing, and on
-//     the calibrated service-time estimate converging to within 2x of
-//     the measured EWMA.
-//  7. Telemetry overhead + stage decomposition: the same batched
-//     closed-loop scoring run, interleaved with telemetry fully on
-//     (obs::Registry instruments, per-stage histograms, sampled span
-//     tracing, a live 25 ms obs::TelemetryExporter) and fully off (the
-//     no-op registry). Gated on the throughput overhead staying under
-//     DW_BENCH_TEL_MAX_OVERHEAD (default 3%), and on the per-stage
-//     latency means (queue..complete) summing to within 10% of the
-//     measured mean end-to-end latency -- the decomposition check that
-//     catches a stage boundary drifting away from what serve.latency_ms
-//     measures.
-//  8. SIMD dispatch levels + int8-quantized scoring: the experiment-2
-//     dense workload scored through PredictBatch with the kernel level
-//     FORCED to each tier the host supports (scalar / avx2 / avx512 --
-//     the float levels are bitwise-identical, so this isolates pure
-//     kernel throughput), plus the dequantize-free int8 path
-//     (PredictBatchQuantized against Publish-style quantized weights).
-//     Gated on the best SIMD level sustaining at least
-//     DW_BENCH_SIMD_MIN_RATIO of the tiled-scalar rate (a >= gate with a
-//     noisy-runner margin, not a speedup promise: the dense kernels are
-//     memory-bound at scale) and on every int8 margin landing within the
-//     documented quantization bound.
-//  9. Live placement tuning under a mid-run traffic shift: a family +
-//     feature store frozen at registration into the publish-heavy
-//     optimum (kPerMachine model, kSharded store) serve a workload that
-//     flips to read-heavy halfway. The opt::PlacementTuner's scans diff
-//     the telemetry registry, re-run the placement choosers on the
-//     OBSERVED reads-per-publish, and live-migrate through the hot-swap
-//     republish path while six producer threads verify every margin
-//     bitwise. Gated on >= 1 migration happening, on zero failed or
-//     torn requests across the migrations, and on post-migration
-//     throughput recovering to DW_BENCH_TUNER_MIN_RECOVERY (default
-//     0.9) of a statically-optimal oracle run. The JSON artifact
-//     carries the full audit trail with each decision's cost-model
-//     inputs.
-// 10. Delta refresh cost vs churn: one full table publish, then one
-//     PublishDelta per churn fraction (0.1% -> 100%) over contiguous
-//     key windows, reporting delta bytes against the full-rewrite
-//     baseline -- the KV-store claim that refresh bandwidth scales with
-//     churn, not table size. Gated on delta bytes <= 0.25x of a full
-//     rewrite at 1% churn. A second half scores the SAME workload by
-//     row id and by key (interleaved pairs, best p99 per mode) and
-//     gates the key path's p99 at <= 1.5x the id path's -- the index
-//     probe must not tax the request path.
+//  speedup    Batched vs scalar scoring kernels on a dense synthetic
+//             workload at max threads: one ModelSpec::PredictBatch call per
+//             256-row chunk (the cache-blocked GLM kernel) against
+//             row-by-row Predict. Gated on DW_BENCH_MIN_SPEEDUP.
+//  admission  Cost-aware admission + per-client fair queuing under
+//             overload: two unthrottled hog threads flood a one-worker
+//             engine with id-keyed requests while three mice send paced
+//             synchronous ones, once under the FIFO baseline and once
+//             under deficit-round-robin fair queuing, against a
+//             queueing-delay budget costed by opt::AdmissionController.
+//             Gated on the mice's p99 AND served fraction being strictly
+//             better under fair queuing, and on the calibrated service-time
+//             estimate landing within 2x of the workers' measured EWMA.
+//  telemetry  The same batched closed-loop scoring run, interleaved with
+//             telemetry fully on (registry instruments, stage histograms,
+//             sampled spans, a live 25 ms obs::TelemetryExporter) and fully
+//             off (the no-op registry). Gated on the throughput overhead of
+//             the best off/on pair, and on the per-stage latency means
+//             (queue..complete) summing to within 10% of the measured mean
+//             end-to-end latency.
+//  kernels    The speedup workload scored through PredictBatch with the
+//             kernel level FORCED to each tier the host supports (scalar /
+//             avx2 / avx512 are bitwise-identical, so this isolates kernel
+//             throughput), plus the dequantize-free int8 path. Gated on the
+//             best SIMD level sustaining 0.9x the tiled-scalar rate (a
+//             noisy-runner margin, not a speedup promise: the dense kernels
+//             are memory-bound at scale) and on every int8 margin landing
+//             within the documented quantization bound.
+//  tuner      Live placement tuning across a traffic shift: a family and
+//             feature store frozen at the publish-heavy optimum
+//             (kPerMachine model, kSharded store) serve a flood that turns
+//             read-heavy halfway. The opt::PlacementTuner's scans must
+//             migrate through the hot-swap republish path while six
+//             producers verify every margin bitwise. Gated on >= 1 flip,
+//             zero failed or torn requests, and post-migration throughput
+//             >= 0.9x a statically-optimal oracle run.
+//  key path   The same workload against a kSharded store, scored by row id
+//             and by key in interleaved pairs. Gated on the best within-pair
+//             key/id p99 ratio: the index probe must not tax the request
+//             path.
 //
-// Measured rows/sec comes from the host wall clock; memory-model rows/sec
-// applies the calibrated topology model to the logically-counted serving
-// traffic, per the substitution used by every other bench.
+// The deterministic serving gates run in ctest: PerNode >= PerMachine
+// memory-model throughput (serve_test), replicated >= sharded store
+// (feature_store_test), and delta bytes at 1% churn <= 0.25x a full
+// rewrite (feature_store_delta_test). End-to-end serving numbers under
+// fixed workloads come from perfbench/ (see BENCHMARK.json).
 //
-// `--smoke` shrinks every experiment to a seconds-long schema check: CI
-// runs it per commit to validate the DW_BENCH_JSON artifact (gates are
-// reported but not enforced; shared runners are too noisy for that).
+// A full run exits nonzero if any gate misses. `--smoke` shrinks every
+// experiment to seconds and exits nonzero only if one of the four gates
+// that hold on a shared runner misses: tuner flips, tuner failed/torn,
+// telemetry overhead (25% instead of 3%) and key-path p99 (2.5x instead
+// of 1.5x). It prints the other gates without enforcing them.
 //
-// Knobs: DW_BENCH_TOPO (default local2), DW_BENCH_SERVE_ROWS (default
-// 20000), DW_BENCH_SCALE (dataset size multiplier), DW_BENCH_DENSE_ROWS /
-// DW_BENCH_DENSE_DIM (kernel-comparison workload, default 1024 x 4096),
-// DW_BENCH_KERNEL_SEC (seconds per kernel measurement, default 0.4),
-// DW_BENCH_MIN_SPEEDUP (batched/scalar gate, default 1.5),
-// DW_BENCH_SLO_P99_MS (p99 target, default 2.0), DW_BENCH_SLO_TRIALS
-// (search iterations, default 5), DW_BENCH_SLO_TRIAL_SEC (seconds per
-// trial, default 0.4), DW_BENCH_STALE_SEC (live-serving window, default
-// 1.0), DW_BENCH_STORE_ROWS / DW_BENCH_STORE_DIM (feature-store workload,
-// default 4096 x 2048), DW_BENCH_ADM_SEC / DW_BENCH_ADM_DIM /
-// DW_BENCH_ADM_BUDGET_MS (admission overload window, row width, and
-// queueing-delay budget; defaults 1.0 / 4096 / 4.0), DW_BENCH_TEL_TRIALS
-// / DW_BENCH_TEL_MAX_OVERHEAD (telemetry on/off trial pairs and the
-// overhead gate; defaults 3 / 0.03), DW_BENCH_SIMD_MIN_RATIO (best-SIMD
-// over tiled-scalar gate, default 0.9), DW_BENCH_TUNER_SEC /
-// DW_BENCH_TUNER_MIN_RECOVERY (per-phase window and the post-migration
-// recovery gate; defaults 0.5 / 0.9), DW_BENCH_DELTA_ROWS /
-// DW_BENCH_DELTA_DIM / DW_BENCH_DELTA_PAGE_ROWS (churn-sweep store
-// shape; defaults 8192 / 256 / 32), DW_BENCH_DELTA_MAX_RATIO (delta
-// bytes gate at 1% churn, default 0.25), DW_BENCH_KEY_P99_TOL /
-// DW_BENCH_DELTA_PAIRS (key-vs-id p99 tolerance and interleaved trial
-// pairs; defaults 1.5 / 2), DW_BENCH_JSON (path: write the
-// machine-readable result artifact CI archives per commit; schema v8
-// adds the feature_store.delta section -- churn sweep with byte
-// accounting, key-vs-id latency, and both delta gates -- and reworks
-// the telemetry gate onto a best-of-k estimator over the off/on ratios
-// of k >= 3 interleaved trial pairs, recording every pair ratio and
-// their median as the drift diagnostic).
+// Knobs: DW_BENCH_TOPO (default local2), DW_BENCH_SCALE (dataset size
+// multiplier), DW_BENCH_SERVE_ROWS (requests per closed-loop run, default
+// 20000), DW_BENCH_KERNEL_SEC (seconds per kernel measurement, default
+// 0.4) and DW_BENCH_MIN_SPEEDUP (batched/scalar gate, default 1.5).
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <future>
 #include <memory>
 #include <string>
@@ -134,14 +74,11 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "data/synthetic.h"
 #include "kernels/dispatch.h"
 #include "kernels/score_kernels.h"
-#include "data/synthetic.h"
-#include "numa/memory_model.h"
 #include "obs/exporter.h"
 #include "serve/serving_engine.h"
-#include "serve/snapshot_exporter.h"
-#include "util/json_writer.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -149,6 +86,7 @@ namespace dw {
 namespace {
 
 using matrix::Index;
+using matrix::SparseVectorView;
 
 serve::ServingFamilyOptions PinnedFamily(Index dim, serve::Replication rep) {
   serve::ServingFamilyOptions o;
@@ -157,79 +95,40 @@ serve::ServingFamilyOptions PinnedFamily(Index dim, serve::Replication rep) {
   return o;
 }
 
-// --- experiment 1: replication x threads ----------------------------------
+/// Prints each gate's line with its verdict and counts the misses that
+/// decide the exit code: a full run enforces every gate, --smoke only the
+/// gates marked `smoke`.
+class Gates {
+ public:
+  explicit Gates(bool smoke) : smoke_(smoke) {}
 
-struct ServeRun {
-  std::string replication;
-  int threads = 0;
-  double measured_rows_per_sec = 0.0;
-  double sim_rows_per_sec = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double remote_mb = 0.0;
+  __attribute__((format(printf, 4, 5))) void Check(bool ok, bool smoke,
+                                                   const char* fmt, ...) {
+    std::va_list args;
+    va_start(args, fmt);
+    std::vprintf(fmt, args);
+    va_end(args);
+    const bool enforced = !smoke_ || smoke;
+    std::printf(" -- %s\n", ok ? "ok"
+                            : enforced ? "MISSED"
+                                       : "missed (not enforced in --smoke)");
+    if (enforced && !ok) ++missed_;
+  }
+
+  int missed() const { return missed_; }
+
+ private:
+  bool smoke_;
+  int missed_ = 0;
 };
 
-// The memory-model input for the run's total traffic under BALANCED
-// routing: every active node serves an equal share of the rows. On this
-// small host, which worker happens to drain the queue is scheduling noise
-// (virtual cores are oversubscribed onto few physical CPUs); a production
-// load balancer -- like the trainer's per-epoch partitioning -- hands each
-// node an equal share, and that is the regime the Fig. 8-style comparison
-// is about. Under kPerMachine the canonical share of model reads from
-// nodes other than the replica's crosses the interconnect.
-numa::SimulationInput BalancedSimInput(const serve::ServingStats& stats,
-                                       const numa::Topology& topo,
-                                       serve::Replication rep, int threads,
-                                       uint64_t model_bytes) {
-  const int nodes_used = std::min(threads, topo.num_nodes);
-  numa::SimulationInput in(topo.num_nodes);
-  const numa::AccessCounters& t = stats.traffic;
-  const uint64_t model_total = t.model_read_bytes + t.remote_read_bytes;
-  for (int n = 0; n < nodes_used; ++n) {
-    numa::AccessCounters c;
-    c.local_read_bytes = t.local_read_bytes / nodes_used;
-    c.flops = t.flops / nodes_used;
-    c.updates = t.updates / nodes_used;
-    if (rep == serve::Replication::kPerNode || n == 0) {
-      c.model_read_bytes = model_total / nodes_used;
-    } else {
-      c.remote_read_bytes = model_total / nodes_used;
-    }
-    in.traffic.per_node[n] = c;
-    in.active_workers[n] = std::max(1, threads / nodes_used);
-  }
-  in.model_sharing_sockets =
-      rep == serve::Replication::kPerMachine ? nodes_used : 1;
-  in.model_bytes = model_bytes;
-  return in;
-}
-
-ServeRun RunServing(const data::Dataset& d, const models::ModelSpec& spec,
-                    const std::vector<double>& weights,
-                    const numa::Topology& topo, serve::Replication rep,
-                    int threads, int total_rows) {
-  serve::ServingOptions opts;
-  opts.topology = topo;
-  opts.num_threads = threads;
-  opts.batch.max_batch_size = 64;
-  opts.batch.max_delay = std::chrono::microseconds(200);
-  // Scalar scoring on purpose: the Fig. 8 analogue is about what model
-  // REPLICATION costs when every row re-reads the replica. Batched
-  // scoring streams each replica tile once per batch, which (by design)
-  // collapses most of the PerNode-vs-PerMachine traffic gap -- that
-  // effect is experiment 2's story, not this table's.
-  opts.scoring = serve::ScoringMode::kScalar;
-  serve::ServingEngine server(opts);
-  // The bench pins the strategy per run: this table sweeps the axis the
-  // cost model would otherwise collapse.
-  const Status reg = server.RegisterFamily(
-      "lr", &spec, PinnedFamily(static_cast<Index>(weights.size()), rep));
-  DW_CHECK(reg.ok()) << reg.ToString();
-  server.Publish("lr", weights);
-  const Status st = server.Start();
-  DW_CHECK(st.ok()) << st.ToString();
-
-  const int kProducers = 4;
+/// Closed-loop load: four producers submit rows r = p, p + 4, ... of
+/// [0, total_rows) through `submit(r)`, retrying while the queue pushes
+/// back (any other refusal is fatal), then wait on every future. Returns
+/// the wall seconds from the first submit to the last resolution.
+template <typename Submit>
+double RunClosedLoop(int total_rows, const Submit& submit) {
+  constexpr int kProducers = 4;
   WallTimer timer;
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
@@ -237,22 +136,14 @@ ServeRun RunServing(const data::Dataset& d, const models::ModelSpec& spec,
     producers.emplace_back([&, p] {
       std::vector<std::future<double>> futures;
       futures.reserve(total_rows / kProducers + 1);
-      std::vector<Index> idx;
-      std::vector<double> vals;
       for (int r = p; r < total_rows; r += kProducers) {
-        const auto row = d.a.Row(static_cast<Index>(r % d.a.rows()));
-        idx.assign(row.indices, row.indices + row.nnz);
-        vals.assign(row.values, row.values + row.nnz);
         for (;;) {
-          auto fut = server.Score("lr", idx, vals);
+          auto fut = submit(r);
           if (fut.ok()) {
             futures.push_back(std::move(fut).value());
             break;
           }
-          // Only queue-full back-pressure is retryable; anything else
-          // would spin forever.
-          DW_CHECK(fut.status().code() ==
-                   Status::Code::kResourceExhausted)
+          DW_CHECK(fut.status().code() == Status::Code::kResourceExhausted)
               << fut.status().ToString();
           std::this_thread::yield();
         }
@@ -261,51 +152,33 @@ ServeRun RunServing(const data::Dataset& d, const models::ModelSpec& spec,
     });
   }
   for (auto& t : producers) t.join();
-  const double wall = timer.Seconds();
-  server.Stop();
-
-  const serve::ServingStats stats = server.Stats();
-  DW_CHECK_EQ(stats.requests, static_cast<uint64_t>(total_rows));
-
-  ServeRun out;
-  out.replication = ToString(rep);
-  out.threads = threads;
-  out.measured_rows_per_sec = total_rows / wall;
-  out.p50_ms = stats.p50_latency_ms;
-  out.p99_ms = stats.p99_latency_ms;
-  out.remote_mb = stats.traffic.remote_read_bytes / (1024.0 * 1024.0);
-  const numa::MemoryModel model(topo);
-  const uint64_t model_bytes =
-      static_cast<uint64_t>(d.a.cols()) * sizeof(double);
-  const double sim_sec =
-      model
-          .SimulateEpoch(
-              BalancedSimInput(stats, topo, rep, threads, model_bytes))
-          .total_sec;
-  out.sim_rows_per_sec = sim_sec > 0.0 ? total_rows / sim_sec : 0.0;
-  return out;
+  return timer.Seconds();
 }
 
-// --- experiment 2: batched vs scalar kernels ------------------------------
+// --- speedup and kernels: scoring-kernel throughput -----------------------
 
-struct KernelCompare {
-  int rows = 0;
-  int dim = 0;
-  int threads = 0;
-  double scalar_rows_per_sec = 0.0;
-  double batched_rows_per_sec = 0.0;
-  double speedup = 0.0;
-};
+constexpr size_t kScoreChunk = 256;
 
-/// Scores the dense synthetic workload for `run_sec` with `threads`
-/// threads, each looping over its own row slice. `batched` picks one
-/// PredictBatch call per 256-row chunk vs one Predict call per row --
-/// the pure kernel comparison, no queue or promise machinery in the way.
-double MeasureScoringRate(const models::ModelSpec& spec,
-                          const std::vector<double>& weights,
-                          const std::vector<matrix::SparseVectorView>& rows,
-                          int threads, bool batched, double run_sec) {
-  constexpr size_t kBatch = 256;
+/// Explicit dense views (null indices), the form dense serving requests
+/// take after admission: every kernel scores values-only rows, so the
+/// comparisons isolate the scoring loop, not payload-size differences.
+std::vector<SparseVectorView> DenseViews(const matrix::CsrMatrix& a) {
+  std::vector<SparseVectorView> views;
+  views.reserve(a.rows());
+  for (Index i = 0; i < a.rows(); ++i) {
+    const auto row = a.Row(i);
+    views.push_back({nullptr, row.values, row.nnz});
+  }
+  return views;
+}
+
+/// Scores `rows` for `run_sec` with `threads` threads, each calling
+/// `score(first, n, out)` on its own row slice in a loop -- the pure
+/// kernel comparison, no queue or promise machinery in the way.
+template <typename ScoreSlice>
+double MeasureScoringRate(const std::vector<SparseVectorView>& rows,
+                          int threads, double run_sec,
+                          const ScoreSlice& score) {
   std::atomic<uint64_t> total_rows{0};
   std::vector<std::thread> pool;
   pool.reserve(threads);
@@ -319,23 +192,12 @@ double MeasureScoringRate(const models::ModelSpec& spec,
       const size_t lo = rows.size() * t / threads;
       const size_t hi = rows.size() * (t + 1) / threads;
       if (lo == hi) return;
-      const Index dim = static_cast<Index>(weights.size());
       std::vector<double> out(hi - lo);
       uint64_t scored = 0;
       // `sink` defeats dead-code elimination of the scoring loop.
       double sink = 0.0;
       while (std::chrono::steady_clock::now() < deadline) {
-        if (batched) {
-          for (size_t b = lo; b < hi; b += kBatch) {
-            const size_t n = std::min(kBatch, hi - b);
-            spec.PredictBatch(weights.data(), dim, rows.data() + b, n,
-                              out.data() + (b - lo));
-          }
-        } else {
-          for (size_t r = lo; r < hi; ++r) {
-            out[r - lo] = spec.Predict(weights.data(), rows[r]);
-          }
-        }
+        score(rows.data() + lo, hi - lo, out.data());
         sink += out[0];
         scored += hi - lo;
       }
@@ -345,132 +207,80 @@ double MeasureScoringRate(const models::ModelSpec& spec,
   }
   for (auto& t : pool) t.join();
   // Spawn overhead and final-pass overshoot are inside the window, and the
-  // rows they score are counted -- the same small bias for both kernels.
+  // rows they score are counted -- the same small bias for every kernel.
   const double wall = timer.Seconds();
   return wall > 0.0 ? static_cast<double>(total_rows.load()) / wall : 0.0;
 }
 
-KernelCompare CompareKernels(int rows, int dim, int threads) {
+/// One PredictBatch call per kScoreChunk-row chunk of a slice.
+auto BatchedScorer(const models::ModelSpec& spec,
+                   const std::vector<double>& weights) {
+  return [&spec, &weights](const SparseVectorView* rows, size_t n,
+                           double* out) {
+    const Index dim = static_cast<Index>(weights.size());
+    for (size_t b = 0; b < n; b += kScoreChunk) {
+      spec.PredictBatch(weights.data(), dim, rows + b,
+                        std::min(kScoreChunk, n - b), out + b);
+    }
+  };
+}
+
+struct KernelCompare {
+  double scalar_rows_per_sec = 0.0;
+  double batched_rows_per_sec = 0.0;
+  double speedup = 0.0;
+};
+
+KernelCompare CompareKernels(int rows, int dim, int threads, double run_sec) {
   data::DenseTableParams params;
   params.rows = static_cast<Index>(rows);
   params.cols = static_cast<Index>(dim);
   params.seed = 17;
   const matrix::CsrMatrix a = data::MakeDenseTable(params);
-  // Explicit dense views (null indices), the form dense serving requests
-  // take after admission: both kernels score values-only rows, so the
-  // comparison isolates the scoring loop, not payload-size differences.
-  std::vector<matrix::SparseVectorView> views;
-  views.reserve(rows);
-  for (Index i = 0; i < a.rows(); ++i) {
-    const auto row = a.Row(i);
-    views.push_back({nullptr, row.values, row.nnz});
-  }
+  const std::vector<SparseVectorView> views = DenseViews(a);
 
   Rng rng(23);
   std::vector<double> weights(dim);
   for (auto& w : weights) w = rng.Gaussian(0.0, 1.0);
 
   models::LogisticSpec lr;
-  const double run_sec = bench::EnvDouble("DW_BENCH_KERNEL_SEC", 0.4);
+  const auto scalar = [&](const SparseVectorView* r, size_t n, double* out) {
+    for (size_t i = 0; i < n; ++i) out[i] = lr.Predict(weights.data(), r[i]);
+  };
+  const auto batched = BatchedScorer(lr, weights);
   // Warm both paths (page in the workload, settle the frequency governor).
-  MeasureScoringRate(lr, weights, views, threads, false, run_sec * 0.25);
-  MeasureScoringRate(lr, weights, views, threads, true, run_sec * 0.25);
+  MeasureScoringRate(views, threads, run_sec * 0.25, scalar);
+  MeasureScoringRate(views, threads, run_sec * 0.25, batched);
 
   KernelCompare out;
-  out.rows = rows;
-  out.dim = dim;
-  out.threads = threads;
-  out.scalar_rows_per_sec =
-      MeasureScoringRate(lr, weights, views, threads, false, run_sec);
+  out.scalar_rows_per_sec = MeasureScoringRate(views, threads, run_sec, scalar);
   out.batched_rows_per_sec =
-      MeasureScoringRate(lr, weights, views, threads, true, run_sec);
+      MeasureScoringRate(views, threads, run_sec, batched);
   out.speedup = out.scalar_rows_per_sec > 0.0
                     ? out.batched_rows_per_sec / out.scalar_rows_per_sec
                     : 0.0;
   return out;
 }
 
-// --- experiment 8: SIMD dispatch levels + int8 quantized scoring ----------
-
-struct KernelLevelRun {
-  std::string level;
-  bool supported = false;
-  double rows_per_sec = 0.0;  ///< 0 when the host cannot run the level
-};
-
 struct SimdCompare {
-  int rows = 0;
-  int dim = 0;
-  int threads = 0;
-  std::vector<KernelLevelRun> levels;      ///< scalar, avx2, avx512
-  double best_simd_rows_per_sec = 0.0;
-  std::string best_simd_level = "none";    ///< "none" on a scalar-only host
+  std::string best_simd_level = "none";  ///< "none" on a scalar-only host
   double simd_over_scalar = 0.0;
-  bool simd_ok = true;                     ///< vacuously true without SIMD
+  bool simd_ok = true;                   ///< vacuously true without SIMD
   double int8_rows_per_sec = 0.0;
   double int8_over_f64 = 0.0;
-  double int8_scale = 0.0;
   double int8_max_abs_err = 0.0;   ///< worst measured |margin_q - margin|
   double int8_err_bound = 0.0;     ///< worst documented per-row bound
   bool int8_within_bound = false;  ///< every row within ITS OWN bound
 };
 
-/// PredictBatchQuantized throughput on the same workload shape as
-/// MeasureScoringRate's batched mode (256-row chunks).
-double MeasureQuantizedRate(const models::ModelSpec& spec,
-                            const std::vector<int8_t>& qweights, double scale,
-                            const std::vector<matrix::SparseVectorView>& rows,
-                            int threads, double run_sec) {
-  constexpr size_t kBatch = 256;
-  std::atomic<uint64_t> total_rows{0};
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  WallTimer timer;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(run_sec));
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      const size_t lo = rows.size() * t / threads;
-      const size_t hi = rows.size() * (t + 1) / threads;
-      if (lo == hi) return;
-      const Index dim = static_cast<Index>(qweights.size());
-      std::vector<double> out(hi - lo);
-      uint64_t scored = 0;
-      double sink = 0.0;
-      while (std::chrono::steady_clock::now() < deadline) {
-        for (size_t b = lo; b < hi; b += kBatch) {
-          const size_t n = std::min(kBatch, hi - b);
-          spec.PredictBatchQuantized(qweights.data(), scale, dim,
-                                     rows.data() + b, n,
-                                     out.data() + (b - lo));
-        }
-        sink += out[0];
-        scored += hi - lo;
-      }
-      if (sink == 0.12345) std::printf(" ");
-      total_rows.fetch_add(scored);
-    });
-  }
-  for (auto& t : pool) t.join();
-  const double wall = timer.Seconds();
-  return wall > 0.0 ? static_cast<double>(total_rows.load()) / wall : 0.0;
-}
-
-SimdCompare CompareSimdLevels(int rows, int dim, int threads,
+SimdCompare CompareSimdLevels(int rows, int dim, int threads, double run_sec,
                               double min_ratio) {
   data::DenseTableParams params;
   params.rows = static_cast<Index>(rows);
   params.cols = static_cast<Index>(dim);
   params.seed = 29;
   const matrix::CsrMatrix a = data::MakeDenseTable(params);
-  std::vector<matrix::SparseVectorView> views;
-  views.reserve(rows);
-  for (Index i = 0; i < a.rows(); ++i) {
-    const auto row = a.Row(i);
-    views.push_back({nullptr, row.values, row.nnz});
-  }
+  const std::vector<SparseVectorView> views = DenseViews(a);
   Rng rng(31);
   std::vector<double> weights(dim);
   for (auto& w : weights) w = rng.Gaussian(0.0, 1.0);
@@ -481,656 +291,68 @@ SimdCompare CompareSimdLevels(int rows, int dim, int threads,
   // Identity link: measured margins ARE the quantity the error contract
   // bounds, no Lipschitz factor to fold in.
   models::LeastSquaresSpec ls;
-  const double run_sec = bench::EnvDouble("DW_BENCH_KERNEL_SEC", 0.4);
+  const auto batched = BatchedScorer(ls, weights);
 
   SimdCompare out;
-  out.rows = rows;
-  out.dim = dim;
-  out.threads = threads;
-  out.int8_scale = scale;
   double scalar_rate = 0.0;
+  double best_simd_rate = 0.0;
   for (const kernels::KernelLevel level :
        {kernels::KernelLevel::kScalar, kernels::KernelLevel::kAvx2,
         kernels::KernelLevel::kAvx512}) {
-    KernelLevelRun run;
-    run.level = kernels::ToString(level);
-    run.supported = kernels::LevelSupported(level);
-    if (run.supported) {
-      kernels::ScopedKernelLevelForTesting forced(level);
-      MeasureScoringRate(ls, weights, views, threads, true, run_sec * 0.25);
-      run.rows_per_sec =
-          MeasureScoringRate(ls, weights, views, threads, true, run_sec);
-      if (level == kernels::KernelLevel::kScalar) {
-        scalar_rate = run.rows_per_sec;
-      } else if (run.rows_per_sec > out.best_simd_rows_per_sec) {
-        out.best_simd_rows_per_sec = run.rows_per_sec;
-        out.best_simd_level = run.level;
-      }
+    if (!kernels::LevelSupported(level)) continue;
+    kernels::ScopedKernelLevelForTesting forced(level);
+    MeasureScoringRate(views, threads, run_sec * 0.25, batched);
+    const double rate = MeasureScoringRate(views, threads, run_sec, batched);
+    if (level == kernels::KernelLevel::kScalar) {
+      scalar_rate = rate;
+    } else if (rate > best_simd_rate) {
+      best_simd_rate = rate;
+      out.best_simd_level = kernels::ToString(level);
     }
-    out.levels.push_back(std::move(run));
   }
-  if (out.best_simd_rows_per_sec > 0.0 && scalar_rate > 0.0) {
-    out.simd_over_scalar = out.best_simd_rows_per_sec / scalar_rate;
+  if (best_simd_rate > 0.0 && scalar_rate > 0.0) {
+    out.simd_over_scalar = best_simd_rate / scalar_rate;
     out.simd_ok = out.simd_over_scalar >= min_ratio;
   }
 
   // Int8 path at the active (best) level: throughput plus the error-
   // contract audit -- every margin vs the float margin, against its own
   // per-row bound (scale/2) * sum|x| + reassociation slack.
-  {
-    MeasureQuantizedRate(ls, qweights, scale, views, threads, run_sec * 0.25);
-    out.int8_rows_per_sec =
-        MeasureQuantizedRate(ls, qweights, scale, views, threads, run_sec);
-    const double f64_best =
-        std::max(out.best_simd_rows_per_sec, scalar_rate);
-    out.int8_over_f64 =
-        f64_best > 0.0 ? out.int8_rows_per_sec / f64_best : 0.0;
-    std::vector<double> f64(views.size());
-    std::vector<double> i8(views.size());
-    ls.PredictBatch(weights.data(), dim, views.data(), views.size(),
-                    f64.data());
-    ls.PredictBatchQuantized(qweights.data(), scale, dim, views.data(),
-                             views.size(), i8.data());
-    out.int8_within_bound = true;
-    for (size_t r = 0; r < views.size(); ++r) {
-      double abs_sum = 0.0;
-      for (size_t k = 0; k < views[r].nnz; ++k) {
-        abs_sum += std::abs(views[r].values[k]);
-      }
-      const double err = std::abs(i8[r] - f64[r]);
-      const double bound = (scale / 2) * abs_sum + 1e-9 * (1.0 + abs_sum);
-      out.int8_max_abs_err = std::max(out.int8_max_abs_err, err);
-      out.int8_err_bound = std::max(out.int8_err_bound, bound);
-      if (err > bound) out.int8_within_bound = false;
-    }
-  }
-  return out;
-}
-
-// --- experiment 3: closed-loop SLO search ---------------------------------
-
-struct SloTrial {
-  double offered_rows_per_sec = 0.0;  ///< 0 = unthrottled
-  double achieved_rows_per_sec = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
-  bool meets_slo = false;
-};
-
-struct SloResult {
-  double target_p99_ms = 0.0;
-  double unthrottled_rows_per_sec = 0.0;
-  double max_rows_per_sec_under_slo = 0.0;  ///< 0 if no trial met the SLO
-  std::vector<SloTrial> trials;
-};
-
-/// Sleeps until `when` with a spin tail: timer granularity is far coarser
-/// than the sub-10us inter-arrival gaps a high offered load needs.
-void SleepUntilSpin(std::chrono::steady_clock::time_point when) {
-  for (;;) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= when) return;
-    const auto left = when - now;
-    if (left > std::chrono::microseconds(200)) {
-      std::this_thread::sleep_for(left - std::chrono::microseconds(100));
-    } else {
-      std::this_thread::yield();
-    }
-  }
-}
-
-/// One closed-loop trial: a single producer offers rows at `offered_rate`
-/// (rows/sec; <= 0 means as fast as possible) against a fresh engine, and
-/// the measured latency distribution decides whether the rate is
-/// sustainable under the p99 target.
-SloTrial RunSloTrial(const data::Dataset& d, const models::ModelSpec& spec,
-                     const std::vector<double>& weights,
-                     const numa::Topology& topo, double offered_rate,
-                     double target_p99_ms, double trial_sec, int cap_rows) {
-  serve::ServingOptions opts;
-  opts.topology = topo;
-  opts.num_threads = topo.total_cores();
-  opts.batch.max_batch_size = 64;
-  opts.batch.max_delay = std::chrono::microseconds(200);
-  serve::ServingEngine server(opts);
-  DW_CHECK(server
-               .RegisterFamily("lr", &spec,
-                               PinnedFamily(static_cast<Index>(weights.size()),
-                                            serve::Replication::kPerNode))
-               .ok());
-  server.Publish("lr", weights);
-  DW_CHECK(server.Start().ok());
-
-  int rows = cap_rows;
-  if (offered_rate > 0.0) {
-    rows = std::min(rows, std::max(200, static_cast<int>(offered_rate *
-                                                         trial_sec)));
-  }
-  std::vector<std::future<double>> futures;
-  futures.reserve(rows);
-  std::vector<Index> idx;
-  std::vector<double> vals;
-  WallTimer timer;
-  const auto start = std::chrono::steady_clock::now();
-  for (int r = 0; r < rows; ++r) {
-    if (offered_rate > 0.0) {
-      SleepUntilSpin(start + std::chrono::duration_cast<
-                                 std::chrono::steady_clock::duration>(
-                                 std::chrono::duration<double>(
-                                     static_cast<double>(r) / offered_rate)));
-    }
-    const auto row = d.a.Row(static_cast<Index>(r % d.a.rows()));
-    idx.assign(row.indices, row.indices + row.nnz);
-    vals.assign(row.values, row.values + row.nnz);
-    for (;;) {
-      auto fut = server.Score("lr", idx, vals);
-      if (fut.ok()) {
-        futures.push_back(std::move(fut).value());
-        break;
-      }
-      DW_CHECK(fut.status().code() == Status::Code::kResourceExhausted)
-          << fut.status().ToString();
-      std::this_thread::yield();
-    }
-  }
-  for (auto& f : futures) f.get();
-  const double wall = timer.Seconds();
-  server.Stop();
-
-  const serve::ServingStats stats = server.Stats();
-  SloTrial t;
-  t.offered_rows_per_sec = offered_rate;
-  t.achieved_rows_per_sec = wall > 0.0 ? rows / wall : 0.0;
-  t.p50_ms = stats.p50_latency_ms;
-  t.p99_ms = stats.p99_latency_ms;
-  t.max_ms = stats.max_latency_ms;
-  t.meets_slo = stats.p99_latency_ms <= target_p99_ms;
-  return t;
-}
-
-/// Finds the max offered rows/sec whose p99 stays under target: one
-/// unthrottled probe for the upper bound, then bisection on offered load.
-SloResult SearchMaxRateUnderSlo(const data::Dataset& d,
-                                const models::ModelSpec& spec,
-                                const std::vector<double>& weights,
-                                const numa::Topology& topo,
-                                double target_p99_ms, int iters,
-                                double trial_sec, int cap_rows) {
-  SloResult res;
-  res.target_p99_ms = target_p99_ms;
-
-  SloTrial top = RunSloTrial(d, spec, weights, topo, /*offered_rate=*/0.0,
-                             target_p99_ms, trial_sec, cap_rows);
-  res.unthrottled_rows_per_sec = top.achieved_rows_per_sec;
-  res.trials.push_back(top);
-  if (top.meets_slo) {
-    // The engine meets the SLO flat out; no throttling needed.
-    res.max_rows_per_sec_under_slo = top.achieved_rows_per_sec;
-    return res;
-  }
-  double lo = 0.0;  // highest rate known to meet the SLO
-  double hi = top.achieved_rows_per_sec;
-  for (int i = 0; i < iters; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid <= 0.0) break;
-    SloTrial t = RunSloTrial(d, spec, weights, topo, mid, target_p99_ms,
-                             trial_sec, cap_rows);
-    res.trials.push_back(t);
-    if (t.meets_slo) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  res.max_rows_per_sec_under_slo = lo;
-  return res;
-}
-
-// --- experiment 4: live training->serving with async snapshot refresh ----
-
-struct FamilyRun {
-  serve::FamilyServingStats stats;
-  std::string rationale;
-  double exporter_period_ms = 0.0;
-  serve::SnapshotExporter::Stats exporter;
-};
-
-/// Trains two models live (wide LR on the bench corpus, narrow SVM on a
-/// small dense table), each wired to the registry through its own
-/// SnapshotExporter, while producers score both families for
-/// `duration_sec`. The registry chooses each family's replication from
-/// its traffic estimate -- the read-heavy wide family replicates, the
-/// hot-refresh narrow family keeps one copy.
-std::vector<FamilyRun> RunLiveServing(const data::Dataset& wide_data,
-                                      const numa::Topology& topo,
-                                      double duration_sec,
-                                      double wide_period_ms,
-                                      double narrow_period_ms) {
-  models::LogisticSpec lr;
-  models::SvmSpec svm;
-  const Index narrow_dim = 32;
-  data::Dataset narrow_data;
-  narrow_data.name = "narrow";
-  narrow_data.a = data::MakeDenseTable(
-      {.rows = 2000, .cols = narrow_dim, .feature_correlation = 0.2,
-       .seed = 101});
-  narrow_data.b =
-      data::PlantClassificationLabels(narrow_data.a, narrow_dim, 0.0, 102);
-
-  engine::EngineOptions topts;
-  topts.topology = topo;
-  engine::Engine wide_trainer(&wide_data, &lr, topts);
-  engine::Engine narrow_trainer(&narrow_data, &svm, topts);
-  DW_CHECK(wide_trainer.Init().ok());
-  DW_CHECK(narrow_trainer.Init().ok());
-
-  serve::ServingOptions opts;
-  opts.topology = topo;
-  opts.batch.max_batch_size = 64;
-  opts.batch.max_delay = std::chrono::microseconds(200);
-  serve::ServingEngine server(opts);
-  // Traffic estimates drive the cost model: the wide family serves many
-  // batches per (slow) publish; the narrow family is republished so hot
-  // that replication would mostly copy models nobody read yet.
-  serve::ServingFamilyOptions wide_opts;
-  wide_opts.traffic.dim = wide_data.a.cols();
-  wide_opts.traffic.reads_per_publish = 2048.0;
-  // Deadline flushes keep real batches well under the 64-row cap; the
-  // narrower estimate keeps the period bandwidth-bound on 2 sockets,
-  // where replication actually pays.
-  wide_opts.traffic.expected_batch_rows = 32.0;
-  serve::ServingFamilyOptions narrow_opts;
-  narrow_opts.traffic.dim = narrow_dim;
-  narrow_opts.traffic.reads_per_publish = 0.25;
-  DW_CHECK(server.RegisterFamily("wide-lr", &lr, wide_opts).ok());
-  DW_CHECK(server.RegisterFamily("narrow-svm", &svm, narrow_opts).ok());
-
-  serve::SnapshotExporter::Options wide_eopts;
-  wide_eopts.period = std::chrono::milliseconds(
-      std::max<int64_t>(1, static_cast<int64_t>(wide_period_ms)));
-  serve::SnapshotExporter::Options narrow_eopts;
-  narrow_eopts.period = std::chrono::milliseconds(
-      std::max<int64_t>(1, static_cast<int64_t>(narrow_period_ms)));
-  serve::SnapshotExporter wide_exporter(&wide_trainer, &server, "wide-lr",
-                                        wide_eopts);
-  serve::SnapshotExporter narrow_exporter(&narrow_trainer, &server,
-                                          "narrow-svm", narrow_eopts);
-  wide_exporter.Start();
-  narrow_exporter.Start();
-  DW_CHECK(server.Start().ok());
-
-  // Trainers run epochs for the whole window on their own threads; the
-  // exporters publish mid-training on their periods.
-  std::atomic<bool> stop{false};
-  auto train = [&stop, duration_sec](engine::Engine* e) {
-    engine::RunConfig cfg;
-    cfg.max_epochs = 1 << 30;
-    cfg.wall_timeout_sec = duration_sec;
-    cfg.eval_every = 1 << 30;  // no loss scans inside the timing window
-    e->Run(cfg);
-    while (!stop.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const auto int8 = [&](const SparseVectorView* r, size_t n, double* o) {
+    for (size_t b = 0; b < n; b += kScoreChunk) {
+      ls.PredictBatchQuantized(qweights.data(), scale, dim, r + b,
+                               std::min(kScoreChunk, n - b), o + b);
     }
   };
-  std::thread wide_thread(train, &wide_trainer);
-  std::thread narrow_thread(train, &narrow_trainer);
-
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(duration_sec));
-  auto produce = [&](const std::string& family, const data::Dataset& d) {
-    std::vector<std::future<double>> futures;
-    std::vector<Index> idx;
-    std::vector<double> vals;
-    Index i = 0;
-    while (std::chrono::steady_clock::now() < deadline) {
-      const auto row = d.a.Row(i++ % d.a.rows());
-      idx.assign(row.indices, row.indices + row.nnz);
-      vals.assign(row.values, row.values + row.nnz);
-      auto fut = server.Score(family, idx, vals);
-      if (fut.ok()) {
-        futures.push_back(std::move(fut).value());
-      } else {
-        DW_CHECK(fut.status().code() == Status::Code::kResourceExhausted)
-            << fut.status().ToString();
-        std::this_thread::yield();
-      }
-      if (futures.size() >= 4096) {
-        for (auto& f : futures) f.get();
-        futures.clear();
-      }
+  MeasureScoringRate(views, threads, run_sec * 0.25, int8);
+  out.int8_rows_per_sec = MeasureScoringRate(views, threads, run_sec, int8);
+  const double f64_best = std::max(best_simd_rate, scalar_rate);
+  out.int8_over_f64 = f64_best > 0.0 ? out.int8_rows_per_sec / f64_best : 0.0;
+  std::vector<double> f64(views.size());
+  std::vector<double> i8(views.size());
+  ls.PredictBatch(weights.data(), dim, views.data(), views.size(), f64.data());
+  ls.PredictBatchQuantized(qweights.data(), scale, dim, views.data(),
+                           views.size(), i8.data());
+  out.int8_within_bound = true;
+  for (size_t r = 0; r < views.size(); ++r) {
+    double abs_sum = 0.0;
+    for (size_t k = 0; k < views[r].nnz; ++k) {
+      abs_sum += std::abs(views[r].values[k]);
     }
-    for (auto& f : futures) f.get();
-  };
-  std::thread wide_producer(produce, "wide-lr", std::cref(wide_data));
-  std::thread narrow_producer(produce, "narrow-svm", std::cref(narrow_data));
-  wide_producer.join();
-  narrow_producer.join();
-  stop.store(true, std::memory_order_release);
-  wide_thread.join();
-  narrow_thread.join();
-  wide_exporter.Stop();
-  narrow_exporter.Stop();
-  server.Stop();
-
-  const serve::ServingStats stats = server.Stats();
-  std::vector<FamilyRun> out;
-  for (const serve::FamilyServingStats& f : stats.families) {
-    FamilyRun r;
-    r.stats = f;
-    r.rationale = server.registry().FindFamily(f.family)->rationale();
-    const bool wide = f.family == "wide-lr";
-    r.exporter = wide ? wide_exporter.stats() : narrow_exporter.stats();
-    r.exporter_period_ms = wide ? wide_period_ms : narrow_period_ms;
-    out.push_back(std::move(r));
+    const double err = std::abs(i8[r] - f64[r]);
+    const double bound = (scale / 2) * abs_sum + 1e-9 * (1.0 + abs_sum);
+    out.int8_max_abs_err = std::max(out.int8_max_abs_err, err);
+    out.int8_err_bound = std::max(out.int8_err_bound, bound);
+    if (err > bound) out.int8_within_bound = false;
   }
   return out;
 }
 
-// --- experiment 5: collocated fetch vs request-carried features -----------
-
-struct StoreRun {
-  std::string mode;       ///< "id-replicated" | "id-sharded" | "carried"
-  std::string placement;  ///< store placement; "-" for carried
-  std::string rationale;
-  double measured_rows_per_sec = 0.0;
-  double sim_rows_per_sec = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double local_feature_mb = 0.0;
-  double remote_feature_mb = 0.0;
-};
-
-/// The balanced-routing memory-model input for the store comparison: the
-/// same convention as BalancedSimInput, but here the axis under study is
-/// where the FEATURE bytes come from. Every active node serves an equal
-/// share of the rows; under the sharded store 1/nodes of a node's
-/// gathers hit its own shard and the rest cross the interconnect, while
-/// the replicated store and carried payloads are node-local everywhere.
-/// The model side is pinned kPerNode in every run, so it cancels out.
-numa::SimulationInput BalancedStoreSimInput(const serve::ServingStats& stats,
-                                            const numa::Topology& topo,
-                                            bool sharded_features,
-                                            int threads,
-                                            uint64_t model_bytes) {
-  const int nodes_used = std::min(threads, topo.num_nodes);
-  numa::SimulationInput in(topo.num_nodes);
-  const numa::AccessCounters& t = stats.traffic;
-  // All data-side bytes are feature bytes in this experiment (id gathers
-  // or carried payload; both total rows * dim * 8).
-  const uint64_t feature_total = t.local_read_bytes + t.remote_read_bytes;
-  for (int n = 0; n < nodes_used; ++n) {
-    numa::AccessCounters c;
-    const uint64_t share = feature_total / nodes_used;
-    if (sharded_features) {
-      c.local_read_bytes = share / nodes_used;
-      c.remote_read_bytes = share - share / nodes_used;
-    } else {
-      c.local_read_bytes = share;
-    }
-    c.model_read_bytes = t.model_read_bytes / nodes_used;
-    c.flops = t.flops / nodes_used;
-    c.updates = t.updates / nodes_used;
-    in.traffic.per_node[n] = c;
-    in.active_workers[n] = std::max(1, threads / nodes_used);
-  }
-  in.model_sharing_sockets = 1;
-  in.model_bytes = model_bytes;
-  return in;
-}
-
-/// One store-comparison run: `total_rows` dense wide-model requests in
-/// `mode`, batched scoring, model replication pinned kPerNode so the only
-/// variable is the feature source.
-StoreRun RunStoreServing(const std::vector<double>& table, Index store_rows,
-                         Index dim, const models::ModelSpec& spec,
-                         const std::vector<double>& weights,
-                         const numa::Topology& topo, const std::string& mode,
-                         int threads, int total_rows) {
-  serve::ServingOptions opts;
-  opts.topology = topo;
-  opts.num_threads = threads;
-  opts.batch.max_batch_size = 64;
-  opts.batch.max_delay = std::chrono::microseconds(200);
-  opts.scoring = serve::ScoringMode::kBatched;
-  serve::ServingEngine server(opts);
-  DW_CHECK(server
-               .RegisterFamily("wide", &spec,
-                               PinnedFamily(dim, serve::Replication::kPerNode))
-               .ok());
-  const bool by_id = mode != "carried";
-  if (by_id) {
-    serve::StoreOptions sopts;
-    sopts.placement_override = mode == "id-replicated"
-                                   ? serve::StorePlacement::kReplicated
-                                   : serve::StorePlacement::kSharded;
-    const Status reg = server.RegisterStore("wide", store_rows, dim, sopts);
-    DW_CHECK(reg.ok()) << reg.ToString();
-  }
-  server.Publish("wide", weights);
-  if (by_id) server.PublishStore("wide", table);
-  const Status st = server.Start();
-  DW_CHECK(st.ok()) << st.ToString();
-
-  const int kProducers = 4;
-  WallTimer timer;
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      std::vector<std::future<double>> futures;
-      futures.reserve(total_rows / kProducers + 1);
-      std::vector<double> vals;
-      for (int r = p; r < total_rows; r += kProducers) {
-        const Index row = static_cast<Index>(r) % store_rows;
-        if (!by_id) {
-          // The carried form ships the whole row with every request --
-          // the payload cost the id-keyed form exists to avoid.
-          vals.assign(table.begin() + static_cast<size_t>(row) * dim,
-                      table.begin() + static_cast<size_t>(row + 1) * dim);
-        }
-        for (;;) {
-          auto fut = by_id ? server.Score("wide", row)
-                           : server.Score("wide", {}, vals);
-          if (fut.ok()) {
-            futures.push_back(std::move(fut).value());
-            break;
-          }
-          DW_CHECK(fut.status().code() == Status::Code::kResourceExhausted)
-              << fut.status().ToString();
-          std::this_thread::yield();
-        }
-      }
-      for (auto& f : futures) f.get();
-    });
-  }
-  for (auto& t : producers) t.join();
-  const double wall = timer.Seconds();
-  server.Stop();
-
-  const serve::ServingStats stats = server.Stats();
-  DW_CHECK_EQ(stats.requests, static_cast<uint64_t>(total_rows));
-
-  StoreRun out;
-  out.mode = mode;
-  const serve::FeatureStore* store = server.FindStore("wide");
-  out.placement = by_id ? ToString(store->placement()) : "-";
-  out.rationale = by_id ? store->rationale() : "-";
-  out.measured_rows_per_sec = total_rows / wall;
-  out.p50_ms = stats.p50_latency_ms;
-  out.p99_ms = stats.p99_latency_ms;
-  const serve::FamilyServingStats& fam = stats.families[0];
-  const double row_mb = dim * sizeof(double) / (1024.0 * 1024.0);
-  if (by_id) {
-    out.local_feature_mb = fam.local_store_rows * row_mb;
-    out.remote_feature_mb = fam.remote_store_rows * row_mb;
-  } else {
-    out.local_feature_mb = static_cast<double>(total_rows) * row_mb;
-  }
-  const numa::MemoryModel model(topo);
-  const double sim_sec =
-      model
-          .SimulateEpoch(BalancedStoreSimInput(
-              stats, topo, mode == "id-sharded", threads,
-              static_cast<uint64_t>(dim) * sizeof(double)))
-          .total_sec;
-  out.sim_rows_per_sec = sim_sec > 0.0 ? total_rows / sim_sec : 0.0;
-  return out;
-}
-
-// --- experiment 10: delta refresh cost vs churn (KV feature store) --------
-
-struct DeltaChurnPoint {
-  double churn = 0.0;
-  size_t keys = 0;
-  uint64_t delta_bytes = 0;
-  uint64_t full_bytes = 0;
-  double ratio = 0.0;  ///< delta_bytes / full_bytes
-  double publish_ms = 0.0;
-};
-
-struct DeltaModeRun {
-  std::string mode;  ///< "by_id" | "by_key"
-  double rows_per_sec = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-};
-
-/// One keyed-serving run: `total_rows` requests against a kSharded store
-/// of identity keys, submitted by row id or by key -- everything else
-/// identical, so the p50/p99 delta isolates what the index probe costs
-/// on the request path.
-DeltaModeRun RunKeyedServing(const std::vector<double>& table,
-                             Index store_rows, Index dim,
-                             const models::ModelSpec& spec,
-                             const std::vector<double>& weights,
-                             const numa::Topology& topo, bool by_key,
-                             Index page_rows, int threads, int total_rows) {
-  serve::ServingOptions opts;
-  opts.topology = topo;
-  opts.num_threads = threads;
-  opts.batch.max_batch_size = 64;
-  opts.batch.max_delay = std::chrono::microseconds(200);
-  opts.scoring = serve::ScoringMode::kBatched;
-  serve::ServingEngine server(opts);
-  DW_CHECK(server
-               .RegisterFamily("kv", &spec,
-                               PinnedFamily(dim, serve::Replication::kPerNode))
-               .ok());
-  serve::StoreOptions sopts;
-  sopts.placement_override = serve::StorePlacement::kSharded;
-  sopts.page_rows = page_rows;
-  const Status reg = server.RegisterStore("kv", store_rows, dim, sopts);
-  DW_CHECK(reg.ok()) << reg.ToString();
-  server.Publish("kv", weights);
-  server.PublishStore("kv", table);  // identity keys 0..rows-1
-  const Status st = server.Start();
-  DW_CHECK(st.ok()) << st.ToString();
-
-  const int kProducers = 4;
-  WallTimer timer;
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      std::vector<std::future<double>> futures;
-      futures.reserve(total_rows / kProducers + 1);
-      for (int r = p; r < total_rows; r += kProducers) {
-        const Index row = static_cast<Index>(r) % store_rows;
-        for (;;) {
-          auto fut = by_key
-                         ? server.ScoreKey("kv", static_cast<uint64_t>(row))
-                         : server.Score("kv", row);
-          if (fut.ok()) {
-            futures.push_back(std::move(fut).value());
-            break;
-          }
-          DW_CHECK(fut.status().code() == Status::Code::kResourceExhausted)
-              << fut.status().ToString();
-          std::this_thread::yield();
-        }
-      }
-      for (auto& f : futures) f.get();
-    });
-  }
-  for (auto& t : producers) t.join();
-  const double wall = timer.Seconds();
-  server.Stop();
-
-  const serve::ServingStats stats = server.Stats();
-  DW_CHECK_EQ(stats.requests, static_cast<uint64_t>(total_rows));
-  DeltaModeRun out;
-  out.mode = by_key ? "by_key" : "by_id";
-  out.rows_per_sec = total_rows / wall;
-  out.p50_ms = stats.p50_latency_ms;
-  out.p99_ms = stats.p99_latency_ms;
-  return out;
-}
-
-/// The churn sweep: a full table published once, then one delta per
-/// churn fraction overwriting a CONTIGUOUS rotating key window (update
-/// feeds arrive clustered; slots are insertion-ordered, so a window maps
-/// to O(churn / page_rows) pages -- random scatter would touch most
-/// pages and is bench_key_index's subject, not this gate's).
-std::vector<DeltaChurnPoint> RunDeltaChurnSweep(const numa::Topology& topo,
-                                                Index store_rows, Index dim,
-                                                Index page_rows) {
-  auto alloc = std::make_shared<numa::NumaAllocator>(topo);
-  serve::StoreOptions sopts;
-  sopts.placement_override = serve::StorePlacement::kSharded;
-  sopts.page_rows = page_rows;
-  serve::FeatureStore store("sweep", alloc, store_rows, dim, sopts);
-  store.Publish(std::vector<double>(
-      static_cast<size_t>(store_rows) * dim, 1.0));
-
-  std::vector<DeltaChurnPoint> sweep;
-  uint64_t window_start = 0;
-  for (const double churn : {0.001, 0.01, 0.1, 1.0}) {
-    const size_t n = std::max<size_t>(
-        1, static_cast<size_t>(churn * store_rows));
-    std::vector<uint64_t> keys(n);
-    for (size_t i = 0; i < n; ++i) {
-      keys[i] = (window_start + i) % store_rows;
-    }
-    window_start = (window_start + n) % store_rows;
-    const std::vector<double> block(n * static_cast<size_t>(dim), 2.0);
-    WallTimer timer;
-    const serve::StorePublishReport rep = store.PublishDelta(keys, block);
-    DeltaChurnPoint pt;
-    pt.churn = churn;
-    pt.keys = n;
-    pt.delta_bytes = rep.delta_bytes;
-    pt.full_bytes = rep.full_bytes;
-    pt.ratio = rep.full_bytes > 0
-                   ? static_cast<double>(rep.delta_bytes) / rep.full_bytes
-                   : 0.0;
-    pt.publish_ms = timer.Seconds() * 1e3;
-    sweep.push_back(pt);
-  }
-  return sweep;
-}
-
-// --- experiment 6: cost-aware admission + per-client fair queuing ---------
-
-struct AdmissionClientResult {
-  std::string name;
-  bool hog = false;
-  uint64_t submitted = 0;
-  uint64_t accepted = 0;
-  uint64_t rejected = 0;
-  double p50_ms = 0.0;  ///< client-side sync latency (mice only)
-  double p99_ms = 0.0;
-};
+// --- admission: cost-aware admission + per-client fair queuing ------------
 
 struct AdmissionRun {
-  std::string mode;  ///< "fifo" | "fair"
-  std::vector<AdmissionClientResult> clients;
   double mice_p99_ms = 0.0;           ///< worst mouse p99
   double mice_served_fraction = 0.0;  ///< accepted/submitted over all mice
-  double hog_served_fraction = 0.0;
-  uint64_t rejected_cost = 0;  ///< delay-budget refusals (family total)
   serve::FamilyServingStats fam;
 };
 
@@ -1180,8 +402,6 @@ AdmissionRun RunAdmissionOverload(const std::vector<double>& table,
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(duration_sec));
 
-  std::vector<std::atomic<uint64_t>> hog_submitted(n_hogs);
-  std::vector<std::atomic<uint64_t>> hog_rejected(n_hogs);
   std::vector<std::thread> hogs;
   hogs.reserve(n_hogs);
   for (int h = 0; h < n_hogs; ++h) {
@@ -1190,11 +410,8 @@ AdmissionRun RunAdmissionOverload(const std::vector<double>& table,
       std::vector<std::future<double>> futures;
       futures.reserve(4096);
       Index row = static_cast<Index>(h);
-      uint64_t submitted = 0;
-      uint64_t rejected = 0;
       while (std::chrono::steady_clock::now() < deadline) {
         auto fut = server.Score("adm", row++ % store_rows, me);
-        ++submitted;
         if (fut.ok()) {
           futures.push_back(std::move(fut).value());
           if (futures.size() >= 4096) {
@@ -1204,13 +421,10 @@ AdmissionRun RunAdmissionOverload(const std::vector<double>& table,
         } else {
           DW_CHECK(fut.status().code() == Status::Code::kResourceExhausted)
               << fut.status().ToString();
-          ++rejected;
           std::this_thread::yield();
         }
       }
       for (auto& f : futures) f.get();
-      hog_submitted[h].store(submitted);
-      hog_rejected[h].store(rejected);
     });
   }
 
@@ -1247,83 +461,49 @@ AdmissionRun RunAdmissionOverload(const std::vector<double>& table,
   for (auto& t : mice) t.join();
   server.Stop();
 
-  const serve::ServingStats stats = server.Stats();
   AdmissionRun out;
-  out.mode = fair ? "fair" : "fifo";
-  out.fam = stats.families[0];
-  AdmissionClientResult hog;
-  hog.name = "hog";
-  hog.hog = true;
-  for (int h = 0; h < n_hogs; ++h) {
-    hog.submitted += hog_submitted[h].load();
-    hog.rejected += hog_rejected[h].load();
-  }
-  hog.accepted = hog.submitted - hog.rejected;
-  out.hog_served_fraction =
-      hog.submitted > 0
-          ? static_cast<double>(hog.accepted) / hog.submitted
-          : 0.0;
-  out.clients.push_back(hog);
+  out.fam = server.Stats().families[0];
   uint64_t mice_submitted = 0;
   uint64_t mice_accepted = 0;
-  for (int m = 0; m < n_mice; ++m) {
-    const MouseResult& res = mouse_results[m];
-    AdmissionClientResult c;
-    c.name = "mouse-" + std::to_string(m);
-    c.submitted = res.submitted;
-    c.rejected = res.rejected;
-    c.accepted = res.submitted - res.rejected;
+  for (const MouseResult& res : mouse_results) {
     // A mouse starved of EVERY request has no latency sample;
     // Percentile() would report 0 and invert the fair-vs-FIFO gate
     // exactly when FIFO is at its worst, so total starvation counts as
     // the whole window instead.
-    if (res.latencies_ms.empty()) {
-      c.p50_ms = c.p99_ms = duration_sec * 1e3;
-    } else {
-      c.p50_ms = Percentile(res.latencies_ms, 50.0);
-      c.p99_ms = Percentile(res.latencies_ms, 99.0);
-    }
-    out.mice_p99_ms = std::max(out.mice_p99_ms, c.p99_ms);
-    mice_submitted += c.submitted;
-    mice_accepted += c.accepted;
-    out.clients.push_back(std::move(c));
+    const double p99_ms = res.latencies_ms.empty()
+                              ? duration_sec * 1e3
+                              : Percentile(res.latencies_ms, 99.0);
+    out.mice_p99_ms = std::max(out.mice_p99_ms, p99_ms);
+    mice_submitted += res.submitted;
+    mice_accepted += res.submitted - res.rejected;
   }
   out.mice_served_fraction =
       mice_submitted > 0
           ? static_cast<double>(mice_accepted) / mice_submitted
           : 0.0;
-  out.rejected_cost = out.fam.rejected_cost;
   return out;
 }
 
-// --- experiment 7: telemetry overhead + stage decomposition ---------------
+// --- telemetry: overhead + stage decomposition ----------------------------
 
-// What the telemetry-ON trial yields beyond throughput: the registry-backed
-// stats (stage means), the exact mean end-to-end latency, the trace ring
-// counter, and the exporter's render stats -- everything the JSON artifact's
-// `telemetry` section reports.
-struct TelemetryTrialExtras {
-  serve::ServingStats stats;
-  double e2e_mean_us = 0.0;  ///< exact mean of serve.latency_ms, in us
-  uint64_t spans_recorded = 0;
-  uint64_t registry_metrics = 0;
-  obs::TelemetryExporter::Stats exporter;
+struct TelemetryTrial {
+  double rows_per_sec = 0.0;
+  double stage_sum_us = 0.0;  ///< per-row means, queue..complete
+  double e2e_mean_us = 0.0;   ///< exact mean of serve.latency_ms, in us
 };
 
-// One closed-loop scoring run with telemetry on or off; returns measured
-// rows/sec. Mirrors RunServing's producer loop but scores BATCHED -- the
-// production hot path the overhead gate protects (scalar mode's per-row
-// replica re-gather would drown instrument cost in memory traffic). The
-// telemetry-on trial also runs a live obs::TelemetryExporter so the
-// measured overhead includes periodic snapshot+render, not just the
-// inline fetch_adds. NOTE: with telemetry off every registry-backed
-// Stats() field reads zero by contract, so this function never asserts
-// on stats counters -- completion is proven by the futures themselves.
-double RunTelemetryTrial(const data::Dataset& d, const models::ModelSpec& spec,
-                         const std::vector<double>& weights,
-                         const numa::Topology& topo, bool telemetry,
-                         int threads, int total_rows,
-                         TelemetryTrialExtras* extras) {
+// One closed-loop scoring run with telemetry on or off. Scores BATCHED --
+// the production hot path the overhead gate protects (scalar mode's
+// per-row replica re-gather would drown instrument cost in memory
+// traffic). The telemetry-on trial also runs a live obs::TelemetryExporter
+// so the measured overhead includes periodic snapshot+render, not just the
+// inline fetch_adds. With telemetry off every registry-backed Stats()
+// field reads zero by contract, so only the on trial reads stats.
+TelemetryTrial RunTelemetryTrial(const data::Dataset& d,
+                                 const models::ModelSpec& spec,
+                                 const std::vector<double>& weights,
+                                 const numa::Topology& topo, bool telemetry,
+                                 int threads, int total_rows) {
   serve::ServingOptions opts;
   opts.topology = topo;
   opts.num_threads = threads;
@@ -1349,81 +529,48 @@ double RunTelemetryTrial(const data::Dataset& d, const models::ModelSpec& spec,
     exporter->Start();
   }
 
-  const int kProducers = 4;
-  WallTimer timer;
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      std::vector<std::future<double>> futures;
-      futures.reserve(total_rows / kProducers + 1);
-      std::vector<Index> idx;
-      std::vector<double> vals;
-      for (int r = p; r < total_rows; r += kProducers) {
-        const auto row = d.a.Row(static_cast<Index>(r % d.a.rows()));
-        idx.assign(row.indices, row.indices + row.nnz);
-        vals.assign(row.values, row.values + row.nnz);
-        for (;;) {
-          auto fut = server.Score("lr", idx, vals);
-          if (fut.ok()) {
-            futures.push_back(std::move(fut).value());
-            break;
-          }
-          DW_CHECK(fut.status().code() ==
-                   Status::Code::kResourceExhausted)
-              << fut.status().ToString();
-          std::this_thread::yield();
-        }
-      }
-      for (auto& f : futures) f.get();
-    });
-  }
-  for (auto& t : producers) t.join();
-  const double wall = timer.Seconds();
+  const double wall = RunClosedLoop(total_rows, [&](int r) {
+    const auto row = d.a.Row(static_cast<Index>(r % d.a.rows()));
+    return server.Score("lr",
+                        std::vector<Index>(row.indices, row.indices + row.nnz),
+                        std::vector<double>(row.values, row.values + row.nnz));
+  });
   if (exporter != nullptr) exporter->Stop();
   server.Stop();
 
-  if (extras != nullptr) {
-    extras->stats = server.Stats();
-    DW_CHECK_EQ(extras->stats.requests, static_cast<uint64_t>(total_rows));
+  TelemetryTrial out;
+  out.rows_per_sec = total_rows / wall;
+  if (telemetry) {
+    const serve::ServingStats stats = server.Stats();
+    DW_CHECK_EQ(stats.requests, static_cast<uint64_t>(total_rows));
+    // The admit stage is excluded because serve.latency_ms starts its
+    // clock at enqueue, after admission.
+    for (int s = static_cast<int>(obs::Stage::kQueue); s < obs::kNumStages;
+         ++s) {
+      out.stage_sum_us += stats.families[0].mean_stage_us[s];
+    }
     // Histogram means are exact (bucketing only bounds the percentiles),
     // so this is the true mean submit-to-resolution latency.
-    extras->e2e_mean_us = server.telemetry()
-                              .GetHistogram("serve.latency_ms",
-                                            {{"family", "lr"}})
-                              ->Snapshot()
-                              .Mean() *
-                          1e3;
-    extras->spans_recorded = server.spans().recorded();
-    extras->registry_metrics = server.telemetry().size();
-    if (exporter != nullptr) extras->exporter = exporter->stats();
+    out.e2e_mean_us = server.telemetry()
+                          .GetHistogram("serve.latency_ms", {{"family", "lr"}})
+                          ->Snapshot()
+                          .Mean() *
+                      1e3;
   }
-  return total_rows / wall;
+  return out;
 }
 
-// --- experiment 9: live placement tuning under a traffic shift ----------
+// --- tuner: live placement tuning under a traffic shift -------------------
 
 struct TunerBenchResult {
-  // Observed control-loop activity.
   uint64_t scans = 0;
   uint64_t flips = 0;
-  uint64_t period_adjustments = 0;
-  std::vector<opt::TunerDecision> decisions;
-  std::string model_replication;   ///< final strategy after tuning
-  std::string store_placement;     ///< final strategy after tuning
-  // Request-level integrity across every migration.
+  std::string model_replication;  ///< final strategy after tuning
+  std::string store_placement;    ///< final strategy after tuning
   uint64_t served = 0;
   uint64_t failed = 0;  ///< non-backpressure refusals + torn margins
-  // Throughput, rows/sec.
-  double phase_a_rows_per_sec = 0.0;     ///< publish-heavy, pre-shift
-  double post_flip_rows_per_sec = 0.0;   ///< read-heavy, after migration
+  double post_flip_rows_per_sec = 0.0;       ///< read-heavy, migrated
   double static_optimal_rows_per_sec = 0.0;  ///< pinned-optimal baseline
-  double recovery = 0.0;  ///< post_flip / static_optimal
-  // Gates.
-  bool flip_ok = false;
-  bool zero_failed = false;
-  bool recovered = false;
-  double min_recovery = 0.0;
 };
 
 /// One id-keyed flood against `server` run by background producers until
@@ -1469,17 +616,15 @@ void TunerFloodProducers(serve::ServingEngine& server,
   }
 }
 
-/// The ISSUE's acceptance experiment: a family + store registered under
-/// a publish-heavy assumption (kPerMachine model, kSharded store) serve
-/// a workload that SHIFTS mid-run to read-heavy. Phase A republishes the
-/// model every few ms, so the frozen choices are right; phase B stops
-/// republishing and floods gathers, so they are wrong. The tuner's scans
-/// must observe the shift, flip at least one placement, tear zero
-/// requests doing it, and land post-flip throughput within
-/// `min_recovery` of a statically-optimal (kPerNode + kReplicated) run
-/// of the same flood.
-TunerBenchResult RunTunerShift(const numa::Topology& topo, double phase_sec,
-                               double min_recovery) {
+/// A family + store registered under a publish-heavy assumption
+/// (kPerMachine model, kSharded store) serve a workload that SHIFTS
+/// mid-run to read-heavy. Phase A republishes the model every few ms, so
+/// the frozen choices are right; phase B stops republishing and floods
+/// gathers, so they are wrong. The tuner's scans must observe the shift,
+/// flip at least one placement and tear zero requests doing it; the
+/// post-flip throughput is compared against a statically-optimal
+/// (kPerNode + kReplicated) run of the same flood.
+TunerBenchResult RunTunerShift(const numa::Topology& topo, double phase_sec) {
   models::SvmSpec svm;
   const Index dim = 256;
   const Index store_rows = 1024;
@@ -1498,8 +643,6 @@ TunerBenchResult RunTunerShift(const numa::Topology& topo, double phase_sec,
   opts.batch.max_delay = std::chrono::microseconds(200);
 
   TunerBenchResult res;
-  res.min_recovery = min_recovery;
-
   {
     serve::ServingEngine server(opts);
     DW_CHECK(server
@@ -1542,14 +685,11 @@ TunerBenchResult RunTunerShift(const numa::Topology& topo, double phase_sec,
         std::this_thread::sleep_for(std::chrono::microseconds(500));
       }
     });
-    const uint64_t rows_a0 = rows.load();
     WallTimer phase_a;
     while (phase_a.Seconds() < phase_sec) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       tuner->ScanOnce();
     }
-    res.phase_a_rows_per_sec =
-        (rows.load() - rows_a0) / phase_a.Seconds();
 
     // Phase B: the shift. Republishing stops, the flood keeps reading:
     // observed reads-per-publish explodes and the scans must migrate.
@@ -1575,8 +715,6 @@ TunerBenchResult RunTunerShift(const numa::Topology& topo, double phase_sec,
 
     res.scans = tuner->scans();
     res.flips = tuner->flips();
-    res.period_adjustments = tuner->period_adjustments();
-    res.decisions = tuner->Decisions();
     res.model_replication =
         ToString(server.registry().FindFamily("tuned")->replication());
     res.store_placement = ToString(server.FindStore("tuned")->placement());
@@ -1621,15 +759,51 @@ TunerBenchResult RunTunerShift(const numa::Topology& topo, double phase_sec,
     server.Stop();
     res.failed += failed.load();
   }
-
-  res.recovery = res.static_optimal_rows_per_sec > 0.0
-                     ? res.post_flip_rows_per_sec /
-                           res.static_optimal_rows_per_sec
-                     : 0.0;
-  res.flip_ok = res.flips >= 1;
-  res.zero_failed = res.failed == 0;
-  res.recovered = res.recovery >= min_recovery;
   return res;
+}
+
+// --- key path: key vs row-id serving --------------------------------------
+
+/// p99 latency of one keyed-serving run: `total_rows` requests against a
+/// kSharded store of identity keys, submitted by row id or by key --
+/// everything else identical, so the p99 delta isolates what the index
+/// probe costs on the request path.
+double KeyedServingP99(const std::vector<double>& table, Index store_rows,
+                       Index dim, const models::ModelSpec& spec,
+                       const std::vector<double>& weights,
+                       const numa::Topology& topo, bool by_key,
+                       Index page_rows, int threads, int total_rows) {
+  serve::ServingOptions opts;
+  opts.topology = topo;
+  opts.num_threads = threads;
+  opts.batch.max_batch_size = 64;
+  opts.batch.max_delay = std::chrono::microseconds(200);
+  opts.scoring = serve::ScoringMode::kBatched;
+  serve::ServingEngine server(opts);
+  DW_CHECK(server
+               .RegisterFamily("kv", &spec,
+                               PinnedFamily(dim, serve::Replication::kPerNode))
+               .ok());
+  serve::StoreOptions sopts;
+  sopts.placement_override = serve::StorePlacement::kSharded;
+  sopts.page_rows = page_rows;
+  const Status reg = server.RegisterStore("kv", store_rows, dim, sopts);
+  DW_CHECK(reg.ok()) << reg.ToString();
+  server.Publish("kv", weights);
+  server.PublishStore("kv", table);  // identity keys 0..rows-1
+  const Status st = server.Start();
+  DW_CHECK(st.ok()) << st.ToString();
+
+  RunClosedLoop(total_rows, [&](int r) {
+    const Index row = static_cast<Index>(r) % store_rows;
+    return by_key ? server.ScoreKey("kv", static_cast<uint64_t>(row))
+                  : server.Score("kv", row);
+  });
+  server.Stop();
+
+  const serve::ServingStats stats = server.Stats();
+  DW_CHECK_EQ(stats.requests, static_cast<uint64_t>(total_rows));
+  return stats.p99_latency_ms;
 }
 
 }  // namespace
@@ -1650,8 +824,11 @@ int main(int argc, char** argv) {
   auto topo_or = numa::TopologyByName(topo_name);
   DW_CHECK(topo_or.ok()) << topo_or.status().ToString();
   const numa::Topology topo = topo_or.value();
+  const int threads = topo.total_cores();
   const int total_rows =
       smoke ? 2000 : bench::EnvInt("DW_BENCH_SERVE_ROWS", 20000);
+  const double kernel_sec =
+      bench::EnvDouble("DW_BENCH_KERNEL_SEC", smoke ? 0.05 : 0.4);
 
   const data::Dataset dataset = bench::BenchRcv1();
   models::LogisticSpec lr;
@@ -1659,7 +836,8 @@ int main(int argc, char** argv) {
               dataset.name.c_str(), dataset.a.rows(), dataset.a.cols(),
               topo.name.c_str(), topo.num_nodes, smoke ? " [smoke]" : "");
 
-  // Train briefly: serving quality is not under test, the scoring path is.
+  // Train briefly: serving quality is not under test, the scoring path is
+  // (the telemetry trials score these weights).
   engine::EngineOptions train_opts =
       bench::MakeOptions(topo, engine::AccessMethod::kRowWise,
                          engine::ModelReplication::kPerNode,
@@ -1671,179 +849,24 @@ int main(int argc, char** argv) {
   trainer.Run(cfg);
   const engine::ModelExport exported = trainer.Export();
 
-  // --- experiment 1: replication x threads (scalar scoring; see the
-  // rationale in RunServing) ----------------------------------------------
-  const std::vector<int> thread_counts = {1, topo.total_cores() / 2,
-                                          topo.total_cores()};
-  const std::vector<serve::Replication> strategies = {
-      serve::Replication::kPerNode, serve::Replication::kPerMachine};
+  Gates gates(smoke);
 
-  Table table("Serving throughput (" + std::to_string(total_rows) +
-              " requests, batch<=64, " + topo.name + ")");
-  table.SetHeader({"replication", "threads", "measured rows/s", "model rows/s",
-                   "p50 ms", "p99 ms", "remote MB"});
-  std::vector<ServeRun> runs;
-  double per_node_max = 0.0;
-  double per_machine_max = 0.0;
-  for (const serve::Replication rep : strategies) {
-    for (const int threads : thread_counts) {
-      const ServeRun r = RunServing(dataset, lr, exported.weights, topo, rep,
-                                    threads, total_rows);
-      runs.push_back(r);
-      table.AddRow({r.replication, std::to_string(threads),
-                    Table::Num(r.measured_rows_per_sec, 0),
-                    Table::Num(r.sim_rows_per_sec, 0), Table::Num(r.p50_ms, 3),
-                    Table::Num(r.p99_ms, 3), Table::Num(r.remote_mb, 1)});
-      if (threads == topo.total_cores()) {
-        if (rep == serve::Replication::kPerNode) {
-          per_node_max = r.sim_rows_per_sec;
-        } else {
-          per_machine_max = r.sim_rows_per_sec;
-        }
-      }
-    }
-  }
-  table.Print();
-  std::printf(
-      "\nmax-thread model throughput: PerNode %.0f rows/s vs PerMachine "
-      "%.0f rows/s (%s)\n",
-      per_node_max, per_machine_max,
-      per_node_max >= per_machine_max ? "PerNode >= PerMachine, as predicted"
-                                      : "UNEXPECTED: PerMachine ahead");
-
-  // --- experiment 2: batched vs scalar kernels ---------------------------
-  const int dense_rows =
-      smoke ? 256 : bench::EnvInt("DW_BENCH_DENSE_ROWS", 1024);
-  const int dense_dim =
-      smoke ? 512 : bench::EnvInt("DW_BENCH_DENSE_DIM", 4096);
+  // --- speedup: batched vs scalar kernels --------------------------------
+  const int dense_rows = smoke ? 256 : 1024;
+  const int dense_dim = smoke ? 512 : 4096;
   const double min_speedup = bench::EnvDouble("DW_BENCH_MIN_SPEEDUP", 1.5);
-  if (smoke) setenv("DW_BENCH_KERNEL_SEC", "0.05", /*overwrite=*/0);
   const KernelCompare kc =
-      CompareKernels(dense_rows, dense_dim, topo.total_cores());
-  Table ktable("PredictBatch vs Predict (dense " +
-               std::to_string(dense_rows) + " x " + std::to_string(dense_dim) +
-               ", " + std::to_string(kc.threads) + " threads)");
-  ktable.SetHeader({"kernel", "rows/s", "speedup"});
-  ktable.AddRow({"scalar Predict", Table::Num(kc.scalar_rows_per_sec, 0),
-                 "1.00x"});
-  ktable.AddRow({"PredictBatch", Table::Num(kc.batched_rows_per_sec, 0),
-                 Table::Num(kc.speedup, 2) + "x"});
-  ktable.Print();
-  std::printf("\nbatched/scalar speedup: %.2fx (gate: >= %.2fx)\n", kc.speedup,
-              min_speedup);
+      CompareKernels(dense_rows, dense_dim, threads, kernel_sec);
+  gates.Check(kc.speedup >= min_speedup, /*smoke=*/false,
+              "batched/scalar speedup: %.2fx (PredictBatch %.0f vs Predict "
+              "%.0f rows/s, dense %d x %d, %d threads; gate: >= %.2fx)",
+              kc.speedup, kc.batched_rows_per_sec, kc.scalar_rows_per_sec,
+              dense_rows, dense_dim, threads, min_speedup);
 
-  // --- experiment 3: closed-loop SLO search ------------------------------
-  const double slo_p99_ms = bench::EnvDouble("DW_BENCH_SLO_P99_MS", 2.0);
-  const int slo_iters = smoke ? 1 : bench::EnvInt("DW_BENCH_SLO_TRIALS", 5);
-  const double slo_trial_sec =
-      smoke ? 0.1 : bench::EnvDouble("DW_BENCH_SLO_TRIAL_SEC", 0.4);
-  const SloResult slo = SearchMaxRateUnderSlo(
-      dataset, lr, exported.weights, topo, slo_p99_ms, slo_iters,
-      slo_trial_sec, std::max(2000, total_rows / 2));
-  Table stable("Closed-loop SLO search (p99 <= " +
-               Table::Num(slo_p99_ms, 1) + " ms, " + topo.name + ")");
-  stable.SetHeader({"offered rows/s", "achieved rows/s", "p50 ms", "p99 ms",
-                    "max ms", "meets SLO"});
-  for (const SloTrial& t : slo.trials) {
-    stable.AddRow({t.offered_rows_per_sec > 0.0
-                       ? Table::Num(t.offered_rows_per_sec, 0)
-                       : "unthrottled",
-                   Table::Num(t.achieved_rows_per_sec, 0),
-                   Table::Num(t.p50_ms, 3), Table::Num(t.p99_ms, 3),
-                   Table::Num(t.max_ms, 3), t.meets_slo ? "yes" : "no"});
-  }
-  stable.Print();
-  std::printf("\nmax rows/s under p99 <= %.1f ms: %.0f (unthrottled %.0f)\n",
-              slo_p99_ms, slo.max_rows_per_sec_under_slo,
-              slo.unthrottled_rows_per_sec);
-
-  // --- experiment 4: live multi-family serving with async refresh --------
-  const double stale_sec =
-      smoke ? 0.3 : bench::EnvDouble("DW_BENCH_STALE_SEC", 1.0);
-  const std::vector<FamilyRun> families = RunLiveServing(
-      dataset, topo, stale_sec, /*wide_period_ms=*/20.0,
-      /*narrow_period_ms=*/2.0);
-  Table ftable("Live training->serving (" + Table::Num(stale_sec, 1) +
-               " s window, exporter-refreshed, " + topo.name + ")");
-  ftable.SetHeader({"family", "replication", "rows/s", "p50 ms", "p99 ms",
-                    "rejected", "stale ms (mean/max)", "vers behind (mean/max)",
-                    "publishes"});
-  for (const FamilyRun& f : families) {
-    const serve::FamilyServingStats& s = f.stats;
-    ftable.AddRow(
-        {s.family, ToString(s.replication), Table::Num(s.rows_per_sec, 0),
-         Table::Num(s.p50_latency_ms, 3), Table::Num(s.p99_latency_ms, 3),
-         std::to_string(s.rejected),
-         Table::Num(s.mean_staleness_ms, 2) + "/" +
-             Table::Num(s.max_staleness_ms, 2),
-         Table::Num(s.mean_versions_behind, 2) + "/" +
-             std::to_string(s.max_versions_behind),
-         std::to_string(f.exporter.publishes)});
-  }
-  ftable.Print();
-  for (const FamilyRun& f : families) {
-    std::printf("%s chose %s: %s\n", f.stats.family.c_str(),
-                ToString(f.stats.replication), f.rationale.c_str());
-  }
-
-  // --- experiment 5: collocated fetch vs request-carried features --------
-  const int store_rows =
-      smoke ? 512 : bench::EnvInt("DW_BENCH_STORE_ROWS", 4096);
-  const int store_dim =
-      smoke ? 256 : bench::EnvInt("DW_BENCH_STORE_DIM", 2048);
-  std::vector<double> store_table(static_cast<size_t>(store_rows) *
-                                  store_dim);
-  {
-    Rng rng(41);
-    for (auto& v : store_table) v = rng.Gaussian(0.0, 1.0);
-  }
-  std::vector<double> store_weights(store_dim);
-  {
-    Rng rng(43);
-    for (auto& w : store_weights) w = rng.Gaussian(0.0, 1.0);
-  }
-  const std::vector<std::string> store_modes = {"id-replicated", "id-sharded",
-                                                "carried"};
-  std::vector<StoreRun> store_runs;
-  Table srtable("Feature fetch: collocated store vs request-carried (" +
-                std::to_string(total_rows) + " requests, dense " +
-                std::to_string(store_rows) + " x " +
-                std::to_string(store_dim) + ", " + topo.name + ")");
-  srtable.SetHeader({"mode", "placement", "measured rows/s", "model rows/s",
-                     "p50 ms", "p99 ms", "local MB", "remote MB"});
-  for (const std::string& mode : store_modes) {
-    const StoreRun r = RunStoreServing(
-        store_table, static_cast<Index>(store_rows),
-        static_cast<Index>(store_dim), lr, store_weights, topo, mode,
-        topo.total_cores(), total_rows);
-    srtable.AddRow({r.mode, r.placement,
-                    Table::Num(r.measured_rows_per_sec, 0),
-                    Table::Num(r.sim_rows_per_sec, 0), Table::Num(r.p50_ms, 3),
-                    Table::Num(r.p99_ms, 3),
-                    Table::Num(r.local_feature_mb, 1),
-                    Table::Num(r.remote_feature_mb, 1)});
-    store_runs.push_back(std::move(r));
-  }
-  srtable.Print();
-  const double collocated_sim = store_runs[0].sim_rows_per_sec;
-  const double sharded_sim = store_runs[1].sim_rows_per_sec;
-  std::printf(
-      "\nmodel throughput, collocated (replicated) %.0f rows/s vs sharded "
-      "%.0f rows/s (%s)\n",
-      collocated_sim, sharded_sim,
-      collocated_sim >= sharded_sim
-          ? "collocated >= sharded, as predicted"
-          : "UNEXPECTED: sharded ahead");
-
-  // --- experiment 6: cost-aware admission + per-client fair queuing ------
-  const double adm_sec =
-      smoke ? 0.25 : bench::EnvDouble("DW_BENCH_ADM_SEC", 1.0);
-  const int adm_dim = smoke ? 1024 : bench::EnvInt("DW_BENCH_ADM_DIM", 4096);
-  const double adm_budget_ms = bench::EnvDouble("DW_BENCH_ADM_BUDGET_MS", 4.0);
+  // --- admission: cost-aware admission + per-client fair queuing ---------
+  const double adm_sec = smoke ? 0.25 : 1.0;
+  const int adm_dim = smoke ? 1024 : 4096;
   const int adm_store_rows = 1024;
-  const int adm_hogs = 2;
-  const int adm_mice = 3;
-  const int adm_mice_interval_us = 300;
   std::vector<double> adm_table(static_cast<size_t>(adm_store_rows) *
                                 adm_dim);
   {
@@ -1860,30 +883,20 @@ int main(int argc, char** argv) {
     adm_runs.push_back(RunAdmissionOverload(
         adm_table, static_cast<Index>(adm_store_rows),
         static_cast<Index>(adm_dim), lr, adm_weights, topo, fair, adm_sec,
-        adm_budget_ms, adm_hogs, adm_mice, adm_mice_interval_us));
+        /*budget_ms=*/4.0, /*n_hogs=*/2, /*n_mice=*/3,
+        /*mice_interval_us=*/300));
   }
   const AdmissionRun& adm_fifo = adm_runs[0];
   const AdmissionRun& adm_fair = adm_runs[1];
-  Table atable("Admission under overload (" + std::to_string(adm_hogs) +
-               " hogs vs " + std::to_string(adm_mice) + " mice, dim " +
-               std::to_string(adm_dim) + ", budget " +
-               Table::Num(adm_budget_ms, 1) + " ms, " +
-               Table::Num(adm_sec, 2) + " s, " + topo.name + ")");
-  atable.SetHeader({"mode", "client", "submitted", "served frac", "p50 ms",
-                    "p99 ms"});
-  for (const AdmissionRun& run : adm_runs) {
-    for (const AdmissionClientResult& c : run.clients) {
-      const double frac =
-          c.submitted > 0
-              ? static_cast<double>(c.accepted) / c.submitted
-              : 0.0;
-      atable.AddRow({run.mode, c.name, std::to_string(c.submitted),
-                     Table::Num(frac, 3),
-                     c.hog ? "-" : Table::Num(c.p50_ms, 3),
-                     c.hog ? "-" : Table::Num(c.p99_ms, 3)});
-    }
-  }
-  atable.Print();
+  gates.Check(adm_fair.mice_p99_ms < adm_fifo.mice_p99_ms &&
+                  adm_fair.mice_served_fraction >
+                      adm_fifo.mice_served_fraction,
+              /*smoke=*/false,
+              "admission: mice p99 %.3f ms (fair) vs %.3f ms (fifo), served "
+              "fraction %.3f (fair) vs %.3f (fifo) (gate: fair strictly "
+              "better on both)",
+              adm_fair.mice_p99_ms, adm_fifo.mice_p99_ms,
+              adm_fair.mice_served_fraction, adm_fifo.mice_served_fraction);
   // Estimate convergence from the FAIR run (both runs feed the same kind
   // of controller; one suffices for the gate).
   const serve::FamilyServingStats& adm_fam = adm_fair.fam;
@@ -1891,685 +904,153 @@ int main(int argc, char** argv) {
       adm_fam.measured_row_us_ewma > 0.0
           ? adm_fam.est_row_us / adm_fam.measured_row_us_ewma
           : 0.0;
-  const bool adm_converged =
-      est_over_measured >= 0.5 && est_over_measured <= 2.0;
-  const bool adm_fair_beats_fifo =
-      adm_fair.mice_p99_ms < adm_fifo.mice_p99_ms &&
-      adm_fair.mice_served_fraction > adm_fifo.mice_served_fraction;
-  std::printf(
-      "\nmice under overload: p99 %.3f ms (fair) vs %.3f ms (fifo), served "
-      "fraction %.3f (fair) vs %.3f (fifo) -- %s\n",
-      adm_fair.mice_p99_ms, adm_fifo.mice_p99_ms,
-      adm_fair.mice_served_fraction, adm_fifo.mice_served_fraction,
-      adm_fair_beats_fifo ? "fair queuing protects the mice"
-                          : "UNEXPECTED: fifo no worse");
-  std::printf(
-      "admission estimate: prior %.2f us/row, calibrated %.2f us/row, "
-      "measured EWMA %.2f us/row over %llu batches (est/measured %.2f, %s)\n",
-      adm_fam.prior_row_us, adm_fam.est_row_us, adm_fam.measured_row_us_ewma,
-      static_cast<unsigned long long>(adm_fam.cost_reports),
-      est_over_measured, adm_converged ? "converged" : "NOT converged");
+  gates.Check(est_over_measured >= 0.5 && est_over_measured <= 2.0,
+              /*smoke=*/false,
+              "admission estimate: prior %.2f us/row, calibrated %.2f us/row, "
+              "measured EWMA %.2f us/row over %llu batches, est/measured %.2f "
+              "(gate: within 2x)",
+              adm_fam.prior_row_us, adm_fam.est_row_us,
+              adm_fam.measured_row_us_ewma,
+              static_cast<unsigned long long>(adm_fam.cost_reports),
+              est_over_measured);
 
-  // --- experiment 7: telemetry overhead + stage decomposition ------------
-  const int tel_trials = smoke ? 3 : bench::EnvInt("DW_BENCH_TEL_TRIALS", 3);
-  const int tel_rows = total_rows;
+  // --- telemetry: overhead + stage decomposition -------------------------
+  const int tel_trials = 3;
   // Smoke trials are milliseconds long on a shared runner whose noise
-  // floor is well above the dedicated-host gate, so the smoke default is
+  // floor is well above the dedicated-host gate, so the smoke gate is
   // calibrated to catch order-of-magnitude instrument regressions while
   // staying assertable in CI; full runs keep the 3% contract.
-  const double tel_max_overhead =
-      bench::EnvDouble("DW_BENCH_TEL_MAX_OVERHEAD", smoke ? 0.25 : 0.03);
-  TelemetryTrialExtras tel;
-  std::vector<double> tel_off_runs;
-  std::vector<double> tel_on_runs;
+  const double tel_max_overhead = smoke ? 0.25 : 0.03;
+  TelemetryTrial tel_on;
+  double tel_best_pair_ratio = 0.0;
   for (int t = 0; t < tel_trials; ++t) {
     // Interleave off/on so machine drift (thermal, noisy neighbors)
     // hits both sides of the comparison equally.
-    tel_off_runs.push_back(RunTelemetryTrial(dataset, lr, exported.weights,
-                                             topo, /*telemetry=*/false,
-                                             topo.total_cores(), tel_rows,
-                                             nullptr));
-    tel_on_runs.push_back(RunTelemetryTrial(dataset, lr, exported.weights,
-                                            topo, /*telemetry=*/true,
-                                            topo.total_cores(), tel_rows,
-                                            &tel));
+    const TelemetryTrial off = RunTelemetryTrial(
+        dataset, lr, exported.weights, topo, /*telemetry=*/false, threads,
+        total_rows);
+    tel_on = RunTelemetryTrial(dataset, lr, exported.weights, topo,
+                               /*telemetry=*/true, threads, total_rows);
+    // Best-of-k over PAIR ratios: the off/on runs of one pair ran back to
+    // back, so their ratio shares one noise window and cancels drift; the
+    // best pair is the least-perturbed paired comparison of the k, which
+    // is the right bound for a <=-gate on a noisy host.
+    tel_best_pair_ratio = std::max(
+        tel_best_pair_ratio,
+        off.rows_per_sec > 0.0 ? tel_on.rows_per_sec / off.rows_per_sec
+                               : 1.0);
   }
-  // Best-of-k over PAIR ratios: the off/on runs of pair t ran back to
-  // back, so their ratio shares one noise window and cancels drift; the
-  // best pair is the least-perturbed paired comparison of the k, which
-  // is the right bound for a <=-gate on a noisy host. This is what
-  // un-flaked the gate: the old smoke config took each side's best-of
-  // INDEPENDENTLY over a single pair, so one cold-cache or noisy-
-  // neighbor off-trial read as telemetry "overhead" (or hid it). All k
-  // ratios and their median land in the JSON artifact as the drift
-  // diagnostic.
-  std::vector<double> tel_pair_ratios;
-  for (int t = 0; t < tel_trials; ++t) {
-    tel_pair_ratios.push_back(
-        tel_off_runs[t] > 0.0 ? tel_on_runs[t] / tel_off_runs[t] : 1.0);
-  }
-  std::vector<double> tel_sorted_ratios = tel_pair_ratios;
-  std::sort(tel_sorted_ratios.begin(), tel_sorted_ratios.end());
-  const double tel_median_ratio =
-      tel_sorted_ratios.size() % 2 == 1
-          ? tel_sorted_ratios[tel_sorted_ratios.size() / 2]
-          : 0.5 * (tel_sorted_ratios[tel_sorted_ratios.size() / 2 - 1] +
-                   tel_sorted_ratios[tel_sorted_ratios.size() / 2]);
-  const double tel_best_pair_ratio = tel_sorted_ratios.back();
-  const double tel_off_best =
-      *std::max_element(tel_off_runs.begin(), tel_off_runs.end());
-  const double tel_on_best =
-      *std::max_element(tel_on_runs.begin(), tel_on_runs.end());
   const double tel_overhead = 1.0 - tel_best_pair_ratio;
-  const bool tel_overhead_ok = tel_overhead <= tel_max_overhead;
-
-  // Stage decomposition: the per-stage means (queue..complete) must sum
-  // to the measured mean end-to-end latency. The admit stage is excluded
-  // because serve.latency_ms starts its clock at enqueue, after admission;
-  // the sum lands slightly OVER the mean because the complete stage runs
-  // to the batch's last resolution while each row's latency stops at its
-  // own. A big gap either way means a stage boundary drifted from what
-  // the latency histogram measures -- that is the regression this guards.
-  const serve::FamilyServingStats& tel_fam = tel.stats.families[0];
-  double tel_stage_sum_us = 0.0;
-  for (int s = static_cast<int>(obs::Stage::kQueue); s < obs::kNumStages;
-       ++s) {
-    tel_stage_sum_us += tel_fam.mean_stage_us[s];
-  }
+  gates.Check(tel_overhead <= tel_max_overhead, /*smoke=*/true,
+              "telemetry overhead: %.2f%% (best of %d interleaved off/on pair "
+              "ratios; gate: <= %.1f%%)",
+              tel_overhead * 100.0, tel_trials, tel_max_overhead * 100.0);
+  // Stage decomposition, from the last telemetry-on trial: the per-stage
+  // means must sum to the measured mean end-to-end latency. The sum lands
+  // slightly OVER the mean because the complete stage runs to the batch's
+  // last resolution while each row's latency stops at its own. A big gap
+  // either way means a stage boundary drifted from what the latency
+  // histogram measures -- that is the regression this guards.
   const double tel_decomp_ratio =
-      tel.e2e_mean_us > 0.0 ? tel_stage_sum_us / tel.e2e_mean_us : 0.0;
-  const bool tel_decomp_ok =
-      tel_decomp_ratio >= 0.9 && tel_decomp_ratio <= 1.1;
-  const bool telemetry_ok = tel_overhead_ok && tel_decomp_ok;
+      tel_on.e2e_mean_us > 0.0 ? tel_on.stage_sum_us / tel_on.e2e_mean_us
+                               : 0.0;
+  gates.Check(tel_decomp_ratio >= 0.9 && tel_decomp_ratio <= 1.1,
+              /*smoke=*/false,
+              "stage sum / e2e mean: %.3f (%.2f vs %.2f us; gate: within 10%%)",
+              tel_decomp_ratio, tel_on.stage_sum_us, tel_on.e2e_mean_us);
 
-  Table ttable("Telemetry overhead (" + std::to_string(tel_trials) +
-               " trial(s) x " + std::to_string(tel_rows) +
-               " requests, batched scoring, live exporter, " + topo.name +
-               ")");
-  ttable.SetHeader({"telemetry", "best rows/s", "per-trial rows/s"});
-  const auto trial_list = [](const std::vector<double>& runs) {
-    std::string out;
-    for (size_t i = 0; i < runs.size(); ++i) {
-      if (i > 0) out += " ";
-      out += Table::Num(runs[i], 0);
-    }
-    return out;
-  };
-  ttable.AddRow({"off", Table::Num(tel_off_best, 0),
-                 trial_list(tel_off_runs)});
-  ttable.AddRow({"on", Table::Num(tel_on_best, 0), trial_list(tel_on_runs)});
-  ttable.Print();
-  std::printf(
-      "\ntelemetry overhead: %.2f%% (best of %d interleaved off/on pair "
-      "ratios; gate: <= %.1f%%) -- %s\n",
-      tel_overhead * 100.0, tel_trials, tel_max_overhead * 100.0,
-      tel_overhead_ok ? "within gate" : "OVER GATE");
+  // --- kernels: SIMD dispatch levels + int8 quantized scoring ------------
+  const double simd_min_ratio = 0.9;
+  const SimdCompare sc = CompareSimdLevels(dense_rows, dense_dim, threads,
+                                           kernel_sec, simd_min_ratio);
+  gates.Check(sc.simd_ok, /*smoke=*/false,
+              "dispatch: detected %s, active %s, block_cols %u; best SIMD %s "
+              "at %.2fx scalar-tiled (gate: >= %.2fx)%s",
+              kernels::ToString(kernels::DetectKernelLevel()),
+              kernels::ToString(kernels::ActiveKernelLevel()),
+              static_cast<unsigned>(kernels::Tuning().block_cols),
+              sc.best_simd_level.c_str(), sc.simd_over_scalar, simd_min_ratio,
+              sc.best_simd_level == "none" ? " [scalar-only host: vacuous]"
+                                           : "");
+  gates.Check(sc.int8_within_bound, /*smoke=*/false,
+              "int8: %.0f rows/s (%.2fx best f64), max |margin err| %.3e vs "
+              "bound %.3e (gate: every row within its own bound)",
+              sc.int8_rows_per_sec, sc.int8_over_f64, sc.int8_max_abs_err,
+              sc.int8_err_bound);
 
-  Table dtable("Request lifecycle decomposition (mean us/row, family lr)");
-  dtable.SetHeader({"stage", "mean us"});
-  for (int s = 0; s < obs::kNumStages; ++s) {
-    dtable.AddRow({obs::StageName(s), Table::Num(tel_fam.mean_stage_us[s],
-                                                 2)});
-  }
-  dtable.AddRow({"sum (queue..complete)", Table::Num(tel_stage_sum_us, 2)});
-  dtable.AddRow({"end-to-end mean", Table::Num(tel.e2e_mean_us, 2)});
-  dtable.Print();
-  std::printf(
-      "\nstage sum / e2e mean: %.3f (gate: within 10%%) -- %s; %llu spans "
-      "traced, %llu metrics exported, %llu exporter rounds (%llu B "
-      "prometheus)\n",
-      tel_decomp_ratio, tel_decomp_ok ? "decomposes" : "DOES NOT decompose",
-      static_cast<unsigned long long>(tel.spans_recorded),
-      static_cast<unsigned long long>(tel.registry_metrics),
-      static_cast<unsigned long long>(tel.exporter.snapshots),
-      static_cast<unsigned long long>(tel.exporter.last_prometheus_bytes));
+  // --- tuner: live placement tuning under a traffic shift ----------------
+  const double tuner_min_recovery = 0.9;
+  const TunerBenchResult tb = RunTunerShift(topo, smoke ? 0.15 : 0.5);
+  const double recovery =
+      tb.static_optimal_rows_per_sec > 0.0
+          ? tb.post_flip_rows_per_sec / tb.static_optimal_rows_per_sec
+          : 0.0;
+  gates.Check(tb.flips >= 1, /*smoke=*/true,
+              "tuner flips: %llu in %llu scans -> model %s, store %s "
+              "(gate: >= 1)",
+              static_cast<unsigned long long>(tb.flips),
+              static_cast<unsigned long long>(tb.scans),
+              tb.model_replication.c_str(), tb.store_placement.c_str());
+  gates.Check(tb.failed == 0, /*smoke=*/true,
+              "tuner failed/torn requests: %llu, %llu rows served "
+              "(gate: == 0)",
+              static_cast<unsigned long long>(tb.failed),
+              static_cast<unsigned long long>(tb.served));
+  gates.Check(recovery >= tuner_min_recovery, /*smoke=*/false,
+              "tuner recovery: %.2f of static-optimal (%.0f vs %.0f rows/s; "
+              "gate: >= %.2f)",
+              recovery, tb.post_flip_rows_per_sec,
+              tb.static_optimal_rows_per_sec, tuner_min_recovery);
 
-  // --- experiment 8: SIMD dispatch levels + int8 quantized scoring -------
-  const double simd_min_ratio =
-      bench::EnvDouble("DW_BENCH_SIMD_MIN_RATIO", 0.9);
-  const SimdCompare sc = CompareSimdLevels(dense_rows, dense_dim,
-                                           topo.total_cores(),
-                                           simd_min_ratio);
-  Table isa_table("Scoring kernels by ISA level (dense " +
-               std::to_string(sc.rows) + " x " + std::to_string(sc.dim) +
-               ", " + std::to_string(sc.threads) +
-               " threads, PredictBatch forced per level)");
-  isa_table.SetHeader({"level", "supported", "rows/s"});
-  for (const KernelLevelRun& lr_run : sc.levels) {
-    isa_table.AddRow({lr_run.level, lr_run.supported ? "yes" : "no",
-                   lr_run.supported ? Table::Num(lr_run.rows_per_sec, 0)
-                                    : "-"});
-  }
-  isa_table.AddRow({"int8 (" + std::string(kernels::ToString(
-                                kernels::ActiveKernelLevel())) +
-                     ")",
-                 "yes", Table::Num(sc.int8_rows_per_sec, 0)});
-  isa_table.Print();
-  std::printf(
-      "\ndispatch: detected %s, active %s, block_cols %u; best SIMD %s at "
-      "%.2fx scalar-tiled (gate: >= %.2fx)%s\n",
-      kernels::ToString(kernels::DetectKernelLevel()),
-      kernels::ToString(kernels::ActiveKernelLevel()),
-      static_cast<unsigned>(kernels::Tuning().block_cols),
-      sc.best_simd_level.c_str(), sc.simd_over_scalar, simd_min_ratio,
-      sc.best_simd_level == "none" ? " [scalar-only host: gate vacuous]"
-                                   : "");
-  std::printf(
-      "int8: %.0f rows/s (%.2fx best f64), scale %.3e, max |margin err| "
-      "%.3e vs bound %.3e -- %s\n",
-      sc.int8_rows_per_sec, sc.int8_over_f64, sc.int8_scale,
-      sc.int8_max_abs_err, sc.int8_err_bound,
-      sc.int8_within_bound ? "within contract" : "CONTRACT VIOLATED");
-  const bool kernels_ok = sc.simd_ok && sc.int8_within_bound;
-
-  // --- experiment 9: live placement tuning under a traffic shift ---------
-  const double tuner_min_recovery =
-      bench::EnvDouble("DW_BENCH_TUNER_MIN_RECOVERY", 0.9);
-  const double tuner_phase_sec =
-      smoke ? 0.15 : bench::EnvDouble("DW_BENCH_TUNER_SEC", 0.5);
-  const TunerBenchResult tb =
-      RunTunerShift(topo, tuner_phase_sec, tuner_min_recovery);
-  Table tuner_table(
-      "Live placement tuning across a publish-heavy -> read-heavy shift "
-      "(frozen kPerMachine/kSharded start)");
-  tuner_table.SetHeader({"phase", "rows/s"});
-  tuner_table.AddRow({"A: publish-heavy (incumbent right)",
-                      Table::Num(tb.phase_a_rows_per_sec, 0)});
-  tuner_table.AddRow({"B: read-heavy, post-migration",
-                      Table::Num(tb.post_flip_rows_per_sec, 0)});
-  tuner_table.AddRow({"static optimal (oracle pinning)",
-                      Table::Num(tb.static_optimal_rows_per_sec, 0)});
-  tuner_table.Print();
-  std::printf(
-      "\ntuner: %llu scans, %llu flips -> model %s, store %s; %llu rows "
-      "served, %llu failed/torn; recovery %.2f of static-optimal (gate: >= "
-      "%.2f)\n",
-      static_cast<unsigned long long>(tb.scans),
-      static_cast<unsigned long long>(tb.flips),
-      tb.model_replication.c_str(), tb.store_placement.c_str(),
-      static_cast<unsigned long long>(tb.served),
-      static_cast<unsigned long long>(tb.failed), tb.recovery,
-      tb.min_recovery);
-  for (const opt::TunerDecision& d : tb.decisions) {
-    std::printf("  scan %llu %s %s: %s -> %s (%.0f reads/period, adv "
-                "%.2f) %s\n",
-                static_cast<unsigned long long>(d.scan), d.family.c_str(),
-                d.kind.c_str(), d.from.c_str(), d.to.c_str(),
-                d.observed_reads_per_period, d.advantage,
-                d.migrated ? "[migrated]" : "[held]");
-  }
-  const bool tuner_ok = tb.flip_ok && tb.zero_failed && tb.recovered;
-
-  // --- experiment 10: delta refresh cost vs churn (KV feature store) -----
-  const int delta_rows =
-      smoke ? 1024 : bench::EnvInt("DW_BENCH_DELTA_ROWS", 8192);
-  const int delta_dim = smoke ? 64 : bench::EnvInt("DW_BENCH_DELTA_DIM", 256);
-  const int delta_page_rows = bench::EnvInt("DW_BENCH_DELTA_PAGE_ROWS", 32);
-  const double delta_max_ratio =
-      bench::EnvDouble("DW_BENCH_DELTA_MAX_RATIO", 0.25);
+  // --- key path: key vs row-id p99 ---------------------------------------
+  const int key_rows = smoke ? 1024 : 8192;
+  const int key_dim = smoke ? 64 : 256;
+  const int key_page_rows = 32;
+  const int key_pairs = 3;
   // Same smoke-vs-dedicated calibration as the telemetry gate: the p99
   // of a milliseconds-long smoke run carries scheduler noise that a 1.5x
   // bound cannot absorb.
-  const double key_p99_tol =
-      bench::EnvDouble("DW_BENCH_KEY_P99_TOL", smoke ? 2.5 : 1.5);
-
-  const std::vector<DeltaChurnPoint> delta_sweep = RunDeltaChurnSweep(
-      topo, static_cast<Index>(delta_rows), static_cast<Index>(delta_dim),
-      static_cast<Index>(delta_page_rows));
-  Table dsweep("Delta publish vs full rewrite (store " +
-               std::to_string(delta_rows) + " x " +
-               std::to_string(delta_dim) + ", pages of " +
-               std::to_string(delta_page_rows) + " rows, contiguous churn "
-               "windows, " + topo.name + ")");
-  dsweep.SetHeader({"churn", "keys", "delta MB", "full MB", "ratio",
-                    "publish ms"});
-  double delta_ratio_at_1pct = 1.0;
-  for (const DeltaChurnPoint& pt : delta_sweep) {
-    if (pt.churn == 0.01) delta_ratio_at_1pct = pt.ratio;
-    dsweep.AddRow({Table::Num(pt.churn, 3), std::to_string(pt.keys),
-                   Table::Num(pt.delta_bytes / 1e6, 3),
-                   Table::Num(pt.full_bytes / 1e6, 3),
-                   Table::Num(pt.ratio, 4), Table::Num(pt.publish_ms, 3)});
-  }
-  dsweep.Print();
-  const bool delta_ratio_ok = delta_ratio_at_1pct <= delta_max_ratio;
-  std::printf(
-      "\ndelta bytes at 1%% churn: %.4fx of a full rewrite (gate: <= "
-      "%.2fx) -- %s\n",
-      delta_ratio_at_1pct, delta_max_ratio,
-      delta_ratio_ok ? "refresh scales with churn" : "OVER GATE");
-
-  // Key path vs id path: interleaved pairs (same drift-cancelling
-  // discipline as the telemetry gate), best p99 per mode across pairs.
-  std::vector<double> delta_table_data(static_cast<size_t>(delta_rows) *
-                                       delta_dim);
-  std::vector<double> delta_weights(delta_dim);
+  const double key_p99_tol = smoke ? 2.5 : 1.5;
+  std::vector<double> key_table(static_cast<size_t>(key_rows) * key_dim);
+  std::vector<double> key_weights(key_dim);
   {
     Rng rng(47);
-    for (auto& v : delta_table_data) v = rng.Gaussian(0.0, 1.0);
-    for (auto& w : delta_weights) w = rng.Gaussian(0.0, 1.0);
+    for (auto& v : key_table) v = rng.Gaussian(0.0, 1.0);
+    for (auto& w : key_weights) w = rng.Gaussian(0.0, 1.0);
   }
-  const int delta_pairs = smoke ? 3 : bench::EnvInt("DW_BENCH_DELTA_PAIRS", 3);
   // Gate on the best WITHIN-pair p99 ratio: the id and key runs of a
   // pair ran back to back and share one noise window, so their ratio
   // cancels the run-to-run drift that dominates millisecond p99s on a
   // shared host (the same estimator the telemetry gate uses).
-  DeltaModeRun by_id_run, by_key_run;
+  double id_p99 = 0.0;
+  double key_p99 = 0.0;
   double key_p99_ratio = 1e300;
-  for (int pair = 0; pair < delta_pairs; ++pair) {
-    const DeltaModeRun id_run = RunKeyedServing(
-        delta_table_data, static_cast<Index>(delta_rows),
-        static_cast<Index>(delta_dim), lr, delta_weights, topo,
-        /*by_key=*/false, static_cast<Index>(delta_page_rows),
-        topo.total_cores(), total_rows);
-    const DeltaModeRun key_run = RunKeyedServing(
-        delta_table_data, static_cast<Index>(delta_rows),
-        static_cast<Index>(delta_dim), lr, delta_weights, topo,
-        /*by_key=*/true, static_cast<Index>(delta_page_rows),
-        topo.total_cores(), total_rows);
-    const double ratio =
-        id_run.p99_ms > 0.0 ? key_run.p99_ms / id_run.p99_ms : 1.0;
+  for (int pair = 0; pair < key_pairs; ++pair) {
+    const double id = KeyedServingP99(
+        key_table, static_cast<Index>(key_rows), static_cast<Index>(key_dim),
+        lr, key_weights, topo, /*by_key=*/false,
+        static_cast<Index>(key_page_rows), threads, total_rows);
+    const double key = KeyedServingP99(
+        key_table, static_cast<Index>(key_rows), static_cast<Index>(key_dim),
+        lr, key_weights, topo, /*by_key=*/true,
+        static_cast<Index>(key_page_rows), threads, total_rows);
+    const double ratio = id > 0.0 ? key / id : 1.0;
     if (ratio < key_p99_ratio) {
       key_p99_ratio = ratio;
-      by_id_run = id_run;
-      by_key_run = key_run;
+      id_p99 = id;
+      key_p99 = key;
     }
   }
-  Table keypath_table("Key path vs id path (" + std::to_string(total_rows) +
-               " requests x " + std::to_string(delta_pairs) +
-               " interleaved pair(s), best pair by p99 ratio)");
-  keypath_table.SetHeader({"mode", "rows/s", "p50 ms", "p99 ms"});
-  for (const DeltaModeRun* r : {&by_id_run, &by_key_run}) {
-    keypath_table.AddRow({r->mode, Table::Num(r->rows_per_sec, 0),
-                   Table::Num(r->p50_ms, 3), Table::Num(r->p99_ms, 3)});
-  }
-  keypath_table.Print();
-  const bool key_p99_ok = key_p99_ratio <= key_p99_tol;
-  std::printf(
-      "\nkey-path p99 %.3f ms vs id-path %.3f ms (best pair ratio %.2fx; "
-      "gate: <= %.2fx) -- %s\n",
-      by_key_run.p99_ms, by_id_run.p99_ms, key_p99_ratio, key_p99_tol,
-      key_p99_ok ? "no key-path regression" : "OVER GATE");
-  const bool delta_ok = delta_ratio_ok && key_p99_ok;
+  gates.Check(key_p99_ratio <= key_p99_tol, /*smoke=*/true,
+              "key-path p99 %.3f ms vs id-path %.3f ms (best pair ratio "
+              "%.2fx; gate: <= %.2fx)",
+              key_p99, id_p99, key_p99_ratio, key_p99_tol);
 
-  // --- machine-readable artifact -----------------------------------------
-  const char* json_path = std::getenv("DW_BENCH_JSON");
-  if (json_path != nullptr && json_path[0] != '\0') {
-    JsonWriter j;
-    j.BeginObject();
-    j.Field("bench", "serving");
-    j.Field("schema_version", 8);
-    j.Field("smoke", smoke);
-    j.Field("unix_time", static_cast<int64_t>(std::time(nullptr)));
-    j.Field("topology", topo.name);
-    j.Field("dataset", dataset.name);
-    j.Field("dataset_rows", static_cast<uint64_t>(dataset.a.rows()));
-    j.Field("dataset_cols", static_cast<uint64_t>(dataset.a.cols()));
-    j.Field("serve_rows", total_rows);
-    j.Key("replication_runs").BeginArray();
-    for (const ServeRun& r : runs) {
-      j.BeginObject();
-      j.Field("replication", r.replication);
-      j.Field("threads", r.threads);
-      j.Field("measured_rows_per_sec", r.measured_rows_per_sec);
-      j.Field("model_rows_per_sec", r.sim_rows_per_sec);
-      j.Field("p50_ms", r.p50_ms);
-      j.Field("p99_ms", r.p99_ms);
-      j.Field("remote_mb", r.remote_mb);
-      j.EndObject();
-    }
-    j.EndArray();
-    j.Key("batched_vs_scalar").BeginObject();
-    j.Field("dense_rows", kc.rows);
-    j.Field("dense_dim", kc.dim);
-    j.Field("threads", kc.threads);
-    j.Field("scalar_rows_per_sec", kc.scalar_rows_per_sec);
-    j.Field("batched_rows_per_sec", kc.batched_rows_per_sec);
-    j.Field("speedup", kc.speedup);
-    j.Field("min_speedup_gate", min_speedup);
-    j.EndObject();
-    j.Key("slo").BeginObject();
-    j.Field("target_p99_ms", slo.target_p99_ms);
-    j.Field("unthrottled_rows_per_sec", slo.unthrottled_rows_per_sec);
-    j.Field("max_rows_per_sec_under_slo", slo.max_rows_per_sec_under_slo);
-    j.Key("trials").BeginArray();
-    for (const SloTrial& t : slo.trials) {
-      j.BeginObject();
-      j.Field("offered_rows_per_sec", t.offered_rows_per_sec);
-      j.Field("achieved_rows_per_sec", t.achieved_rows_per_sec);
-      j.Field("p50_ms", t.p50_ms);
-      j.Field("p99_ms", t.p99_ms);
-      j.Field("max_ms", t.max_ms);
-      j.Field("meets_slo", t.meets_slo);
-      j.EndObject();
-    }
-    j.EndArray();
-    j.EndObject();
-    j.Key("families").BeginArray();
-    for (const FamilyRun& f : families) {
-      const serve::FamilyServingStats& s = f.stats;
-      j.BeginObject();
-      j.Field("family", s.family);
-      j.Field("replication", ToString(s.replication));
-      j.Field("replication_rationale", f.rationale);
-      j.Field("requests", s.requests);
-      j.Field("rows_per_sec", s.rows_per_sec);
-      j.Field("p50_ms", s.p50_latency_ms);
-      j.Field("p99_ms", s.p99_latency_ms);
-      j.Field("max_ms", s.max_latency_ms);
-      j.Field("accepted", s.accepted);
-      j.Field("rejected", s.rejected);
-      j.Field("rejected_cost", s.rejected_cost);
-      j.Field("queue_depth", s.queue_depth);
-      j.Field("flush_size", s.flush_size);
-      j.Field("flush_deadline", s.flush_deadline);
-      j.Field("flush_drain", s.flush_drain);
-      j.Field("prior_row_us", s.prior_row_us);
-      j.Field("est_row_us", s.est_row_us);
-      j.Field("measured_row_us_ewma", s.measured_row_us_ewma);
-      j.Field("cost_reports", s.cost_reports);
-      j.Key("clients").BeginArray();
-      for (const serve::ClientServingStats& c : s.clients) {
-        j.BeginObject();
-        j.Field("client", c.client);
-        j.Field("weight", c.weight);
-        j.Field("accepted", c.accepted);
-        j.Field("rejected", c.rejected);
-        j.Field("served", c.served);
-        j.EndObject();
-      }
-      j.EndArray();
-      j.Field("mean_staleness_ms", s.mean_staleness_ms);
-      j.Field("max_staleness_ms", s.max_staleness_ms);
-      j.Field("mean_versions_behind", s.mean_versions_behind);
-      j.Field("max_versions_behind", s.max_versions_behind);
-      j.Field("exporter_period_ms", f.exporter_period_ms);
-      j.Field("exporter_publishes", f.exporter.publishes);
-      j.Field("publish_mean_ms", f.exporter.mean_publish_ms);
-      j.Field("publish_max_ms", f.exporter.max_publish_ms);
-      j.Field("exporter_effective_period_ms",
-              f.exporter.effective_period_ms);
-      j.Field("exporter_paced_periods", f.exporter.paced_periods);
-      j.EndObject();
-    }
-    j.EndArray();
-    j.Key("admission").BeginObject();
-    j.Field("dim", adm_dim);
-    j.Field("store_rows", adm_store_rows);
-    j.Field("duration_sec", adm_sec);
-    j.Field("delay_budget_ms", adm_budget_ms);
-    j.Field("hogs", adm_hogs);
-    j.Field("mice", adm_mice);
-    j.Field("mice_interval_us", adm_mice_interval_us);
-    j.Key("runs").BeginArray();
-    for (const AdmissionRun& run : adm_runs) {
-      j.BeginObject();
-      j.Field("mode", run.mode);
-      j.Field("mice_p99_ms", run.mice_p99_ms);
-      j.Field("mice_served_fraction", run.mice_served_fraction);
-      j.Field("hog_served_fraction", run.hog_served_fraction);
-      j.Field("rejected_cost", run.rejected_cost);
-      j.Key("clients").BeginArray();
-      for (const AdmissionClientResult& c : run.clients) {
-        j.BeginObject();
-        j.Field("client", c.name);
-        j.Field("hog", c.hog);
-        j.Field("submitted", c.submitted);
-        j.Field("accepted", c.accepted);
-        j.Field("rejected", c.rejected);
-        j.Field("p50_ms", c.p50_ms);
-        j.Field("p99_ms", c.p99_ms);
-        j.EndObject();
-      }
-      j.EndArray();
-      j.EndObject();
-    }
-    j.EndArray();
-    j.Field("prior_row_us", adm_fam.prior_row_us);
-    j.Field("est_row_us", adm_fam.est_row_us);
-    j.Field("measured_row_us_ewma", adm_fam.measured_row_us_ewma);
-    j.Field("cost_reports", adm_fam.cost_reports);
-    j.Field("est_over_measured", est_over_measured);
-    j.Field("estimate_converged", adm_converged);
-    j.Field("fair_beats_fifo", adm_fair_beats_fifo);
-    j.EndObject();
-    j.Key("feature_store").BeginObject();
-    j.Field("store_rows", store_rows);
-    j.Field("dim", store_dim);
-    j.Field("requests", total_rows);
-    j.Key("runs").BeginArray();
-    for (const StoreRun& r : store_runs) {
-      j.BeginObject();
-      j.Field("mode", r.mode);
-      j.Field("placement", r.placement);
-      j.Field("placement_rationale", r.rationale);
-      j.Field("measured_rows_per_sec", r.measured_rows_per_sec);
-      j.Field("model_rows_per_sec", r.sim_rows_per_sec);
-      j.Field("p50_ms", r.p50_ms);
-      j.Field("p99_ms", r.p99_ms);
-      j.Field("local_feature_mb", r.local_feature_mb);
-      j.Field("remote_feature_mb", r.remote_feature_mb);
-      j.EndObject();
-    }
-    j.EndArray();
-    j.Key("delta").BeginObject();
-    j.Field("store_rows", delta_rows);
-    j.Field("dim", delta_dim);
-    j.Field("page_rows", delta_page_rows);
-    j.Key("churn_sweep").BeginArray();
-    for (const DeltaChurnPoint& pt : delta_sweep) {
-      j.BeginObject();
-      j.Field("churn", pt.churn);
-      j.Field("keys", static_cast<uint64_t>(pt.keys));
-      j.Field("delta_bytes", pt.delta_bytes);
-      j.Field("full_bytes", pt.full_bytes);
-      j.Field("ratio", pt.ratio);
-      j.Field("publish_ms", pt.publish_ms);
-      j.EndObject();
-    }
-    j.EndArray();
-    j.Field("ratio_at_1pct_churn", delta_ratio_at_1pct);
-    j.Field("max_ratio_gate", delta_max_ratio);
-    j.Field("ratio_ok", delta_ratio_ok);
-    j.Key("key_path").BeginObject();
-    j.Field("pairs", delta_pairs);
-    j.Field("requests", total_rows);
-    j.Field("id_rows_per_sec", by_id_run.rows_per_sec);
-    j.Field("id_p50_ms", by_id_run.p50_ms);
-    j.Field("id_p99_ms", by_id_run.p99_ms);
-    j.Field("key_rows_per_sec", by_key_run.rows_per_sec);
-    j.Field("key_p50_ms", by_key_run.p50_ms);
-    j.Field("key_p99_ms", by_key_run.p99_ms);
-    j.Field("key_over_id_p99", key_p99_ratio);
-    j.Field("p99_tolerance_gate", key_p99_tol);
-    j.Field("key_p99_ok", key_p99_ok);
-    j.EndObject();
-    j.Field("delta_ok", delta_ok);
-    j.EndObject();
-    j.EndObject();
-    j.Key("telemetry").BeginObject();
-    j.Field("trials", tel_trials);
-    j.Field("requests", tel_rows);
-    j.Field("threads", topo.total_cores());
-    j.Field("off_rows_per_sec", tel_off_best);
-    j.Field("on_rows_per_sec", tel_on_best);
-    j.Key("off_trial_rows_per_sec").BeginArray();
-    for (const double r : tel_off_runs) j.Number(r);
-    j.EndArray();
-    j.Key("on_trial_rows_per_sec").BeginArray();
-    for (const double r : tel_on_runs) j.Number(r);
-    j.EndArray();
-    j.Field("estimator", "best_of_k_pair_ratios");
-    j.Key("pair_ratios").BeginArray();
-    for (const double r : tel_pair_ratios) j.Number(r);
-    j.EndArray();
-    j.Field("median_pair_ratio", tel_median_ratio);
-    j.Field("best_pair_ratio", tel_best_pair_ratio);
-    j.Field("overhead_fraction", tel_overhead);
-    j.Field("overhead_gate", tel_max_overhead);
-    j.Field("overhead_ok", tel_overhead_ok);
-    j.Key("mean_stage_us").BeginObject();
-    for (int s = 0; s < obs::kNumStages; ++s) {
-      j.Field(obs::StageName(s), tel_fam.mean_stage_us[s]);
-    }
-    j.EndObject();
-    j.Field("stage_sum_us", tel_stage_sum_us);
-    j.Field("e2e_mean_us", tel.e2e_mean_us);
-    j.Field("decomposition_ratio", tel_decomp_ratio);
-    j.Field("decomposition_ok", tel_decomp_ok);
-    j.Field("spans_recorded", tel.spans_recorded);
-    j.Field("registry_metrics", tel.registry_metrics);
-    j.Field("exporter_snapshots", tel.exporter.snapshots);
-    j.Field("exporter_last_render_ms", tel.exporter.last_render_ms);
-    j.Field("exporter_prometheus_bytes", tel.exporter.last_prometheus_bytes);
-    j.EndObject();
-    j.Key("kernels").BeginObject();
-    j.Field("dense_rows", sc.rows);
-    j.Field("dense_dim", sc.dim);
-    j.Field("threads", sc.threads);
-    j.Field("detected_level", kernels::ToString(kernels::DetectKernelLevel()));
-    j.Field("active_level", kernels::ToString(kernels::ActiveKernelLevel()));
-    j.Field("block_cols", static_cast<uint64_t>(kernels::Tuning().block_cols));
-    j.Key("levels").BeginArray();
-    for (const KernelLevelRun& run : sc.levels) {
-      j.BeginObject();
-      j.Field("level", run.level);
-      j.Field("supported", run.supported);
-      j.Field("rows_per_sec", run.rows_per_sec);
-      j.EndObject();
-    }
-    j.EndArray();
-    j.Field("best_simd_level", sc.best_simd_level);
-    j.Field("best_simd_rows_per_sec", sc.best_simd_rows_per_sec);
-    j.Field("simd_over_scalar", sc.simd_over_scalar);
-    j.Field("simd_min_ratio_gate", simd_min_ratio);
-    j.Field("simd_ok", sc.simd_ok);
-    j.Field("int8_rows_per_sec", sc.int8_rows_per_sec);
-    j.Field("int8_over_f64", sc.int8_over_f64);
-    j.Field("int8_scale", sc.int8_scale);
-    j.Field("int8_max_abs_err", sc.int8_max_abs_err);
-    j.Field("int8_err_bound", sc.int8_err_bound);
-    j.Field("int8_within_bound", sc.int8_within_bound);
-    j.Field("kernels_ok", kernels_ok);
-    j.EndObject();
-    j.Key("tuner").BeginObject();
-    j.Field("scans", tb.scans);
-    j.Field("flips", tb.flips);
-    j.Field("period_adjustments", tb.period_adjustments);
-    j.Field("final_model_replication", tb.model_replication);
-    j.Field("final_store_placement", tb.store_placement);
-    j.Field("served", tb.served);
-    j.Field("failed", tb.failed);
-    j.Field("phase_a_rows_per_sec", tb.phase_a_rows_per_sec);
-    j.Field("post_flip_rows_per_sec", tb.post_flip_rows_per_sec);
-    j.Field("static_optimal_rows_per_sec", tb.static_optimal_rows_per_sec);
-    j.Field("recovery", tb.recovery);
-    j.Field("min_recovery_gate", tb.min_recovery);
-    j.Key("decisions").BeginArray();
-    for (const opt::TunerDecision& d : tb.decisions) {
-      j.BeginObject();
-      j.Field("scan", d.scan);
-      j.Field("family", d.family);
-      j.Field("kind", d.kind);
-      j.Field("from", d.from);
-      j.Field("to", d.to);
-      j.Field("migrated", d.migrated);
-      j.Field("observed_reads_per_period", d.observed_reads_per_period);
-      j.Field("observed_rows", d.observed_rows);
-      j.Field("observed_staleness_ms", d.observed_staleness_ms);
-      j.Field("observed_churn", d.observed_churn);
-      j.Field("incumbent_cost_sec", d.incumbent_cost_sec);
-      j.Field("challenger_cost_sec", d.challenger_cost_sec);
-      j.Field("advantage", d.advantage);
-      j.Field("rationale", d.rationale);
-      j.EndObject();
-    }
-    j.EndArray();
-    j.Field("tuner_flip_ok", tb.flip_ok);
-    j.Field("tuner_zero_failed", tb.zero_failed);
-    j.Field("tuner_recovered", tb.recovered);
-    j.Field("tuner_ok", tuner_ok);
-    j.EndObject();
-    j.EndObject();
-    if (!j.WriteFile(json_path)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path);
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path);
+  if (gates.missed() > 0) {
+    std::printf("FAIL: %d enforced gate(s) missed%s\n", gates.missed(),
+                smoke ? " in --smoke" : "");
+    return 1;
   }
-
-  const bool replication_ok = per_node_max >= per_machine_max;
-  const bool speedup_ok = kc.speedup >= min_speedup;
-  // Fig. 9 analogue: collocated (replicated) feature fetch must model at
-  // least as fast as the sharded store once gathers span sockets.
-  const bool store_ok = collocated_sim >= sharded_sim;
-  // Experiment 6 gates: fair queuing must keep the mice strictly better
-  // than FIFO on BOTH p99 and served fraction under the hog overload,
-  // and the calibrated service-time estimate must converge to within 2x
-  // of the workers' measured EWMA.
-  const bool admission_ok = adm_fair_beats_fifo && adm_converged;
-  // Experiment 7 gates: full telemetry (registry + stage histograms +
-  // sampled tracing + live exporter) must cost <= tel_max_overhead of
-  // throughput vs the no-op registry, and the per-stage latency means
-  // must decompose the measured end-to-end latency to within 10%.
-  if (smoke) {
-    // Smoke mode exists to validate the artifact schema per commit, not
-    // to gate perf on a noisy shared runner.
-    std::printf(
-        "smoke run complete (gates: replication %s, speedup %s, "
-        "collocated fetch %s, admission %s, telemetry %s, kernels %s, "
-        "tuner %s, delta %s)\n",
-        replication_ok ? "ok" : "MISSED", speedup_ok ? "ok" : "MISSED",
-        store_ok ? "ok" : "MISSED", admission_ok ? "ok" : "MISSED",
-        telemetry_ok ? "ok" : "MISSED", kernels_ok ? "ok" : "MISSED",
-        tuner_ok ? "ok" : "MISSED", delta_ok ? "ok" : "MISSED");
-    return 0;
-  }
-  if (!speedup_ok) {
-    std::printf("FAIL: batched kernel speedup %.2fx under the %.2fx gate\n",
-                kc.speedup, min_speedup);
-  }
-  if (!admission_ok) {
-    std::printf(
-        "FAIL: admission gate (fair beats fifo: %s, estimate converged: "
-        "%s)\n",
-        adm_fair_beats_fifo ? "yes" : "no", adm_converged ? "yes" : "no");
-  }
-  if (!telemetry_ok) {
-    std::printf(
-        "FAIL: telemetry gate (overhead %.2f%% vs %.1f%% gate: %s, "
-        "decomposition ratio %.3f: %s)\n",
-        tel_overhead * 100.0, tel_max_overhead * 100.0,
-        tel_overhead_ok ? "ok" : "over", tel_decomp_ratio,
-        tel_decomp_ok ? "ok" : "off");
-  }
-  if (!kernels_ok) {
-    std::printf(
-        "FAIL: kernels gate (best SIMD %s at %.2fx scalar-tiled vs %.2fx "
-        "gate: %s; int8 within bound: %s)\n",
-        sc.best_simd_level.c_str(), sc.simd_over_scalar, simd_min_ratio,
-        sc.simd_ok ? "ok" : "under", sc.int8_within_bound ? "yes" : "no");
-  }
-  if (!tuner_ok) {
-    std::printf(
-        "FAIL: tuner gate (flips %llu >= 1: %s, failed/torn %llu == 0: %s, "
-        "recovery %.2f >= %.2f: %s)\n",
-        static_cast<unsigned long long>(tb.flips),
-        tb.flip_ok ? "ok" : "no",
-        static_cast<unsigned long long>(tb.failed),
-        tb.zero_failed ? "ok" : "no", tb.recovery, tb.min_recovery,
-        tb.recovered ? "ok" : "under");
-  }
-  if (!delta_ok) {
-    std::printf(
-        "FAIL: delta gate (bytes at 1%% churn %.4fx vs %.2fx gate: %s; "
-        "key p99 %.3f ms vs id %.3f ms x %.2f: %s)\n",
-        delta_ratio_at_1pct, delta_max_ratio,
-        delta_ratio_ok ? "ok" : "over", by_key_run.p99_ms, by_id_run.p99_ms,
-        key_p99_tol, key_p99_ok ? "ok" : "over");
-  }
-  return replication_ok && speedup_ok && store_ok && admission_ok &&
-                 telemetry_ok && kernels_ok && tuner_ok && delta_ok
-             ? 0
-             : 1;
+  std::printf("all enforced gates ok%s\n", smoke ? " (--smoke)" : "");
+  return 0;
 }

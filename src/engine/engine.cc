@@ -309,9 +309,10 @@ void Engine::EpochBoundarySync() {
   }
   for (auto& rep : replicas_) {
     spec_->Project(rep->model(), model_dim_);
-    if (aux_dim_ > 0 && plan_.num_replicas > 1) {
-      // Averaged model invalidates the maintained margins/residuals; the
-      // rebuild is a full data pass per replica -- the real cost that
+    if (aux_dim_ > 0) {
+      // Averaged model invalidates the maintained margins/residuals, and
+      // on a shared replica concurrent column steps lose racy aux updates;
+      // the rebuild is a full data pass per replica -- the real cost that
       // makes fine-grained sharing unattractive for SCD.
       spec_->RefreshAux(*dataset_, rep->model(), rep->aux());
     }
@@ -331,7 +332,7 @@ numa::SimulationInput Engine::BuildSimInput() const {
   in.model_sharing_sockets = plan_.sharing_sockets;
   in.model_bytes =
       plan_.replica_bytes * static_cast<uint64_t>(plan_.replicas_per_node);
-  if (aux_dim_ > 0 && plan_.num_replicas > 1) {
+  if (aux_dim_ > 0) {
     // Aux refresh traffic at the epoch boundary.
     const uint64_t scan = static_cast<uint64_t>(dataset_->a.ScanBytes());
     for (int r = 0; r < plan_.num_replicas; ++r) {

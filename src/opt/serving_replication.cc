@@ -28,7 +28,8 @@ numa::SimulationInput PeriodInput(const numa::Topology& topo,
   const double batches_per_publish = std::max(0.0, t.reads_per_publish) /
                                      std::max(1.0, t.expected_batch_rows);
   // Traffic is balanced: every socket serves an equal share of the
-  // batches (the same balanced-routing regime bench_serving simulates).
+  // batches (the same balanced-routing regime serve_test's memory-model
+  // replication check simulates).
   const double batches_per_node =
       batches_per_publish / static_cast<double>(nodes);
 

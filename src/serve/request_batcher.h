@@ -18,7 +18,7 @@
 // client's configured share, so one client flooding a family cannot
 // monopolize its batches or its admission capacity. fair_queuing=false
 // collapses the subqueues back into one arrival-ordered FIFO -- the
-// baseline bench_serving experiment 6 measures fairness against.
+// baseline bench_serving's admission gate measures fairness against.
 //
 // Admission is COST-AWARE when an opt::AdmissionController is attached:
 // instead of rejecting on the raw row count alone, Submit estimates the

@@ -30,8 +30,9 @@
 // versions.
 //
 // Workers account their logical traffic with numa::AccessCounters exactly
-// like training epochs do, so bench_serving can report both measured
-// rows/sec and memory-model throughput on the paper's topologies.
+// like training epochs do, so a serving run can be priced by the same
+// numa::MemoryModel on the paper's topologies (serve_test and
+// feature_store_test check the Fig. 8/9 orderings that way).
 //
 // TELEMETRY: the engine owns an obs::Registry and every serving counter
 // is a registry instrument -- lock-free sharded counters for rows/bytes,
@@ -43,7 +44,7 @@
 // VIEWS over the registry (plus live queue state), so existing callers
 // keep working; a sampled obs::SpanRecorder keeps whole per-request
 // stage breakdowns; options_.telemetry=false swaps in a no-op registry
-// (the bench_serving overhead baseline).
+// (the baseline bench_serving's telemetry-overhead gate measures against).
 #pragma once
 
 #include <array>
@@ -83,7 +84,8 @@ enum class ScoringMode {
   /// block is read once per batch instead of once per row.
   kBatched,
   /// N ModelSpec::Predict calls, one per row; the pre-PredictBatch
-  /// behavior, kept as the bench_serving baseline.
+  /// behavior, kept as a baseline (every row re-reads the replica, which
+  /// is the traffic the replication comparison prices).
   kScalar,
 };
 
@@ -120,8 +122,8 @@ struct ServingOptions {
   ScoringMode scoring = ScoringMode::kBatched;
   /// Full telemetry (registry instruments + stage histograms + sampled
   /// spans). false swaps in a DISABLED registry: every instrument write
-  /// is a no-op, every Stats() counter reads 0 -- the bench_serving
-  /// overhead baseline, not a production mode.
+  /// is a no-op, every Stats() counter reads 0 -- the baseline of
+  /// bench_serving's telemetry-overhead gate, not a production mode.
   bool telemetry = true;
   /// Span ring capacity (0 disables tracing but keeps stage histograms).
   size_t trace_capacity = 256;

@@ -10,7 +10,7 @@
 // the serving registry's family. Serving traffic then scores against
 // weights at most ~period + one averaging interval behind the trainer,
 // and ServingStats' per-family staleness columns measure exactly that
-// lag, so bench_serving can chart the staleness-vs-throughput tradeoff.
+// lag.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,6 @@
-// Minimal JSON emitter for machine-readable bench artifacts (the CI perf
-// trajectory is archived as bench_serving JSON per commit). Emits compact,
-// valid JSON with comma bookkeeping handled by a nesting stack; no
-// parsing, no DOM -- benches only ever append.
+// Minimal JSON emitter (obs::RenderJson renders telemetry snapshots with
+// it). Emits compact, valid JSON with comma bookkeeping handled by a
+// nesting stack; no parsing, no DOM -- callers only ever append.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,10 @@
 // averager.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "data/paper_datasets.h"
@@ -201,6 +204,61 @@ TEST(EngineTest, ColumnWiseLeastSquaresConverges) {
   const RunResult rr = engine.Run(cfg);
   EXPECT_LT(rr.BestLoss(), 0.05);
 }
+
+// Least squares runs every access method, so it sweeps the whole space:
+// each cell must land near the single-worker reference for its access
+// method. Column-wise steps on one shared replica race on the residuals,
+// which only the epoch-boundary rebuild repairs.
+using AccessCombo = std::tuple<AccessMethod, ModelReplication, DataReplication>;
+
+class LeastSquaresTradeoffSweep
+    : public ::testing::TestWithParam<AccessCombo> {};
+
+TEST_P(LeastSquaresTradeoffSweep, ReachesReferenceLoss) {
+  const auto [access, mrep, drep] = GetParam();
+  Dataset d;
+  d.a = data::MakeDenseTable({.rows = 300, .cols = 24, .seed = 21});
+  d.b = data::PlantRegressionTargets(d.a, 0.05, 22);
+  models::LeastSquaresSpec ls;
+  const double reference = ReferenceOptimalLoss(d, ls, access, 25, 0.05);
+  for (const uint64_t seed : {9, 10, 11}) {
+    EngineOptions opts = SmallTopoOptions();
+    opts.access = access;
+    opts.model_rep = mrep;
+    opts.data_rep = drep;
+    opts.seed = seed;
+    Engine engine(&d, &ls, opts);
+    ASSERT_TRUE(engine.Init().ok());
+    RunConfig cfg;
+    cfg.max_epochs = 25;
+    EXPECT_LE(engine.Run(cfg).BestLoss(), 3.0 * reference)
+        << "seed " << seed << ", reference " << reference;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCells, LeastSquaresTradeoffSweep,
+    ::testing::Combine(::testing::Values(AccessMethod::kRowWise,
+                                         AccessMethod::kColWise,
+                                         AccessMethod::kColToRow),
+                       ::testing::Values(ModelReplication::kPerCore,
+                                         ModelReplication::kPerNode,
+                                         ModelReplication::kPerMachine),
+                       ::testing::Values(DataReplication::kSharding,
+                                         DataReplication::kFullReplication)),
+    [](const ::testing::TestParamInfo<AccessCombo>& info) {
+      std::string name = std::string(ToString(std::get<0>(info.param))) +
+                         "_" + ToString(std::get<1>(info.param)) + "_" +
+                         ToString(std::get<2>(info.param));
+      name.erase(std::remove_if(name.begin(), name.end(),
+                                [](char c) {
+                                  return !std::isalnum(
+                                             static_cast<unsigned char>(c)) &&
+                                         c != '_';
+                                }),
+                 name.end());
+      return name;
+    });
 
 TEST(EngineTest, ColumnToRowLpConverges) {
   const Dataset d = data::AmazonLp(0.0005, 31);

@@ -1,11 +1,13 @@
 // Tests for the KV-grade feature store surface: the sharded key index
 // (load factor, tombstone reuse, shard balance), copy-on-write delta
-// publishes (page sharing, byte accounting), clock eviction and its
-// caller-visible miss semantics, delta-aware Republish, the engine's
-// ScoreKey path (admission matrix, miss metrics), and a TSan-facing
-// stress that pushes deltas + evictions under pipelined key scoring.
+// publishes (page sharing, byte accounting, delta bytes vs churn), clock
+// eviction and its caller-visible miss semantics, delta-aware Republish,
+// the engine's ScoreKey path (admission matrix, miss metrics), and a
+// TSan-facing stress that pushes deltas + evictions under pipelined key
+// scoring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -96,6 +98,42 @@ TEST(FeatureStoreDeltaTest, DeltaSharesUntouchedPagesWithPreviousVersion) {
   // Keys resolve through the index on both versions.
   EXPECT_EQ(v2->LookupSlot(5), std::optional<Index>(5));
   EXPECT_EQ(v2->LookupSlot(99), std::nullopt);
+}
+
+/// A churn sweep on a kSharded store of 32-row pages: one full publish,
+/// then one delta per churn fraction (0.1% -> 100%) overwriting a
+/// CONTIGUOUS rotating key window. Update feeds arrive clustered and slots
+/// are insertion-ordered, so a window maps to O(churn / page_rows) pages;
+/// random scatter would touch most pages (bench_key_index measures that
+/// contrast). Returns delta bytes over full-rewrite bytes at 1% churn.
+double DeltaRatioAtOnePercentChurn(Index rows, Index dim) {
+  auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
+  FeatureStore store("sweep", alloc, rows, dim,
+                     PagedStore(StorePlacement::kSharded, 32));
+  store.Publish(UniformRows(rows, dim, 1.0));
+  double ratio = 1.0;
+  uint64_t window_start = 0;
+  for (const double churn : {0.001, 0.01, 0.1, 1.0}) {
+    const size_t n =
+        std::max<size_t>(1, static_cast<size_t>(churn * rows));
+    std::vector<uint64_t> keys(n);
+    for (size_t i = 0; i < n; ++i) keys[i] = (window_start + i) % rows;
+    window_start = (window_start + n) % rows;
+    const StorePublishReport rep =
+        store.PublishDelta(keys, UniformRows(n, dim, 2.0));
+    EXPECT_GT(rep.full_bytes, 0u);
+    if (churn == 0.01) {
+      ratio = static_cast<double>(rep.delta_bytes) / rep.full_bytes;
+    }
+  }
+  return ratio;
+}
+
+TEST(FeatureStoreDeltaTest, RefreshBytesScaleWithChurnNotTableSize) {
+  // A 1% delta must write at most a quarter of a full rewrite's bytes, on
+  // a narrow and a wide table.
+  EXPECT_LE(DeltaRatioAtOnePercentChurn(1024, 64), 0.25);
+  EXPECT_LE(DeltaRatioAtOnePercentChurn(8192, 256), 0.25);
 }
 
 TEST(FeatureStoreDeltaTest, DeltaBootstrapsAnEmptyStoreAndAddsKeys) {

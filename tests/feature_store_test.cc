@@ -1,11 +1,13 @@
 // Tests for the serving-time feature store: snapshot layout and ledger
 // placement under both placements, publish/hot-swap semantics, the
 // id-keyed scoring path end to end (bitwise equality against
-// carried-feature requests, per GLM spec), admission edge cases, and a
+// carried-feature requests, per GLM spec), admission edge cases, the
+// memory-model ordering of a replicated over a sharded store, and a
 // TSan-facing stress that hot-swaps table versions under pinned workers
 // scoring id-keyed batches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <future>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "models/glm.h"
+#include "numa/memory_model.h"
 #include "numa/numa_allocator.h"
 #include "numa/topology.h"
 #include "serve/feature_store.h"
@@ -465,6 +468,109 @@ TEST(FeatureStoreServingTest, ShardedGatherAccountsLocalAndRemoteRows) {
   EXPECT_EQ(f.local_store_rows + f.remote_store_rows, f.id_rows);
   EXPECT_GE(stats.traffic.remote_read_bytes,
             f.remote_store_rows * dim * sizeof(double));
+}
+
+/// The memory-model input for a store run's total traffic under BALANCED
+/// routing: every active node serves an equal share of the rows (which
+/// worker drains a batch is scheduling noise). Under the sharded store
+/// 1/nodes of a node's gathers hit its own shard and the rest cross the
+/// interconnect; the replicated store is node-local everywhere. The model
+/// side is pinned kPerNode, so it cancels out.
+numa::SimulationInput BalancedStoreSimInput(const ServingStats& stats,
+                                            const numa::Topology& topo,
+                                            bool sharded_features,
+                                            int threads,
+                                            uint64_t model_bytes) {
+  const int nodes_used = std::min(threads, topo.num_nodes);
+  numa::SimulationInput in(topo.num_nodes);
+  const numa::AccessCounters& t = stats.traffic;
+  // All data-side bytes are feature gathers (rows * dim * 8).
+  const uint64_t feature_total = t.local_read_bytes + t.remote_read_bytes;
+  for (int n = 0; n < nodes_used; ++n) {
+    numa::AccessCounters c;
+    const uint64_t share = feature_total / nodes_used;
+    if (sharded_features) {
+      c.local_read_bytes = share / nodes_used;
+      c.remote_read_bytes = share - share / nodes_used;
+    } else {
+      c.local_read_bytes = share;
+    }
+    c.model_read_bytes = t.model_read_bytes / nodes_used;
+    c.flops = t.flops / nodes_used;
+    c.updates = t.updates / nodes_used;
+    in.traffic.per_node[n] = c;
+    in.active_workers[n] = std::max(1, threads / nodes_used);
+  }
+  in.model_sharing_sockets = 1;
+  in.model_bytes = model_bytes;
+  return in;
+}
+
+/// Memory-model rows/s for `total_rows` id-keyed requests (cycling over
+/// the table) scored in batches on every core of `topo` against a store
+/// pinned to `placement`.
+double StoreModelRowsPerSec(const std::vector<double>& table, Index rows,
+                            Index dim, const numa::Topology& topo,
+                            StorePlacement placement, int total_rows) {
+  models::LogisticSpec lr;
+  ServingOptions opts;
+  opts.topology = topo;
+  opts.num_threads = topo.total_cores();
+  opts.batch.max_batch_size = 64;
+  opts.batch.max_delay = std::chrono::microseconds(200);
+  opts.scoring = ScoringMode::kBatched;
+  ServingEngine server(opts);
+  EXPECT_TRUE(server.RegisterFamily("wide", &lr, ServeFamily(dim)).ok());
+  EXPECT_TRUE(
+      server.RegisterStore("wide", rows, dim, PinnedServeStore(placement))
+          .ok());
+  server.Publish("wide", std::vector<double>(dim, 0.01));
+  server.PublishStore("wide", table);
+  EXPECT_TRUE(server.Start().ok());
+
+  std::vector<std::future<double>> futures;
+  futures.reserve(total_rows);
+  for (int r = 0; r < total_rows; ++r) {
+    for (;;) {
+      auto fut = server.Score("wide", static_cast<Index>(r) % rows);
+      if (fut.ok()) {
+        futures.push_back(std::move(fut).value());
+        break;
+      }
+      if (fut.status().code() != Status::Code::kResourceExhausted) {
+        ADD_FAILURE() << fut.status().ToString();
+        break;
+      }
+      std::this_thread::yield();
+    }
+  }
+  for (auto& f : futures) f.get();
+  server.Stop();
+
+  const ServingStats stats = server.Stats();
+  EXPECT_EQ(stats.requests, static_cast<uint64_t>(total_rows));
+  const double sim_sec =
+      numa::MemoryModel(topo)
+          .SimulateEpoch(BalancedStoreSimInput(
+              stats, topo, placement == StorePlacement::kSharded,
+              topo.total_cores(), dim * sizeof(double)))
+          .total_sec;
+  return sim_sec > 0.0 ? total_rows / sim_sec : 0.0;
+}
+
+TEST(FeatureStoreServingTest, ReplicatedStoreModelsAtLeastShardedThroughput) {
+  // Fig. 9 for serving: once gathers span sockets, a full table copy per
+  // node must model at least the throughput of a sharded table.
+  const Index rows = 4096;
+  const Index dim = 2048;
+  const numa::Topology topo = numa::Local2();
+  const std::vector<double> table(static_cast<size_t>(rows) * dim, 1.0);
+  const double replicated = StoreModelRowsPerSec(
+      table, rows, dim, topo, StorePlacement::kReplicated, 4000);
+  const double sharded = StoreModelRowsPerSec(
+      table, rows, dim, topo, StorePlacement::kSharded, 4000);
+  EXPECT_GE(replicated, sharded);
+  EXPECT_GT(sharded, 0.0);
 }
 
 TEST(FeatureStoreServingTest, HotSwapStoreWhileScoringNeverTearsARow) {

@@ -1,9 +1,11 @@
 // Tests for src/serve: per-family registry placement, cost-model-chosen
 // replication, hot-swap safety, per-family batcher flush semantics and
-// admission counters, the async snapshot exporter, and end-to-end serving
-// correctness against single-threaded reference scores.
+// admission counters, the async snapshot exporter, end-to-end serving
+// correctness against single-threaded reference scores, and the
+// memory-model ordering of PerNode over PerMachine serving throughput.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -14,8 +16,10 @@
 #include <thread>
 #include <vector>
 
+#include "data/paper_datasets.h"
 #include "data/synthetic.h"
 #include "models/glm.h"
+#include "numa/memory_model.h"
 #include "serve/model_registry.h"
 #include "serve/request_batcher.h"
 #include "serve/serving_engine.h"
@@ -894,6 +898,109 @@ TEST(ServingEngineTest, PerMachineRoutingCrossesTheInterconnect) {
   EXPECT_EQ(sim.model_sharing_sockets, 2);
   EXPECT_EQ(sim.traffic.Total().remote_read_bytes,
             stats.traffic.remote_read_bytes);
+}
+
+/// The memory-model input for a run's total traffic under BALANCED
+/// routing: every active node serves an equal share of the rows. Which
+/// worker happens to drain the queue is scheduling noise on a small host;
+/// a production load balancer -- like the trainer's per-epoch partitioning
+/// -- hands each node an equal share, and that is the regime the
+/// Fig. 8-style comparison is about. Under kPerMachine the canonical share
+/// of model reads from nodes other than the replica's crosses the
+/// interconnect.
+numa::SimulationInput BalancedSimInput(const ServingStats& stats,
+                                       const numa::Topology& topo,
+                                       Replication rep, int threads,
+                                       uint64_t model_bytes) {
+  const int nodes_used = std::min(threads, topo.num_nodes);
+  numa::SimulationInput in(topo.num_nodes);
+  const numa::AccessCounters& t = stats.traffic;
+  const uint64_t model_total = t.model_read_bytes + t.remote_read_bytes;
+  for (int n = 0; n < nodes_used; ++n) {
+    numa::AccessCounters c;
+    c.local_read_bytes = t.local_read_bytes / nodes_used;
+    c.flops = t.flops / nodes_used;
+    c.updates = t.updates / nodes_used;
+    if (rep == Replication::kPerNode || n == 0) {
+      c.model_read_bytes = model_total / nodes_used;
+    } else {
+      c.remote_read_bytes = model_total / nodes_used;
+    }
+    in.traffic.per_node[n] = c;
+    in.active_workers[n] = std::max(1, threads / nodes_used);
+  }
+  in.model_sharing_sockets = rep == Replication::kPerMachine ? nodes_used : 1;
+  in.model_bytes = model_bytes;
+  return in;
+}
+
+/// Memory-model rows/s for `total_rows` carried rows of `d` (cycling)
+/// scored on every core of `topo` under `rep`. Scalar scoring on purpose:
+/// the Fig. 8 analogue is about what model REPLICATION costs when every row
+/// re-reads the replica; batched scoring streams each replica tile once
+/// per batch, which collapses most of the gap. Every counter the model
+/// reads is a per-row byte count, so the result is deterministic.
+double ModelRowsPerSec(const data::Dataset& d, const numa::Topology& topo,
+                       Replication rep, int total_rows) {
+  models::LogisticSpec lr;
+  const Index dim = d.a.cols();
+  ServingOptions opts;
+  opts.topology = topo;
+  opts.num_threads = topo.total_cores();
+  opts.batch.max_batch_size = 64;
+  opts.batch.max_delay = std::chrono::microseconds(200);
+  opts.scoring = ScoringMode::kScalar;
+  ServingEngine server(opts);
+  EXPECT_TRUE(server.RegisterFamily("lr", &lr, ServePinned(dim, rep)).ok());
+  server.Publish("lr", ConstantWeights(dim, 0.01));
+  EXPECT_TRUE(server.Start().ok());
+
+  std::vector<std::future<double>> futures;
+  futures.reserve(total_rows);
+  for (int r = 0; r < total_rows; ++r) {
+    const auto row = d.a.Row(static_cast<Index>(r % d.a.rows()));
+    for (;;) {
+      auto fut = server.Score(
+          "lr", std::vector<Index>(row.indices, row.indices + row.nnz),
+          std::vector<double>(row.values, row.values + row.nnz));
+      if (fut.ok()) {
+        futures.push_back(std::move(fut).value());
+        break;
+      }
+      if (fut.status().code() != Status::Code::kResourceExhausted) {
+        ADD_FAILURE() << fut.status().ToString();
+        break;
+      }
+      std::this_thread::yield();
+    }
+  }
+  for (auto& f : futures) f.get();
+  server.Stop();
+
+  const ServingStats stats = server.Stats();
+  EXPECT_EQ(stats.requests, static_cast<uint64_t>(total_rows));
+  const double sim_sec =
+      numa::MemoryModel(topo)
+          .SimulateEpoch(BalancedSimInput(stats, topo, rep,
+                                          topo.total_cores(),
+                                          dim * sizeof(double)))
+          .total_sec;
+  return sim_sec > 0.0 ? total_rows / sim_sec : 0.0;
+}
+
+TEST(ServingEngineTest, PerNodeModelsAtLeastPerMachineThroughput) {
+  // Fig. 8 for serving: with readers on both sockets, a replica per node
+  // must model at least the throughput of one shared replica.
+  const data::Dataset d = data::Rcv1(0.004);
+  const numa::Topology topo = numa::Local2();
+  for (const int rows : {4000, 2000}) {
+    const double per_node =
+        ModelRowsPerSec(d, topo, Replication::kPerNode, rows);
+    const double per_machine =
+        ModelRowsPerSec(d, topo, Replication::kPerMachine, rows);
+    EXPECT_GE(per_node, per_machine) << rows << " requests";
+    EXPECT_GT(per_machine, 0.0);
+  }
 }
 
 TEST(ServingEngineTest, HotSwapWhileServingNeverMixesVersions) {
