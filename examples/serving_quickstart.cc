@@ -59,7 +59,7 @@ int main() {
 
   // 2. Register both families. No Replication argument anywhere: each
   //    family describes its expected traffic (dimension, batch width,
-  //    reads per publish) and opt::ChooseServingReplication costs both
+  //    reads per publish) and opt::ChooseModelPlacement costs both
   //    strategies through the calibrated memory model. The wide
   //    read-heavy family comes out PerNode (one replica per socket); the
   //    narrow family, republished every few ms by its exporter, comes

@@ -1,5 +1,5 @@
 // Cost-aware admission estimates for the serving request path (the
-// admission-side sibling of serving_replication.h / store_placement.h).
+// admission-side sibling of placement.h's replicate-vs-share chooser).
 //
 // The paper's discipline is that a memory-model cost analysis, not a
 // fixed heuristic, should decide how work maps onto the machine. The

@@ -26,6 +26,13 @@ std::string FormatRatio(double r) {
   return os.str();
 }
 
+/// Publishes since the `last` watermark; advances it to `version`.
+uint64_t Advance(uint64_t* last, uint64_t version) {
+  const uint64_t publishes = version >= *last ? version - *last : 0;
+  *last = version;
+  return publishes;
+}
+
 }  // namespace
 
 PlacementTuner::PlacementTuner(const numa::Topology& topo,
@@ -66,12 +73,12 @@ void PlacementTuner::AddFamily(serve::ModelFamily* family,
   tf.admission_id = admission_id;
   tf.traffic = traffic;
   tf.traffic.dim = family->dim();
-  tf.last_model_version = family->current_version();
-  tf.last_store_version = store != nullptr ? store->current_version() : 0;
+  tf.model.last_version = family->current_version();
+  tf.table.last_version = store != nullptr ? store->current_version() : 0;
   const obs::Labels labels = {{"family", family->name()}};
-  tf.reads_per_publish_gauge =
+  tf.model.reads_gauge =
       registry_->GetGauge("tuner.observed_reads_per_publish", labels);
-  tf.reads_per_refresh_gauge =
+  tf.table.reads_gauge =
       registry_->GetGauge("tuner.observed_reads_per_refresh", labels);
   families_.push_back(std::move(tf));
 }
@@ -142,167 +149,118 @@ int PlacementTuner::ScanOnce() {
 
 void PlacementTuner::TuneModel(const obs::SnapshotDelta& delta,
                                TunedFamily& tf, int* migrations) {
-  const std::string& name = tf.family->name();
-  const obs::Labels labels = {{"family", name}};
-  const uint64_t rows = delta.CounterDelta("serve.rows", labels);
-  const uint64_t version = tf.family->current_version();
-  const uint64_t publishes =
-      version >= tf.last_model_version ? version - tf.last_model_version : 0;
-  tf.last_model_version = version;
-  // Evidence floor: a quiet interval says nothing about the traffic mix,
-  // so it neither votes for a flip nor clears pending votes.
-  if (rows < options_.min_observed_rows) return;
-  // The interval's read/publish asymmetry. An interval with zero
-  // publishes lower-bounds it at `rows` per publish -- conservative, and
-  // exactly the read-heavy signal a frozen republish-era choice needs.
-  const double reads_per_publish =
-      static_cast<double>(rows) /
-      static_cast<double>(std::max<uint64_t>(1, publishes));
-  tf.reads_per_publish_gauge->Set(reads_per_publish);
-
-  ServingTrafficEstimate traffic = tf.traffic;
-  traffic.reads_per_publish = reads_per_publish;
-  const ServingReplicationChoice choice =
-      ChooseServingReplication(topo_, traffic, options_.model_params);
-  const serve::Replication incumbent = tf.family->replication();
-  if (choice.replication == incumbent) {
-    tf.model_votes = 0;  // the observed traffic endorses the incumbent
-    return;
-  }
-  const bool incumbent_per_node = incumbent == serve::Replication::kPerNode;
-  const double incumbent_cost = incumbent_per_node
-                                    ? choice.per_node_cost_sec
-                                    : choice.per_machine_cost_sec;
-  const double challenger_cost = incumbent_per_node
-                                     ? choice.per_machine_cost_sec
-                                     : choice.per_node_cost_sec;
-  const double advantage =
-      challenger_cost > 0.0 ? incumbent_cost / challenger_cost : 0.0;
-
+  using serve::Replication;
+  serve::ModelFamily* family = tf.family;
   TunerDecision d;
-  d.scan = scan_seq_;
-  d.family = name;
+  d.family = family->name();
   d.kind = "replication";
+  d.observed_rows = delta.CounterDelta("serve.rows", {{"family", d.family}});
+  const uint64_t publishes =
+      Advance(&tf.model.last_version, family->current_version());
+  const PlacementChoice choice = ChooseModelPlacement(
+      topo_, tf.traffic, static_cast<double>(d.observed_rows),
+      static_cast<double>(publishes), options_.model_params);
+  const Replication incumbent = family->replication();
+  const Replication to =
+      choice.replicate ? Replication::kPerNode : Replication::kPerMachine;
   d.from = ToString(incumbent);
-  d.to = ToString(choice.replication);
-  d.observed_reads_per_period = reads_per_publish;
-  d.observed_rows = rows;
-  d.incumbent_cost_sec = incumbent_cost;
-  d.challenger_cost_sec = challenger_cost;
-  d.advantage = advantage;
-
-  if (advantage < options_.min_advantage) {
-    tf.model_votes = 0;
-    d.rationale = "held: modeled advantage " + FormatRatio(advantage) +
-                  " under gate " + FormatRatio(options_.min_advantage);
-    RecordDecision(std::move(d));
-    return;
-  }
-  if (++tf.model_votes < options_.confirm_scans) {
-    d.rationale = "held: awaiting confirmation (" +
-                  std::to_string(tf.model_votes) + "/" +
-                  std::to_string(options_.confirm_scans) + " scans)";
-    RecordDecision(std::move(d));
-    return;
-  }
-  tf.model_votes = 0;
-  // The migration itself: rebuild the served weights under the winning
-  // strategy (regular hot-swap; in-flight batches keep their snapshot),
-  // advance the watermark past the tuner's own republish, and re-price
-  // admission for the new replica sharing.
-  tf.last_model_version = tf.family->Republish(choice.replication);
-  if (tf.admission != nullptr) {
-    const int sockets = choice.replication == serve::Replication::kPerMachine
-                            ? topo_.num_nodes
-                            : 1;
-    tf.admission->UpdateModelSharing(tf.admission_id, sockets);
-  }
-  ++(*migrations);
-  ++flips_;
-  d.migrated = true;
-  d.rationale = choice.rationale;
-  RecordDecision(std::move(d));
+  d.to = ToString(to);
+  Recost(tf.model, std::move(d), publishes,
+         incumbent == Replication::kPerNode, choice,
+         [&] {
+           // Rebuild the served weights under the winning strategy
+           // (regular hot-swap; in-flight batches keep their snapshot)
+           // and re-price admission for the new replica sharing.
+           const uint64_t version = family->Republish(to);
+           if (tf.admission != nullptr) {
+             tf.admission->UpdateModelSharing(
+                 tf.admission_id,
+                 to == Replication::kPerMachine ? topo_.num_nodes : 1);
+           }
+           return version;
+         },
+         migrations);
 }
 
 void PlacementTuner::TuneStore(const obs::SnapshotDelta& delta,
                                TunedFamily& tf, int* migrations) {
-  const std::string& name = tf.family->name();
-  const obs::Labels labels = {{"family", name}};
-  const uint64_t gathers = delta.CounterDelta("store.id_rows", labels);
+  using serve::StorePlacement;
+  serve::FeatureStore* store = tf.store;
+  const obs::Labels labels = {{"family", tf.family->name()}};
+  TunerDecision d;
+  d.family = tf.family->name();
+  d.kind = "store_placement";
+  d.observed_rows = delta.CounterDelta("store.id_rows", labels);
   const uint64_t delta_bytes = delta.CounterDelta("store.delta_bytes", labels);
   const uint64_t full_bytes = delta.CounterDelta("store.full_bytes", labels);
-  const uint64_t version = tf.store->current_version();
   const uint64_t refreshes =
-      version >= tf.last_store_version ? version - tf.last_store_version : 0;
-  tf.last_store_version = version;
-  if (gathers < options_.min_observed_rows) return;
-  const double reads_per_refresh =
-      static_cast<double>(gathers) /
-      static_cast<double>(std::max<uint64_t>(1, refreshes));
-  tf.reads_per_refresh_gauge->Set(reads_per_refresh);
-
+      Advance(&tf.table.last_version, store->current_version());
   // Observed churn: what the interval's publishes actually wrote vs what
   // full rewrites would have (the store's own odometers, so tuner-driven
   // republishes count too). An interval with no refresh bytes says
   // nothing about churn, so the conservative full-rewrite default holds.
-  const double observed_churn =
-      full_bytes > 0 ? std::clamp(static_cast<double>(delta_bytes) /
-                                      static_cast<double>(full_bytes),
-                                  1e-6, 1.0)
-                     : 1.0;
+  if (full_bytes > 0) {
+    d.observed_churn = std::clamp(
+        static_cast<double>(delta_bytes) / static_cast<double>(full_bytes),
+        1e-6, 1.0);
+  }
+  const PlacementChoice choice = ChooseStorePlacement(
+      topo_, store->rows(), store->dim(),
+      static_cast<double>(d.observed_rows), static_cast<double>(refreshes),
+      d.observed_churn, options_.model_params);
+  const StorePlacement incumbent = store->placement();
+  const StorePlacement to = choice.replicate ? StorePlacement::kReplicated
+                                             : StorePlacement::kSharded;
+  d.from = ToString(incumbent);
+  d.to = ToString(to);
+  Recost(tf.table, std::move(d), refreshes,
+         incumbent == StorePlacement::kReplicated, choice,
+         [&] { return store->Republish(to); }, migrations);
+}
 
-  StoreTrafficEstimate traffic;
-  traffic.rows = tf.store->rows();
-  traffic.dim = tf.store->dim();
-  traffic.reads_per_refresh = reads_per_refresh;
-  traffic.churn_fraction = observed_churn;
-  const StorePlacementChoice choice =
-      ChooseStorePlacement(topo_, traffic, options_.model_params);
-  const serve::StorePlacement incumbent = tf.store->placement();
-  if (choice.placement == incumbent) {
-    tf.store_votes = 0;
+void PlacementTuner::Recost(Side& side, TunerDecision d, uint64_t publishes,
+                            bool incumbent_replicates,
+                            const PlacementChoice& choice,
+                            const std::function<uint64_t()>& migrate,
+                            int* migrations) {
+  // Evidence floor: a quiet interval says nothing about the traffic mix,
+  // so it neither votes for a flip nor clears pending votes.
+  if (d.observed_rows < options_.min_observed_rows) return;
+  // The chooser priced the interval itself; the per-publish ratio is
+  // reported only, a lower bound when the interval saw no publish.
+  d.observed_reads_per_period =
+      static_cast<double>(d.observed_rows) /
+      static_cast<double>(std::max<uint64_t>(1, publishes));
+  side.reads_gauge->Set(d.observed_reads_per_period);
+  if (choice.replicate == incumbent_replicates) {
+    side.votes = 0;  // the observed traffic endorses the incumbent
     return;
   }
-  const bool incumbent_replicated =
-      incumbent == serve::StorePlacement::kReplicated;
-  const double incumbent_cost = incumbent_replicated
-                                    ? choice.replicated_cost_sec
-                                    : choice.sharded_cost_sec;
-  const double challenger_cost = incumbent_replicated
-                                     ? choice.sharded_cost_sec
-                                     : choice.replicated_cost_sec;
-  const double advantage =
-      challenger_cost > 0.0 ? incumbent_cost / challenger_cost : 0.0;
-
-  TunerDecision d;
   d.scan = scan_seq_;
-  d.family = name;
-  d.kind = "store_placement";
-  d.from = ToString(incumbent);
-  d.to = ToString(choice.placement);
-  d.observed_reads_per_period = reads_per_refresh;
-  d.observed_rows = gathers;
-  d.observed_churn = observed_churn;
-  d.incumbent_cost_sec = incumbent_cost;
-  d.challenger_cost_sec = challenger_cost;
-  d.advantage = advantage;
-
-  if (advantage < options_.min_advantage) {
-    tf.store_votes = 0;
-    d.rationale = "held: modeled advantage " + FormatRatio(advantage) +
+  d.incumbent_cost_sec = incumbent_replicates ? choice.replicate_cost_sec
+                                              : choice.share_cost_sec;
+  d.challenger_cost_sec = incumbent_replicates ? choice.share_cost_sec
+                                               : choice.replicate_cost_sec;
+  d.advantage = d.challenger_cost_sec > 0.0
+                    ? d.incumbent_cost_sec / d.challenger_cost_sec
+                    : 0.0;
+  if (d.advantage < options_.min_advantage) {
+    side.votes = 0;
+    d.rationale = "held: modeled advantage " + FormatRatio(d.advantage) +
                   " under gate " + FormatRatio(options_.min_advantage);
     RecordDecision(std::move(d));
     return;
   }
-  if (++tf.store_votes < options_.confirm_scans) {
+  if (++side.votes < options_.confirm_scans) {
     d.rationale = "held: awaiting confirmation (" +
-                  std::to_string(tf.store_votes) + "/" +
+                  std::to_string(side.votes) + "/" +
                   std::to_string(options_.confirm_scans) + " scans)";
     RecordDecision(std::move(d));
     return;
   }
-  tf.store_votes = 0;
-  tf.last_store_version = tf.store->Republish(choice.placement);
+  side.votes = 0;
+  // The watermark moves past the tuner's own republish.
+  side.last_version = migrate();
   ++(*migrations);
   ++flips_;
   d.migrated = true;

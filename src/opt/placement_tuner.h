@@ -11,12 +11,11 @@
 //
 // The tuner closes the loop. Each scan it diffs the engine's
 // obs::Registry (obs::SnapshotDelta) to derive every family's OBSERVED
-// traffic -- rows scored per model publish, store gathers per table
-// refresh, snapshot staleness -- re-runs the same choosers the
-// registration path used (ChooseServingReplication /
-// ChooseStorePlacement) on the observed numbers, and, when the decision
-// flips with enough modeled advantage for enough consecutive scans
-// (hysteresis against flapping), live-migrates:
+// traffic -- rows scored and model publishes, store gathers and table
+// refreshes, snapshot staleness -- prices the interval it observed with
+// the same chooser the registration path used (opt/placement.h), and,
+// when the decision flips with enough modeled advantage for enough
+// consecutive scans (hysteresis against flapping), live-migrates:
 //
 //   model side:  serve::ModelFamily::Republish(new_replication) rebuilds
 //                the current weights under the new strategy through the
@@ -39,6 +38,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -48,8 +48,7 @@
 #include "numa/topology.h"
 #include "obs/metrics.h"
 #include "opt/admission_controller.h"
-#include "opt/serving_replication.h"
-#include "opt/store_placement.h"
+#include "opt/placement.h"
 #include "serve/feature_store.h"
 #include "serve/model_registry.h"
 
@@ -99,14 +98,17 @@ struct TunerDecision {
   std::string from;      ///< incumbent strategy (or period in ms)
   std::string to;        ///< chosen strategy (or period in ms)
   bool migrated = false; ///< false: held by hysteresis
-  // Cost-model inputs the choosers re-ran on.
+  // Cost-model inputs. The chooser prices the whole interval (its rows or
+  // gathers against its publishes or refreshes); the per-publish ratio is
+  // reported as rows / max(1, publishes), a lower bound when the interval
+  // saw no publish.
   double observed_reads_per_period = 0.0;  ///< rows/publish or gathers/refresh
   uint64_t observed_rows = 0;        ///< rows (or gathers) this interval
   double observed_staleness_ms = 0.0;  ///< exporter decisions only
   /// Store decisions only: the interval's store.delta_bytes /
   /// store.full_bytes ratio -- what publishes actually wrote vs what
   /// full rewrites would have. 1.0 (full rewrite) when the interval saw
-  /// no refresh bytes; fed into StoreTrafficEstimate::churn_fraction so
+  /// no refresh bytes; passed to ChooseStorePlacement as the churn so
   /// the chooser prices replication's refresh penalty at the churn the
   /// store really sees.
   double observed_churn = 1.0;
@@ -177,25 +179,29 @@ class PlacementTuner {
   static constexpr size_t kMaxDecisions = 512;
 
  private:
+  /// Tuning state of one replicate-vs-share decision: a family's model
+  /// replication or its store's placement.
+  struct Side {
+    /// Version watermark from the previous scan: the interval's publish
+    /// (or refresh) count diffs against it, and migrations advance it, so
+    /// a tuner-caused republish never masquerades as trainer traffic.
+    uint64_t last_version = 0;
+    /// Consecutive confirming votes toward a pending flip.
+    int votes = 0;
+    obs::Gauge* reads_gauge = nullptr;  ///< tuner.observed_reads_per_*
+  };
+
   struct TunedFamily {
     serve::ModelFamily* family = nullptr;
     serve::FeatureStore* store = nullptr;
     AdmissionController* admission = nullptr;
     int admission_id = 0;
     serve::SnapshotExporter* exporter = nullptr;
-    /// Registration-time batch shape; reads_per_publish is overwritten
-    /// with the observed rate every scan.
+    /// Registration-time batch shape; its reads_per_publish is unused (the
+    /// tuner prices the rows it observes).
     ServingTrafficEstimate traffic;
-    /// Version watermarks from the previous scan: the interval's publish
-    /// / refresh counts diff against these (and migrations advance them,
-    /// so a tuner-caused republish never masquerades as trainer traffic).
-    uint64_t last_model_version = 0;
-    uint64_t last_store_version = 0;
-    /// Consecutive confirming votes toward a pending flip.
-    int model_votes = 0;
-    int store_votes = 0;
-    obs::Gauge* reads_per_publish_gauge = nullptr;
-    obs::Gauge* reads_per_refresh_gauge = nullptr;
+    Side model;
+    Side table;
   };
 
   void Loop();
@@ -203,6 +209,15 @@ class PlacementTuner {
                  int* migrations);
   void TuneStore(const obs::SnapshotDelta& delta, TunedFamily& tf,
                  int* migrations);
+  /// The re-cost path both sides share. `d` names the family, the kind
+  /// and the from/to layouts and carries the observed interval; `choice`
+  /// priced that interval of `publishes` publishes. Applies the evidence
+  /// floor, the advantage gate and the confirmation votes, audits the
+  /// decision, and on a confirmed flip calls `migrate`, which republishes
+  /// under the winning layout and returns the new version.
+  void Recost(Side& side, TunerDecision d, uint64_t publishes,
+              bool incumbent_replicates, const PlacementChoice& choice,
+              const std::function<uint64_t()>& migrate, int* migrations);
   void TuneExporter(const obs::SnapshotDelta& delta, TunedFamily& tf);
   /// Appends to the audit trail, bumps the tuner.* counters, and emits
   /// the structured log line (mu_ held).

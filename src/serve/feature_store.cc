@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "opt/placement.h"
 
 namespace dw::serve {
 
@@ -63,14 +64,11 @@ FeatureStore::FeatureStore(std::string family,
     placement_ = *options.placement_override;
     rationale_ = "explicit override";
   } else {
-    opt::StoreTrafficEstimate traffic;
-    traffic.rows = rows_;
-    traffic.dim = dim_;
-    traffic.reads_per_refresh = options.reads_per_refresh;
-    traffic.churn_fraction = options.churn_per_refresh;
-    const opt::StorePlacementChoice choice =
-        opt::ChooseStorePlacement(allocator_->topology(), traffic);
-    placement_ = choice.placement;
+    const opt::PlacementChoice choice = opt::ChooseStorePlacement(
+        allocator_->topology(), rows_, dim_, options.reads_per_refresh,
+        /*refreshes=*/1.0, options.churn_per_refresh);
+    placement_ = choice.replicate ? StorePlacement::kReplicated
+                                  : StorePlacement::kSharded;
     rationale_ = choice.rationale;
   }
 }

@@ -39,9 +39,10 @@
 //           sets recycle slots instead of growing.
 //
 // Placement is not passed in by the caller: it is chosen at construction
-// by opt::ChooseStorePlacement() from the calibrated memory model, the
-// topology, and the store's traffic estimate (table shape, gathers per
-// refresh, expected churn). Benches that need a fixed strategy set
+// by opt::ChooseStorePlacement() (opt/placement.h, the chooser model
+// replicas share) from the calibrated memory model, the topology, and the
+// store's traffic estimate (table shape, gathers per refresh, expected
+// churn). Benches that need a fixed strategy set
 // StoreOptions::placement_override.
 //
 // Hot-swap: every publish builds the new version entirely off to the
@@ -67,7 +68,6 @@
 
 #include "matrix/sparse_vector.h"
 #include "numa/numa_allocator.h"
-#include "opt/store_placement.h"
 #include "serve/replication.h"
 #include "util/logging.h"
 
@@ -290,9 +290,10 @@ struct StoreOptions {
 /// constructed directly for tests).
 class FeatureStore {
  public:
-  /// Chooses the placement through opt::ChooseStorePlacement unless
-  /// options.placement_override pins it. `rows`/`dim` fix the slot
-  /// capacity and row width for every future version.
+  /// Chooses the placement through opt::ChooseStorePlacement over one
+  /// refresh period of `options` unless options.placement_override pins
+  /// it. `rows`/`dim` fix the slot capacity and row width for every
+  /// future version.
   FeatureStore(std::string family,
                std::shared_ptr<numa::NumaAllocator> allocator,
                matrix::Index rows, matrix::Index dim,

@@ -133,9 +133,11 @@ ModelFamily* ModelRegistry::RegisterFamily(const std::string& name,
     replication = *options.replication_override;
     rationale = "explicit override";
   } else {
-    const opt::ServingReplicationChoice choice =
-        opt::ChooseServingReplication(allocator_->topology(), options.traffic);
-    replication = choice.replication;
+    const opt::PlacementChoice choice = opt::ChooseModelPlacement(
+        allocator_->topology(), options.traffic,
+        options.traffic.reads_per_publish, /*publishes=*/1.0);
+    replication =
+        choice.replicate ? Replication::kPerNode : Replication::kPerMachine;
     rationale = choice.rationale;
   }
   DW_CHECK_GT(options.traffic.dim, 0u)

@@ -5,7 +5,7 @@
 // "spam-narrow-svm", ...). Each family keeps its own immutable, versioned
 // snapshot chain, and -- the paper's Sec. 3.2-3.3 point, applied to
 // serving -- its replication is not passed in by the caller: it is chosen
-// at registration by opt::ChooseServingReplication() from the calibrated
+// at registration by opt::ChooseModelPlacement() from the calibrated
 // memory model, the topology, and the family's traffic estimate (model
 // dim, expected batch width, read/write asymmetry). Benches that need a
 // fixed strategy set FamilyOptions::replication_override.
@@ -37,7 +37,7 @@
 #include "matrix/sparse_vector.h"
 #include "numa/numa_allocator.h"
 #include "numa/topology.h"
-#include "opt/serving_replication.h"
+#include "opt/placement.h"
 #include "serve/replication.h"
 #include "util/logging.h"
 
@@ -233,9 +233,9 @@ class ModelRegistry {
   explicit ModelRegistry(const numa::Topology& topo);
 
   /// Registers `name`, choosing its replication through
-  /// opt::ChooseServingReplication(topology, options.traffic) unless
-  /// options.replication_override is set. Registering an existing name
-  /// returns the existing family unchanged (first registration wins).
+  /// opt::ChooseModelPlacement over one publish period of options.traffic
+  /// unless options.replication_override is set. Registering an existing
+  /// name returns the existing family unchanged (first registration wins).
   ModelFamily* RegisterFamily(const std::string& name,
                               const FamilyOptions& options);
 

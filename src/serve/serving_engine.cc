@@ -375,6 +375,11 @@ Status ServingEngine::Start() {
   // set, checked under register_mu_ which we hold): freeze a raw pointer
   // for the admission hot path. table_ keeps the object alive.
   frozen_table_.store(table.get(), std::memory_order_release);
+  // Resolve the process-wide kernel tiling before any worker runs. Left to
+  // the first dense batch, its bandwidth probe would spawn threads that
+  // inherit that worker's CPU pin, and every other worker would block on
+  // the static's initialization until the probe finished.
+  kernels::Tuning();
   const int nw = num_workers();
   workers_.reserve(nw);
   for (int w = 0; w < nw; ++w) {
@@ -897,8 +902,6 @@ ServingStats ServingEngine::Stats() const {
     out.id_rows = inst.id_rows->Value();
     out.local_store_rows = inst.local_store_rows->Value();
     out.remote_store_rows = inst.remote_store_rows->Value();
-    out.store_local_bytes = inst.store_local_bytes->Value();
-    out.store_remote_bytes = inst.store_remote_bytes->Value();
     out.key_rows = inst.key_rows->Value();
     out.key_misses = inst.key_misses->Value();
     out.store_delta_bytes = inst.store_delta_bytes->Value();

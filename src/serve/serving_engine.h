@@ -134,7 +134,7 @@ struct ServingOptions {
 };
 
 /// Per-family knobs at registration. Replication is NOT one of them: the
-/// registry derives it from `traffic` through opt::ChooseServingReplication
+/// registry derives it from `traffic` through opt::ChooseModelPlacement
 /// unless the bench-only override is set.
 struct ServingFamilyOptions {
   /// Traffic estimate for the replication chooser; `traffic.dim` is
@@ -224,8 +224,6 @@ struct FamilyServingStats {
   uint64_t local_store_rows = 0;  ///< gathered from the worker's own node
   uint64_t remote_store_rows = 0; ///< gathered across the interconnect
   uint64_t store_version = 0;     ///< current table version at Stats() time
-  uint64_t store_local_bytes = 0;   ///< feature bytes gathered node-locally
-  uint64_t store_remote_bytes = 0;  ///< feature bytes gathered remotely
   // KV-keyed serving (ScoreKey) and delta-refresh accounting; all zero
   // for a family scored purely by row id or carried payloads.
   uint64_t key_rows = 0;    ///< rows scored via ScoreKey (subset of id_rows)
@@ -276,8 +274,8 @@ class ServingEngine {
   /// Registers a read-only feature table of `rows` x `dim` doubles for
   /// `family`, enabling the id-keyed request form Score(family, row_id).
   /// The table's placement across sockets (replicated vs sharded) is
-  /// chosen by opt::ChooseStorePlacement from `sopts.reads_per_refresh`
-  /// and the table shape unless the bench-only
+  /// chosen by opt::ChooseStorePlacement from `sopts.reads_per_refresh`,
+  /// `sopts.churn_per_refresh` and the table shape unless the bench-only
   /// `sopts.placement_override` pins it. `dim` must equal the family's
   /// model dimension (an id-keyed row feeds the family's PredictBatch
   /// directly). Fails after Start(), on unknown families, on duplicate

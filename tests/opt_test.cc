@@ -9,8 +9,7 @@
 #include "numa/memory_model.h"
 #include "opt/cost_model.h"
 #include "opt/optimizer.h"
-#include "opt/serving_replication.h"
-#include "opt/store_placement.h"
+#include "opt/placement.h"
 
 namespace dw::opt {
 namespace {
@@ -202,6 +201,12 @@ ServingTrafficEstimate Traffic(matrix::Index dim, double reads_per_publish) {
   return t;
 }
 
+/// The registration-time period: the estimate's rows against one publish.
+PlacementChoice ModelPlacementFor(const numa::Topology& topo,
+                                  const ServingTrafficEstimate& t) {
+  return ChooseModelPlacement(topo, t, t.reads_per_publish, /*publishes=*/1.0);
+}
+
 TEST(ServingReplicationTest, Local8ReadHeavyPicksPerNode) {
   // The acceptance case, checked against the memory model's own numbers:
   // on the paper's 8-socket local8, a read-heavy family under kPerMachine
@@ -210,9 +215,9 @@ TEST(ServingReplicationTest, Local8ReadHeavyPicksPerNode) {
   // reads) beats outright.
   const numa::Topology topo = numa::Local8();
   const ServingTrafficEstimate t = Traffic(4096, /*reads_per_publish=*/4096);
-  const ServingReplicationChoice c = ChooseServingReplication(topo, t);
-  EXPECT_EQ(c.replication, serve::Replication::kPerNode);
-  EXPECT_LT(c.per_node_cost_sec, c.per_machine_cost_sec);
+  const PlacementChoice c = ModelPlacementFor(topo, t);
+  EXPECT_TRUE(c.replicate);
+  EXPECT_LT(c.replicate_cost_sec, c.share_cost_sec);
   EXPECT_FALSE(c.rationale.empty());
 
   // The kPerMachine cost is bounded below by the interconnect transfer
@@ -222,36 +227,35 @@ TEST(ServingReplicationTest, Local8ReadHeavyPicksPerNode) {
   const double batches = t.reads_per_publish / t.expected_batch_rows;
   const double remote_bytes = batches * (7.0 / 8.0) * model_bytes;
   const double qpi_floor_sec = remote_bytes / (topo.qpi_gbps * 1e9);
-  EXPECT_GE(c.per_machine_cost_sec, qpi_floor_sec * 0.999);
+  EXPECT_GE(c.share_cost_sec, qpi_floor_sec * 0.999);
   // And kPerNode dodges it entirely: its cost stays well under the floor.
-  EXPECT_LT(c.per_node_cost_sec, qpi_floor_sec);
+  EXPECT_LT(c.replicate_cost_sec, qpi_floor_sec);
 }
 
 TEST(ServingReplicationTest, RepublishDominatedPicksPerMachine) {
   // A family that republishes constantly and serves almost no reads:
   // replicating every publish 8x costs 8x the write bandwidth for no
   // read-locality payoff.
-  const ServingReplicationChoice c = ChooseServingReplication(
+  const PlacementChoice c = ModelPlacementFor(
       numa::Local8(), Traffic(1 << 20, /*reads_per_publish=*/0.0));
-  EXPECT_EQ(c.replication, serve::Replication::kPerMachine);
-  EXPECT_LT(c.per_machine_cost_sec, c.per_node_cost_sec);
+  EXPECT_FALSE(c.replicate);
+  EXPECT_LT(c.share_cost_sec, c.replicate_cost_sec);
 }
 
 TEST(ServingReplicationTest, SingleSocketKeepsOneCopy) {
   numa::Topology topo = numa::Local2();
   topo.num_nodes = 1;  // one socket: the strategies are byte-identical
-  const ServingReplicationChoice c =
-      ChooseServingReplication(topo, Traffic(1024, 4096.0));
-  EXPECT_EQ(c.replication, serve::Replication::kPerMachine);
+  const PlacementChoice c = ModelPlacementFor(topo, Traffic(1024, 4096.0));
+  EXPECT_FALSE(c.replicate);
   EXPECT_NE(c.rationale.find("single socket"), std::string::npos);
 }
 
 TEST(ServingReplicationTest, OversizedModelCannotDoubleBuffer) {
   // local2 has 32 GB per node; a 24 GB replica cannot hot-swap (old +
   // new both live) under kPerNode, whatever the traffic says.
-  const ServingReplicationChoice c = ChooseServingReplication(
+  const PlacementChoice c = ModelPlacementFor(
       numa::Local2(), Traffic(3'000'000'000u, /*reads_per_publish=*/1e6));
-  EXPECT_EQ(c.replication, serve::Replication::kPerMachine);
+  EXPECT_FALSE(c.replicate);
   EXPECT_NE(c.rationale.find("double-buffer"), std::string::npos);
 }
 
@@ -263,9 +267,8 @@ TEST(ServingReplicationTest, ReadShareMovesTheDecision) {
   const numa::Topology topo = numa::Local8();
   bool seen_per_node = false;
   for (const double rpp : {0.0, 1.0, 64.0, 1024.0, 65536.0}) {
-    const ServingReplicationChoice c =
-        ChooseServingReplication(topo, Traffic(4096, rpp));
-    if (c.replication == serve::Replication::kPerNode) {
+    const PlacementChoice c = ModelPlacementFor(topo, Traffic(4096, rpp));
+    if (c.replicate) {
       seen_per_node = true;
     } else {
       EXPECT_FALSE(seen_per_node)
@@ -277,13 +280,13 @@ TEST(ServingReplicationTest, ReadShareMovesTheDecision) {
 
 // --- feature-store placement chooser (Fig. 9's axis, serving side) --------
 
-StoreTrafficEstimate StoreTraffic(matrix::Index rows, matrix::Index dim,
+/// The registration-time period: `reads_per_refresh` gathers against one
+/// full-table refresh.
+PlacementChoice StorePlacementFor(const numa::Topology& topo,
+                                  matrix::Index rows, matrix::Index dim,
                                   double reads_per_refresh) {
-  StoreTrafficEstimate t;
-  t.rows = rows;
-  t.dim = dim;
-  t.reads_per_refresh = reads_per_refresh;
-  return t;
+  return ChooseStorePlacement(topo, rows, dim, reads_per_refresh,
+                              /*refreshes=*/1.0, /*churn=*/1.0);
 }
 
 TEST(StorePlacementTest, Local8ReadHeavyPicksReplicated) {
@@ -292,48 +295,46 @@ TEST(StorePlacementTest, Local8ReadHeavyPicksReplicated) {
   // the one shared interconnect, so the period cost has a hard QPI lower
   // bound that kReplicated (all-local gathers) beats outright.
   const numa::Topology topo = numa::Local8();
-  const StoreTrafficEstimate t =
-      StoreTraffic(4096, 2048, /*reads_per_refresh=*/65536.0);
-  const StorePlacementChoice c = ChooseStorePlacement(topo, t);
-  EXPECT_EQ(c.placement, serve::StorePlacement::kReplicated);
-  EXPECT_LT(c.replicated_cost_sec, c.sharded_cost_sec);
+  const double reads_per_refresh = 65536.0;
+  const PlacementChoice c =
+      StorePlacementFor(topo, 4096, 2048, reads_per_refresh);
+  EXPECT_TRUE(c.replicate);
+  EXPECT_LT(c.replicate_cost_sec, c.share_cost_sec);
   EXPECT_FALSE(c.rationale.empty());
-  EXPECT_DOUBLE_EQ(c.table_bytes, 4096.0 * 2048.0 * sizeof(double));
+  EXPECT_DOUBLE_EQ(c.copy_bytes, 4096.0 * 2048.0 * sizeof(double));
 
   // The kSharded cost is bounded below by the interconnect transfer the
   // memory model charges for the remote 7/8 share of gathers.
   const double remote_bytes =
-      t.reads_per_refresh * 2048.0 * sizeof(double) * (7.0 / 8.0);
+      reads_per_refresh * 2048.0 * sizeof(double) * (7.0 / 8.0);
   const double qpi_floor_sec = remote_bytes / (topo.qpi_gbps * 1e9);
-  EXPECT_GE(c.sharded_cost_sec, qpi_floor_sec * 0.999);
-  EXPECT_LT(c.replicated_cost_sec, qpi_floor_sec);
+  EXPECT_GE(c.share_cost_sec, qpi_floor_sec * 0.999);
+  EXPECT_LT(c.replicate_cost_sec, qpi_floor_sec);
 }
 
 TEST(StorePlacementTest, RefreshDominatedPicksSharded) {
   // A table rebuilt constantly against almost no gathers: replicating
   // every refresh 8x costs 8x the write bandwidth for no payoff.
-  const StorePlacementChoice c = ChooseStorePlacement(
-      numa::Local8(), StoreTraffic(1 << 16, 1024, /*reads_per_refresh=*/0.0));
-  EXPECT_EQ(c.placement, serve::StorePlacement::kSharded);
-  EXPECT_LT(c.sharded_cost_sec, c.replicated_cost_sec);
+  const PlacementChoice c = StorePlacementFor(
+      numa::Local8(), 1 << 16, 1024, /*reads_per_refresh=*/0.0);
+  EXPECT_FALSE(c.replicate);
+  EXPECT_LT(c.share_cost_sec, c.replicate_cost_sec);
 }
 
 TEST(StorePlacementTest, SingleSocketKeepsOneShard) {
   numa::Topology topo = numa::Local2();
   topo.num_nodes = 1;  // one socket: one shard is the whole table
-  const StorePlacementChoice c =
-      ChooseStorePlacement(topo, StoreTraffic(1024, 64, 65536.0));
-  EXPECT_EQ(c.placement, serve::StorePlacement::kSharded);
+  const PlacementChoice c = StorePlacementFor(topo, 1024, 64, 65536.0);
+  EXPECT_FALSE(c.replicate);
   EXPECT_NE(c.rationale.find("single socket"), std::string::npos);
 }
 
 TEST(StorePlacementTest, OversizedTableCannotDoubleBuffer) {
   // local2 has 32 GB per node; a ~24 GB table cannot hot-swap whole
   // (old + new both live) under kReplicated, whatever the traffic says.
-  const StorePlacementChoice c = ChooseStorePlacement(
-      numa::Local2(),
-      StoreTraffic(3'000'000u, 1000u, /*reads_per_refresh=*/1e7));
-  EXPECT_EQ(c.placement, serve::StorePlacement::kSharded);
+  const PlacementChoice c = StorePlacementFor(
+      numa::Local2(), 3'000'000u, 1000u, /*reads_per_refresh=*/1e7);
+  EXPECT_FALSE(c.replicate);
   EXPECT_NE(c.rationale.find("double-buffer"), std::string::npos);
 }
 
@@ -345,9 +346,8 @@ TEST(StorePlacementTest, GatherShareMovesTheDecision) {
   const numa::Topology topo = numa::Local8();
   bool seen_replicated = false;
   for (const double rpr : {0.0, 1.0, 64.0, 4096.0, 1e6}) {
-    const StorePlacementChoice c =
-        ChooseStorePlacement(topo, StoreTraffic(4096, 2048, rpr));
-    if (c.placement == serve::StorePlacement::kReplicated) {
+    const PlacementChoice c = StorePlacementFor(topo, 4096, 2048, rpr);
+    if (c.replicate) {
       seen_replicated = true;
     } else {
       EXPECT_FALSE(seen_replicated)

@@ -129,9 +129,9 @@ TEST(PlacementTunerTest, FlipsFrozenReplicationUnderReadHeavyTraffic) {
 
   const double prior_per_machine = server.admission().Estimate(0).prior_row_sec;
 
-  // 4096 reads against a single publish: on local2 the chooser models a
-  // ~1.13x win for kPerNode at dim 128 (probed against the memory
-  // model), comfortably past the 1.05 gate.
+  // 4096 reads in an interval without a publish (the first one predates
+  // the tuner): on local2 the chooser models a ~1.13x win for kPerNode at
+  // dim 128 (probed against the memory model), past the 1.05 gate.
   DriveCarried(server, "m", kDim, 4096);
   EXPECT_EQ(tuner->flips(), 0u);
   EXPECT_EQ(tuner->ScanOnce(), 1);
@@ -224,7 +224,7 @@ TEST(PlacementTunerTest, FlipsStorePlacementAndKeepsMarginsExact) {
     EXPECT_EQ(s.value(), static_cast<double>(kDim) * (r + 1));
   }
 
-  // 4096 gathers against zero refreshes: the chooser models a ~1.7x win
+  // 4096 gathers against zero refreshes: the chooser models a ~2x win
   // for kReplicated on this 128x128 table, past the 1.2 gate.
   DriveIdKeyed(server, "m", kRows, 4096);
   EXPECT_EQ(tuner->ScanOnce(), 1);
@@ -250,6 +250,41 @@ TEST(PlacementTunerTest, FlipsStorePlacementAndKeepsMarginsExact) {
     ASSERT_TRUE(s.ok());
     EXPECT_EQ(s.value(), static_cast<double>(kDim) * (r + 1));
   }
+  server.Stop();
+}
+
+TEST(PlacementTunerTest, RefreshFreeIntervalsKeepReplicatedStore) {
+  // The tuner prices the interval it observed. Gathers against zero
+  // refreshes carry no write term, so on local2 kReplicated (all-local
+  // gathers) wins such an interval at any gather count. Priced as if it
+  // held one full refresh, 256 gathers of this 128x64 table model
+  // kSharded ~1.09x cheaper and flip the store back: the flip-back a
+  // slow 3 ms scan used to cause in
+  // MigrationUnderLoadNeverFailsOrTearsRequests.
+  models::SvmSpec svm;
+  constexpr Index kDim = 64;
+  constexpr Index kRows = 128;
+  ServingEngine server(TunedEngineOptions());
+  ASSERT_TRUE(
+      server.RegisterFamily("m", &svm, ServePinned(kDim, Replication::kPerNode))
+          .ok());
+  StoreOptions sopts;
+  sopts.placement_override = StorePlacement::kReplicated;
+  ASSERT_TRUE(server.RegisterStore("m", kRows, kDim, sopts).ok());
+  server.PublishStore("m",
+                      std::vector<double>(static_cast<size_t>(kRows) * kDim));
+  server.Publish("m", std::vector<double>(kDim, 1.0));
+  ASSERT_TRUE(server.Start().ok());
+  opt::PlacementTuner* tuner = server.EnableTuner(
+      ManualTuner(/*min_advantage=*/1.0, /*confirm_scans=*/1,
+                  /*min_observed_rows=*/64));
+
+  for (int round = 0; round < 3; ++round) {
+    DriveIdKeyed(server, "m", kRows, 256);
+    tuner->ScanOnce();
+  }
+  EXPECT_EQ(tuner->flips(), 0u);
+  EXPECT_EQ(server.FindStore("m")->placement(), StorePlacement::kReplicated);
   server.Stop();
 }
 
