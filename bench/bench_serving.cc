@@ -716,7 +716,7 @@ TunerBenchResult RunTunerShift(const numa::Topology& topo, double phase_sec) {
     res.scans = tuner->scans();
     res.flips = tuner->flips();
     res.model_replication =
-        ToString(server.registry().FindFamily("tuned")->replication());
+        ToString(server.FindFamily("tuned")->replication());
     res.store_placement = ToString(server.FindStore("tuned")->placement());
     res.served = rows.load();
     res.failed = failed.load();

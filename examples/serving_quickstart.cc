@@ -93,7 +93,7 @@ int main() {
     return 1;
   }
   for (const char* name : {"ctr-wide-lr", "fraud-narrow-svm"}) {
-    const serve::ModelFamily* f = server.registry().FindFamily(name);
+    const serve::ModelFamily* f = server.FindFamily(name);
     std::printf("%-17s -> %s (%s)\n", name, serve::ToString(f->replication()),
                 f->rationale().c_str());
   }
@@ -128,7 +128,7 @@ int main() {
                 store->rationale().c_str());
   }
 
-  // 4. One exporter per family: publish_on_start seeds version 1, then
+  // 4. One exporter per family: Start() publishes version 1, then
   //    each publishes mid-training on its own period. Export() is
   //    thread-safe (it reads the engine's consensus export buffer), so
   //    epochs never block on serving.
@@ -230,10 +230,10 @@ int main() {
         static_cast<unsigned long long>(f.remote_store_rows),
         f.p50_latency_ms, f.p99_latency_ms, f.mean_staleness_ms,
         f.max_staleness_ms, static_cast<unsigned long long>(f.rejected));
-    for (const serve::ClientServingStats& c : f.clients) {
+    for (const serve::RequestBatcher::ClientStats& c : f.clients) {
       std::printf("                  client %-9s (weight %.1f): %llu "
                   "accepted, %llu served, %llu rejected\n",
-                  c.client.c_str(), c.weight,
+                  c.client.str().c_str(), c.weight,
                   static_cast<unsigned long long>(c.accepted),
                   static_cast<unsigned long long>(c.served),
                   static_cast<unsigned long long>(c.rejected));

@@ -42,29 +42,6 @@ void MaybePin(const BaselineOptions& o, int worker) {
       o.topology.PhysicalCpuOfCore(core, NumOnlineCpus()));
 }
 
-double ParallelLoss(const Dataset& d, const ModelSpec& spec,
-                    const double* model) {
-  const Index n = d.a.rows();
-  const int threads = std::clamp(NumOnlineCpus(), 1, 8);
-  std::vector<double> partial(threads, 0.0);
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      const Index lo =
-          static_cast<Index>(static_cast<uint64_t>(n) * t / threads);
-      const Index hi =
-          static_cast<Index>(static_cast<uint64_t>(n) * (t + 1) / threads);
-      double acc = 0.0;
-      for (Index i = lo; i < hi; ++i) acc += spec.RowLoss(d, i, model);
-      partial[t] = acc;
-    });
-  }
-  for (auto& th : pool) th.join();
-  double sum = 0.0;
-  for (double p : partial) sum += p;
-  return sum / std::max<double>(1.0, n) + spec.GlobalLossTerm(d, model);
-}
-
 }  // namespace
 
 RunResult RunHogwild(const Dataset& dataset, const ModelSpec& spec,
@@ -182,7 +159,7 @@ RunResult RunGraphStyle(const Dataset& dataset, const ModelSpec& spec,
     }
     for (auto& t : pool) t.join();
     rec.wall_sec = timer.Seconds();
-    rec.loss = ParallelLoss(dataset, spec, model.data());
+    rec.loss = engine::ParallelLoss(dataset, spec, model.data());
     wall_acc += rec.wall_sec;
     result.epochs.push_back(rec);
     if (rec.loss <= options.stop_loss) break;
@@ -259,7 +236,7 @@ RunResult RunMLlibStyle(const Dataset& dataset, const ModelSpec& spec,
       spec.Project(model.data(), dim);
     }
     rec.wall_sec = timer.Seconds();
-    rec.loss = ParallelLoss(dataset, spec, model.data());
+    rec.loss = engine::ParallelLoss(dataset, spec, model.data());
     wall_acc += rec.wall_sec;
     result.epochs.push_back(rec);
     if (rec.loss <= options.stop_loss) break;

@@ -414,32 +414,32 @@ ModelExport Engine::Export() {
 
 double Engine::EvaluateLoss() {
   // Replicas are synchronized at epoch boundaries; replica 0 holds the
-  // consensus. Parallel scan over rows.
-  const double* model = replicas_[0]->model();
-  const Index n = dataset_->a.rows();
-  const int threads =
-      std::clamp(NumOnlineCpus(), 1, 8);
+  // consensus.
+  return ParallelLoss(*dataset_, *spec_, replicas_[0]->model());
+}
+
+double ParallelLoss(const data::Dataset& dataset,
+                    const models::ModelSpec& spec, const double* model) {
+  const Index n = dataset.a.rows();
+  const int threads = std::clamp(NumOnlineCpus(), 1, 8);
   std::vector<double> partial(threads, 0.0);
   std::vector<std::thread> pool;
   pool.reserve(threads);
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
-      const Index lo = static_cast<Index>(static_cast<uint64_t>(n) * t /
-                                          threads);
-      const Index hi = static_cast<Index>(static_cast<uint64_t>(n) * (t + 1) /
-                                          threads);
+      const Index lo =
+          static_cast<Index>(static_cast<uint64_t>(n) * t / threads);
+      const Index hi =
+          static_cast<Index>(static_cast<uint64_t>(n) * (t + 1) / threads);
       double acc = 0.0;
-      for (Index i = lo; i < hi; ++i) {
-        acc += spec_->RowLoss(*dataset_, i, model);
-      }
+      for (Index i = lo; i < hi; ++i) acc += spec.RowLoss(dataset, i, model);
       partial[t] = acc;
     });
   }
   for (auto& th : pool) th.join();
   double sum = 0.0;
   for (double p : partial) sum += p;
-  return sum / std::max<double>(1.0, n) +
-         spec_->GlobalLossTerm(*dataset_, model);
+  return sum / std::max<double>(1.0, n) + spec.GlobalLossTerm(dataset, model);
 }
 
 double ReferenceOptimalLoss(const data::Dataset& dataset,

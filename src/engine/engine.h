@@ -81,8 +81,8 @@ class Engine {
   /// are written back so this is also the next epoch's starting point).
   std::vector<double> ConsensusModel();
 
-  /// Snapshots the consensus model for serving (serve::ModelRegistry
-  /// republishes it without copying again). Valid after Init(), and
+  /// Snapshots the consensus model for serving
+  /// (serve::ServingEngine::Publish installs it). Valid after Init(), and
   /// THREAD-SAFE: callable from a background exporter (the
   /// serve::SnapshotExporter pipeline) while epochs run. The weights come
   /// from a mutex-guarded export buffer refreshed at every asynchronous
@@ -110,7 +110,6 @@ class Engine {
   struct Replica;
 
   void WorkerLoop(int worker_id);
-  void RunWorkPhase();                    // one epoch's work on all workers
   void EpochBoundarySync();               // average + project + aux refresh
   void AveragerLoop();                    // async averaging thread body
   void AverageReplicasOnce();             // one averaging round (model part)
@@ -167,6 +166,13 @@ class Engine {
   int epoch_counter_ = 0;
   bool initialized_ = false;
 };
+
+/// Loss of `model` over the full dataset: the mean row loss plus the
+/// spec's global term. Rows are summed by up to 8 threads (one per online
+/// CPU) in fixed contiguous chunks, so a given host always gets the same
+/// bits.
+double ParallelLoss(const data::Dataset& dataset,
+                    const models::ModelSpec& spec, const double* model);
 
 /// Convenience: runs a single-threaded, single-replica reference
 /// configuration for `epochs` epochs and returns the best loss seen.

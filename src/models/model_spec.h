@@ -122,7 +122,7 @@ class ModelSpec {
   }
 
   /// True if the spec implements PredictBatchQuantized. Serving refuses
-  /// ServingFamilyOptions{quantized=true} for specs that do not.
+  /// ServingFamilyOptions::quantized for specs that do not.
   virtual bool SupportsQuantizedPredict() const { return false; }
 
   /// Scores `n` rows against a symmetric int8 quantization of the model

@@ -227,7 +227,7 @@ void TelemetryExporter::Stop() {
     stop_ = true;
     if (thread_.joinable()) {
       claimed = std::move(thread_);
-      flush = started_ && options_.export_on_stop;
+      flush = started_;
     }
   }
   stop_cv_.notify_all();

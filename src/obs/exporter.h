@@ -52,9 +52,6 @@ class TelemetryExporter {
     std::function<void(const std::string& prometheus,
                        const std::string& json)>
         sink;
-    /// Render once more inside Stop(), so the final state of a finished
-    /// run is always captured.
-    bool export_on_stop = true;
   };
 
   struct Stats {
@@ -73,8 +70,9 @@ class TelemetryExporter {
   /// Starts the background thread (once).
   void Start();
 
-  /// Stops and joins, then renders one final export (export_on_stop).
-  /// Idempotent; also run by the destructor.
+  /// Stops and joins, then renders one final export, so the final state
+  /// of a finished run is always captured. Idempotent; also run by the
+  /// destructor.
   void Stop();
 
   /// One synchronous export round (also what the thread runs). Usable

@@ -9,10 +9,8 @@ namespace dw::opt {
 
 AdmissionController::AdmissionController(numa::Topology topo,
                                          AdmissionControllerOptions opts)
-    : opts_(opts), model_(std::move(topo), opts.model_params) {
+    : opts_(opts), model_(std::move(topo)) {
   DW_CHECK_GT(opts_.drain_workers, 0);
-  DW_CHECK_GT(opts_.ewma_alpha, 0.0);
-  DW_CHECK_LE(opts_.ewma_alpha, 1.0);
   DW_CHECK_GE(opts_.max_calibration, 1.0);
 }
 
@@ -51,7 +49,7 @@ double AdmissionController::PriorRowSeconds(
   // prior sums the components instead of taking the max.
   const numa::SimulatedTime t = model_.SimulateEpoch(in);
   const double batch_sec = t.read_sec + t.write_sec + t.cpu_sec + t.qpi_sec +
-                           opts_.model_params.epoch_overhead_sec;
+                           model_.params().epoch_overhead_sec;
   // Guard the division: admission must never divide by a zero estimate.
   return std::max(batch_sec / batch_rows, 1e-12);
 }
@@ -102,10 +100,14 @@ void AdmissionController::ReportBatch(int family, size_t rows,
   const double row_sec = measured_sec / static_cast<double>(rows);
   std::lock_guard<std::mutex> lk(mu_);
   FamilyState& fs = const_cast<FamilyState&>(StateFor(family));
+  // Weight of the newest measured batch in the EWMA. High enough to
+  // track a drifting host, low enough that one descheduled batch does not
+  // swing admission.
+  constexpr double kEwmaAlpha = 0.2;
   if (fs.reports == 0) {
     fs.ewma_row_sec = row_sec;
   } else {
-    fs.ewma_row_sec += opts_.ewma_alpha * (row_sec - fs.ewma_row_sec);
+    fs.ewma_row_sec += kEwmaAlpha * (row_sec - fs.ewma_row_sec);
   }
   ++fs.reports;
   if (fs.measured_gauge != nullptr) {

@@ -50,16 +50,10 @@ struct AdmissionControllerOptions {
   /// Time-to-drain divides by this: N workers retire a backlog N times
   /// faster than one.
   int drain_workers = 1;
-  /// Weight of the newest measured batch in the EWMA. High enough to
-  /// track a drifting host, low enough that one descheduled batch does
-  /// not swing admission.
-  double ewma_alpha = 0.2;
   /// Clamp on the measured/prior calibration ratio: a single absurd
   /// measurement (clock glitch, page-fault storm) may pull the estimate
   /// at most this far from the memory-model prior in either direction.
   double max_calibration = 64.0;
-  /// Memory-model constants for the prior.
-  numa::MemoryModelParams model_params{};
 };
 
 /// Per-family cost profile, fixed at registration (mirrors the fields of

@@ -43,8 +43,6 @@ PlacementTuner::PlacementTuner(const numa::Topology& topo,
   DW_CHECK_GE(options_.min_advantage, 1.0)
       << "an advantage gate below 1.0 would migrate on a modeled LOSS";
   DW_CHECK_GE(options_.confirm_scans, 1);
-  DW_CHECK_GT(options_.staleness_slack, 0.0);
-  DW_CHECK_LT(options_.staleness_slack, 1.0);
   scans_counter_ = registry_->GetCounter("tuner.scans");
   model_flips_counter_ =
       registry_->GetCounter("tuner.flips", {{"kind", "replication"}});
@@ -159,7 +157,7 @@ void PlacementTuner::TuneModel(const obs::SnapshotDelta& delta,
       Advance(&tf.model.last_version, family->current_version());
   const PlacementChoice choice = ChooseModelPlacement(
       topo_, tf.traffic, static_cast<double>(d.observed_rows),
-      static_cast<double>(publishes), options_.model_params);
+      static_cast<double>(publishes));
   const Replication incumbent = family->replication();
   const Replication to =
       choice.replicate ? Replication::kPerNode : Replication::kPerMachine;
@@ -207,7 +205,7 @@ void PlacementTuner::TuneStore(const obs::SnapshotDelta& delta,
   const PlacementChoice choice = ChooseStorePlacement(
       topo_, store->rows(), store->dim(),
       static_cast<double>(d.observed_rows), static_cast<double>(refreshes),
-      d.observed_churn, options_.model_params);
+      d.observed_churn);
   const StorePlacement incumbent = store->placement();
   const StorePlacement to = choice.replicate ? StorePlacement::kReplicated
                                              : StorePlacement::kSharded;
@@ -276,13 +274,15 @@ void PlacementTuner::TuneExporter(const obs::SnapshotDelta& delta,
   const double stale_ms =
       delta.HistogramIntervalMean("serve.staleness_ms", labels, -1.0);
   if (stale_ms < 0.0) return;  // nothing scored this interval
+  // Stretch threshold as a fraction of the SLO.
+  constexpr double kStalenessSlack = 0.25;
   const double cur_floor = tf.exporter->period_floor_ms();
   double next_floor = cur_floor;
   if (stale_ms > options_.staleness_slo_ms) {
     // Over SLO: tighten the cadence (never under 1ms; the exporter's
     // publish-latency ceiling still paces on top of this floor).
     next_floor = std::max(1.0, cur_floor * 0.5);
-  } else if (stale_ms < options_.staleness_slo_ms * options_.staleness_slack) {
+  } else if (stale_ms < options_.staleness_slo_ms * kStalenessSlack) {
     // Far under SLO: stretch to save publish bandwidth, capped at the
     // SLO itself (a period past the SLO guarantees a violation).
     next_floor = std::min(options_.staleness_slo_ms, cur_floor * 2.0);

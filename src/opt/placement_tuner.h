@@ -44,13 +44,12 @@
 #include <thread>
 #include <vector>
 
-#include "numa/memory_model.h"
 #include "numa/topology.h"
 #include "obs/metrics.h"
 #include "opt/admission_controller.h"
 #include "opt/placement.h"
 #include "serve/feature_store.h"
-#include "serve/model_registry.h"
+#include "serve/model_family.h"
 
 namespace dw::serve {
 // Forward declared: snapshot_exporter.h includes serving_engine.h, which
@@ -69,11 +68,9 @@ struct TunerOptions {
   /// observed over a scan interval. When an exporter is attached for a
   /// family, the tuner halves its period floor while staleness
   /// overshoots the SLO and doubles it (capped at the SLO itself) while
-  /// staleness sits under staleness_slack * SLO, saving publish
+  /// staleness sits under a quarter of the SLO, saving publish
   /// bandwidth. <= 0 disables exporter-period control.
   double staleness_slo_ms = 0.0;
-  /// Stretch threshold as a fraction of the SLO (see above).
-  double staleness_slack = 0.25;
   /// Hysteresis gate: the challenger strategy must model at least this
   /// cost advantage (incumbent cost / challenger cost) for a scan to
   /// count as a flip vote. 1.0 votes on any modeled win.
@@ -85,8 +82,6 @@ struct TunerOptions {
   /// Evidence floor: a scan that observed fewer rows (or gathers) than
   /// this does not vote -- a quiet interval says nothing about the mix.
   uint64_t min_observed_rows = 256;
-  /// Memory-model constants for the choosers (match the engine's).
-  numa::MemoryModelParams model_params{};
 };
 
 /// One audit-trail entry: what the tuner saw and what it did about it.

@@ -1,4 +1,4 @@
-#include "serve/model_registry.h"
+#include "serve/model_family.h"
 
 #include <cstring>
 #include <utility>
@@ -21,14 +21,26 @@ const char* ToString(Replication r) {
 
 ModelFamily::ModelFamily(std::string name,
                          std::shared_ptr<numa::NumaAllocator> allocator,
-                         Replication replication, std::string rationale,
-                         matrix::Index dim, bool quantized)
+                         const FamilyOptions& options)
     : name_(std::move(name)),
       allocator_(std::move(allocator)),
-      replication_(replication),
-      rationale_(std::move(rationale)),
-      dim_(dim),
-      quantized_(quantized) {}
+      dim_(options.traffic.dim),
+      quantized_(options.quantized) {
+  DW_CHECK(!name_.empty()) << "family needs a name";
+  DW_CHECK(allocator_ != nullptr) << "family needs an allocator";
+  DW_CHECK_GT(dim_, 0u) << "family " << name_ << " needs traffic.dim";
+  if (options.replication_override.has_value()) {
+    replication_ = *options.replication_override;
+    rationale_ = "explicit override";
+  } else {
+    const opt::PlacementChoice choice = opt::ChooseModelPlacement(
+        allocator_->topology(), options.traffic,
+        options.traffic.reads_per_publish, /*publishes=*/1.0);
+    replication_ =
+        choice.replicate ? Replication::kPerNode : Replication::kPerMachine;
+    rationale_ = choice.rationale;
+  }
+}
 
 uint64_t ModelFamily::Publish(
     const std::vector<double>& weights,
@@ -113,61 +125,6 @@ uint64_t ModelFamily::PublishLocked(
 
 std::shared_ptr<const ModelSnapshot> ModelFamily::Acquire() const {
   return std::atomic_load_explicit(&current_, std::memory_order_acquire);
-}
-
-// --- ModelRegistry --------------------------------------------------------
-
-ModelRegistry::ModelRegistry(const numa::Topology& topo)
-    : allocator_(std::make_shared<numa::NumaAllocator>(topo)) {}
-
-ModelFamily* ModelRegistry::RegisterFamily(const std::string& name,
-                                           const FamilyOptions& options) {
-  DW_CHECK(!name.empty()) << "family needs a name";
-  std::lock_guard<std::mutex> lk(register_mu_);
-  const auto it = by_name_.find(name);
-  if (it != by_name_.end()) return it->second;
-
-  Replication replication;
-  std::string rationale;
-  if (options.replication_override.has_value()) {
-    replication = *options.replication_override;
-    rationale = "explicit override";
-  } else {
-    const opt::PlacementChoice choice = opt::ChooseModelPlacement(
-        allocator_->topology(), options.traffic,
-        options.traffic.reads_per_publish, /*publishes=*/1.0);
-    replication =
-        choice.replicate ? Replication::kPerNode : Replication::kPerMachine;
-    rationale = choice.rationale;
-  }
-  DW_CHECK_GT(options.traffic.dim, 0u)
-      << "family " << name << " needs traffic.dim";
-
-  owned_.push_back(std::unique_ptr<ModelFamily>(
-      new ModelFamily(name, allocator_, replication, std::move(rationale),
-                      options.traffic.dim, options.quantized)));
-  ModelFamily* family = owned_.back().get();
-  by_name_[name] = family;
-  return family;
-}
-
-ModelFamily* ModelRegistry::FindFamily(const std::string& name) const {
-  std::lock_guard<std::mutex> lk(register_mu_);
-  const auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : it->second;
-}
-
-std::vector<ModelFamily*> ModelRegistry::Families() const {
-  std::lock_guard<std::mutex> lk(register_mu_);
-  std::vector<ModelFamily*> out;
-  out.reserve(owned_.size());
-  for (const auto& f : owned_) out.push_back(f.get());
-  return out;
-}
-
-int ModelRegistry::num_families() const {
-  std::lock_guard<std::mutex> lk(register_mu_);
-  return static_cast<int>(owned_.size());
 }
 
 }  // namespace dw::serve

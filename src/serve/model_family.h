@@ -1,14 +1,14 @@
-// NUMA-replicated, versioned model snapshots for the serving path, keyed
-// by named model FAMILY.
+// NUMA-replicated, versioned model snapshots for the serving path: one
+// named model FAMILY ("ctr-wide-lr", "spam-narrow-svm", ...).
 //
-// The registry holds many concurrently-served families ("ctr-wide-lr",
-// "spam-narrow-svm", ...). Each family keeps its own immutable, versioned
-// snapshot chain, and -- the paper's Sec. 3.2-3.3 point, applied to
-// serving -- its replication is not passed in by the caller: it is chosen
-// at registration by opt::ChooseModelPlacement() from the calibrated
-// memory model, the topology, and the family's traffic estimate (model
-// dim, expected batch width, read/write asymmetry). Benches that need a
-// fixed strategy set FamilyOptions::replication_override.
+// Each family keeps its own immutable, versioned snapshot chain, and --
+// the paper's Sec. 3.2-3.3 point, applied to serving -- its replication
+// is not passed in by the caller: the constructor chooses it through
+// opt::ChooseModelPlacement() from the calibrated memory model, the
+// topology, and the family's traffic estimate (model dim, expected batch
+// width, read/write asymmetry). Benches that need a fixed strategy set
+// FamilyOptions::replication_override. serve::ServingEngine owns its
+// families, one per name.
 //
 // Training (engine::Engine) exports a consensus model; Publish() turns
 // each export into an immutable ModelSnapshot whose weights are replicated
@@ -31,7 +31,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "matrix/sparse_vector.h"
@@ -113,7 +112,7 @@ class ModelSnapshot {
   matrix::Index dim_ = 0;
   std::chrono::steady_clock::time_point exported_at_{};
   /// Keeps the ledger the replicas report into alive even if a reader
-  /// outlives the registry. Declared before replicas_ so it is destroyed
+  /// outlives the family. Declared before replicas_ so it is destroyed
   /// after them (their destructors post to the ledger).
   std::shared_ptr<numa::NumaAllocator> allocator_;
   std::vector<numa::NodeArray<double>> replicas_;
@@ -140,11 +139,16 @@ struct FamilyOptions {
 };
 
 /// One named model family: a versioned immutable snapshot chain plus the
-/// replication strategy fixed at registration. Obtained from
-/// ModelRegistry::RegisterFamily; pointers stay valid for the registry's
-/// lifetime (families are never removed).
+/// replication strategy fixed at registration.
 class ModelFamily {
  public:
+  /// Chooses the replication through opt::ChooseModelPlacement over one
+  /// publish period of options.traffic unless options.replication_override
+  /// pins it. `name` must be non-empty and options.traffic.dim positive
+  /// (checked). Replicas are allocated through `allocator`.
+  ModelFamily(std::string name, std::shared_ptr<numa::NumaAllocator> allocator,
+              const FamilyOptions& options);
+
   const std::string& name() const { return name_; }
   /// The strategy the NEXT publish builds under. Lock-free: chosen at
   /// registration, thereafter changed only by Republish (the placement
@@ -193,11 +197,6 @@ class ModelFamily {
   }
 
  private:
-  friend class ModelRegistry;
-  ModelFamily(std::string name, std::shared_ptr<numa::NumaAllocator> allocator,
-              Replication replication, std::string rationale,
-              matrix::Index dim, bool quantized);
-
   /// Publish body with publish_mu_ already held (shared by Publish and
   /// Republish, which must flip replication_ and rebuild atomically with
   /// respect to other publishers).
@@ -210,7 +209,7 @@ class ModelFamily {
   /// publish_mu_); atomic so admission/stats paths may read it lock-free
   /// mid-migration.
   std::atomic<Replication> replication_;
-  const std::string rationale_;
+  std::string rationale_;
   const matrix::Index dim_;
   const bool quantized_;
   /// Serializes publishers so installation order matches version order
@@ -222,45 +221,6 @@ class ModelFamily {
   std::atomic<uint64_t> current_version_{0};
   /// Accessed only through std::atomic_load/atomic_store.
   std::shared_ptr<const ModelSnapshot> current_;
-};
-
-/// The registry of named families. Registration AND lookup are rare,
-/// publish-rate paths (the per-request hot path resolves names through
-/// ServingEngine's own table), so one mutex guards the map -- no
-/// lock-free machinery where none is needed.
-class ModelRegistry {
- public:
-  explicit ModelRegistry(const numa::Topology& topo);
-
-  /// Registers `name`, choosing its replication through
-  /// opt::ChooseModelPlacement over one publish period of options.traffic
-  /// unless options.replication_override is set. Registering an existing
-  /// name returns the existing family unchanged (first registration wins).
-  ModelFamily* RegisterFamily(const std::string& name,
-                              const FamilyOptions& options);
-
-  /// Looks up a registered family; nullptr if unknown. Returned pointers
-  /// stay valid for the registry's lifetime.
-  ModelFamily* FindFamily(const std::string& name) const;
-
-  /// All families in registration order.
-  std::vector<ModelFamily*> Families() const;
-
-  int num_families() const;
-
-  const numa::Topology& topology() const { return allocator_->topology(); }
-
-  /// Placement ledger: where every family's current replica bytes live.
-  const numa::NodeLedger& ledger() const { return allocator_->ledger(); }
-
- private:
-  std::shared_ptr<numa::NumaAllocator> allocator_;
-  /// Guards owned_ and by_name_.
-  mutable std::mutex register_mu_;
-  /// Owns the families; append-only, so ModelFamily* stay stable (and
-  /// remain valid after FindFamily returns without the lock).
-  std::vector<std::unique_ptr<ModelFamily>> owned_;
-  std::unordered_map<std::string, ModelFamily*> by_name_;
 };
 
 }  // namespace dw::serve

@@ -1,6 +1,6 @@
 // Replication granularity of the read-only serving replicas, split out of
-// model_registry.h so the opt:: serving cost model can name it without
-// pulling in (or cyclically depending on) the registry itself.
+// model_family.h so the opt:: serving cost model can name it without
+// pulling in (or cyclically depending on) the family itself.
 #pragma once
 
 namespace dw::serve {

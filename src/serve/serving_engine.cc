@@ -22,6 +22,9 @@ const char* ToString(ScoringMode m) {
 
 namespace {
 
+// Span ring capacity: the most recent sampled request traces kept.
+constexpr size_t kTraceCapacity = 256;
+
 // The admission controller shares the engine's drain parallelism: N
 // workers retire a family's backlog N times faster than one, so the
 // queueing-delay estimate divides by the pool size.
@@ -57,23 +60,12 @@ StatusOr<double> AwaitScore(StatusOr<std::future<double>> fut) {
 
 }  // namespace
 
-// Per-worker mutable state: the NUMA traffic ledger SimInput() needs
-// attributed per worker node. All per-family serving counters moved into
-// registry instruments; the spinlock survives only for the AccessCounters
-// merge (once per batch, cold relative to the scoring loop).
-struct ServingEngine::WorkerState {
-  mutable SpinLock mu;
-  numa::AccessCounters counters;
-};
-
 ServingEngine::ServingEngine(ServingOptions options)
     : options_(std::move(options)),
       obs_(obs::RegistryOptions{options_.telemetry}),
-      spans_(options_.telemetry ? options_.trace_capacity : 0),
-      registry_(options_.topology),
+      spans_(options_.telemetry ? kTraceCapacity : 0),
       admission_(options_.topology, AdmissionOptionsFor(options_)),
-      store_allocator_(
-          std::make_shared<numa::NumaAllocator>(options_.topology)),
+      allocator_(std::make_shared<numa::NumaAllocator>(options_.topology)),
       table_(std::make_shared<const FamilyTable>()) {
   // Admission and the batcher publish their counters on the engine's
   // registry; attach before any family registration resolves instruments.
@@ -92,6 +84,8 @@ ServingEngine::ServingEngine(ServingOptions options)
         obs_.GetCounter("numa.remote_read_bytes", labels);
     node_traffic_[n].model_read_bytes =
         obs_.GetCounter("numa.model_read_bytes", labels);
+    node_traffic_[n].updates = obs_.GetCounter("numa.updates", labels);
+    node_traffic_[n].flops = obs_.GetCounter("numa.flops", labels);
   }
   const numa::Topology& topo = options_.topology;
   const int nw = options_.num_threads > 0 ? options_.num_threads
@@ -108,12 +102,6 @@ ServingEngine::ServingEngine(ServingOptions options)
     worker_cores_.push_back(core);
     worker_nodes_.push_back(node);
   }
-  // Built once here (never rebuilt) so a monitoring thread's Stats() can
-  // iterate the states concurrently with Start().
-  worker_states_.reserve(nw);
-  for (int w = 0; w < nw; ++w) {
-    worker_states_.push_back(std::make_unique<WorkerState>());
-  }
 }
 
 ServingEngine::~ServingEngine() { Stop(); }
@@ -121,6 +109,12 @@ ServingEngine::~ServingEngine() { Stop(); }
 std::shared_ptr<const ServingEngine::FamilyTable> ServingEngine::Table()
     const {
   return std::atomic_load_explicit(&table_, std::memory_order_acquire);
+}
+
+const ServingEngine::FamilyState* ServingEngine::FamilyTable::Find(
+    const std::string& family) const {
+  const auto it = ids.find(family);
+  return it == ids.end() ? nullptr : &families[it->second];
 }
 
 int ServingEngine::num_families() const {
@@ -159,15 +153,9 @@ Status ServingEngine::RegisterFamily(const std::string& family,
   if (current->ids.count(family) > 0) {
     return Status::InvalidArgument("family already registered: " + family);
   }
-  FamilyOptions reg_opts;
-  reg_opts.traffic = fopts.traffic;
-  reg_opts.replication_override = fopts.replication_override;
-  reg_opts.quantized = fopts.quantized;
   FamilyState fs;
-  fs.name = family;
-  fs.family = registry_.RegisterFamily(family, reg_opts);
+  fs.family = std::make_shared<ModelFamily>(family, allocator_, fopts);
   fs.spec = spec;
-  fs.quantized = fopts.quantized;
   fs.traffic = fopts.traffic;
   RequestBatcher::Options bopts = fopts.batch.value_or(options_.batch);
   // Engine-level trace sampling flows into the queue unless the family
@@ -265,78 +253,77 @@ Status ServingEngine::RegisterStore(const std::string& family,
         "stores must be registered before Start()");
   }
   const auto current = Table();
-  const auto it = current->ids.find(family);
-  if (it == current->ids.end()) {
+  const FamilyState* fs = current->Find(family);
+  if (fs == nullptr) {
     return Status::NotFound("unknown family: " + family);
   }
-  const FamilyState& fs = current->families[it->second];
-  if (fs.store != nullptr) {
+  if (fs->store != nullptr) {
     return Status::InvalidArgument("store already registered for family " +
                                    family);
   }
-  if (dim != fs.family->dim()) {
+  if (dim != fs->family->dim()) {
     return Status::InvalidArgument(
         "store dim " + std::to_string(dim) + " does not match family dim " +
-        std::to_string(fs.family->dim()) + " for " + family);
+        std::to_string(fs->family->dim()) + " for " + family);
   }
-  stores_.push_back(std::make_unique<FeatureStore>(family, store_allocator_,
-                                                   rows, dim, sopts));
+  auto store =
+      std::make_shared<FeatureStore>(family, allocator_, rows, dim, sopts);
   // The store writes its own publish odometers onto the family's
   // counters, so tuner-driven Republish flips (which bypass the engine's
   // PublishStore wrapper) are accounted exactly like caller publishes.
-  const FamilyInstruments& inst = fs.inst;
-  stores_.back()->AttachInstruments(inst.store_delta_bytes,
-                                    inst.store_full_bytes,
-                                    inst.store_evictions);
+  const FamilyInstruments& inst = fs->inst;
+  store->AttachInstruments(inst.store_delta_bytes, inst.store_full_bytes,
+                           inst.store_evictions);
   auto next = std::make_shared<FamilyTable>(*current);
-  next->families[it->second].store = stores_.back().get();
+  next->families[fs->queue].store = std::move(store);
   std::atomic_store_explicit(
       &table_, std::shared_ptr<const FamilyTable>(std::move(next)),
       std::memory_order_release);
   return Status::OK();
 }
 
+ModelFamily* ServingEngine::FindFamily(const std::string& family) const {
+  const auto table = Table();
+  const FamilyState* fs = table->Find(family);
+  return fs == nullptr ? nullptr : fs->family.get();
+}
+
+const FeatureStore* ServingEngine::FindStore(const std::string& family) const {
+  const auto table = Table();
+  const FamilyState* fs = table->Find(family);
+  return fs == nullptr ? nullptr : fs->store.get();
+}
+
+FeatureStore* ServingEngine::StoreToPublish(const std::string& family) const {
+  const auto table = Table();
+  const FamilyState* fs = table->Find(family);
+  DW_CHECK(fs != nullptr) << "publish to unregistered family " << family;
+  DW_CHECK(fs->store != nullptr)
+      << "no feature store registered for family " << family;
+  return fs->store.get();
+}
+
 uint64_t ServingEngine::PublishStore(const std::string& family,
                                      const std::vector<double>& row_major) {
-  const auto table = Table();
-  const auto it = table->ids.find(family);
-  DW_CHECK(it != table->ids.end())
-      << "publish to unregistered family " << family;
-  FeatureStore* store = table->families[it->second].store;
-  DW_CHECK(store != nullptr)
-      << "no feature store registered for family " << family;
-  return store->Publish(row_major);
+  return StoreToPublish(family)->Publish(row_major);
 }
 
 StorePublishReport ServingEngine::PublishStoreDelta(
     const std::string& family, const std::vector<uint64_t>& keys,
     const std::vector<double>& row_major) {
-  const auto table = Table();
-  const auto it = table->ids.find(family);
-  DW_CHECK(it != table->ids.end())
-      << "delta publish to unregistered family " << family;
-  FeatureStore* store = table->families[it->second].store;
-  DW_CHECK(store != nullptr)
-      << "no feature store registered for family " << family;
-  return store->PublishDelta(keys, row_major);
-}
-
-const FeatureStore* ServingEngine::FindStore(const std::string& family) const {
-  const auto table = Table();
-  const auto it = table->ids.find(family);
-  return it == table->ids.end() ? nullptr : table->families[it->second].store;
+  return StoreToPublish(family)->PublishDelta(keys, row_major);
 }
 
 uint64_t ServingEngine::Publish(const std::string& family,
                                 const std::vector<double>& weights) {
-  ModelFamily* f = registry_.FindFamily(family);
+  ModelFamily* f = FindFamily(family);
   DW_CHECK(f != nullptr) << "publish to unregistered family " << family;
   return f->Publish(weights);
 }
 
 uint64_t ServingEngine::Publish(const std::string& family,
                                 const engine::ModelExport& exported) {
-  ModelFamily* f = registry_.FindFamily(family);
+  ModelFamily* f = FindFamily(family);
   DW_CHECK(f != nullptr) << "publish to unregistered family " << family;
   return f->Publish(exported.weights, exported.exported_at);
 }
@@ -361,14 +348,14 @@ Status ServingEngine::Start() {
   for (const FamilyState& fs : table->families) {
     if (fs.family->current_version() == 0) {
       return Status::FailedPrecondition("no model published for family " +
-                                        fs.name);
+                                        fs.family->name());
     }
     // A registered store promises the id-keyed form works; starting with
     // an empty table would make every Score(family, row_id) fail until
     // the first refresh lands.
     if (fs.store != nullptr && fs.store->current_version() == 0) {
       return Status::FailedPrecondition(
-          "no feature table published for family " + fs.name);
+          "no feature table published for family " + fs.family->name());
     }
   }
   // The family set is final (RegisterFamily refuses once running_ is
@@ -405,7 +392,7 @@ opt::PlacementTuner* ServingEngine::EnableTuner(
                                                  topts);
   // The family set froze at Start(), so this walk sees every family.
   for (const FamilyState& fs : Table()->families) {
-    tuner_->AddFamily(fs.family, fs.store, &admission_, fs.queue,
+    tuner_->AddFamily(fs.family.get(), fs.store.get(), &admission_, fs.queue,
                       fs.traffic);
   }
   tuner_->Start();
@@ -414,7 +401,9 @@ opt::PlacementTuner* ServingEngine::EnableTuner(
 
 void ServingEngine::Stop() {
   if (!running_.load(std::memory_order_acquire)) return;
-  // Tuner first: no migration may land while the drain runs down.
+  // Tuner first: no migration may land while the drain runs down, and its
+  // scan thread holds raw pointers into the family table, which must
+  // outlive it (keep this order).
   if (tuner_ != nullptr) tuner_->Stop();
   batcher_.Shutdown();
   for (auto& t : workers_) t.join();
@@ -477,11 +466,11 @@ StatusOr<std::future<double>> ServingEngine::Admit(const std::string& family,
     keepalive = Table();
     table = keepalive.get();
   }
-  const auto it = table->ids.find(family);
-  if (it == table->ids.end()) {
+  const FamilyState* found = table->Find(family);
+  if (found == nullptr) {
     return Status::NotFound("unknown family: " + family);
   }
-  const FamilyState& fs = table->families[it->second];
+  const FamilyState& fs = *found;
   // The kind's own checks. Their order fixes which Status code a request
   // failing several of them gets; the admission parity tests pin it.
   const bool keyed = req.kind != RequestKind::kCarried;
@@ -566,7 +555,6 @@ void ServingEngine::WorkerLoop(int worker_id) {
         topo.PhysicalCpuOfCore(worker_cores_[worker_id], NumOnlineCpus());
     (void)PinCurrentThreadToCpu(cpu);
   }
-  WorkerState& ws = *worker_states_[worker_id];
   const bool batched = options_.scoring == ScoringMode::kBatched;
   // One table load for the worker's whole life: the set is frozen once
   // Start() succeeds (RegisterFamily refuses while running).
@@ -589,7 +577,7 @@ void ServingEngine::WorkerLoop(int worker_id) {
     const auto picked_at = std::chrono::steady_clock::now();
     const FamilyState& fs = table->families[batch.family];
     const FamilyInstruments& inst = fs.inst;
-    // One registry acquire per BATCH: the snapshot is pinned for the whole
+    // One model acquire per BATCH: the snapshot is pinned for the whole
     // scan, so a concurrent Publish can never tear a batch across
     // versions. The null retry covers the first-publish window where the
     // version counter is visible a beat before the snapshot pointer
@@ -618,10 +606,9 @@ void ServingEngine::WorkerLoop(int worker_id) {
     const double* weights = snap->WeightsForNode(node);
     const bool replica_local = snap->ReplicaNodeFor(node) == node;
     // Quantized serving is a batched-kernel property: scalar mode (the
-    // per-row bench baseline) keeps reading the f64 replica. snap->
-    // quantized() is re-checked per snapshot only as a belt -- a family
+    // per-row bench baseline) keeps reading the f64 replica. A family
     // registered quantized builds int8 replicas on every Publish.
-    const bool use_int8 = batched && fs.quantized && snap->quantized();
+    const bool use_int8 = batched && snap->quantized();
     // Staleness of the version this batch serves: how long ago its
     // weights left the trainer, and how many publishes have landed since.
     const auto acquired_at = std::chrono::steady_clock::now();
@@ -679,7 +666,7 @@ void ServingEngine::WorkerLoop(int worker_id) {
             // so this only fires on stores mixing deltas with id traffic).
             ++key_misses;
             req.result.set_exception(std::make_exception_ptr(
-                StoreKeyMiss(fs.name, static_cast<uint64_t>(slot))));
+                StoreKeyMiss(fs.family->name(), static_cast<uint64_t>(slot))));
             continue;
           }
           break;
@@ -688,7 +675,7 @@ void ServingEngine::WorkerLoop(int worker_id) {
           if (!found.has_value()) {
             ++key_misses;
             req.result.set_exception(std::make_exception_ptr(
-                StoreKeyMiss(fs.name, req.key)));
+                StoreKeyMiss(fs.family->name(), req.key)));
             continue;
           }
           slot = *found;
@@ -831,12 +818,14 @@ void ServingEngine::WorkerLoop(int worker_id) {
     }
     if (key_rows > 0) inst.key_rows->Add(key_rows);
     if (key_misses > 0) inst.key_misses->Add(key_misses);
-    // Per-node logical traffic for telemetry scrapes; the exact merge
-    // below stays authoritative for SimInput()/Stats().traffic.
+    // Per-node logical traffic: the one record SimInput() and
+    // Stats().traffic read back.
     const NodeTraffic& nt = node_traffic_[node];
     nt.local_read_bytes->Add(delta.local_read_bytes);
     nt.remote_read_bytes->Add(delta.remote_read_bytes);
     nt.model_read_bytes->Add(delta.model_read_bytes);
+    nt.updates->Add(delta.updates);
+    nt.flops->Add(delta.flops);
 
     // Sampled spans: stage boundaries chain (queue ends at formed_at,
     // batch-form at picked_at, ...), so the stages sum to total_us
@@ -844,7 +833,7 @@ void ServingEngine::WorkerLoop(int worker_id) {
     for (const size_t r : traced_rows) {
       const ScoreRequest& req = batch.requests[r];
       obs::SpanRecord rec;
-      rec.family = fs.name;
+      rec.family = fs.family->name();
       rec.client = req.client.str();
       rec.kind = ToString(req.kind);
       rec.batch_rows = rows;
@@ -858,28 +847,21 @@ void ServingEngine::WorkerLoop(int worker_id) {
       rec.total_us = req.admit_us + us(completed_at - req.enqueued_at);
       spans_.Record(std::move(rec));
     }
-
-    std::lock_guard<SpinLock> g(ws.mu);
-    ws.counters.Merge(delta);
   }
 }
 
-// A THIN VIEW over the registry: every serving counter is read back from
-// the instruments the workers write, so Stats() holds no per-family locks
-// at all (the only lock left is each worker's AccessCounters spinlock).
-// With options_.telemetry == false everything here reads zero except the
-// traffic ledger, versions, and wall time -- the documented contract of
-// running with telemetry off.
+// A THIN VIEW over the registry: every serving counter, the traffic
+// totals included, is read back from the instruments the workers write,
+// so Stats() takes no lock at all. With options_.telemetry == false every
+// counter here reads zero -- the documented contract of running with
+// telemetry off.
 ServingStats ServingEngine::Stats() const {
   ServingStats s;
   const auto table = Table();
   const size_t nf = table->families.size();
   s.families.resize(nf);
   obs::HistogramSnapshot all_lat;
-  for (const auto& ws : worker_states_) {
-    std::lock_guard<SpinLock> g(ws->mu);
-    s.traffic.Merge(ws->counters);
-  }
+  s.traffic = SimInput().traffic.Total();
   s.wall_sec = running_.load(std::memory_order_acquire)
                    ? serve_timer_.Seconds()
                    : stopped_wall_sec_;
@@ -887,10 +869,10 @@ ServingStats ServingEngine::Stats() const {
     const FamilyState& fs = table->families[f];
     const FamilyInstruments& inst = fs.inst;
     FamilyServingStats& out = s.families[f];
-    out.family = fs.name;
+    out.family = fs.family->name();
     out.replication = fs.family->replication();
     out.kernel_level = kernels::ToString(kernels::ActiveKernelLevel());
-    out.quantized = fs.quantized;
+    out.quantized = fs.family->quantized();
     out.kernel_rows = inst.kernel_rows->Value();
     out.served_version = fs.family->current_version();
     out.store_version =
@@ -936,17 +918,7 @@ ServingStats ServingEngine::Stats() const {
     out.flush_size = qs.flush_size;
     out.flush_deadline = qs.flush_deadline;
     out.flush_drain = qs.flush_drain;
-    out.clients.reserve(qs.clients.size());
-    for (const RequestBatcher::ClientStats& cs : qs.clients) {
-      ClientServingStats c;
-      c.client = cs.client.str();
-      c.weight = cs.weight;
-      c.accepted = cs.accepted;
-      c.rejected = cs.rejected;
-      c.served = cs.served;
-      c.queue_depth = cs.depth;
-      out.clients.push_back(std::move(c));
-    }
+    out.clients = qs.clients;
     const opt::AdmissionEstimate est = admission_.Estimate(fs.queue);
     out.prior_row_us = est.prior_row_sec * 1e6;
     out.est_row_us = est.est_row_sec * 1e6;
@@ -981,12 +953,16 @@ ServingStats ServingEngine::Stats() const {
 numa::SimulationInput ServingEngine::SimInput() const {
   const numa::Topology& topo = options_.topology;
   numa::SimulationInput in(topo.num_nodes);
-  for (int w = 0; w < num_workers(); ++w) {
-    const WorkerState& ws = *worker_states_[w];
-    std::lock_guard<SpinLock> g(ws.mu);
-    in.traffic.Add(worker_nodes_[w], ws.counters);
-    ++in.active_workers[worker_nodes_[w]];
+  for (int n = 0; n < topo.num_nodes; ++n) {
+    const NodeTraffic& nt = node_traffic_[n];
+    numa::AccessCounters& c = in.traffic.per_node[n];
+    c.local_read_bytes = nt.local_read_bytes->Value();
+    c.remote_read_bytes = nt.remote_read_bytes->Value();
+    c.model_read_bytes = nt.model_read_bytes->Value();
+    c.updates = nt.updates->Value();
+    c.flops = nt.flops->Value();
   }
+  for (const numa::NodeId node : worker_nodes_) ++in.active_workers[node];
   // Read-only serving never writes shared lines, but a PerMachine replica
   // is still read by every socket; the memory model charges the remote
   // reads accounted above. model_bytes is the served working set: one

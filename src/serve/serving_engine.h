@@ -3,8 +3,8 @@
 // allows), serving many named model FAMILIES at once.
 //
 // Architecture: callers RegisterFamily() each model they serve (wide LR,
-// narrow SVM, ...), each with its own ModelSpec and traffic estimate; the
-// registry picks the family's replication through the opt:: cost model
+// narrow SVM, ...), each with its own ModelSpec and traffic estimate; each
+// ModelFamily picks its replication through the opt:: cost model
 // (override for benches). Producers Score(family, row); the
 // RequestBatcher coalesces each family's requests in its own bounded
 // queue; a pool of worker threads -- pinned to physical CPUs through the
@@ -40,11 +40,12 @@
 // decomposition (admit/queue/batch-form/gather/score/complete), with the
 // worker's NUMA traffic drained into per-node numa.* counters so
 // serve-time local/remote DRAM requests are visible the way the paper
-// reports them for training. ServingStats()/FamilyServingStats are THIN
-// VIEWS over the registry (plus live queue state), so existing callers
-// keep working; a sampled obs::SpanRecorder keeps whole per-request
-// stage breakdowns; options_.telemetry=false swaps in a no-op registry
-// (the baseline bench_serving's telemetry-overhead gate measures against).
+// reports them for training. ServingStats()/FamilyServingStats and
+// SimInput() are THIN VIEWS over the registry (plus live queue state), so
+// existing callers keep working; a sampled obs::SpanRecorder keeps whole
+// per-request stage breakdowns; options_.telemetry=false swaps in a no-op
+// registry (the baseline bench_serving's telemetry-overhead gate measures
+// against).
 #pragma once
 
 #include <array>
@@ -68,9 +69,8 @@
 #include "opt/admission_controller.h"
 #include "opt/placement_tuner.h"
 #include "serve/feature_store.h"
-#include "serve/model_registry.h"
+#include "serve/model_family.h"
 #include "serve/request_batcher.h"
-#include "util/barrier.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -125,50 +125,30 @@ struct ServingOptions {
   /// is a no-op, every Stats() counter reads 0 -- the baseline of
   /// bench_serving's telemetry-overhead gate, not a production mode.
   bool telemetry = true;
-  /// Span ring capacity (0 disables tracing but keeps stage histograms).
-  size_t trace_capacity = 256;
   /// Sample every Nth accepted request into the span ring; 0 disables.
   /// Forwarded into each family's RequestBatcher::Options (an explicit
   /// per-family trace_sample_every in ServingFamilyOptions::batch wins).
   uint64_t trace_sample_every = 64;
 };
 
-/// Per-family knobs at registration. Replication is NOT one of them: the
-/// registry derives it from `traffic` through opt::ChooseModelPlacement
-/// unless the bench-only override is set.
-struct ServingFamilyOptions {
-  /// Traffic estimate for the replication chooser; `traffic.dim` is
-  /// required (it also fixes the admission dimension check). The same
-  /// estimate seeds the admission controller's memory-model prior for
-  /// the family's per-row service time.
-  opt::ServingTrafficEstimate traffic;
-  /// Bench/ablation escape hatch; leave unset in production.
-  std::optional<Replication> replication_override;
+/// Per-family knobs at registration: the ModelFamily's own options plus
+/// the engine's queue and fair-queuing knobs. Replication is NOT one of
+/// them: the family derives it from `traffic` through
+/// opt::ChooseModelPlacement unless the bench-only override is set.
+/// `traffic.dim` is required (it also fixes the admission dimension
+/// check), and the same estimate seeds the admission controller's
+/// memory-model prior for the family's per-row service time. A
+/// `quantized` family is scored through the spec's dequantize-free
+/// PredictBatchQuantized kernel; RegisterFamily refuses it for specs
+/// without SupportsQuantizedPredict(), and scalar-mode workers (the
+/// bench baseline) keep scoring the f64 replica.
+struct ServingFamilyOptions : FamilyOptions {
   /// Family-specific queue bounds; defaults to ServingOptions::batch.
   std::optional<RequestBatcher::Options> batch;
   /// Fair-queuing weights for known clients (relative shares of the
   /// family's batches and admission capacity). Clients not listed here
   /// get weight 1 on first Submit.
   std::vector<std::pair<ClientId, double>> client_weights;
-  /// Serve this family from int8-quantized replicas: every Publish also
-  /// builds an int8 image (symmetric per-family scale, zero point 0) and
-  /// batched workers score through the spec's dequantize-free
-  /// PredictBatchQuantized kernel, moving 1/8 the model bytes. Scores
-  /// carry the bounded quantization error documented at
-  /// kernels::QuantizeWeights. RegisterFamily refuses this for specs
-  /// without SupportsQuantizedPredict(). Scalar-mode workers (the bench
-  /// baseline) keep scoring the f64 replica.
-  bool quantized = false;
-};
-
-/// Per-client admission/service counters inside FamilyServingStats.
-struct ClientServingStats {
-  std::string client;
-  double weight = 1.0;
-  uint64_t accepted = 0;
-  uint64_t rejected = 0;  ///< full-share and over-budget refusals
-  uint64_t served = 0;    ///< rows handed to workers in batches
-  uint64_t queue_depth = 0;
 };
 
 /// Per-family serving counters since Start().
@@ -209,7 +189,7 @@ struct FamilyServingStats {
   double measured_row_us_ewma = 0.0;
   uint64_t cost_reports = 0;  ///< worker batch timings folded in
   /// Per-client fair-queuing view, first-seen order.
-  std::vector<ClientServingStats> clients;
+  std::vector<RequestBatcher::ClientStats> clients;
   // Snapshot staleness at scoring time (per batch): ms since the served
   // version's weights left the trainer, and how many newer publishes
   // existed when the batch was scored.
@@ -250,7 +230,9 @@ struct ServingStats {
   double max_latency_ms = 0.0;      ///< exact worst case (never decimated)
   uint64_t local_replica_batches = 0;   ///< routed to the worker's node
   uint64_t remote_replica_batches = 0;  ///< crossed the interconnect
-  numa::AccessCounters traffic;         ///< logical totals across workers
+  /// Logical totals across workers, read off the numa.* counters (all
+  /// zero with telemetry off).
+  numa::AccessCounters traffic;
   std::vector<FamilyServingStats> families;  ///< registration order
 };
 
@@ -265,7 +247,7 @@ class ServingEngine {
   ServingEngine& operator=(const ServingEngine&) = delete;
 
   /// Registers a named family served by `spec` (must outlive the engine).
-  /// The registry chooses its replication from the traffic estimate.
+  /// The family chooses its replication from the traffic estimate.
   /// Fails after Start() and on duplicate names.
   Status RegisterFamily(const std::string& family,
                         const models::ModelSpec* spec,
@@ -391,6 +373,10 @@ class ServingEngine {
   StatusOr<double> ScoreKeySync(const std::string& family, uint64_t key,
                                 ClientId client = kDefaultClient);
 
+  /// Looks up a registered family; nullptr when unknown. Valid for the
+  /// engine's lifetime.
+  ModelFamily* FindFamily(const std::string& family) const;
+
   /// Looks up a family's registered feature store; nullptr when the
   /// family is unknown or has no store. Valid for the engine's lifetime.
   const FeatureStore* FindStore(const std::string& family) const;
@@ -400,10 +386,10 @@ class ServingEngine {
   ServingStats Stats() const;
 
   /// Serving traffic shaped for numa::MemoryModel::SimulateEpoch -- the
-  /// serving analogue of engine::Engine::last_epoch_sim().
+  /// serving analogue of engine::Engine::last_epoch_sim(). Read off the
+  /// per-node numa.* counters, so its traffic is zero with telemetry off.
   numa::SimulationInput SimInput() const;
 
-  const ModelRegistry& registry() const { return registry_; }
   /// The admission cost model (estimates readable while serving).
   const opt::AdmissionController& admission() const { return admission_; }
   /// The engine's metric registry: every serving counter/histogram lives
@@ -418,8 +404,6 @@ class ServingEngine {
   int num_families() const;
 
  private:
-  struct WorkerState;
-
   /// A family's registry instruments, resolved once at RegisterFamily
   /// (labels {family=<name>}). Raw pointers into obs_, stable for the
   /// engine's life; copyable so COW table copies share them. On a
@@ -456,17 +440,15 @@ class ServingEngine {
     std::array<obs::Histogram*, obs::kNumStages> stage_us{};
   };
 
-  /// One registered family's serving handle (index == its FamilyId).
+  /// One registered family (index == its FamilyId). Owns the family's
+  /// model and feature store; shared_ptr so COW table copies share them.
   struct FamilyState {
-    std::string name;
-    ModelFamily* family = nullptr;
+    std::shared_ptr<ModelFamily> family;
     const models::ModelSpec* spec = nullptr;
     /// Feature table for id-keyed requests; nullptr when none is
-    /// registered (owned by stores_, so COW table copies share it).
-    FeatureStore* store = nullptr;
+    /// registered.
+    std::shared_ptr<FeatureStore> store;
     FamilyId queue = 0;
-    /// Score from the snapshot's int8 replicas (batched mode only).
-    bool quantized = false;
     /// The registration-time traffic estimate, kept so EnableTuner can
     /// seed the tuner's choosers with the family's batch shape (the
     /// observed read rate then replaces the estimated one every scan).
@@ -475,18 +457,25 @@ class ServingEngine {
   };
 
   /// The registered families plus their name index, published as one
-  /// immutable unit: Score() may race RegisterFamily() before Start()
-  /// (two services booting), so the hot-path lookup reads a COW table
-  /// with a single atomic load, mirroring ModelRegistry::families_.
+  /// immutable unit: the engine's only record of a family. Score() may
+  /// race RegisterFamily() before Start() (two services booting), so
+  /// every lookup reads a COW table with a single atomic load.
   struct FamilyTable {
     std::vector<FamilyState> families;
     std::unordered_map<std::string, FamilyId> ids;
+
+    /// The named family's state; nullptr when unknown.
+    const FamilyState* Find(const std::string& family) const;
   };
 
   void WorkerLoop(int worker_id);
 
   /// Current table (atomic_load; never nullptr).
   std::shared_ptr<const FamilyTable> Table() const;
+
+  /// The store a PublishStore/PublishStoreDelta writes; CHECKs that the
+  /// family and its store are registered.
+  FeatureStore* StoreToPublish(const std::string& family) const;
 
   /// The one admission path behind every public Score form: stamps the
   /// admit-stage anchor, looks up the family, runs the request kind's
@@ -501,31 +490,25 @@ class ServingEngine {
   /// raw instrument pointer on teardown.
   obs::Registry obs_;
   obs::SpanRecorder spans_;
-  /// numa.{local,remote,model}_read_bytes{node=N}: serve-time logical
-  /// DRAM traffic per node, the serving analogue of the training
-  /// epochs' AccessCounters report (indexed by NodeId).
+  /// numa.{local,remote,model}_read_bytes, numa.updates and numa.flops
+  /// {node=N}: serve-time logical traffic per node, the serving analogue
+  /// of the training epochs' AccessCounters report (indexed by NodeId).
+  /// The only record of serving traffic: Stats() and SimInput() read it.
   struct NodeTraffic {
     obs::Counter* local_read_bytes = nullptr;
     obs::Counter* remote_read_bytes = nullptr;
     obs::Counter* model_read_bytes = nullptr;
+    obs::Counter* updates = nullptr;
+    obs::Counter* flops = nullptr;
   };
   std::vector<NodeTraffic> node_traffic_;
-  ModelRegistry registry_;
   /// Estimates per-family batch service times (memory-model prior +
   /// worker-measured EWMA); the batcher consults it at admission and the
   /// workers feed measured batch times back into it.
   opt::AdmissionController admission_;
   RequestBatcher batcher_;
-  /// Places feature-store shards/replicas (its ledger is the stores'
-  /// placement record, separate from the registry's model ledger).
-  std::shared_ptr<numa::NumaAllocator> store_allocator_;
-  /// Owns the feature stores; append-only under register_mu_, so the raw
-  /// pointers in FamilyState stay stable.
-  std::vector<std::unique_ptr<FeatureStore>> stores_;
-  /// Live placement tuner (EnableTuner); declared after everything it
-  /// scans (obs_, registry_, admission_, stores_) so it is torn down
-  /// first.
-  std::unique_ptr<opt::PlacementTuner> tuner_;
+  /// Places every family's model replicas and feature-store pages.
+  std::shared_ptr<numa::NumaAllocator> allocator_;
 
   /// Serializes RegisterFamily (copy + swap of table_) and Start().
   std::mutex register_mu_;
@@ -536,10 +519,15 @@ class ServingEngine {
   /// paying a shared_ptr atomic load + refcount bounce per single-row
   /// submit on the admission hot path. nullptr before Start().
   std::atomic<const FamilyTable*> frozen_table_{nullptr};
+  /// Live placement tuner (EnableTuner). It holds raw ModelFamily* and
+  /// FeatureStore* owned by table_, so the families must outlive it:
+  /// Stop() joins its scan thread before anything else, and it is
+  /// declared after table_ (and everything else it scans) so it is
+  /// destroyed first.
+  std::unique_ptr<opt::PlacementTuner> tuner_;
 
   std::vector<numa::CoreId> worker_cores_;
   std::vector<numa::NodeId> worker_nodes_;
-  std::vector<std::unique_ptr<WorkerState>> worker_states_;
   std::vector<std::thread> workers_;
   /// Atomic: Stats() may run on a monitoring thread while the owner
   /// Stop()s; stopped_wall_sec_ is published by the release store.

@@ -33,14 +33,14 @@ SnapshotExporter::SnapshotExporter(engine::Engine* trainer,
 SnapshotExporter::~SnapshotExporter() { Stop(); }
 
 void SnapshotExporter::Start() {
-  DW_CHECK(server_->registry().FindFamily(family_) != nullptr)
+  DW_CHECK(server_->FindFamily(family_) != nullptr)
       << "exporter family not registered: " << family_;
   {
     std::lock_guard<std::mutex> lk(mu_);
     DW_CHECK(!started_) << "exporter started twice";
     started_ = true;
   }
-  if (options_.publish_on_start) PublishOnce();
+  PublishOnce();
   thread_ = std::thread([this] { Loop(); });
 }
 
@@ -55,7 +55,7 @@ void SnapshotExporter::Stop() {
     stop_ = true;
     if (thread_.joinable()) {
       claimed = std::move(thread_);
-      flush = started_ && options_.publish_on_stop;
+      flush = started_;
     }
   }
   stop_cv_.notify_all();

@@ -7,10 +7,9 @@
 // thread wakes every `period`, pulls the engine's export buffer (a
 // thread-safe consensus copy refreshed at every averaging round and epoch
 // boundary -- epochs never block on it), and publishes the snapshot into
-// the serving registry's family. Serving traffic then scores against
-// weights at most ~period + one averaging interval behind the trainer,
-// and ServingStats' per-family staleness columns measure exactly that
-// lag.
+// its serving family. Serving traffic then scores against weights at most
+// ~period + one averaging interval behind the trainer, and ServingStats'
+// per-family staleness columns measure exactly that lag.
 #pragma once
 
 #include <atomic>
@@ -40,22 +39,13 @@ class SnapshotExporter {
     /// measured_publish_latency / max_publish_fraction, so a family
     /// whose publish is slow (wide model, many replicas) paces itself
     /// down instead of spending most of the exporter thread's life --
-    /// and the registry's publish bandwidth -- on copies. With the
+    /// and the family's publish bandwidth -- on copies. With the
     /// default 5%, a 10ms publish is republished at most every 200ms no
     /// matter how short `period` is. Must be in (0, 1].
     double max_publish_fraction = 0.05;
-    /// Publish one export immediately on Start(), so the family is
-    /// servable before the first period elapses (ServingEngine::Start()
-    /// requires every family published).
-    bool publish_on_start = true;
-    /// Publish one final export inside Stop(), so the last trained model
-    /// is never lost to an unlucky period boundary (training that ends
-    /// mid-period would otherwise serve a snapshot up to `period` old
-    /// forever).
-    bool publish_on_stop = true;
   };
 
-  /// Publish-side counters (registry publish latency, NOT serving-side
+  /// Publish-side counters (publish latency, NOT serving-side
   /// staleness -- that lives in FamilyServingStats).
   struct Stats {
     uint64_t publishes = 0;
@@ -81,12 +71,16 @@ class SnapshotExporter {
   SnapshotExporter(const SnapshotExporter&) = delete;
   SnapshotExporter& operator=(const SnapshotExporter&) = delete;
 
-  /// Starts the background publisher (idempotent-hostile: once).
+  /// Publishes one export immediately, so the family is servable before
+  /// the first period elapses (ServingEngine::Start() requires every
+  /// family published), then starts the background publisher (once).
   void Start();
 
-  /// Stops and joins the publisher thread, flushing one final export
-  /// first (publish_on_stop). Idempotent; also run by the destructor.
-  /// The last installed snapshot stays served.
+  /// Stops and joins the publisher thread, then publishes one final
+  /// export, so the last trained model is never lost to an unlucky
+  /// period boundary (training that ends mid-period would otherwise
+  /// serve a snapshot up to `period` old forever). Idempotent; also run
+  /// by the destructor. The last installed snapshot stays served.
   void Stop();
 
   Stats stats() const;

@@ -630,16 +630,16 @@ TEST(AdmissionEngineTest, ClientIdThreadsThroughScoreAndStats) {
   const FamilyServingStats& f = stats.families[0];
   EXPECT_EQ(f.requests, 33u);
   ASSERT_EQ(f.clients.size(), 3u);  // alpha, beta, default (seen order)
-  EXPECT_EQ(f.clients[0].client, "alpha");
+  EXPECT_EQ(f.clients[0].client.str(), "alpha");
   EXPECT_DOUBLE_EQ(f.clients[0].weight, 2.0);
   EXPECT_EQ(f.clients[0].accepted, 24u);
   EXPECT_EQ(f.clients[0].served, 24u);
-  EXPECT_EQ(f.clients[1].client, "beta");
+  EXPECT_EQ(f.clients[1].client.str(), "beta");
   EXPECT_EQ(f.clients[1].accepted, 8u);
-  EXPECT_EQ(f.clients[2].client, "default");
+  EXPECT_EQ(f.clients[2].client.str(), "default");
   EXPECT_EQ(f.clients[2].accepted, 1u);
   uint64_t accepted = 0;
-  for (const ClientServingStats& c : f.clients) accepted += c.accepted;
+  for (const auto& c : f.clients) accepted += c.accepted;
   EXPECT_EQ(accepted, f.accepted);
   // The workers reported measured batch times into the controller, and
   // the calibrated estimate tracks the EWMA within the clamp.
@@ -720,8 +720,8 @@ TEST(AdmissionEngineTest, HogCannotStarveMiceUnderOverload) {
   const ServingStats stats = server.Stats();
   ASSERT_EQ(stats.families.size(), 1u);
   uint64_t stats_hog_rejected = 0;
-  for (const ClientServingStats& c : stats.families[0].clients) {
-    if (c.client == "hog") stats_hog_rejected = c.rejected;
+  for (const RequestBatcher::ClientStats& c : stats.families[0].clients) {
+    if (c.client.str() == "hog") stats_hog_rejected = c.rejected;
   }
   EXPECT_EQ(stats_hog_rejected, hog_rejected.load());
 }

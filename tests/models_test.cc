@@ -11,7 +11,6 @@
 #include "data/synthetic.h"
 #include "models/glm.h"
 #include "models/graph_opt.h"
-#include "models/parallel_sum.h"
 #include "util/rng.h"
 
 namespace dw::models {
@@ -473,24 +472,6 @@ TEST(PredictTest, DefaultPredictIsLinearDecisionValue) {
   SvmSpec svm;
   const double model[3] = {1.0, 5.0, -1.0};
   EXPECT_DOUBLE_EQ(svm.Predict(model, d.a.Row(0)), 2.0 - 3.0);
-}
-
-// --- parallel sum ----------------------------------------------------------
-
-TEST(ParallelSumTest, AccumulatesRowTotals) {
-  Dataset d;
-  auto m = matrix::CsrMatrix::FromTriplets(
-      3, 2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 0, 3.0}, {2, 1, 4.0}});
-  ASSERT_TRUE(m.ok());
-  d.a = std::move(m).value();
-  d.b = {0, 0, 0};
-  ParallelSumSpec sum;
-  EXPECT_EQ(sum.ModelDim(d), 1u);
-  double model[1] = {0.0};
-  StepContext ctx{&d, nullptr, 1.0};
-  for (Index i = 0; i < 3; ++i) sum.RowStep(ctx, i, model, nullptr);
-  EXPECT_DOUBLE_EQ(model[0], 10.0);
-  EXPECT_EQ(sum.RowWriteSparsity(), UpdateSparsity::kDense);
 }
 
 }  // namespace

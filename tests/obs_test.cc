@@ -442,7 +442,7 @@ TEST(TelemetryExporterTest, PeriodicExportReachesSinkAndFiles) {
     exporter.Start();
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
     exporter.Stop();
-    // export_on_stop guarantees at least the final flush.
+    // Stop() always renders a final flush.
     EXPECT_GE(exporter.stats().snapshots, 1u);
     EXPECT_GT(exporter.stats().last_prometheus_bytes, 0u);
   }

@@ -137,10 +137,9 @@ TEST(PlacementTunerTest, FlipsFrozenReplicationUnderReadHeavyTraffic) {
   EXPECT_EQ(tuner->ScanOnce(), 1);
   EXPECT_EQ(tuner->scans(), 1u);
   EXPECT_EQ(tuner->flips(), 1u);
-  EXPECT_EQ(server.registry().FindFamily("m")->replication(),
-            Replication::kPerNode);
+  EXPECT_EQ(server.FindFamily("m")->replication(), Replication::kPerNode);
   // The migration republished through the regular hot-swap path.
-  EXPECT_EQ(server.registry().FindFamily("m")->current_version(), 2u);
+  EXPECT_EQ(server.FindFamily("m")->current_version(), 2u);
 
   // The audit trail carries the cost-model inputs the decision ran on.
   const std::vector<opt::TunerDecision> decisions = tuner->Decisions();
@@ -308,8 +307,7 @@ TEST(PlacementTunerTest, HysteresisRequiresConsecutiveConfirmingScans) {
   DriveCarried(server, "m", kDim, 4096);
   EXPECT_EQ(tuner->ScanOnce(), 0);
   EXPECT_EQ(tuner->flips(), 0u);
-  EXPECT_EQ(server.registry().FindFamily("m")->replication(),
-            Replication::kPerMachine);
+  EXPECT_EQ(server.FindFamily("m")->replication(), Replication::kPerMachine);
   {
     const std::vector<opt::TunerDecision> decisions = tuner->Decisions();
     ASSERT_EQ(decisions.size(), 1u);
@@ -323,8 +321,7 @@ TEST(PlacementTunerTest, HysteresisRequiresConsecutiveConfirmingScans) {
   DriveCarried(server, "m", kDim, 4096);
   EXPECT_EQ(tuner->ScanOnce(), 1);
   EXPECT_EQ(tuner->flips(), 1u);
-  EXPECT_EQ(server.registry().FindFamily("m")->replication(),
-            Replication::kPerNode);
+  EXPECT_EQ(server.FindFamily("m")->replication(), Replication::kPerNode);
   const std::vector<opt::TunerDecision> decisions = tuner->Decisions();
   ASSERT_EQ(decisions.size(), 2u);
   EXPECT_TRUE(decisions[1].migrated);
@@ -352,8 +349,7 @@ TEST(PlacementTunerTest, AdvantageGateHoldsMarginalWins) {
     EXPECT_EQ(tuner->ScanOnce(), 0);
   }
   EXPECT_EQ(tuner->flips(), 0u);
-  EXPECT_EQ(server.registry().FindFamily("m")->replication(),
-            Replication::kPerMachine);
+  EXPECT_EQ(server.FindFamily("m")->replication(), Replication::kPerMachine);
   const std::vector<opt::TunerDecision> decisions = tuner->Decisions();
   ASSERT_EQ(decisions.size(), 2u);
   for (const opt::TunerDecision& d : decisions) {
@@ -393,8 +389,7 @@ TEST(PlacementTunerTest, QuietIntervalNeitherVotesNorDecides) {
   EXPECT_EQ(tuner->ScanOnce(), 0);
   EXPECT_EQ(tuner->flips(), 0u);
   EXPECT_TRUE(tuner->Decisions().empty());
-  EXPECT_EQ(server.registry().FindFamily("m")->replication(),
-            Replication::kPerMachine);
+  EXPECT_EQ(server.FindFamily("m")->replication(), Replication::kPerMachine);
   server.Stop();
 }
 
@@ -431,7 +426,7 @@ struct ExporterRig {
     eopts.period = period;
     exporter = std::make_unique<SnapshotExporter>(trainer.get(), server.get(),
                                                   "ls", eopts);
-    exporter->Start();  // publish_on_start makes the family servable
+    exporter->Start();  // its first publish makes the family servable
     DW_CHECK(server->Start().ok());
   }
 };
@@ -556,7 +551,7 @@ TEST(PlacementTunerTest, MigrationUnderLoadNeverFailsOrTearsRequests) {
       ManualTuner(/*min_advantage=*/1.0, /*confirm_scans=*/1,
                   /*min_observed_rows=*/64));
 
-  ModelFamily* family = server.registry().FindFamily("hot");
+  ModelFamily* family = server.FindFamily("hot");
   const FeatureStore* store = server.FindStore("hot");
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> served{0};

@@ -1,4 +1,4 @@
-// Tests for src/serve: per-family registry placement, cost-model-chosen
+// Tests for src/serve: per-family model placement, cost-model-chosen
 // replication, hot-swap safety, per-family batcher flush semantics and
 // admission counters, the async snapshot exporter, end-to-end serving
 // correctness against single-threaded reference scores, and the
@@ -20,7 +20,7 @@
 #include "data/synthetic.h"
 #include "models/glm.h"
 #include "numa/memory_model.h"
-#include "serve/model_registry.h"
+#include "serve/model_family.h"
 #include "serve/request_batcher.h"
 #include "serve/serving_engine.h"
 #include "serve/snapshot_exporter.h"
@@ -69,131 +69,115 @@ ServingFamilyOptions ServeAuto(Index dim, double reads_per_publish = 1024.0,
   return o;
 }
 
-// --- registry -------------------------------------------------------------
+// --- model families ------------------------------------------------------
 
-TEST(ModelRegistryTest, EmptyUntilFirstPublish) {
-  ModelRegistry reg(numa::Local2());
-  ModelFamily* m = reg.RegisterFamily("m", PinnedFamily(16, Replication::kPerNode));
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->current_version(), 0u);
-  EXPECT_EQ(m->Acquire(), nullptr);
-  EXPECT_EQ(reg.FindFamily("m"), m);
-  EXPECT_EQ(reg.FindFamily("unknown"), nullptr);
-  EXPECT_EQ(reg.num_families(), 1);
+/// A fresh allocator for one test's families; ledger checks read it.
+std::shared_ptr<numa::NumaAllocator> AllocatorOn(const numa::Topology& topo) {
+  return std::make_shared<numa::NumaAllocator>(topo);
 }
 
-TEST(ModelRegistryTest, RegistrationIsFirstWins) {
-  ModelRegistry reg(numa::Local2());
-  ModelFamily* a = reg.RegisterFamily("m", PinnedFamily(16, Replication::kPerNode));
-  ModelFamily* b =
-      reg.RegisterFamily("m", PinnedFamily(32, Replication::kPerMachine));
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(b->dim(), 16u);
-  EXPECT_EQ(b->replication(), Replication::kPerNode);
+TEST(ModelRegistryTest, EmptyUntilFirstPublish) {
+  ModelFamily m("m", AllocatorOn(numa::Local2()),
+                PinnedFamily(16, Replication::kPerNode));
+  EXPECT_EQ(m.current_version(), 0u);
+  EXPECT_EQ(m.Acquire(), nullptr);
 }
 
 TEST(ModelRegistryTest, PerNodePlacesOneReplicaPerNode) {
   const numa::Topology topo = numa::Local2();
-  ModelRegistry reg(topo);
-  ModelFamily* m =
-      reg.RegisterFamily("m", PinnedFamily(128, Replication::kPerNode));
-  const uint64_t v = m->Publish(ConstantWeights(128, 1.5));
+  const auto alloc = AllocatorOn(topo);
+  ModelFamily m("m", alloc, PinnedFamily(128, Replication::kPerNode));
+  const uint64_t v = m.Publish(ConstantWeights(128, 1.5));
   EXPECT_EQ(v, 1u);
 
-  const auto snap = m->Acquire();
+  const auto snap = m.Acquire();
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->num_replicas(), topo.num_nodes);
   EXPECT_EQ(snap->dim(), 128u);
   EXPECT_EQ(snap->family(), "m");
-  EXPECT_EQ(m->dim(), 128u);
+  EXPECT_EQ(m.dim(), 128u);
   for (int n = 0; n < topo.num_nodes; ++n) {
     EXPECT_EQ(snap->ReplicaNodeFor(n), n);
     EXPECT_DOUBLE_EQ(snap->WeightsForNode(n)[127], 1.5);
     // Every node holds a full copy of the model bytes.
-    EXPECT_EQ(reg.ledger().BytesOnNode(n), 128 * sizeof(double));
+    EXPECT_EQ(alloc->ledger().BytesOnNode(n), 128 * sizeof(double));
   }
 }
 
 TEST(ModelRegistryTest, PerMachineKeepsOneCopyOnNodeZero) {
   const numa::Topology topo = numa::Local2();
-  ModelRegistry reg(topo);
-  ModelFamily* m =
-      reg.RegisterFamily("m", PinnedFamily(64, Replication::kPerMachine));
-  m->Publish(ConstantWeights(64, 2.0));
+  const auto alloc = AllocatorOn(topo);
+  ModelFamily m("m", alloc, PinnedFamily(64, Replication::kPerMachine));
+  m.Publish(ConstantWeights(64, 2.0));
 
-  const auto snap = m->Acquire();
+  const auto snap = m.Acquire();
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->num_replicas(), 1);
   // Readers on every node route to the node-0 copy.
   EXPECT_EQ(snap->ReplicaNodeFor(0), 0);
   EXPECT_EQ(snap->ReplicaNodeFor(1), 0);
   EXPECT_EQ(snap->WeightsForNode(0), snap->WeightsForNode(1));
-  EXPECT_EQ(reg.ledger().BytesOnNode(0), 64 * sizeof(double));
-  EXPECT_EQ(reg.ledger().BytesOnNode(1), 0u);
+  EXPECT_EQ(alloc->ledger().BytesOnNode(0), 64 * sizeof(double));
+  EXPECT_EQ(alloc->ledger().BytesOnNode(1), 0u);
 }
 
 TEST(ModelRegistryTest, CostModelChoosesReplicationPerFamily) {
-  // The acceptance shape: two concurrently-registered families whose
+  // The acceptance shape: two families on one allocator whose
   // replication the opt:: cost model chooses INDEPENDENTLY. On the
   // paper's 8-socket local8, a read-heavy family must come out kPerNode
   // (remote reads would saturate the interconnect), while a
   // republish-dominated family (every publish serves almost no reads)
   // must come out kPerMachine (replicating 8x buys nothing).
   const numa::Topology topo = numa::Local8();
-  ModelRegistry reg(topo);
-  ModelFamily* wide =
-      reg.RegisterFamily("wide-lr", AutoFamily(4096, /*reads_per_publish=*/4096));
-  ModelFamily* refresh =
-      reg.RegisterFamily("hot-refresh", AutoFamily(4096, /*reads_per_publish=*/0));
-  ASSERT_NE(wide, nullptr);
-  ASSERT_NE(refresh, nullptr);
-  EXPECT_EQ(wide->replication(), Replication::kPerNode);
-  EXPECT_EQ(refresh->replication(), Replication::kPerMachine);
-  EXPECT_FALSE(wide->rationale().empty());
-  EXPECT_FALSE(refresh->rationale().empty());
+  const auto alloc = AllocatorOn(topo);
+  ModelFamily wide("wide-lr", alloc,
+                   AutoFamily(4096, /*reads_per_publish=*/4096));
+  ModelFamily refresh("hot-refresh", alloc,
+                      AutoFamily(4096, /*reads_per_publish=*/0));
+  EXPECT_EQ(wide.replication(), Replication::kPerNode);
+  EXPECT_EQ(refresh.replication(), Replication::kPerMachine);
+  EXPECT_FALSE(wide.rationale().empty());
+  EXPECT_FALSE(refresh.rationale().empty());
 
   // Both families publish and serve concurrently; placement follows each
   // family's own strategy.
-  wide->Publish(ConstantWeights(4096, 1.0));
-  refresh->Publish(ConstantWeights(4096, 2.0));
-  EXPECT_EQ(wide->Acquire()->num_replicas(), topo.num_nodes);
-  EXPECT_EQ(refresh->Acquire()->num_replicas(), 1);
+  wide.Publish(ConstantWeights(4096, 1.0));
+  refresh.Publish(ConstantWeights(4096, 2.0));
+  EXPECT_EQ(wide.Acquire()->num_replicas(), topo.num_nodes);
+  EXPECT_EQ(refresh.Acquire()->num_replicas(), 1);
   // Node 0 holds one replica of each; node 1..7 only the wide family's.
-  EXPECT_EQ(reg.ledger().BytesOnNode(0), 2 * 4096 * sizeof(double));
-  EXPECT_EQ(reg.ledger().BytesOnNode(7), 4096 * sizeof(double));
+  EXPECT_EQ(alloc->ledger().BytesOnNode(0), 2 * 4096 * sizeof(double));
+  EXPECT_EQ(alloc->ledger().BytesOnNode(7), 4096 * sizeof(double));
 }
 
 TEST(ModelRegistryTest, RepublishSwapsVersionAndFreesOldReplicas) {
-  ModelRegistry reg(numa::Local2());
-  ModelFamily* m =
-      reg.RegisterFamily("m", PinnedFamily(32, Replication::kPerNode));
-  m->Publish(ConstantWeights(32, 1.0));
-  const auto old_snap = m->Acquire();
-  EXPECT_EQ(m->Publish(ConstantWeights(32, 2.0)), 2u);
-  EXPECT_EQ(m->current_version(), 2u);
+  const auto alloc = AllocatorOn(numa::Local2());
+  ModelFamily m("m", alloc, PinnedFamily(32, Replication::kPerNode));
+  m.Publish(ConstantWeights(32, 1.0));
+  const auto old_snap = m.Acquire();
+  EXPECT_EQ(m.Publish(ConstantWeights(32, 2.0)), 2u);
+  EXPECT_EQ(m.current_version(), 2u);
   // The old snapshot stays valid while referenced...
   EXPECT_DOUBLE_EQ(old_snap->WeightsForNode(0)[0], 1.0);
-  EXPECT_DOUBLE_EQ(m->Acquire()->WeightsForNode(0)[0], 2.0);
+  EXPECT_DOUBLE_EQ(m.Acquire()->WeightsForNode(0)[0], 2.0);
   // ...and both versions' bytes are live until the old one is released.
-  EXPECT_EQ(reg.ledger().BytesOnNode(0), 2 * 32 * sizeof(double));
+  EXPECT_EQ(alloc->ledger().BytesOnNode(0), 2 * 32 * sizeof(double));
 }
 
 TEST(ModelRegistryTest, PublishRejectsDimensionMismatch) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ModelRegistry reg(numa::Local2());
-  ModelFamily* m =
-      reg.RegisterFamily("m", PinnedFamily(32, Replication::kPerNode));
-  EXPECT_DEATH(m->Publish(ConstantWeights(16, 1.0)), "dimension mismatch");
+  ModelFamily m("m", AllocatorOn(numa::Local2()),
+                PinnedFamily(32, Replication::kPerNode));
+  EXPECT_DEATH(m.Publish(ConstantWeights(16, 1.0)), "dimension mismatch");
 }
 
 TEST(ModelRegistryTest, SnapshotOutlivesRegistry) {
   std::shared_ptr<const ModelSnapshot> snap;
   {
-    ModelRegistry reg(numa::Local2());
-    ModelFamily* m =
-        reg.RegisterFamily("m", PinnedFamily(16, Replication::kPerNode));
-    m->Publish(ConstantWeights(16, 3.0));
-    snap = m->Acquire();
+    ModelFamily m("m", AllocatorOn(numa::Local2()),
+                  PinnedFamily(16, Replication::kPerNode));
+    m.Publish(ConstantWeights(16, 3.0));
+    snap = m.Acquire();
   }
   // The snapshot keeps its allocator (and ledger) alive.
   EXPECT_DOUBLE_EQ(snap->WeightsForNode(1)[15], 3.0);
@@ -203,11 +187,10 @@ TEST(ModelRegistryTest, ReplicaAccessorsValidateNodeIndex) {
   // Regression: an out-of-range NodeId under kPerNode used to index past
   // replicas_ silently. Both accessors must refuse it loudly.
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ModelRegistry reg(numa::Local2());
-  ModelFamily* m =
-      reg.RegisterFamily("m", PinnedFamily(8, Replication::kPerNode));
-  m->Publish(ConstantWeights(8, 1.0));
-  const auto snap = m->Acquire();
+  ModelFamily m("m", AllocatorOn(numa::Local2()),
+                PinnedFamily(8, Replication::kPerNode));
+  m.Publish(ConstantWeights(8, 1.0));
+  const auto snap = m.Acquire();
   ASSERT_EQ(snap->num_replicas(), 2);
   // In-range nodes work.
   EXPECT_DOUBLE_EQ(snap->WeightsForNode(1)[0], 1.0);
@@ -222,10 +205,9 @@ TEST(ModelRegistryTest, HotSwapUnderConcurrentReadersHasNoTornReads) {
   // The publisher writes snapshots whose entries all equal the version
   // number; a torn read would surface as a snapshot mixing two values.
   const size_t dim = 512;
-  ModelRegistry reg(numa::Local8());
-  ModelFamily* m =
-      reg.RegisterFamily("m", PinnedFamily(dim, Replication::kPerNode));
-  m->Publish(ConstantWeights(dim, 1.0));
+  ModelFamily m("m", AllocatorOn(numa::Local8()),
+                PinnedFamily(dim, Replication::kPerNode));
+  m.Publish(ConstantWeights(dim, 1.0));
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> torn{0};
@@ -234,7 +216,7 @@ TEST(ModelRegistryTest, HotSwapUnderConcurrentReadersHasNoTornReads) {
     readers.emplace_back([&, t] {
       uint64_t last_version = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        const auto snap = m->Acquire();
+        const auto snap = m.Acquire();
         const int node = t % 8;
         const double* w = snap->WeightsForNode(node);
         const double first = w[0];
@@ -251,13 +233,13 @@ TEST(ModelRegistryTest, HotSwapUnderConcurrentReadersHasNoTornReads) {
     });
   }
   for (int v = 2; v <= 60; ++v) {
-    m->Publish(ConstantWeights(dim, static_cast<double>(v)));
+    m.Publish(ConstantWeights(dim, static_cast<double>(v)));
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
   EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(m->current_version(), 60u);
+  EXPECT_EQ(m.current_version(), 60u);
 }
 
 TEST(ModelRegistryTest, PublishAcquireStressHoldsSnapshotsAcrossSwaps) {
@@ -269,15 +251,14 @@ TEST(ModelRegistryTest, PublishAcquireStressHoldsSnapshotsAcrossSwaps) {
   // long after newer versions replaced it.
   const size_t dim = 256;
   constexpr int kPublishes = 400;
-  ModelRegistry reg(numa::Local2());
-  ModelFamily* m =
-      reg.RegisterFamily("m", PinnedFamily(dim, Replication::kPerNode));
-  m->Publish(ConstantWeights(dim, 1.0));
+  ModelFamily m("m", AllocatorOn(numa::Local2()),
+                PinnedFamily(dim, Replication::kPerNode));
+  m.Publish(ConstantWeights(dim, 1.0));
 
   std::atomic<bool> stop{false};
   std::thread publisher([&] {
     for (int v = 2; v <= kPublishes; ++v) {
-      m->Publish(ConstantWeights(dim, static_cast<double>(v)));
+      m.Publish(ConstantWeights(dim, static_cast<double>(v)));
     }
     stop.store(true, std::memory_order_release);
   });
@@ -289,7 +270,7 @@ TEST(ModelRegistryTest, PublishAcquireStressHoldsSnapshotsAcrossSwaps) {
       std::vector<std::shared_ptr<const ModelSnapshot>> held;
       uint64_t last_version = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        auto snap = m->Acquire();
+        auto snap = m.Acquire();
         if (snap->version() < last_version) violations.fetch_add(1);
         last_version = snap->version();
         // Keep a window of old snapshots alive across future swaps.
@@ -312,21 +293,20 @@ TEST(ModelRegistryTest, PublishAcquireStressHoldsSnapshotsAcrossSwaps) {
   publisher.join();
   for (auto& t : readers) t.join();
   EXPECT_EQ(violations.load(), 0u);
-  EXPECT_EQ(m->current_version(), static_cast<uint64_t>(kPublishes));
+  EXPECT_EQ(m.current_version(), static_cast<uint64_t>(kPublishes));
 }
 
 TEST(ModelRegistryTest, ConcurrentPublishersKeepVersionsMonotonic) {
-  ModelRegistry reg(numa::Local2());
-  ModelFamily* m =
-      reg.RegisterFamily("m", PinnedFamily(8, Replication::kPerNode));
+  ModelFamily m("m", AllocatorOn(numa::Local2()),
+                PinnedFamily(8, Replication::kPerNode));
   std::vector<std::thread> publishers;
   for (int t = 0; t < 4; ++t) {
     publishers.emplace_back([&] {
       for (int i = 0; i < 50; ++i) {
-        const uint64_t v = m->Publish(ConstantWeights(8, 1.0));
+        const uint64_t v = m.Publish(ConstantWeights(8, 1.0));
         // Installs are serialized in version order, so once Publish
         // returns, the current version can only be at or past it.
-        EXPECT_GE(m->current_version(), v);
+        EXPECT_GE(m.current_version(), v);
       }
     });
   }
@@ -334,7 +314,7 @@ TEST(ModelRegistryTest, ConcurrentPublishersKeepVersionsMonotonic) {
   std::thread reader([&] {
     uint64_t last = 0;
     while (!stop.load()) {
-      const uint64_t v = m->current_version();
+      const uint64_t v = m.current_version();
       EXPECT_GE(v, last) << "version went backwards";
       last = v;
     }
@@ -342,29 +322,7 @@ TEST(ModelRegistryTest, ConcurrentPublishersKeepVersionsMonotonic) {
   for (auto& t : publishers) t.join();
   stop.store(true);
   reader.join();
-  EXPECT_EQ(m->current_version(), 200u);
-}
-
-TEST(ModelRegistryTest, ConcurrentRegistrationIsSafe) {
-  // Registration is rare but may race (e.g. two services booting): the
-  // COW family map must stay consistent and first-wins.
-  ModelRegistry reg(numa::Local2());
-  std::vector<std::thread> threads;
-  std::atomic<int> found{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 32; ++i) {
-        const std::string name = "fam-" + std::to_string(i % 8);
-        ModelFamily* f =
-            reg.RegisterFamily(name, PinnedFamily(16, Replication::kPerNode));
-        if (reg.FindFamily(name) == f) found.fetch_add(1);
-        (void)t;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(reg.num_families(), 8);
-  EXPECT_EQ(found.load(), 4 * 32);
+  EXPECT_EQ(m.current_version(), 200u);
 }
 
 // --- batcher --------------------------------------------------------------
@@ -716,6 +674,39 @@ TEST(ServingEngineTest, RegisterFamilyValidatesInput) {
             Status::Code::kInvalidArgument);
 }
 
+TEST(ServingEngineTest, ConcurrentRegistrationIsSafe) {
+  // Registration is rare but may race (e.g. two services booting): the
+  // COW family table must stay consistent, and exactly one registration
+  // of each name is accepted.
+  models::LogisticSpec lr;
+  ServingOptions opts;
+  opts.topology = numa::Local2();
+  ServingEngine server(opts);
+  std::vector<std::thread> threads;
+  std::atomic<int> accepted{0};
+  std::atomic<int> duplicates{0};
+  std::atomic<int> found{0};
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 32; ++i) {
+        const std::string name = "fam-" + std::to_string(i % 8);
+        const Status st = server.RegisterFamily(
+            name, &lr, ServePinned(16, Replication::kPerNode));
+        if (st.ok()) accepted.fetch_add(1);
+        if (st.code() == Status::Code::kInvalidArgument) {
+          duplicates.fetch_add(1);
+        }
+        if (server.FindFamily(name) != nullptr) found.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(accepted.load(), 8);
+  EXPECT_EQ(duplicates.load(), 4 * 32 - 8);
+  EXPECT_EQ(found.load(), 4 * 32);
+  EXPECT_EQ(server.num_families(), 8);
+}
+
 TEST(ServingEngineTest, ServedScoresMatchSingleThreadedReference) {
   // Multi-threaded smoke test: every score served by the pool must equal
   // the single-threaded ModelSpec::Predict of the same row.
@@ -824,9 +815,8 @@ TEST(ServingEngineTest, TwoFamiliesServeIndependently) {
 
   // The cost model chose independently: read-heavy wide family is
   // replicated, republish-dominated narrow family keeps one copy.
-  EXPECT_EQ(server.registry().FindFamily("wide-lr")->replication(),
-            Replication::kPerNode);
-  EXPECT_EQ(server.registry().FindFamily("narrow-svm")->replication(),
+  EXPECT_EQ(server.FindFamily("wide-lr")->replication(), Replication::kPerNode);
+  EXPECT_EQ(server.FindFamily("narrow-svm")->replication(),
             Replication::kPerMachine);
 
   const data::Dataset d = ServeDataset(200, wide_dim, 17);
@@ -1474,8 +1464,8 @@ TEST(SnapshotExporterTest, PublishesMidTrainingWithoutBlockingEpochs) {
   SnapshotExporter::Options eopts;
   eopts.period = std::chrono::milliseconds(2);
   SnapshotExporter exporter(&trainer, &server, "lr", eopts);
-  exporter.Start();  // publish_on_start makes the family servable
-  ASSERT_GE(server.registry().FindFamily("lr")->current_version(), 1u);
+  exporter.Start();  // its first publish makes the family servable
+  ASSERT_GE(server.FindFamily("lr")->current_version(), 1u);
   ASSERT_TRUE(server.Start().ok());
 
   std::atomic<bool> stop{false};
@@ -1506,7 +1496,7 @@ TEST(SnapshotExporterTest, PublishesMidTrainingWithoutBlockingEpochs) {
   const SnapshotExporter::Stats es = exporter.stats();
   EXPECT_GE(es.publishes, 2u) << "exporter never republished mid-training";
   EXPECT_EQ(es.last_version,
-            server.registry().FindFamily("lr")->current_version());
+            server.FindFamily("lr")->current_version());
   EXPECT_GT(es.mean_publish_ms, 0.0);
   EXPECT_GE(es.max_publish_ms, es.mean_publish_ms);
 
@@ -1543,7 +1533,7 @@ TEST(SnapshotExporterTest, StopIsIdempotentAndLastSnapshotStaysServed) {
   trainer.Run(cfg);
   exporter.Stop();
   exporter.Stop();  // idempotent
-  const uint64_t v = server.registry().FindFamily("ls")->current_version();
+  const uint64_t v = server.FindFamily("ls")->current_version();
   EXPECT_GE(v, 1u);
 
   ASSERT_TRUE(server.Start().ok());
@@ -1551,7 +1541,7 @@ TEST(SnapshotExporterTest, StopIsIdempotentAndLastSnapshotStaysServed) {
   EXPECT_TRUE(s.ok());
   server.Stop();
   // No publishes after Stop().
-  EXPECT_EQ(server.registry().FindFamily("ls")->current_version(), v);
+  EXPECT_EQ(server.FindFamily("ls")->current_version(), v);
 }
 
 TEST(SnapshotExporterTest, PacingDerivesPeriodFromPublishLatency) {
@@ -1585,7 +1575,7 @@ TEST(SnapshotExporterTest, PacingDerivesPeriodFromPublishLatency) {
   exporter.Stop();
 
   const SnapshotExporter::Stats es = exporter.stats();
-  // publish_on_start + at most one loop publish + the on-stop flush: far
+  // The Start() publish + at most one loop publish + the Stop() flush: far
   // fewer than the ~150 publishes the raw 1ms period would have run.
   EXPECT_LE(es.publishes, 4u);
   EXPECT_GE(es.paced_periods, 1u);
