@@ -120,7 +120,6 @@ Status Engine::Init() {
   worker_rngs_.clear();
   uint64_t sm = options_.seed ^ 0xd1b54a32d192ed03ULL;
   for (int w = 0; w < nw; ++w) worker_rngs_.emplace_back(SplitMix64(sm));
-  worker_counters_.assign(nw, numa::AccessCounters{});
   start_barrier_ = std::make_unique<SpinBarrier>(nw + 1);
   end_barrier_ = std::make_unique<SpinBarrier>(nw + 1);
   current_step_.store(options_.step_size);
@@ -190,30 +189,6 @@ void Engine::WorkerLoop(int worker_id) {
         break;
     }
 
-    // Analytic traffic accounting (the PMU substitute; see
-    // numa/access_counters.h).
-    numa::AccessCounters& c = worker_counters_[worker_id];
-    c.Reset();
-    if (wp.data_is_local) {
-      c.local_read_bytes = wp.data_bytes_per_epoch;
-    } else {
-      c.remote_read_bytes = wp.data_bytes_per_epoch;
-    }
-    const bool replica_local =
-        plan_.replica_node[wp.replica_index] == wp.node;
-    if (replica_local) {
-      c.model_read_bytes = wp.model_read_bytes_per_epoch;
-    } else {
-      c.remote_read_bytes += wp.model_read_bytes_per_epoch;
-    }
-    if (plan_.sharing_sockets > 1) {
-      c.shared_write_bytes = wp.model_write_bytes_per_epoch;
-    } else {
-      c.local_write_bytes = wp.model_write_bytes_per_epoch;
-    }
-    c.flops = wp.flops_per_epoch;
-    c.updates = wp.updates_per_epoch;
-
     end_barrier_->Wait();
   }
 }
@@ -234,10 +209,7 @@ void Engine::ResampleImportanceWork() {
     Rng& rng = worker_rngs_[wp.worker_id];
     wp.work.clear();
     wp.work.reserve(m_per_worker);
-    wp.data_bytes_per_epoch = 0;
-    wp.model_read_bytes_per_epoch = 0;
-    wp.model_write_bytes_per_epoch = 0;
-    wp.flops_per_epoch = 0;
+    wp.per_epoch = ItemCost{};
     for (size_t s = 0; s < m_per_worker; ++s) {
       const double u = rng.Uniform() * total;
       const auto it = std::lower_bound(importance_cdf_.begin(),
@@ -245,14 +217,8 @@ void Engine::ResampleImportanceWork() {
       const Index i =
           static_cast<Index>(it - importance_cdf_.begin());
       wp.work.push_back(i);
-      const uint64_t nnz = dataset_->a.RowNnz(i);
-      wp.data_bytes_per_epoch += nnz * (sizeof(double) + sizeof(Index));
-      wp.model_read_bytes_per_epoch += nnz * sizeof(double);
-      wp.model_write_bytes_per_epoch =
-          wp.model_write_bytes_per_epoch +
-          (dense_write ? uint64_t{model_dim_} * sizeof(double)
-                       : nnz * sizeof(double));
-      wp.flops_per_epoch += 4 * nnz;
+      wp.per_epoch +=
+          RowItemCost(dataset_->a.RowNnz(i), model_dim_, dense_write);
     }
     wp.updates_per_epoch = wp.work.size();
   }
@@ -325,8 +291,24 @@ void Engine::EpochBoundarySync() {
 
 numa::SimulationInput Engine::BuildSimInput() const {
   numa::SimulationInput in(options_.topology.num_nodes);
+  // Analytic traffic accounting (the PMU substitute; see
+  // numa/access_counters.h): each worker's epoch cost from the plan,
+  // split by where its data and its replica live.
   for (const WorkerPlan& wp : plan_.workers) {
-    in.traffic.Add(wp.node, worker_counters_[wp.worker_id]);
+    const ItemCost& e = wp.per_epoch;
+    numa::AccessCounters c;
+    (wp.data_is_local ? c.local_read_bytes : c.remote_read_bytes) =
+        e.data_bytes;
+    if (plan_.replica_node[wp.replica_index] == wp.node) {
+      c.model_read_bytes = e.model_read_bytes;
+    } else {
+      c.remote_read_bytes += e.model_read_bytes;
+    }
+    (plan_.sharing_sockets > 1 ? c.shared_write_bytes : c.local_write_bytes) =
+        e.model_write_bytes;
+    c.flops = e.flops;
+    c.updates = wp.updates_per_epoch;
+    in.traffic.Add(wp.node, c);
     ++in.active_workers[wp.node];
   }
   in.model_sharing_sockets = plan_.sharing_sockets;

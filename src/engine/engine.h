@@ -142,7 +142,6 @@ class Engine {
   std::atomic<bool> quit_{false};
   std::atomic<double> current_step_{0.1};
   std::vector<Rng> worker_rngs_;
-  std::vector<numa::AccessCounters> worker_counters_;
 
   // Async averager.
   std::thread averager_;

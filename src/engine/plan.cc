@@ -49,79 +49,51 @@ const char* ToString(DataReplication m) {
 
 namespace {
 
-// Per-item traffic coefficients, filled per access method.
-struct ItemCosts {
-  // bytes of matrix data scanned when processing item k
-  std::vector<uint64_t> data_bytes;
-  // bytes of model read / written per item
-  std::vector<uint64_t> model_read;
-  std::vector<uint64_t> model_write;
-  std::vector<uint64_t> flops;
-};
-
 constexpr uint64_t kEntryBytes = sizeof(double) + sizeof(Index);
 constexpr uint64_t kValBytes = sizeof(double);
 
-ItemCosts ComputeItemCosts(const data::Dataset& d,
-                           const models::ModelSpec& spec,
-                           const EngineOptions& opts, const CscMatrix* csc) {
-  ItemCosts c;
+// Per-item traffic coefficients, filled per access method.
+std::vector<ItemCost> ComputeItemCosts(const data::Dataset& d,
+                                       const models::ModelSpec& spec,
+                                       const EngineOptions& opts,
+                                       const CscMatrix* csc) {
   const bool dense_write =
       spec.RowWriteSparsity() == models::UpdateSparsity::kDense;
   const Index dim = spec.ModelDim(d);
+  std::vector<ItemCost> c(opts.access == AccessMethod::kRowWise ? d.a.rows()
+                                                                 : d.a.cols());
   switch (opts.access) {
-    case AccessMethod::kRowWise: {
-      const Index n = d.a.rows();
-      c.data_bytes.resize(n);
-      c.model_read.resize(n);
-      c.model_write.resize(n);
-      c.flops.resize(n);
-      for (Index i = 0; i < n; ++i) {
-        const uint64_t nnz = d.a.RowNnz(i);
-        c.data_bytes[i] = nnz * kEntryBytes;
-        c.model_read[i] = nnz * kValBytes;
-        c.model_write[i] = dense_write ? uint64_t{dim} * kValBytes
-                                       : nnz * kValBytes;
-        c.flops[i] = 4 * nnz;
+    case AccessMethod::kRowWise:
+      for (Index i = 0; i < d.a.rows(); ++i) {
+        c[i] = RowItemCost(d.a.RowNnz(i), dim, dense_write);
       }
       break;
-    }
     case AccessMethod::kColWise: {
       DW_CHECK(csc != nullptr);
-      const Index dcols = d.a.cols();
-      c.data_bytes.resize(dcols);
-      c.model_read.resize(dcols);
-      c.model_write.resize(dcols);
-      c.flops.resize(dcols);
       const bool has_aux = spec.AuxDim(d) > 0;
-      for (Index j = 0; j < dcols; ++j) {
+      for (Index j = 0; j < d.a.cols(); ++j) {
         const uint64_t nnz = csc->ColNnz(j);
-        c.data_bytes[j] = nnz * kEntryBytes;
+        c[j].data_bytes = nnz * kEntryBytes;
         // Reads x_j plus (for Laplacian-style specs) neighbor values or
         // (for GLM SCD) the aux entries of S(j).
-        c.model_read[j] = (1 + nnz) * kValBytes;
-        c.model_write[j] = (1 + (has_aux ? nnz : 0)) * kValBytes;
-        c.flops[j] = 4 * nnz;
+        c[j].model_read_bytes = (1 + nnz) * kValBytes;
+        c[j].model_write_bytes = (1 + (has_aux ? nnz : 0)) * kValBytes;
+        c[j].flops = 4 * nnz;
       }
       break;
     }
     case AccessMethod::kColToRow: {
       DW_CHECK(csc != nullptr);
-      const Index dcols = d.a.cols();
-      c.data_bytes.resize(dcols);
-      c.model_read.resize(dcols);
-      c.model_write.resize(dcols);
-      c.flops.resize(dcols);
-      for (Index j = 0; j < dcols; ++j) {
+      for (Index j = 0; j < d.a.cols(); ++j) {
         const auto col = csc->Col(j);
         uint64_t expanded = 0;
         for (size_t k = 0; k < col.nnz; ++k) {
           expanded += d.a.RowNnz(col.indices[k]);
         }
-        c.data_bytes[j] = expanded * kEntryBytes + col.nnz * kEntryBytes;
-        c.model_read[j] = (1 + expanded) * kValBytes;
-        c.model_write[j] = kValBytes;
-        c.flops[j] = 4 * expanded;
+        c[j].data_bytes = expanded * kEntryBytes + col.nnz * kEntryBytes;
+        c[j].model_read_bytes = (1 + expanded) * kValBytes;
+        c[j].model_write_bytes = kValBytes;
+        c[j].flops = 4 * expanded;
       }
       break;
     }
@@ -130,6 +102,16 @@ ItemCosts ComputeItemCosts(const data::Dataset& d,
 }
 
 }  // namespace
+
+ItemCost RowItemCost(uint64_t nnz, Index dim, bool dense_write) {
+  ItemCost c;
+  c.data_bytes = nnz * kEntryBytes;
+  c.model_read_bytes = nnz * kValBytes;
+  c.model_write_bytes = dense_write ? uint64_t{dim} * kValBytes
+                                    : nnz * kValBytes;
+  c.flops = 4 * nnz;
+  return c;
+}
 
 StatusOr<Plan> BuildPlan(const data::Dataset& dataset,
                          const models::ModelSpec& spec,
@@ -221,7 +203,8 @@ StatusOr<Plan> BuildPlan(const data::Dataset& dataset,
       sizeof(double);
 
   // --- worker slots ------------------------------------------------------
-  const ItemCosts costs = ComputeItemCosts(dataset, spec, options, csc);
+  const std::vector<ItemCost> costs =
+      ComputeItemCosts(dataset, spec, options, csc);
   const Index domain = plan.domain_size;
 
   Rng rng(options.seed);
@@ -276,12 +259,7 @@ StatusOr<Plan> BuildPlan(const data::Dataset& dataset,
       }
     }
 
-    for (Index item : wp.work) {
-      wp.data_bytes_per_epoch += costs.data_bytes[item];
-      wp.model_read_bytes_per_epoch += costs.model_read[item];
-      wp.model_write_bytes_per_epoch += costs.model_write[item];
-      wp.flops_per_epoch += costs.flops[item];
-    }
+    for (Index item : wp.work) wp.per_epoch += costs[item];
     wp.updates_per_epoch = wp.work.size();
   }
   return plan;

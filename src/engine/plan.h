@@ -15,6 +15,28 @@
 
 namespace dw::engine {
 
+/// Traffic of one step over one item (a row or a column), or of a
+/// worker's whole epoch.
+struct ItemCost {
+  uint64_t data_bytes = 0;  ///< matrix bytes scanned
+  uint64_t model_read_bytes = 0;
+  uint64_t model_write_bytes = 0;
+  uint64_t flops = 0;
+
+  ItemCost& operator+=(const ItemCost& o) {
+    data_bytes += o.data_bytes;
+    model_read_bytes += o.model_read_bytes;
+    model_write_bytes += o.model_write_bytes;
+    flops += o.flops;
+    return *this;
+  }
+};
+
+/// A row-wise step over a row with `nnz` nonzeros against a `dim`-wide
+/// model. BuildPlan and the engine's per-epoch importance resampling both
+/// charge rows through it.
+ItemCost RowItemCost(uint64_t nnz, matrix::Index dim, bool dense_write);
+
 /// One worker's slot in the plan.
 struct WorkerPlan {
   int worker_id = 0;
@@ -25,11 +47,8 @@ struct WorkerPlan {
   /// Static work assignment (row ids or column ids). For kImportance this
   /// holds the most recent epoch's sample.
   std::vector<matrix::Index> work;
-  /// Precomputed traffic coefficients for the static assignment:
-  uint64_t data_bytes_per_epoch = 0;   ///< matrix bytes scanned
-  uint64_t model_read_bytes_per_epoch = 0;
-  uint64_t model_write_bytes_per_epoch = 0;
-  uint64_t flops_per_epoch = 0;
+  /// Precomputed traffic of one epoch over `work`.
+  ItemCost per_epoch;
   uint64_t updates_per_epoch = 0;
 };
 

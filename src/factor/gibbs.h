@@ -40,10 +40,6 @@ struct GibbsResult {
   uint64_t samples = 0;           ///< variable updates performed
   double wall_sec = 0.0;
   double sim_sec = 0.0;           ///< memory-model time on the topology
-  /// Throughput in variable samples per second (measured).
-  double SamplesPerSec() const {
-    return wall_sec > 0 ? static_cast<double>(samples) / wall_sec : 0.0;
-  }
   /// Throughput under the simulated topology.
   double SimSamplesPerSec() const {
     return sim_sec > 0 ? static_cast<double>(samples) / sim_sec : 0.0;

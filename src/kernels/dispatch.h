@@ -74,13 +74,12 @@ class ScopedKernelLevelForTesting {
   int previous_;
 };
 
-/// Per-machine tile sizes for the blocked scoring loop. block_cols is the
+/// Per-machine tile size for the blocked scoring loop. block_cols is the
 /// feature-dimension tile (doubles of model per block); rows stream
 /// against a resident block, so it must fit the private cache next to a
 /// few row slices.
 struct KernelTuning {
   matrix::Index block_cols = 4096;  ///< 32 KB of f64 model per block
-  size_t row_chunk = 128;           ///< rows scored per chunk
 };
 
 /// The tuning the kernels use, resolved once per process:

@@ -32,43 +32,51 @@ DW_TARGET_AVX2 inline double FoldLanes(__m256d accA, __m256d accB) {
   return (s[0] + s[1]) + (s[2] + s[3]);
 }
 
-/// Widens 4 consecutive int8 weights to doubles in-register (exact).
-DW_TARGET_AVX2 inline __m256d WidenI8x4(const int8_t* q) {
+/// The four weights at m as doubles: a plain load for f64, and for int8
+/// a 4-byte load widened in-register (exact). The weight type picks the
+/// overload at compile time.
+DW_TARGET_AVX2 inline __m256d Load4(const double* m) {
+  return _mm256_loadu_pd(m);
+}
+
+DW_TARGET_AVX2 inline __m256d Load4(const int8_t* q) {
   int packed;
   std::memcpy(&packed, q, sizeof(packed));
   return _mm256_cvtepi32_pd(_mm_cvtepi8_epi32(_mm_cvtsi32_si128(packed)));
 }
 
-DW_TARGET_AVX2 double DenseBlockDotAvx2(const double* v, const double* m,
-                                        Index lo, Index hi) {
+template <typename W>
+DW_TARGET_AVX2 double DenseBlockDotAvx2(const double* v, const W* m, Index lo,
+                                        Index hi) {
   __m256d accA = _mm256_setzero_pd();
   __m256d accB = _mm256_setzero_pd();
   Index j = lo;
   for (; j + 8 <= hi; j += 8) {
     accA = _mm256_add_pd(
-        accA, _mm256_mul_pd(_mm256_loadu_pd(v + j), _mm256_loadu_pd(m + j)));
-    accB = _mm256_add_pd(accB, _mm256_mul_pd(_mm256_loadu_pd(v + j + 4),
-                                             _mm256_loadu_pd(m + j + 4)));
+        accA, _mm256_mul_pd(_mm256_loadu_pd(v + j), Load4(m + j)));
+    accB = _mm256_add_pd(
+        accB, _mm256_mul_pd(_mm256_loadu_pd(v + j + 4), Load4(m + j + 4)));
   }
   const double folded = FoldLanes(accA, accB);
   double tail = 0.0;
-  for (; j < hi; ++j) tail += v[j] * m[j];
+  for (; j < hi; ++j) tail += v[j] * static_cast<double>(m[j]);
   return folded + tail;
 }
 
 /// Four rows per tile: the two model loads per iteration are shared by
-/// all four rows (the 4x model-traffic cut), eight live accumulators.
-DW_TARGET_AVX2 void Dense4BlockDotAvx2(const double* const* v4,
-                                       const double* m, Index lo, Index hi,
-                                       double* acc4) {
+/// all four rows (the 4x model-traffic cut; an int8 replica also moves
+/// 1/8 the bytes of the f64 one), eight live accumulators.
+template <typename W>
+DW_TARGET_AVX2 void Dense4BlockDotAvx2(const double* const* v4, const W* m,
+                                       Index lo, Index hi, double* acc4) {
   __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
   __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
   __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
   __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
   Index j = lo;
   for (; j + 8 <= hi; j += 8) {
-    const __m256d mA = _mm256_loadu_pd(m + j);
-    const __m256d mB = _mm256_loadu_pd(m + j + 4);
+    const __m256d mA = Load4(m + j);
+    const __m256d mB = Load4(m + j + 4);
     a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(v4[0] + j), mA));
     b0 = _mm256_add_pd(b0, _mm256_mul_pd(_mm256_loadu_pd(v4[0] + j + 4), mB));
     a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(v4[1] + j), mA));
@@ -83,7 +91,7 @@ DW_TARGET_AVX2 void Dense4BlockDotAvx2(const double* const* v4,
   for (int r = 0; r < 4; ++r) {
     const double folded = FoldLanes(accA[r], accB[r]);
     double tail = 0.0;
-    for (Index t = j; t < hi; ++t) tail += v4[r][t] * m[t];
+    for (Index t = j; t < hi; ++t) tail += v4[r][t] * static_cast<double>(m[t]);
     acc4[r] += folded + tail;
   }
 }
@@ -129,76 +137,14 @@ DW_TARGET_AVX2 double SparseBlockAccAvx2(double acc, const Index* indices,
   return acc;
 }
 
-DW_TARGET_AVX2 double DenseBlockDotI8Avx2(const double* v, const int8_t* m,
-                                          Index lo, Index hi) {
-  __m256d accA = _mm256_setzero_pd();
-  __m256d accB = _mm256_setzero_pd();
-  Index j = lo;
-  for (; j + 8 <= hi; j += 8) {
-    accA = _mm256_add_pd(
-        accA, _mm256_mul_pd(_mm256_loadu_pd(v + j), WidenI8x4(m + j)));
-    accB = _mm256_add_pd(
-        accB, _mm256_mul_pd(_mm256_loadu_pd(v + j + 4), WidenI8x4(m + j + 4)));
-  }
-  const double folded = FoldLanes(accA, accB);
-  double tail = 0.0;
-  for (; j < hi; ++j) tail += v[j] * static_cast<double>(m[j]);
-  return folded + tail;
-}
-
-DW_TARGET_AVX2 void Dense4BlockDotI8Avx2(const double* const* v4,
-                                         const int8_t* m, Index lo, Index hi,
-                                         double* acc4) {
-  __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
-  __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
-  __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
-  __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
-  Index j = lo;
-  for (; j + 8 <= hi; j += 8) {
-    // One byte-load + widen per 4 weights, shared by all four rows: the
-    // int8 replica moves 1/8 the bytes of the f64 one.
-    const __m256d mA = WidenI8x4(m + j);
-    const __m256d mB = WidenI8x4(m + j + 4);
-    a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(v4[0] + j), mA));
-    b0 = _mm256_add_pd(b0, _mm256_mul_pd(_mm256_loadu_pd(v4[0] + j + 4), mB));
-    a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(v4[1] + j), mA));
-    b1 = _mm256_add_pd(b1, _mm256_mul_pd(_mm256_loadu_pd(v4[1] + j + 4), mB));
-    a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(v4[2] + j), mA));
-    b2 = _mm256_add_pd(b2, _mm256_mul_pd(_mm256_loadu_pd(v4[2] + j + 4), mB));
-    a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(v4[3] + j), mA));
-    b3 = _mm256_add_pd(b3, _mm256_mul_pd(_mm256_loadu_pd(v4[3] + j + 4), mB));
-  }
-  const __m256d accA[4] = {a0, a1, a2, a3};
-  const __m256d accB[4] = {b0, b1, b2, b3};
-  for (int r = 0; r < 4; ++r) {
-    const double folded = FoldLanes(accA[r], accB[r]);
-    double tail = 0.0;
-    for (Index t = j; t < hi; ++t) {
-      tail += v4[r][t] * static_cast<double>(m[t]);
-    }
-    acc4[r] += folded + tail;
-  }
-}
-
-// No byte gather exists, so the int8 sparse fold stays scalar at every
-// level (the model bytes it moves are already 1/8 of the f64 path's).
-double SparseBlockAccI8Avx2(double acc, const Index* indices,
-                            const double* values, size_t* cursor, size_t nnz,
-                            const int8_t* m, Index hi) {
-  size_t k = *cursor;
-  while (k < nnz && indices[k] < hi) {
-    acc += values[k] * static_cast<double>(m[indices[k]]);
-    ++k;
-  }
-  *cursor = k;
-  return acc;
-}
-
 }  // namespace
 
+// No byte gather exists, so the int8 sparse fold is the scalar TU's (the
+// model bytes it moves are already 1/8 of the f64 path's).
 const KernelOps kAvx2Ops = {
-    DenseBlockDotAvx2,   Dense4BlockDotAvx2,   SparseBlockAccAvx2,
-    DenseBlockDotI8Avx2, Dense4BlockDotI8Avx2, SparseBlockAccI8Avx2,
+    DenseBlockDotAvx2<double>, Dense4BlockDotAvx2<double>, SparseBlockAccAvx2,
+    DenseBlockDotAvx2<int8_t>, Dense4BlockDotAvx2<int8_t>,
+    SparseBlockAccScalar<int8_t>,
 };
 
 }  // namespace dw::kernels

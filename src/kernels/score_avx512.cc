@@ -33,39 +33,48 @@ DW_TARGET_AVX512 inline double FoldLanes512(__m512d acc) {
   return (s[0] + s[1]) + (s[2] + s[3]);
 }
 
-/// Widens 8 consecutive int8 weights to doubles in-register (exact).
-DW_TARGET_AVX512 inline __m512d WidenI8x8(const int8_t* q) {
+/// The eight weights at m as doubles: a plain load for f64, and for int8
+/// an 8-byte load widened in-register (exact). The weight type picks the
+/// overload at compile time.
+DW_TARGET_AVX512 inline __m512d Load8(const double* m) {
+  return _mm512_loadu_pd(m);
+}
+
+DW_TARGET_AVX512 inline __m512d Load8(const int8_t* q) {
   long long packed;
   std::memcpy(&packed, q, sizeof(packed));
   return _mm512_cvtepi32_pd(
       _mm256_cvtepi8_epi32(_mm_cvtsi64_si128(packed)));
 }
 
-DW_TARGET_AVX512 double DenseBlockDotAvx512(const double* v, const double* m,
+template <typename W>
+DW_TARGET_AVX512 double DenseBlockDotAvx512(const double* v, const W* m,
                                             Index lo, Index hi) {
   __m512d acc = _mm512_setzero_pd();
   Index j = lo;
   for (; j + 8 <= hi; j += 8) {
-    acc = _mm512_add_pd(
-        acc, _mm512_mul_pd(_mm512_loadu_pd(v + j), _mm512_loadu_pd(m + j)));
+    acc = _mm512_add_pd(acc,
+                        _mm512_mul_pd(_mm512_loadu_pd(v + j), Load8(m + j)));
   }
   const double folded = FoldLanes512(acc);
   double tail = 0.0;
-  for (; j < hi; ++j) tail += v[j] * m[j];
+  for (; j < hi; ++j) tail += v[j] * static_cast<double>(m[j]);
   return folded + tail;
 }
 
-/// Four rows per tile sharing one 512-bit model load per iteration.
+/// Four rows per tile sharing one model load (for int8: one 8-byte load +
+/// widen) per iteration.
+template <typename W>
 DW_TARGET_AVX512 void Dense4BlockDotAvx512(const double* const* v4,
-                                           const double* m, Index lo,
-                                           Index hi, double* acc4) {
+                                           const W* m, Index lo, Index hi,
+                                           double* acc4) {
   __m512d a0 = _mm512_setzero_pd();
   __m512d a1 = _mm512_setzero_pd();
   __m512d a2 = _mm512_setzero_pd();
   __m512d a3 = _mm512_setzero_pd();
   Index j = lo;
   for (; j + 8 <= hi; j += 8) {
-    const __m512d mv = _mm512_loadu_pd(m + j);
+    const __m512d mv = Load8(m + j);
     a0 = _mm512_add_pd(a0, _mm512_mul_pd(_mm512_loadu_pd(v4[0] + j), mv));
     a1 = _mm512_add_pd(a1, _mm512_mul_pd(_mm512_loadu_pd(v4[1] + j), mv));
     a2 = _mm512_add_pd(a2, _mm512_mul_pd(_mm512_loadu_pd(v4[2] + j), mv));
@@ -75,7 +84,7 @@ DW_TARGET_AVX512 void Dense4BlockDotAvx512(const double* const* v4,
   for (int r = 0; r < 4; ++r) {
     const double folded = FoldLanes512(acc[r]);
     double tail = 0.0;
-    for (Index t = j; t < hi; ++t) tail += v4[r][t] * m[t];
+    for (Index t = j; t < hi; ++t) tail += v4[r][t] * static_cast<double>(m[t]);
     acc4[r] += folded + tail;
   }
 }
@@ -120,48 +129,6 @@ DW_TARGET_AVX512 double SparseBlockAccAvx512(double acc, const Index* indices,
   return acc;
 }
 
-DW_TARGET_AVX512 double DenseBlockDotI8Avx512(const double* v,
-                                              const int8_t* m, Index lo,
-                                              Index hi) {
-  __m512d acc = _mm512_setzero_pd();
-  Index j = lo;
-  for (; j + 8 <= hi; j += 8) {
-    acc = _mm512_add_pd(
-        acc, _mm512_mul_pd(_mm512_loadu_pd(v + j), WidenI8x8(m + j)));
-  }
-  const double folded = FoldLanes512(acc);
-  double tail = 0.0;
-  for (; j < hi; ++j) tail += v[j] * static_cast<double>(m[j]);
-  return folded + tail;
-}
-
-DW_TARGET_AVX512 void Dense4BlockDotI8Avx512(const double* const* v4,
-                                             const int8_t* m, Index lo,
-                                             Index hi, double* acc4) {
-  __m512d a0 = _mm512_setzero_pd();
-  __m512d a1 = _mm512_setzero_pd();
-  __m512d a2 = _mm512_setzero_pd();
-  __m512d a3 = _mm512_setzero_pd();
-  Index j = lo;
-  for (; j + 8 <= hi; j += 8) {
-    // One 8-byte load + widen per iteration, shared by all four rows.
-    const __m512d mv = WidenI8x8(m + j);
-    a0 = _mm512_add_pd(a0, _mm512_mul_pd(_mm512_loadu_pd(v4[0] + j), mv));
-    a1 = _mm512_add_pd(a1, _mm512_mul_pd(_mm512_loadu_pd(v4[1] + j), mv));
-    a2 = _mm512_add_pd(a2, _mm512_mul_pd(_mm512_loadu_pd(v4[2] + j), mv));
-    a3 = _mm512_add_pd(a3, _mm512_mul_pd(_mm512_loadu_pd(v4[3] + j), mv));
-  }
-  const __m512d acc[4] = {a0, a1, a2, a3};
-  for (int r = 0; r < 4; ++r) {
-    const double folded = FoldLanes512(acc[r]);
-    double tail = 0.0;
-    for (Index t = j; t < hi; ++t) {
-      tail += v4[r][t] * static_cast<double>(m[t]);
-    }
-    acc4[r] += folded + tail;
-  }
-}
-
 // No byte gather exists; scalar fold with prefetch of upcoming targets.
 double SparseBlockAccI8Avx512(double acc, const Index* indices,
                               const double* values, size_t* cursor,
@@ -181,8 +148,9 @@ double SparseBlockAccI8Avx512(double acc, const Index* indices,
 }  // namespace
 
 const KernelOps kAvx512Ops = {
-    DenseBlockDotAvx512,   Dense4BlockDotAvx512,   SparseBlockAccAvx512,
-    DenseBlockDotI8Avx512, Dense4BlockDotI8Avx512, SparseBlockAccI8Avx512,
+    DenseBlockDotAvx512<double>, Dense4BlockDotAvx512<double>,
+    SparseBlockAccAvx512, DenseBlockDotAvx512<int8_t>,
+    Dense4BlockDotAvx512<int8_t>, SparseBlockAccI8Avx512,
 };
 
 }  // namespace dw::kernels

@@ -33,9 +33,6 @@ const KernelOps& ActiveOps() { return OpsFor(ActiveKernelLevel()); }
 
 namespace {
 
-/// Rows scored per chunk; accumulators and cursors live on the stack.
-constexpr size_t kRowChunk = 128;
-
 /// How the blocked driver scans one row of the mini-batch.
 enum class RowKind : uint8_t {
   kDenseFull,   ///< identity pattern spanning the full model: tiled 4 at

@@ -23,11 +23,14 @@
 // identical across scalar/avx2/avx512 -- the property the dispatch
 // matrix in CI pins per commit.
 //
-// Int8 kernels share the same geometry over int8 weights widened
-// in-register (never materialized as a double copy: the whole point is
-// moving 1 byte per weight instead of 8), so they too agree bitwise
-// across levels; their accuracy contract against the FLOAT score is the
-// quantization bound documented at QuantizeWeights.
+// Each ISA file writes its dense, 4-row dense and sparse kernel once, as
+// a template over the weight type (double or int8_t). Per level, the only
+// int8-specific code is the load that widens int8 weights in-register
+// (never materialized as a double copy: the whole point is moving 1 byte
+// per weight instead of 8), plus AVX-512's prefetching int8 sparse fold
+// (no byte gather exists). An int8 kernel is thus the f64 kernel on the
+// widened weights, bitwise; its accuracy contract against the FLOAT score
+// is the quantization bound documented at QuantizeWeights.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +60,7 @@ struct KernelOps {
   double (*sparse_block_acc)(double acc, const matrix::Index* indices,
                              const double* values, size_t* cursor, size_t nnz,
                              const double* m, matrix::Index hi);
-  /// Int8 twins: same geometry, weights widened int8 -> double in
+  /// The same three kernels over int8 weights widened to double in
   /// register. Accumulators are UNSCALED (sum v*q); the driver applies
   /// the dequantization scale once per row.
   double (*dense_block_dot_i8)(const double* v, const int8_t* m,
@@ -82,6 +85,17 @@ const KernelOps& ActiveOps();
 extern const KernelOps kScalarOps;
 extern const KernelOps kAvx2Ops;
 extern const KernelOps kAvx512Ops;
+
+/// The scalar sparse fold (score_scalar.cc). Its int8_t instantiation is
+/// also AVX2's int8 entry: no byte gather exists.
+template <typename W>
+double SparseBlockAccScalar(double acc, const matrix::Index* indices,
+                            const double* values, size_t* cursor, size_t nnz,
+                            const W* m, matrix::Index hi);
+
+/// Rows ScoreBatchMargins scores per chunk; accumulators and cursors live
+/// on the stack. Each model block streams at most once per chunk.
+inline constexpr size_t kRowChunk = 128;
 
 /// Raw margins a_i . x for `n` rows against a float model, blocked and
 /// classified exactly like GlmSpec::PredictBatch (which is now a thin

@@ -64,13 +64,6 @@ class CsrMatrix {
     return nnz() * static_cast<int64_t>(sizeof(double) + sizeof(Index));
   }
 
-  /// Average bytes read when scanning a single row.
-  double BytesPerRow() const {
-    return rows_ == 0 ? 0.0
-                      : static_cast<double>(ScanBytes()) /
-                            static_cast<double>(rows_);
-  }
-
  private:
   Index rows_ = 0;
   Index cols_ = 0;

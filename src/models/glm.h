@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "kernels/score_kernels.h"
 #include "models/model_spec.h"
 
 namespace dw::models {
@@ -27,16 +28,6 @@ double Sigmoid(double z);
 /// -- the access pattern whose read cost is sum n_i^2 in Fig. 6).
 class GlmSpec : public ModelSpec {
  public:
-  /// Default feature-dimension tile of the batched scoring kernels: 4096
-  /// doubles = 32 KB of model, small enough to sit in L1/L2 while a
-  /// mini-batch's row slices stream past it. The actual tile is resolved
-  /// per machine by kernels::Tuning() (DW_KERNEL_BLOCK_COLS override or a
-  /// numa::BandwidthProbe auto-pick); this constant is its fallback and
-  /// the figure the ModelBytes accounting comments reference.
-  static constexpr matrix::Index kPredictBlockCols = 4096;
-  /// Rows scored per chunk; accumulators and cursors live on the stack.
-  static constexpr size_t kPredictRowChunk = 128;
-
   bool HasCol() const override { return true; }
   bool HasCtr() const override { return true; }
 
@@ -81,23 +72,17 @@ class GlmSpec : public ModelSpec {
                              const matrix::SparseVectorView* rows, size_t n,
                              double* out) const override;
 
-  /// Same streaming shape as PredictBatchModelBytes, one byte per weight.
+  /// One byte per streamed weight (see StreamedWeights).
   uint64_t PredictBatchQuantizedModelBytes(matrix::Index dim,
                                            uint64_t total_nnz,
                                            size_t n) const override {
-    const uint64_t chunks =
-        (static_cast<uint64_t>(n) + kPredictRowChunk - 1) / kPredictRowChunk;
-    return std::min<uint64_t>(total_nnz, chunks * dim) * sizeof(int8_t);
+    return StreamedWeights(dim, total_nnz, n) * sizeof(int8_t);
   }
 
-  /// The blocked kernel streams each model block at most once per
-  /// kPredictRowChunk-row chunk (and never reads more than the rows
-  /// gather in total).
+  /// Eight bytes per streamed weight (see StreamedWeights).
   uint64_t PredictBatchModelBytes(matrix::Index dim, uint64_t total_nnz,
                                   size_t n) const override {
-    const uint64_t chunks =
-        (static_cast<uint64_t>(n) + kPredictRowChunk - 1) / kPredictRowChunk;
-    return std::min<uint64_t>(total_nnz, chunks * dim) * sizeof(double);
+    return StreamedWeights(dim, total_nnz, n) * sizeof(double);
   }
 
   UpdateSparsity RowWriteSparsity() const override {
@@ -110,6 +95,17 @@ class GlmSpec : public ModelSpec {
   /// Link function the batched kernel applies to the raw margin a . x;
   /// identity for SVM/LS, sigmoid for LR. Must agree with Predict().
   virtual double Link(double margin) const { return margin; }
+
+ private:
+  /// Weights the blocked kernel streams for `n` rows: each model block at
+  /// most once per kernels::kRowChunk-row chunk, and never more than the
+  /// rows gather in total.
+  static uint64_t StreamedWeights(matrix::Index dim, uint64_t total_nnz,
+                                  size_t n) {
+    const uint64_t chunks =
+        (uint64_t{n} + kernels::kRowChunk - 1) / kernels::kRowChunk;
+    return std::min<uint64_t>(total_nnz, chunks * dim);
+  }
 };
 
 /// Support vector machine with hinge loss (1/N) sum max(0, 1 - y_i a_i.x).

@@ -41,10 +41,6 @@ struct NnTrainResult {
   double wall_sec = 0.0;
   double sim_sec = 0.0;
 
-  double NeuronsPerSec() const {
-    return wall_sec > 0 ? static_cast<double>(neurons_processed) / wall_sec
-                        : 0.0;
-  }
   double SimNeuronsPerSec() const {
     return sim_sec > 0 ? static_cast<double>(neurons_processed) / sim_sec
                        : 0.0;

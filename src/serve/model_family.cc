@@ -19,6 +19,25 @@ const char* ToString(Replication r) {
 
 // --- ModelFamily ----------------------------------------------------------
 
+namespace {
+
+/// `copies` node-local copies of src[0, n): copy c lives on node c.
+template <typename T>
+std::vector<numa::NodeArray<T>> Replicate(numa::NumaAllocator& allocator,
+                                          const T* src, size_t n,
+                                          int copies) {
+  std::vector<numa::NodeArray<T>> out;
+  out.reserve(copies);
+  for (int c = 0; c < copies; ++c) {
+    auto replica = allocator.AllocateOnNode<T>(c, n);
+    std::memcpy(replica.data(), src, n * sizeof(T));
+    out.push_back(std::move(replica));
+  }
+  return out;
+}
+
+}  // namespace
+
 ModelFamily::ModelFamily(std::string name,
                          std::shared_ptr<numa::NumaAllocator> allocator,
                          const FamilyOptions& options)
@@ -88,13 +107,8 @@ uint64_t ModelFamily::PublishLocked(
       replication_.load(std::memory_order_relaxed) == Replication::kPerNode
           ? allocator_->topology().num_nodes
           : 1;
-  snap->replicas_.reserve(copies);
-  for (int n = 0; n < copies; ++n) {
-    auto replica = allocator_->AllocateOnNode<double>(n, weights.size());
-    std::memcpy(replica.data(), weights.data(),
-                weights.size() * sizeof(double));
-    snap->replicas_.push_back(std::move(replica));
-  }
+  snap->replicas_ =
+      Replicate(*allocator_, weights.data(), weights.size(), copies);
   if (quantized_) {
     // Quantize ONCE, then replicate the int8 image with the same
     // placement as the f64 copies: every reader's node-local int8
@@ -102,12 +116,8 @@ uint64_t ModelFamily::PublishLocked(
     std::vector<int8_t> qimage(weights.size());
     snap->q_scale_ =
         kernels::QuantizeWeights(weights.data(), dim_, qimage.data());
-    snap->q_replicas_.reserve(copies);
-    for (int n = 0; n < copies; ++n) {
-      auto q = allocator_->AllocateOnNode<int8_t>(n, qimage.size());
-      std::memcpy(q.data(), qimage.data(), qimage.size() * sizeof(int8_t));
-      snap->q_replicas_.push_back(std::move(q));
-    }
+    snap->q_replicas_ =
+        Replicate(*allocator_, qimage.data(), qimage.size(), copies);
   }
 
   // Counter first, pointer second: a reader that acquires the NEW

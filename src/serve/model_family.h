@@ -58,27 +58,15 @@ class ModelSnapshot {
     return exported_at_;
   }
 
-  /// Node owning the replica that serves a reader on `node`. The index is
-  /// validated against the replica count: an out-of-range node under
-  /// kPerNode would otherwise index past replicas_ (and silently read a
-  /// neighboring family's weights, or worse).
+  /// Node owning the replica that serves a reader on `node`.
   numa::NodeId ReplicaNodeFor(numa::NodeId node) const {
-    DW_CHECK_GE(node, 0) << "negative node for " << family_;
-    if (replicas_.size() == 1) return replicas_[0].node();
-    DW_CHECK_LT(node, static_cast<numa::NodeId>(replicas_.size()))
-        << "node out of range for " << family_;
-    return replicas_[node].node();
+    return ReplicaFor(replicas_, node).node();
   }
 
   /// Weights a reader on `node` scores against: its node-local copy under
-  /// kPerNode, the single shared copy under kPerMachine. Same node-index
-  /// validation as ReplicaNodeFor.
+  /// kPerNode, the single shared copy under kPerMachine.
   const double* WeightsForNode(numa::NodeId node) const {
-    DW_CHECK_GE(node, 0) << "negative node for " << family_;
-    if (replicas_.size() == 1) return replicas_[0].data();
-    DW_CHECK_LT(node, static_cast<numa::NodeId>(replicas_.size()))
-        << "node out of range for " << family_;
-    return replicas_[node].data();
+    return ReplicaFor(replicas_, node).data();
   }
 
   /// True when this snapshot also carries int8-quantized replicas
@@ -91,21 +79,31 @@ class ModelSnapshot {
   /// zero point 0). Only meaningful when quantized().
   double int8_scale() const { return q_scale_; }
 
-  /// Int8 weights a reader on `node` scores against; same placement and
-  /// node validation as WeightsForNode. CHECKs quantized().
+  /// Int8 weights a reader on `node` scores against; same placement as
+  /// WeightsForNode. CHECKs quantized().
   const int8_t* QuantizedWeightsForNode(numa::NodeId node) const {
-    DW_CHECK(!q_replicas_.empty())
-        << family_ << " has no quantized replicas";
-    DW_CHECK_GE(node, 0) << "negative node for " << family_;
-    if (q_replicas_.size() == 1) return q_replicas_[0].data();
-    DW_CHECK_LT(node, static_cast<numa::NodeId>(q_replicas_.size()))
-        << "node out of range for " << family_;
-    return q_replicas_[node].data();
+    DW_CHECK(quantized()) << family_ << " has no quantized replicas";
+    return ReplicaFor(q_replicas_, node).data();
   }
 
  private:
   friend class ModelFamily;
   ModelSnapshot() = default;
+
+  /// The replica serving a reader on `node`: the single shared copy, or
+  /// the node's own. `node` is validated: out of range under kPerNode it
+  /// would index past the replicas (and silently read a neighboring
+  /// family's weights, or worse).
+  template <typename T>
+  const numa::NodeArray<T>& ReplicaFor(
+      const std::vector<numa::NodeArray<T>>& replicas,
+      numa::NodeId node) const {
+    DW_CHECK_GE(node, 0) << "negative node for " << family_;
+    if (replicas.size() == 1) return replicas[0];
+    DW_CHECK_LT(node, static_cast<numa::NodeId>(replicas.size()))
+        << "node out of range for " << family_;
+    return replicas[node];
+  }
 
   uint64_t version_ = 0;
   std::string family_;

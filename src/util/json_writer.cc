@@ -119,12 +119,4 @@ JsonWriter& JsonWriter::Null() {
   return *this;
 }
 
-bool JsonWriter::WriteFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t n = std::fwrite(out_.data(), 1, out_.size(), f);
-  const bool ok = n == out_.size() && std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace dw

@@ -52,10 +52,6 @@ class JsonWriter {
   /// The document so far. Valid JSON once every Begin has its End.
   const std::string& str() const { return out_; }
 
-  /// Writes str() to `path`. Returns false (and leaves a partial file at
-  /// worst) on I/O failure.
-  bool WriteFile(const std::string& path) const;
-
  private:
   void BeforeValue();
   void Escape(const std::string& s);

@@ -136,7 +136,7 @@ TEST(PlanTest, TrafficCoefficientsMatchDatasetTotals) {
   auto plan = BuildPlan(d, svm, opts, nullptr);
   ASSERT_TRUE(plan.ok());
   uint64_t data_bytes = 0;
-  for (const auto& w : plan.value().workers) data_bytes += w.data_bytes_per_epoch;
+  for (const auto& w : plan.value().workers) data_bytes += w.per_epoch.data_bytes;
   // Sharding: one full scan per epoch = nnz * (8 value + 4 index) bytes.
   EXPECT_EQ(data_bytes, static_cast<uint64_t>(d.a.nnz()) * 12u);
 }

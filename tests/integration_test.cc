@@ -1,9 +1,7 @@
 // Cross-module integration tests: optimizer-driven end-to-end training,
-// grid search, loss-curve persistence, baseline orderings, and the
-// qualitative claims each paper figure rests on, exercised at test scale.
+// grid search, baseline orderings, and the qualitative claims each paper
+// figure rests on, exercised at test scale.
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "baselines/baselines.h"
 #include "data/paper_datasets.h"
@@ -11,7 +9,6 @@
 #include "data/transforms.h"
 #include "engine/engine.h"
 #include "engine/grid_search.h"
-#include "engine/run_io.h"
 #include "models/glm.h"
 #include "models/graph_opt.h"
 #include "opt/optimizer.h"
@@ -79,41 +76,6 @@ TEST(IntegrationTest, GridSearchPicksAStableStep) {
       {3.0, 0.03, 0.003});
   EXPECT_LT(gs.best_step, 3.0);
   EXPECT_LT(gs.best_run.BestLoss(), 0.05);
-}
-
-TEST(IntegrationTest, LossCurveCsvRoundTrips) {
-  const Dataset d = data::Reuters(0.1);
-  models::SvmSpec svm;
-  EngineOptions o = TestOptions();
-  engine::Engine eng(&d, &svm, o);
-  ASSERT_TRUE(eng.Init().ok());
-  engine::RunConfig cfg;
-  cfg.max_epochs = 5;
-  const RunResult rr = eng.Run(cfg);
-
-  const std::string path = ::testing::TempDir() + "/dw_curve.csv";
-  ASSERT_TRUE(engine::WriteLossCurveCsv(path, rr).ok());
-  const auto rt = engine::ReadLossCurveCsv(path);
-  ASSERT_TRUE(rt.ok());
-  ASSERT_EQ(rt.value().epochs.size(), rr.epochs.size());
-  for (size_t i = 0; i < rr.epochs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(rt.value().epochs[i].loss, rr.epochs[i].loss);
-    EXPECT_DOUBLE_EQ(rt.value().epochs[i].wall_sec, rr.epochs[i].wall_sec);
-    EXPECT_EQ(rt.value().epochs[i].traffic.local_read_bytes,
-              rr.epochs[i].traffic.local_read_bytes);
-  }
-  EXPECT_NEAR(rt.value().TotalWallSec(), rr.TotalWallSec(), 1e-12);
-  std::remove(path.c_str());
-}
-
-TEST(IntegrationTest, ReadLossCurveCsvRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/dw_garbage.csv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("header\nnot,a,number\n", f);
-  std::fclose(f);
-  EXPECT_FALSE(engine::ReadLossCurveCsv(path).ok());
-  EXPECT_FALSE(engine::ReadLossCurveCsv("/no/such/file.csv").ok());
-  std::remove(path.c_str());
 }
 
 // Figure 12(a)'s claim at test scale: the wrong access method is orders

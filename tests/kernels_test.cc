@@ -69,7 +69,6 @@ TEST(KernelDispatchTest, TuningIsClampedAndStable) {
   EXPECT_GE(t.block_cols, 512);
   EXPECT_LE(t.block_cols, 65536);
   EXPECT_EQ(t.block_cols % 8, 0) << "block must preserve the 8-lane seams";
-  EXPECT_GT(t.row_chunk, 0u);
   // Resolved once per process: a second call returns the same object.
   EXPECT_EQ(&Tuning(), &t);
 }
@@ -250,13 +249,65 @@ TEST(KernelBitwiseTest, Int8KernelsMatchScalarBitwise) {
   }
 }
 
+TEST(KernelBitwiseTest, Int8KernelsEqualF64KernelsOnWidenedWeights) {
+  // Each int8 kernel is its level's f64 kernel with the weight load
+  // widened in register, so on w[j] = double(q[j]) the two must agree
+  // bitwise at every level. The sparse fold runs in two block steps so
+  // the cursor hand-off across the seam is covered too.
+  Rng rng(0x18f64);
+  const Index dim = 1003;
+  std::vector<int8_t> q(dim);
+  for (auto& x : q) {
+    x = static_cast<int8_t>(static_cast<int>(rng.Below(255)) - 127);
+  }
+  const std::vector<double> w(q.begin(), q.end());
+  const std::vector<double> v = EdgyVector(dim, 0x4444);
+  std::vector<std::vector<double>> rows;
+  for (int r = 0; r < 4; ++r) rows.push_back(EdgyVector(dim, 0x5555 + r));
+  const double* v4[4] = {rows[0].data(), rows[1].data(), rows[2].data(),
+                         rows[3].data()};
+  std::vector<Index> idx;
+  for (Index j = 1; j < dim; j += 1 + static_cast<Index>(rng.Below(12))) {
+    idx.push_back(j);
+  }
+  const std::vector<double> sval = EdgyVector(idx.size(), 0x6666);
+  const Index mid = 517;  // not a multiple of 8: a ragged seam
+  for (KernelLevel l : SupportedLevels()) {
+    const KernelOps& ops = OpsFor(l);
+    for (const Index lo : {Index{0}, Index{5}}) {
+      EXPECT_EQ(ops.dense_block_dot_i8(v.data(), q.data(), lo, dim),
+                ops.dense_block_dot(v.data(), w.data(), lo, dim))
+          << ToString(l) << " lo " << lo;
+    }
+    double f4[4] = {0.5, -1.0, 0.0, 2.0};
+    double i4[4] = {0.5, -1.0, 0.0, 2.0};
+    ops.dense4_block_dot(v4, w.data(), 3, dim, f4);
+    ops.dense4_block_dot_i8(v4, q.data(), 3, dim, i4);
+    for (int r = 0; r < 4; ++r) EXPECT_EQ(i4[r], f4[r]) << ToString(l);
+    size_t fcur = 0, icur = 0;
+    double fs = ops.sparse_block_acc(0.25, idx.data(), sval.data(), &fcur,
+                                     idx.size(), w.data(), mid);
+    double is = ops.sparse_block_acc_i8(0.25, idx.data(), sval.data(), &icur,
+                                        idx.size(), q.data(), mid);
+    EXPECT_EQ(icur, fcur) << ToString(l);
+    EXPECT_EQ(is, fs) << ToString(l) << " first block";
+    fs = ops.sparse_block_acc(fs, idx.data(), sval.data(), &fcur, idx.size(),
+                              w.data(), dim);
+    is = ops.sparse_block_acc_i8(is, idx.data(), sval.data(), &icur,
+                                 idx.size(), q.data(), dim);
+    EXPECT_EQ(icur, idx.size()) << ToString(l);
+    EXPECT_EQ(is, fs) << ToString(l);
+  }
+}
+
 TEST(ScoreBatchMarginsTest, ExplicitOpsTablesAgreeBitwiseOnFuzzedBatches) {
   // The full driver (classification + blocking + per-row fold) under each
   // level's table: margins must agree bitwise with the scalar table on
   // mixed batches, at any block seam. Seeded property fuzz.
   Rng rng(0xca2a1u);
   for (int iter = 0; iter < 10; ++iter) {
-    const Index dim = 9 + static_cast<Index>(rng.Below(9000));
+    const Index dim =
+        9 + static_cast<Index>(rng.Below(2 * Tuning().block_cols + 500));
     const size_t n = 1 + rng.Below(200);
     std::vector<double> model = EdgyVector(dim, rng.Next());
     std::vector<std::vector<Index>> indices(n);

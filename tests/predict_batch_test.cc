@@ -124,9 +124,10 @@ TYPED_TEST(GlmPredictBatchTest, DenseRowsSmallModel) {
 }
 
 TYPED_TEST(GlmPredictBatchTest, DenseRowsWideModelRaggedFinalBlock) {
-  // dim = 1.4 blocks: the last column block is ragged (not a multiple of
-  // kPredictBlockCols), exercising the blocked dense kernel's tail.
-  const Index dim = GlmSpec::kPredictBlockCols + 1700;
+  // dim = one block plus 1700 columns: the last column block is ragged
+  // (not a multiple of the tuned block width), exercising the blocked
+  // dense kernel's tail.
+  const Index dim = kernels::Tuning().block_cols + 1700;
   ExpectBatchMatchesScalar(this->spec, RandomModel(dim, 3), dim,
                            DenseRows(9, dim, 4));
 }
@@ -140,13 +141,13 @@ TYPED_TEST(GlmPredictBatchTest, SparseRowsSmallModel) {
 TYPED_TEST(GlmPredictBatchTest, SparseRowsWideModelCrossBlockCursors) {
   // Sparse rows spanning three column blocks: the per-row cursor must
   // resume exactly where the previous block left off.
-  const Index dim = 2 * GlmSpec::kPredictBlockCols + 777;
+  const Index dim = 2 * kernels::Tuning().block_cols + 777;
   ExpectBatchMatchesScalar(this->spec, RandomModel(dim, 7), dim,
                            SparseRows(50, dim, 40, 8));
 }
 
 TYPED_TEST(GlmPredictBatchTest, BatchSizeOne) {
-  const Index dim = GlmSpec::kPredictBlockCols + 10;
+  const Index dim = kernels::Tuning().block_cols + 10;
   ExpectBatchMatchesScalar(this->spec, RandomModel(dim, 9), dim,
                            DenseRows(1, dim, 10));
   ExpectBatchMatchesScalar(this->spec, RandomModel(dim, 11), dim,
@@ -155,14 +156,14 @@ TYPED_TEST(GlmPredictBatchTest, BatchSizeOne) {
 
 TYPED_TEST(GlmPredictBatchTest, RaggedFinalRowChunk) {
   // n = one full row chunk plus a remainder: the chunk loop's tail.
-  const size_t n = GlmSpec::kPredictRowChunk + 3;
+  const size_t n = kernels::kRowChunk + 3;
   const Index dim = 128;
   ExpectBatchMatchesScalar(this->spec, RandomModel(dim, 13), dim,
                            SparseRows(n, dim, 10, 14));
 }
 
 TYPED_TEST(GlmPredictBatchTest, MixedDenseSparseAndUnsortedRows) {
-  const Index dim = GlmSpec::kPredictBlockCols + 50;
+  const Index dim = kernels::Tuning().block_cols + 50;
   const std::vector<double> model = RandomModel(dim, 15);
   RowSet rs = DenseRows(2, dim, 16);
   RowSet sparse = SparseRows(3, dim, 20, 17);
@@ -197,7 +198,7 @@ TYPED_TEST(GlmPredictBatchTest, ExplicitDenseViewsFullAndShort) {
   // Null-index dense views: six full-width rows (one 4-row register tile
   // plus two remainder rows) and short rows whose lengths straddle the
   // column-block boundary.
-  const Index dim = GlmSpec::kPredictBlockCols + 900;
+  const Index dim = kernels::Tuning().block_cols + 900;
   Rng rng(31);
   RowSet rs;
   for (int r = 0; r < 6; ++r) {
@@ -207,7 +208,7 @@ TYPED_TEST(GlmPredictBatchTest, ExplicitDenseViewsFullAndShort) {
     rs.values.push_back(std::move(val));
   }
   for (const size_t len : {size_t{1}, size_t{537},
-                           size_t{GlmSpec::kPredictBlockCols + 1}}) {
+                           size_t{kernels::Tuning().block_cols + 1}}) {
     std::vector<double> val(len);
     for (auto& v : val) v = rng.Gaussian(0.0, 1.0);
     rs.indices.push_back({});
@@ -227,8 +228,8 @@ TYPED_TEST(GlmPredictBatchTest, RandomizedFuzzedBatchesMatchScalar) {
   Rng rng(kSeed);
   for (int iter = 0; iter < 20; ++iter) {
     const Index dim = 1 + static_cast<Index>(rng.Below(
-                              2 * GlmSpec::kPredictBlockCols + 500));
-    const size_t n = 1 + rng.Below(GlmSpec::kPredictRowChunk + 33);
+                              2 * kernels::Tuning().block_cols + 500));
+    const size_t n = 1 + rng.Below(kernels::kRowChunk + 33);
     RowSet rs;
     for (size_t r = 0; r < n; ++r) {
       std::vector<Index> idx;
@@ -345,8 +346,8 @@ TYPED_TEST(GlmPredictBatchTest, SimdLevelsBitwiseEqualScalarOnFuzzedBatches) {
   Rng rng(kSeed);
   for (int iter = 0; iter < 12; ++iter) {
     const Index dim = 1 + static_cast<Index>(rng.Below(
-                              2 * GlmSpec::kPredictBlockCols + 500));
-    const size_t n = 1 + rng.Below(GlmSpec::kPredictRowChunk + 33);
+                              2 * kernels::Tuning().block_cols + 500));
+    const size_t n = 1 + rng.Below(kernels::kRowChunk + 33);
     RowSet rs = FuzzedRows(rng, dim, n);
     std::vector<double> model = RandomModel(dim, rng.Next());
     // A few denormal / extreme weights per iteration.
@@ -386,7 +387,7 @@ TYPED_TEST(GlmPredictBatchTest, QuantizedBatchWithinDocumentedErrorBound) {
   Rng rng(kSeed);
   for (int iter = 0; iter < 8; ++iter) {
     const Index dim = 16 + static_cast<Index>(rng.Below(
-                               GlmSpec::kPredictBlockCols + 700));
+                               kernels::Tuning().block_cols + 700));
     const size_t n = 1 + rng.Below(80);
     RowSet rs = FuzzedRows(rng, dim, n);
     const std::vector<double> model = RandomModel(dim, rng.Next());

@@ -18,6 +18,7 @@
 
 #include "data/paper_datasets.h"
 #include "data/synthetic.h"
+#include "kernels/dispatch.h"
 #include "models/glm.h"
 #include "numa/memory_model.h"
 #include "serve/model_family.h"
@@ -1292,7 +1293,7 @@ TEST(ServingEngineTest, ScalarAndBatchedModesAgreeWithinEpsilon) {
 TEST(ServingEngineTest, BatchedServingOfWideModelCrossesColumnBlocks) {
   // A model wider than one kernel tile: batched serving must still equal
   // the scalar reference (end-to-end check of the blocked serving path).
-  const Index dim = models::GlmSpec::kPredictBlockCols + 333;
+  const Index dim = kernels::Tuning().block_cols + 333;
   models::LeastSquaresSpec ls;
   Rng rng(77);
   std::vector<double> weights(dim);
