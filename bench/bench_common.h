@@ -1,7 +1,7 @@
 // Shared support for the per-figure bench binaries. Every bench prints the
 // paper's rows/series through dw::Table and reports both host wall-clock
 // measurements and memory-model (simulated) times for the named topology,
-// per the substitution documented in DESIGN.md.
+// per the substitution described in src/numa/topology.h.
 #pragma once
 
 #include <cstdlib>

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <thread>
+#include <functional>
 
 #include "matrix/csc_matrix.h"
 #include "opt/optimizer.h"
@@ -13,6 +13,7 @@
 #include "util/rng.h"
 #include "util/thread_util.h"
 #include "util/timer.h"
+#include "util/worker_pool.h"
 
 namespace dw::baselines {
 
@@ -25,21 +26,55 @@ using models::StepContext;
 
 namespace {
 
-int TotalWorkers(const BaselineOptions& o) {
-  const int wpn = o.workers_per_node > 0 ? o.workers_per_node
-                                         : o.topology.cores_per_node;
-  return wpn * o.topology.num_nodes;
+// The CPU each baseline worker pins to (-1: unpinned).
+std::vector<int> WorkerCpus(const BaselineOptions& o) {
+  return o.topology.WorkerCpus(o.workers_per_node > 0
+                                   ? o.workers_per_node
+                                   : o.topology.cores_per_node,
+                               o.pin_threads);
 }
 
-void MaybePin(const BaselineOptions& o, int worker) {
-  if (!o.pin_threads) return;
-  const int wpn = o.workers_per_node > 0 ? o.workers_per_node
-                                         : o.topology.cores_per_node;
-  const int node = worker / wpn;
-  const int core =
-      node * o.topology.cores_per_node + (worker % wpn) % o.topology.cores_per_node;
-  (void)PinCurrentThreadToCpu(
-      o.topology.PhysicalCpuOfCore(core, NumOnlineCpus()));
+// Runs the engine at the strategy point in `opts`, with the rest of its
+// options taken from `options`.
+RunResult RunEngine(const Dataset& dataset, const ModelSpec& spec,
+                    const BaselineOptions& options,
+                    engine::EngineOptions opts) {
+  opts.topology = options.topology;
+  opts.workers_per_node = options.workers_per_node;
+  opts.step_size = options.step_size;
+  opts.step_decay = options.step_decay;
+  opts.pin_threads = options.pin_threads;
+  opts.seed = options.seed;
+  engine::Engine eng(&dataset, &spec, opts);
+  const Status st = eng.Init();
+  DW_CHECK(st.ok()) << st.ToString();
+  engine::RunConfig cfg;
+  cfg.max_epochs = options.max_epochs;
+  cfg.stop_loss = options.stop_loss;
+  cfg.wall_timeout_sec = options.wall_timeout_sec;
+  return eng.Run(cfg);
+}
+
+// The epoch loop of the hand-written executors: epoch(e) updates `model`,
+// and the loop times it, scans the loss and applies the stop rules.
+RunResult RunEpochs(const Dataset& dataset, const ModelSpec& spec,
+                    const BaselineOptions& options, const double* model,
+                    const std::function<void(int)>& epoch) {
+  RunResult result;
+  double wall_acc = 0.0;
+  for (int e = 0; e < options.max_epochs; ++e) {
+    EpochRecord rec;
+    rec.epoch = e;
+    WallTimer timer;
+    epoch(e);
+    rec.wall_sec = timer.Seconds();
+    rec.loss = engine::ParallelLoss(dataset, spec, model);
+    wall_acc += rec.wall_sec;
+    result.epochs.push_back(rec);
+    if (rec.loss <= options.stop_loss) break;
+    if (wall_acc > options.wall_timeout_sec) break;
+  }
+  return result;
 }
 
 }  // namespace
@@ -47,47 +82,19 @@ void MaybePin(const BaselineOptions& o, int worker) {
 RunResult RunHogwild(const Dataset& dataset, const ModelSpec& spec,
                      const BaselineOptions& options) {
   engine::EngineOptions opts;
-  opts.topology = options.topology;
-  opts.workers_per_node = options.workers_per_node;
   opts.access = engine::AccessMethod::kRowWise;
   opts.model_rep = engine::ModelReplication::kPerMachine;
   opts.data_rep = engine::DataReplication::kSharding;
-  opts.step_size = options.step_size;
-  opts.step_decay = options.step_decay;
   opts.sync_interval_us = 0;
   opts.collocate_data = false;  // Hogwild! does not place data per node
-  opts.pin_threads = options.pin_threads;
-  opts.seed = options.seed;
-  engine::Engine eng(&dataset, &spec, opts);
-  const Status st = eng.Init();
-  DW_CHECK(st.ok()) << st.ToString();
-  engine::RunConfig cfg;
-  cfg.max_epochs = options.max_epochs;
-  cfg.stop_loss = options.stop_loss;
-  cfg.wall_timeout_sec = options.wall_timeout_sec;
-  return eng.Run(cfg);
+  return RunEngine(dataset, spec, options, opts);
 }
 
 RunResult RunDimmWitted(const Dataset& dataset, const ModelSpec& spec,
                         const BaselineOptions& options) {
   engine::EngineOptions opts;
-  opts.topology = options.topology;
-  opts.workers_per_node = options.workers_per_node;
-  opts.step_size = options.step_size;
-  opts.step_decay = options.step_decay;
-  opts.pin_threads = options.pin_threads;
-  opts.seed = options.seed;
-  const opt::PlanChoice choice =
-      opt::ChoosePlan(dataset, spec, options.topology);
-  opt::ApplyChoice(choice, &opts);
-  engine::Engine eng(&dataset, &spec, opts);
-  const Status st = eng.Init();
-  DW_CHECK(st.ok()) << st.ToString();
-  engine::RunConfig cfg;
-  cfg.max_epochs = options.max_epochs;
-  cfg.stop_loss = options.stop_loss;
-  cfg.wall_timeout_sec = options.wall_timeout_sec;
-  return eng.Run(cfg);
+  opt::ApplyChoice(opt::ChoosePlan(dataset, spec, options.topology), &opts);
+  return RunEngine(dataset, spec, options, opts);
 }
 
 namespace {
@@ -106,6 +113,7 @@ RunResult RunGraphStyle(const Dataset& dataset, const ModelSpec& spec,
   // f_ctr recomputes everything from rows; only f_col keeps the aux.
   std::vector<double> aux(use_ctr ? 0 : spec.AuxDim(dataset), 0.0);
   if (!aux.empty()) spec.RefreshAux(dataset, model.data(), aux.data());
+  double* const aux_or_null = aux.empty() ? nullptr : aux.data();
 
   // GraphLab's consistency model: a lock per variable (column).
   std::vector<SpinLock> locks(dim);
@@ -116,56 +124,34 @@ RunResult RunGraphStyle(const Dataset& dataset, const ModelSpec& spec,
   std::vector<double> shard_buffer;
   if (shard_reload) shard_buffer.resize(csc.values().size());
 
-  const int workers = TotalWorkers(options);
+  WorkerPool pool(WorkerCpus(options));
   Rng rng(options.seed);
-  RunResult result;
-  double wall_acc = 0.0;
-  for (int epoch = 0; epoch < options.max_epochs; ++epoch) {
-    EpochRecord rec;
-    rec.epoch = epoch;
-    WallTimer timer;
-
+  return RunEpochs(dataset, spec, options, model.data(), [&](int epoch) {
     if (shard_reload) {
       // GraphChi re-materializes each shard before processing it; with a
       // memory buffer this is a full copy of the column arrays.
       std::memcpy(shard_buffer.data(), csc.values().data(),
                   csc.values().size() * sizeof(double));
     }
-
     rng.Shuffle(tasks);
     std::atomic<size_t> cursor{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    const double step =
-        options.step_size * std::pow(options.step_decay, epoch);
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        MaybePin(options, w);
-        StepContext ctx{&dataset, &csc, step};
-        for (;;) {
-          const size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (k >= tasks.size()) break;
-          const Index j = tasks[k];
-          std::lock_guard<SpinLock> g(locks[j]);
-          if (use_ctr) {
-            spec.CtrStep(ctx, j, model.data(),
-                         aux.empty() ? nullptr : aux.data());
-          } else {
-            spec.ColStep(ctx, j, model.data(),
-                         aux.empty() ? nullptr : aux.data());
-          }
+    const StepContext ctx{&dataset, &csc,
+                          options.step_size *
+                              std::pow(options.step_decay, epoch)};
+    pool.Run([&](int) {
+      for (;;) {
+        const size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (k >= tasks.size()) break;
+        const Index j = tasks[k];
+        std::lock_guard<SpinLock> g(locks[j]);
+        if (use_ctr) {
+          spec.CtrStep(ctx, j, model.data(), aux_or_null);
+        } else {
+          spec.ColStep(ctx, j, model.data(), aux_or_null);
         }
-      });
-    }
-    for (auto& t : pool) t.join();
-    rec.wall_sec = timer.Seconds();
-    rec.loss = engine::ParallelLoss(dataset, spec, model.data());
-    wall_acc += rec.wall_sec;
-    result.epochs.push_back(rec);
-    if (rec.loss <= options.stop_loss) break;
-    if (wall_acc > options.wall_timeout_sec) break;
-  }
-  return result;
+      }
+    });
+  });
 }
 
 }  // namespace
@@ -184,7 +170,8 @@ RunResult RunMLlibStyle(const Dataset& dataset, const ModelSpec& spec,
                         const BaselineOptions& options) {
   const Index dim = spec.ModelDim(dataset);
   const Index n = dataset.a.rows();
-  const int workers = TotalWorkers(options);
+  const std::vector<int> cpus = WorkerCpus(options);
+  const int workers = static_cast<int>(cpus.size());
 
   std::vector<double> model(dim, 0.0);
   spec.Project(model.data(), dim);
@@ -199,35 +186,24 @@ RunResult RunMLlibStyle(const Dataset& dataset, const ModelSpec& spec,
   const Index batch = std::max<Index>(
       1, static_cast<Index>(options.batch_fraction * n));
 
-  RunResult result;
-  double wall_acc = 0.0;
-  for (int epoch = 0; epoch < options.max_epochs; ++epoch) {
-    EpochRecord rec;
-    rec.epoch = epoch;
-    WallTimer timer;
+  return RunEpochs(dataset, spec, options, model.data(), [&](int epoch) {
     rng.Shuffle(order);
-    const double step =
-        options.step_size * std::pow(options.step_decay, epoch);
-
+    const StepContext ctx{&dataset, nullptr,
+                          options.step_size *
+                              std::pow(options.step_decay, epoch)};
     for (Index start = 0; start < n; start += batch) {
       const Index end = std::min<Index>(n, start + batch);
       // Stage 1: executors compute partial gradients (task scheduling =
       // one thread spawn per executor per minibatch, as in Spark stages).
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (int w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-          MaybePin(options, w);
-          std::fill(partials[w].begin(), partials[w].end(), 0.0);
-          StepContext ctx{&dataset, nullptr, step};
-          for (Index k = start + w; k < end; k += workers) {
-            spec.RowGradient(ctx, order[k], model.data(), partials[w].data());
-          }
-        });
-      }
-      for (auto& t : pool) t.join();
+      RunOnNewThreads(workers, [&](int w) {
+        if (cpus[w] >= 0) (void)PinCurrentThreadToCpu(cpus[w]);
+        std::fill(partials[w].begin(), partials[w].end(), 0.0);
+        for (Index k = start + w; k < end; k += workers) {
+          spec.RowGradient(ctx, order[k], model.data(), partials[w].data());
+        }
+      });
       // Stage 2: the single driver aggregates and applies the update.
-      const double scale = step / static_cast<double>(end - start);
+      const double scale = ctx.step_size / static_cast<double>(end - start);
       for (int w = 0; w < workers; ++w) {
         for (Index k = 0; k < dim; ++k) {
           model[k] -= scale * partials[w][k];
@@ -235,14 +211,7 @@ RunResult RunMLlibStyle(const Dataset& dataset, const ModelSpec& spec,
       }
       spec.Project(model.data(), dim);
     }
-    rec.wall_sec = timer.Seconds();
-    rec.loss = engine::ParallelLoss(dataset, spec, model.data());
-    wall_acc += rec.wall_sec;
-    result.epochs.push_back(rec);
-    if (rec.loss <= options.stop_loss) break;
-    if (wall_acc > options.wall_timeout_sec) break;
-  }
-  return result;
+  });
 }
 
 }  // namespace dw::baselines

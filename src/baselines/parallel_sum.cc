@@ -1,10 +1,9 @@
 #include "baselines/parallel_sum.h"
 
 #include <atomic>
-#include <thread>
 
 #include "util/aligned.h"
-#include "util/barrier.h"
+#include "util/thread_util.h"
 #include "util/timer.h"
 
 namespace dw::baselines {
@@ -32,15 +31,9 @@ SumResult RunParallelSum(const std::vector<double>& values, int threads,
       // One padded accumulator per worker-group ("node"): no cacheline
       // ever bounces between groups; a single combine at the end.
       std::vector<Padded<double>> acc(threads);
-      std::vector<std::thread> pool;
-      for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] {
-          const size_t lo = n * t / threads;
-          const size_t hi = n * (t + 1) / threads;
-          acc[t].value = LocalSum(v, lo, hi);
-        });
-      }
-      for (auto& th : pool) th.join();
+      RunOnNewThreads(threads, [&](int t) {
+        acc[t].value = LocalSum(v, n * t / threads, n * (t + 1) / threads);
+      });
       for (int t = 0; t < threads; ++t) result.sum += acc[t].value;
       break;
     }
@@ -54,17 +47,12 @@ SumResult RunParallelSum(const std::vector<double>& values, int threads,
         volatile double value = 0.0;
       };
       SharedCell shared;
-      std::vector<std::thread> pool;
-      for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] {
-          const size_t lo = n * t / threads;
-          const size_t hi = n * (t + 1) / threads;
-          for (size_t i = lo; i < hi; ++i) {
-            shared.value = shared.value + v[i];
-          }
-        });
-      }
-      for (auto& th : pool) th.join();
+      RunOnNewThreads(threads, [&](int t) {
+        const size_t hi = n * (t + 1) / threads;
+        for (size_t i = n * t / threads; i < hi; ++i) {
+          shared.value = shared.value + v[i];
+        }
+      });
       result.sum = shared.value;
       break;
     }
@@ -76,45 +64,32 @@ SumResult RunParallelSum(const std::vector<double>& values, int threads,
       alignas(kCacheLineBytes) std::atomic<double> shared{0.0};
       std::atomic<size_t> cursor{0};
       const size_t task = std::max<size_t>(1, chunk / 512);
-      std::vector<std::thread> pool;
-      for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&] {
-          for (;;) {
-            const size_t lo = cursor.fetch_add(task);
-            if (lo >= n) break;
-            const size_t hi = std::min(n, lo + task);
-            const double part = LocalSum(v, lo, hi);
-            double cur = shared.load(std::memory_order_relaxed);
-            while (!shared.compare_exchange_weak(
-                cur, cur + part, std::memory_order_relaxed)) {
-            }
+      RunOnNewThreads(threads, [&](int) {
+        for (;;) {
+          const size_t lo = cursor.fetch_add(task);
+          if (lo >= n) break;
+          const double part = LocalSum(v, lo, std::min(n, lo + task));
+          double cur = shared.load(std::memory_order_relaxed);
+          while (!shared.compare_exchange_weak(cur, cur + part,
+                                               std::memory_order_relaxed)) {
           }
-        });
-      }
-      for (auto& th : pool) th.join();
+        }
+      });
       result.sum = shared.load();
       break;
     }
     case SumStrategy::kMLlibStyle: {
-      // Bulk-synchronous minibatches: workers fill partials, a barrier
+      // Bulk-synchronous minibatches: workers fill partials, joining them
       // closes the stage, the driver aggregates -- repeated per batch.
       std::vector<Padded<double>> partials(threads);
       const size_t batch = chunk * threads;
       double total = 0.0;
       for (size_t start = 0; start < n; start += batch) {
-        SpinBarrier done(threads + 1);
-        std::vector<std::thread> pool;
-        for (int t = 0; t < threads; ++t) {
-          pool.emplace_back([&, t, start] {
-            const size_t lo = std::min(n, start + chunk * t);
-            const size_t hi = std::min(n, start + chunk * (t + 1));
-            partials[t].value = LocalSum(v, lo, hi);
-            done.Wait();
-          });
-        }
-        done.Wait();  // driver joins the stage barrier
+        RunOnNewThreads(threads, [&](int t) {
+          partials[t].value = LocalSum(v, std::min(n, start + chunk * t),
+                                       std::min(n, start + chunk * (t + 1)));
+        });
         for (int t = 0; t < threads; ++t) total += partials[t].value;
-        for (auto& th : pool) th.join();
       }
       result.sum = total;
       break;

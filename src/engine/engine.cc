@@ -35,11 +35,6 @@ Engine::Engine(const data::Dataset* dataset, const models::ModelSpec* spec,
 }
 
 Engine::~Engine() {
-  if (!workers_.empty()) {
-    quit_.store(true);
-    start_barrier_->Wait();  // release workers into the quit check
-    for (auto& t : workers_) t.join();
-  }
   if (averager_.joinable()) {
     averager_quit_.store(true);
     averager_.join();
@@ -115,18 +110,13 @@ Status Engine::Init() {
     }
   }
 
-  // Worker pool.
+  // Worker pool: one thread per virtual core, pinned by the topology map.
   const int nw = plan_.num_workers;
   worker_rngs_.clear();
   uint64_t sm = options_.seed ^ 0xd1b54a32d192ed03ULL;
   for (int w = 0; w < nw; ++w) worker_rngs_.emplace_back(SplitMix64(sm));
-  start_barrier_ = std::make_unique<SpinBarrier>(nw + 1);
-  end_barrier_ = std::make_unique<SpinBarrier>(nw + 1);
-  current_step_.store(options_.step_size);
-  workers_.reserve(nw);
-  for (int w = 0; w < nw; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
-  }
+  pool_ = std::make_unique<WorkerPool>(options_.topology.WorkerCpus(
+      plan_.options.workers_per_node, options_.pin_threads));
 
   // Async model averager (paper Sec. 3.3): DimmWitted's PerNode novelty.
   // PerCore deliberately stays a classical shared-nothing architecture
@@ -150,46 +140,31 @@ Status Engine::Init() {
   return Status::OK();
 }
 
-void Engine::WorkerLoop(int worker_id) {
-  SetCurrentThreadName("dw-worker-" + std::to_string(worker_id));
+void Engine::WorkerEpoch(int worker_id, double step_size) {
   WorkerPlan& wp = plan_.workers[worker_id];
-  if (options_.pin_threads) {
-    const int cpu =
-        options_.topology.PhysicalCpuOfCore(wp.core, NumOnlineCpus());
-    (void)PinCurrentThreadToCpu(cpu);
-  }
-  Rng& rng = worker_rngs_[worker_id];
+  // Random traversal order each epoch (paper Sec. 2.1: "typically some
+  // randomness in the ordering is desired").
+  worker_rngs_[worker_id].Shuffle(wp.work);
 
-  for (;;) {
-    start_barrier_->Wait();
-    if (quit_.load(std::memory_order_acquire)) break;
+  models::StepContext ctx;
+  ctx.dataset = dataset_;
+  ctx.csc = csc_.get();
+  ctx.step_size = step_size;
 
-    // Random traversal order each epoch (paper Sec. 2.1: "typically some
-    // randomness in the ordering is desired").
-    rng.Shuffle(wp.work);
+  Replica& rep = *replicas_[wp.replica_index];
+  double* model = rep.model();
+  double* aux = aux_dim_ > 0 ? rep.aux() : nullptr;
 
-    models::StepContext ctx;
-    ctx.dataset = dataset_;
-    ctx.csc = csc_.get();
-    ctx.step_size = current_step_.load(std::memory_order_relaxed);
-
-    Replica& rep = *replicas_[wp.replica_index];
-    double* model = rep.model();
-    double* aux = aux_dim_ > 0 ? rep.aux() : nullptr;
-
-    switch (options_.access) {
-      case AccessMethod::kRowWise:
-        for (Index i : wp.work) spec_->RowStep(ctx, i, model, aux);
-        break;
-      case AccessMethod::kColWise:
-        for (Index j : wp.work) spec_->ColStep(ctx, j, model, aux);
-        break;
-      case AccessMethod::kColToRow:
-        for (Index j : wp.work) spec_->CtrStep(ctx, j, model, aux);
-        break;
-    }
-
-    end_barrier_->Wait();
+  switch (options_.access) {
+    case AccessMethod::kRowWise:
+      for (Index i : wp.work) spec_->RowStep(ctx, i, model, aux);
+      break;
+    case AccessMethod::kColWise:
+      for (Index j : wp.work) spec_->ColStep(ctx, j, model, aux);
+      break;
+    case AccessMethod::kColToRow:
+      for (Index j : wp.work) spec_->CtrStep(ctx, j, model, aux);
+      break;
   }
 }
 
@@ -220,7 +195,6 @@ void Engine::ResampleImportanceWork() {
       wp.per_epoch +=
           RowItemCost(dataset_->a.RowNnz(i), model_dim_, dense_write);
     }
-    wp.updates_per_epoch = wp.work.size();
   }
 }
 
@@ -237,7 +211,6 @@ void Engine::AverageReplicasOnce() {
     double* m = replicas_[r]->model();
     for (Index k = 0; k < model_dim_; ++k) m[k] = consensus_[k];
   }
-  averaging_rounds_.fetch_add(1, std::memory_order_relaxed);
   // The freshly-averaged consensus is exactly what a serving export
   // should carry; refreshing here (also from the async averager thread)
   // is what makes mid-epoch Export() lag by at most one averaging round.
@@ -290,30 +263,18 @@ void Engine::EpochBoundarySync() {
 }
 
 numa::SimulationInput Engine::BuildSimInput() const {
-  numa::SimulationInput in(options_.topology.num_nodes);
   // Analytic traffic accounting (the PMU substitute; see
   // numa/access_counters.h): each worker's epoch cost from the plan,
-  // split by where its data and its replica live.
+  // placed by where its data and its replica live.
+  std::vector<numa::WorkerCost> workers;
   for (const WorkerPlan& wp : plan_.workers) {
-    const ItemCost& e = wp.per_epoch;
-    numa::AccessCounters c;
-    (wp.data_is_local ? c.local_read_bytes : c.remote_read_bytes) =
-        e.data_bytes;
-    if (plan_.replica_node[wp.replica_index] == wp.node) {
-      c.model_read_bytes = e.model_read_bytes;
-    } else {
-      c.remote_read_bytes += e.model_read_bytes;
-    }
-    (plan_.sharing_sockets > 1 ? c.shared_write_bytes : c.local_write_bytes) =
-        e.model_write_bytes;
-    c.flops = e.flops;
-    c.updates = wp.updates_per_epoch;
-    in.traffic.Add(wp.node, c);
-    ++in.active_workers[wp.node];
+    workers.push_back({wp.per_epoch, wp.node,
+                       plan_.replica_node[wp.replica_index],
+                       wp.data_is_local});
   }
-  in.model_sharing_sockets = plan_.sharing_sockets;
-  in.model_bytes =
-      plan_.replica_bytes * static_cast<uint64_t>(plan_.replicas_per_node);
+  numa::SimulationInput in = numa::PlaceTraffic(
+      options_.topology.num_nodes, workers, plan_.sharing_sockets,
+      plan_.replica_bytes * static_cast<uint64_t>(plan_.replicas_per_node));
   if (aux_dim_ > 0) {
     // Aux refresh traffic at the epoch boundary.
     const uint64_t scan = static_cast<uint64_t>(dataset_->a.ScanBytes());
@@ -329,8 +290,8 @@ numa::SimulationInput Engine::BuildSimInput() const {
 
 EpochRecord Engine::RunEpochNoEval() {
   DW_CHECK(initialized_) << "call Init() first";
-  current_step_.store(options_.step_size *
-                      std::pow(options_.step_decay, epoch_counter_));
+  const double step =
+      options_.step_size * std::pow(options_.step_decay, epoch_counter_);
   if (options_.data_rep == DataReplication::kImportance) {
     ResampleImportanceWork();
   }
@@ -340,8 +301,7 @@ EpochRecord Engine::RunEpochNoEval() {
 
   epoch_active_.store(true, std::memory_order_release);
   WallTimer timer;
-  start_barrier_->Wait();  // release workers
-  end_barrier_->Wait();    // wait for them
+  pool_->Run([this, step](int w) { WorkerEpoch(w, step); });
   epoch_active_.store(false, std::memory_order_release);
   EpochBoundarySync();
   rec.wall_sec = timer.Seconds();
@@ -405,20 +365,17 @@ double ParallelLoss(const data::Dataset& dataset,
   const Index n = dataset.a.rows();
   const int threads = std::clamp(NumOnlineCpus(), 1, 8);
   std::vector<double> partial(threads, 0.0);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      const Index lo =
-          static_cast<Index>(static_cast<uint64_t>(n) * t / threads);
-      const Index hi =
-          static_cast<Index>(static_cast<uint64_t>(n) * (t + 1) / threads);
-      double acc = 0.0;
-      for (Index i = lo; i < hi; ++i) acc += spec.RowLoss(dataset, i, model);
-      partial[t] = acc;
-    });
-  }
-  for (auto& th : pool) th.join();
+  // Host-sized fresh threads, not the engine's plan-sized pool. A
+  // short-lived WorkerPool polls through three barrier crossings per scan,
+  // which made the wall-clock tests flake more under ctest -j4.
+  RunOnNewThreads(threads, [&](int t) {
+    const Index lo = static_cast<Index>(static_cast<uint64_t>(n) * t / threads);
+    const Index hi =
+        static_cast<Index>(static_cast<uint64_t>(n) * (t + 1) / threads);
+    double acc = 0.0;
+    for (Index i = lo; i < hi; ++i) acc += spec.RowLoss(dataset, i, model);
+    partial[t] = acc;
+  });
   double sum = 0.0;
   for (double p : partial) sum += p;
   return sum / std::max<double>(1.0, n) + spec.GlobalLossTerm(dataset, model);

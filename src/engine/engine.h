@@ -5,12 +5,14 @@
 // efficiency both for real (host wall clock) and through the topology's
 // calibrated memory model.
 //
-// Threading: one persistent worker thread per virtual core (pinned to a
-// physical CPU through the topology map), one optional asynchronous
-// model-averaging thread (paper Sec. 3.3: "a separate thread averages
-// models, batching many writes together across the cores into one write").
-// Replica updates are lock-free by design; concurrent writes to shared
-// replicas are the Hogwild!-style benign races the paper studies.
+// Threading: a WorkerPool (util/worker_pool.h) of one thread per virtual
+// core, pinned through the topology map; an epoch is one Run, then the
+// caller averages at the boundary, and idle workers park. One optional
+// asynchronous averaging thread (paper Sec. 3.3: "a separate thread
+// averages models, batching many writes together across the cores into
+// one write") runs beside it. Replica updates are lock-free by design;
+// concurrent writes to shared replicas are the Hogwild!-style benign
+// races the paper studies.
 #pragma once
 
 #include <atomic>
@@ -29,9 +31,9 @@
 #include "models/model_spec.h"
 #include "numa/memory_model.h"
 #include "numa/numa_allocator.h"
-#include "util/barrier.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/worker_pool.h"
 
 namespace dw::engine {
 
@@ -109,7 +111,7 @@ class Engine {
  private:
   struct Replica;
 
-  void WorkerLoop(int worker_id);
+  void WorkerEpoch(int worker_id, double step_size);  // one worker's epoch
   void EpochBoundarySync();               // average + project + aux refresh
   void AveragerLoop();                    // async averaging thread body
   void AverageReplicasOnce();             // one averaging round (model part)
@@ -135,12 +137,7 @@ class Engine {
   std::vector<double> importance_cdf_;           // kImportance only
   std::vector<double> consensus_;                // scratch for averaging
 
-  // Worker pool.
-  std::vector<std::thread> workers_;
-  std::unique_ptr<SpinBarrier> start_barrier_;   // workers + main
-  std::unique_ptr<SpinBarrier> end_barrier_;     // workers + main
-  std::atomic<bool> quit_{false};
-  std::atomic<double> current_step_{0.1};
+  std::unique_ptr<WorkerPool> pool_;
   std::vector<Rng> worker_rngs_;
 
   // Async averager.
@@ -152,7 +149,6 @@ class Engine {
   std::mutex averaging_mu_;
   std::atomic<bool> averager_quit_{false};
   std::atomic<bool> epoch_active_{false};
-  std::atomic<uint64_t> averaging_rounds_{0};
 
   // Export buffer: the thread-safe hand-off point between training and
   // the serving exporter (see Export()).

@@ -79,6 +79,7 @@ std::vector<ItemCost> ComputeItemCosts(const data::Dataset& d,
         c[j].model_read_bytes = (1 + nnz) * kValBytes;
         c[j].model_write_bytes = (1 + (has_aux ? nnz : 0)) * kValBytes;
         c[j].flops = 4 * nnz;
+        c[j].updates = 1;
       }
       break;
     }
@@ -94,6 +95,7 @@ std::vector<ItemCost> ComputeItemCosts(const data::Dataset& d,
         c[j].model_read_bytes = (1 + expanded) * kValBytes;
         c[j].model_write_bytes = kValBytes;
         c[j].flops = 4 * expanded;
+        c[j].updates = 1;
       }
       break;
     }
@@ -110,6 +112,7 @@ ItemCost RowItemCost(uint64_t nnz, Index dim, bool dense_write) {
   c.model_write_bytes = dense_write ? uint64_t{dim} * kValBytes
                                     : nnz * kValBytes;
   c.flops = 4 * nnz;
+  c.updates = 1;
   return c;
 }
 
@@ -219,7 +222,7 @@ StatusOr<Plan> BuildPlan(const data::Dataset& dataset,
     const int node = w / wpn;
     const int slot = w % wpn;
     wp.node = node;
-    wp.core = node * topo.cores_per_node + (slot % topo.cores_per_node);
+    wp.core = topo.CoreOfWorker(w, wpn);
     switch (options.model_rep) {
       case ModelReplication::kPerCore:
         wp.replica_index = w;
@@ -260,7 +263,6 @@ StatusOr<Plan> BuildPlan(const data::Dataset& dataset,
     }
 
     for (Index item : wp.work) wp.per_epoch += costs[item];
-    wp.updates_per_epoch = wp.work.size();
   }
   return plan;
 }

@@ -11,26 +11,12 @@
 #include "engine/options.h"
 #include "matrix/csc_matrix.h"
 #include "models/model_spec.h"
+#include "numa/memory_model.h"
 #include "util/status.h"
 
 namespace dw::engine {
 
-/// Traffic of one step over one item (a row or a column), or of a
-/// worker's whole epoch.
-struct ItemCost {
-  uint64_t data_bytes = 0;  ///< matrix bytes scanned
-  uint64_t model_read_bytes = 0;
-  uint64_t model_write_bytes = 0;
-  uint64_t flops = 0;
-
-  ItemCost& operator+=(const ItemCost& o) {
-    data_bytes += o.data_bytes;
-    model_read_bytes += o.model_read_bytes;
-    model_write_bytes += o.model_write_bytes;
-    flops += o.flops;
-    return *this;
-  }
-};
+using numa::ItemCost;
 
 /// A row-wise step over a row with `nnz` nonzeros against a `dim`-wide
 /// model. BuildPlan and the engine's per-epoch importance resampling both
@@ -49,7 +35,6 @@ struct WorkerPlan {
   std::vector<matrix::Index> work;
   /// Precomputed traffic of one epoch over `work`.
   ItemCost per_epoch;
-  uint64_t updates_per_epoch = 0;
 };
 
 /// The full plan: worker slots plus replica geometry.

@@ -89,7 +89,8 @@ double FactorGraph::TotalEnergy(const uint8_t* assignment) const {
   return e;
 }
 
-uint64_t FactorGraph::SampleReadBytes(VarId v) const {
+uint64_t FactorGraph::SampleReadBytes(VarId v,
+                                      uint64_t* assignment_bytes) const {
   size_t nf = 0;
   const FactorId* fs = VarFactors(v, &nf);
   uint64_t bytes = nf * (sizeof(FactorId) + sizeof(double) + 1);
@@ -97,6 +98,7 @@ uint64_t FactorGraph::SampleReadBytes(VarId v) const {
     size_t nv = 0;
     (void)FactorVars(fs[k], &nv);
     bytes += nv * (sizeof(VarId) + 1);  // neighbor ids + assignments
+    if (assignment_bytes != nullptr) *assignment_bytes += nv;
   }
   return bytes;
 }

@@ -71,7 +71,9 @@ class FactorGraph {
 
   /// Bytes touched when sampling variable v once (factor structures plus
   /// neighbor assignments) -- the traffic model for throughput simulation.
-  uint64_t SampleReadBytes(VarId v) const;
+  /// Adds the neighbor-assignment share to `*assignment_bytes` if given.
+  uint64_t SampleReadBytes(VarId v,
+                           uint64_t* assignment_bytes = nullptr) const;
 
  private:
   VarId num_vars_ = 0;

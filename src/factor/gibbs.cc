@@ -1,14 +1,12 @@
 #include "factor/gibbs.h"
 
 #include <cmath>
-#include <thread>
 
 #include "models/glm.h"  // Sigmoid
-#include "util/barrier.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/thread_util.h"
 #include "util/timer.h"
+#include "util/worker_pool.h"
 
 namespace dw::factor {
 
@@ -35,15 +33,15 @@ void SweepShard(const FactorGraph& g, const std::vector<VarId>& shard,
 
 GibbsResult RunGibbs(const FactorGraph& graph, const GibbsOptions& options) {
   const numa::Topology& topo = options.topology;
-  const int wpn = options.strategy == GibbsStrategy::kSequential
-                      ? 1
-                      : (options.workers_per_node > 0 ? options.workers_per_node
-                                                      : topo.cores_per_node);
-  const int nodes =
-      options.strategy == GibbsStrategy::kSequential ? 1 : topo.num_nodes;
+  const bool sequential = options.strategy == GibbsStrategy::kSequential;
+  const bool per_node = options.strategy == GibbsStrategy::kPerNode;
+  const int wpn = sequential ? 1
+                             : (options.workers_per_node > 0
+                                    ? options.workers_per_node
+                                    : topo.cores_per_node);
+  const int nodes = sequential ? 1 : topo.num_nodes;
   const int num_workers = nodes * wpn;
-  const int num_chains =
-      options.strategy == GibbsStrategy::kPerNode ? nodes : 1;
+  const int num_chains = per_node ? nodes : 1;
   DW_CHECK_GT(options.sweeps, options.burn_in);
 
   // Chains (PerMachine/Sequential: one shared; PerNode: one per node).
@@ -60,55 +58,38 @@ GibbsResult RunGibbs(const FactorGraph& graph, const GibbsOptions& options) {
 
   // Variable shards. PerMachine: workers partition the variables of the
   // single chain. PerNode: each node's workers partition the variables of
-  // that node's chain.
-  const int workers_per_chain =
-      options.strategy == GibbsStrategy::kPerNode ? wpn : num_workers;
+  // that node's chain. Per sweep, a shard reads `read_bytes`, of which
+  // `assignment_bytes` are neighbour assignments.
+  const int workers_per_chain = per_node ? wpn : num_workers;
   std::vector<std::vector<VarId>> shards(num_workers);
-  std::vector<uint64_t> shard_read_bytes(num_workers, 0);
+  std::vector<uint64_t> read_bytes(num_workers), assignment_bytes(num_workers);
   for (int w = 0; w < num_workers; ++w) {
-    const int slot = options.strategy == GibbsStrategy::kPerNode ? w % wpn
-                                                                 : w;
-    for (VarId v = static_cast<VarId>(slot); v < graph.num_vars();
-         v += static_cast<VarId>(workers_per_chain)) {
+    for (VarId v = static_cast<VarId>(w % workers_per_chain);
+         v < graph.num_vars(); v += static_cast<VarId>(workers_per_chain)) {
       shards[w].push_back(v);
-      shard_read_bytes[w] += graph.SampleReadBytes(v);
+      read_bytes[w] += graph.SampleReadBytes(v, &assignment_bytes[w]);
     }
   }
 
   std::vector<Rng> rngs;
   for (int w = 0; w < num_workers; ++w) rngs.emplace_back(SplitMix64(sm));
 
-  SpinBarrier sweep_barrier(num_workers);
+  std::vector<int> cpus = topo.WorkerCpus(wpn, options.pin_threads);
+  cpus.resize(num_workers);  // kSequential runs node 0's worker only
+  WorkerPool pool(std::move(cpus));
   WallTimer timer;
-  std::vector<std::thread> pool;
-  pool.reserve(num_workers);
-  for (int w = 0; w < num_workers; ++w) {
-    pool.emplace_back([&, w] {
-      const int node = w / wpn;
-      if (options.pin_threads) {
-        const int core = node * topo.cores_per_node +
-                         (w % wpn) % topo.cores_per_node;
-        (void)PinCurrentThreadToCpu(
-            topo.PhysicalCpuOfCore(core, NumOnlineCpus()));
-      }
-      const int chain_idx =
-          options.strategy == GibbsStrategy::kPerNode ? node : 0;
-      Chain& chain = chains[chain_idx];
-      std::vector<VarId> my_shard = shards[w];
-      for (int sweep = 0; sweep < options.sweeps; ++sweep) {
-        rngs[w].Shuffle(my_shard);
-        SweepShard(graph, my_shard, chain, rngs[w],
-                   sweep >= options.burn_in);
-        sweep_barrier.Wait();
-      }
+  for (int sweep = 0; sweep < options.sweeps; ++sweep) {
+    pool.Run([&](int w) {
+      rngs[w].Shuffle(shards[w]);
+      SweepShard(graph, shards[w], chains[per_node ? w / wpn : 0], rngs[w],
+                 sweep >= options.burn_in);
     });
   }
-  for (auto& t : pool) t.join();
 
   GibbsResult result;
   result.wall_sec = timer.Seconds();
   result.samples = static_cast<uint64_t>(options.sweeps) * graph.num_vars() *
-                   (options.strategy == GibbsStrategy::kPerNode ? nodes : 1);
+                   static_cast<uint64_t>(num_chains);
 
   // Marginals: counted sweeps per chain, averaged across chains.
   const double counted = options.sweeps - options.burn_in;
@@ -120,39 +101,27 @@ GibbsResult RunGibbs(const FactorGraph& graph, const GibbsOptions& options) {
     }
   }
 
-  // Simulated time on the topology: structure reads are node-local (the
-  // read-only graph is replicated); assignment writes are shared across
-  // sockets only under PerMachine.
-  numa::SimulationInput sim(topo.num_nodes);
-  const bool shared = options.strategy == GibbsStrategy::kPerMachine &&
-                      topo.num_nodes > 1;
+  // Simulated time on the topology over all sweeps. The read-only factor
+  // structure is replicated, so it is local data. The assignment vector
+  // is the model: one per node under PerNode, one on node 0 shared by
+  // every socket under PerMachine.
+  const uint64_t sweeps = static_cast<uint64_t>(options.sweeps);
+  std::vector<numa::WorkerCost> costs(num_workers);
   for (int w = 0; w < num_workers; ++w) {
-    const int node = w / wpn;
-    numa::AccessCounters c;
-    const uint64_t reads =
-        shard_read_bytes[w] * static_cast<uint64_t>(options.sweeps);
-    const uint64_t writes =
-        shards[w].size() * static_cast<uint64_t>(options.sweeps);
-    if (shared) {
-      // Neighbor assignments live on all sockets: pro-rate reads.
-      const double remote_frac =
-          static_cast<double>(topo.num_nodes - 1) / topo.num_nodes;
-      c.remote_read_bytes = static_cast<uint64_t>(reads * remote_frac * 0.2);
-      c.local_read_bytes = reads - c.remote_read_bytes;
-      c.shared_write_bytes = writes;
-    } else {
-      c.local_read_bytes = reads;
-      c.local_write_bytes = writes;
-    }
-    c.flops = reads / 4;
-    c.updates = shards[w].size() * static_cast<uint64_t>(options.sweeps);
-    sim.traffic.Add(node, c);
-    ++sim.active_workers[node];
+    numa::ItemCost& c = costs[w].cost;
+    c.model_read_bytes = assignment_bytes[w] * sweeps;
+    c.data_bytes = read_bytes[w] * sweeps - c.model_read_bytes;
+    c.model_write_bytes = c.updates = shards[w].size() * sweeps;
+    c.flops = read_bytes[w] * sweeps / 4;
+    costs[w].node = w / wpn;
+    costs[w].replica_node = per_node ? w / wpn : 0;
   }
-  sim.model_sharing_sockets = shared ? topo.num_nodes : 1;
-  sim.model_bytes = graph.num_vars();
-  result.sim_sec =
-      numa::MemoryModel(topo).SimulateEpoch(sim).total_sec;
+  const int sharing =
+      options.strategy == GibbsStrategy::kPerMachine ? topo.num_nodes : 1;
+  result.sim_sec = numa::MemoryModel(topo)
+                       .SimulateEpoch(numa::PlaceTraffic(
+                           topo.num_nodes, costs, sharing, graph.num_vars()))
+                       .total_sec;
   return result;
 }
 

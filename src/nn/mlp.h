@@ -62,10 +62,6 @@ class Mlp {
                   MlpScratch* scratch) const;
 
  private:
-  /// Offset of layer l's weight block in the flat buffer.
-  size_t WeightOffset(int l) const { return weight_offset_[l]; }
-  size_t BiasOffset(int l) const { return bias_offset_[l]; }
-
   MlpConfig config_;
   size_t num_params_ = 0;
   size_t neurons_per_example_ = 0;

@@ -1,14 +1,12 @@
 #include "nn/trainer.h"
 
 #include <cmath>
-#include <thread>
 
 #include "util/aligned.h"
-#include "util/barrier.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/thread_util.h"
 #include "util/timer.h"
+#include "util/worker_pool.h"
 
 namespace dw::nn {
 
@@ -37,13 +35,9 @@ NnTrainResult TrainParallel(const Mlp& mlp, const DigitData& data,
   // examples. DimmWitted/FullReplication: each node sweeps all examples,
   // split among its workers.
   std::vector<std::vector<int>> work(num_workers);
+  const int stride = per_node ? wpn : num_workers;
   for (int w = 0; w < num_workers; ++w) {
-    if (per_node) {
-      const int slot = w % wpn;
-      for (int e = slot; e < n; e += wpn) work[w].push_back(e);
-    } else {
-      for (int e = w; e < n; e += num_workers) work[w].push_back(e);
-    }
+    for (int e = w % stride; e < n; e += stride) work[w].push_back(e);
   }
 
   std::vector<Rng> rngs;
@@ -61,49 +55,27 @@ NnTrainResult TrainParallel(const Mlp& mlp, const DigitData& data,
                                data.labels.begin() + eval_n);
 
   NnTrainResult result;
-  SpinBarrier epoch_start(num_workers + 1);
-  SpinBarrier epoch_end(num_workers + 1);
-  std::atomic<bool> quit{false};
-  std::atomic<double> lr{options.learning_rate};
-
-  std::vector<std::thread> pool;
-  pool.reserve(num_workers);
-  for (int w = 0; w < num_workers; ++w) {
-    pool.emplace_back([&, w] {
-      const int node = w / wpn;
-      if (options.pin_threads) {
-        const int core =
-            node * topo.cores_per_node + (w % wpn) % topo.cores_per_node;
-        (void)PinCurrentThreadToCpu(
-            topo.PhysicalCpuOfCore(core, NumOnlineCpus()));
-      }
-      MlpScratch scratch = mlp.MakeScratch();
-      double* params = per_node ? replicas[node].data() : replicas[0].data();
-      for (;;) {
-        epoch_start.Wait();
-        if (quit.load(std::memory_order_acquire)) break;
-        rngs[w].Shuffle(work[w]);
-        const double step = lr.load(std::memory_order_relaxed);
-        for (int e : work[w]) {
-          mlp.TrainExample(params,
-                           data.images.data() +
-                               static_cast<size_t>(e) * data.input_dim,
-                           data.labels[e], step, &scratch);
-        }
-        epoch_end.Wait();
-      }
-    });
-  }
+  WorkerPool pool(topo.WorkerCpus(wpn, options.pin_threads));
+  // Each worker allocates its scratch on its own (pinned) thread.
+  std::vector<MlpScratch> scratch(num_workers);
+  pool.Run([&](int w) { scratch[w] = mlp.MakeScratch(); });
 
   MlpScratch eval_scratch = mlp.MakeScratch();
-  WallTimer total_timer;
-  double work_sec = 0.0;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    lr.store(options.learning_rate * std::pow(options.lr_decay, epoch));
+    const double step =
+        options.learning_rate * std::pow(options.lr_decay, epoch);
     WallTimer epoch_timer;
-    epoch_start.Wait();
-    epoch_end.Wait();
-    work_sec += epoch_timer.Seconds();
+    pool.Run([&](int w) {
+      double* params = replicas[per_node ? w / wpn : 0].data();
+      rngs[w].Shuffle(work[w]);
+      for (int e : work[w]) {
+        mlp.TrainExample(params,
+                         data.images.data() +
+                             static_cast<size_t>(e) * data.input_dim,
+                         data.labels[e], step, &scratch[w]);
+      }
+    });
+    result.wall_sec += epoch_timer.Seconds();
 
     // Epoch-boundary averaging for PerNode replicas.
     if (per_node && num_replicas > 1) {
@@ -118,11 +90,6 @@ NnTrainResult TrainParallel(const Mlp& mlp, const DigitData& data,
         mlp.MeanLoss(replicas[0].data(), eval_inputs, eval_labels,
                      data.input_dim, &eval_scratch));
   }
-  quit.store(true);
-  epoch_start.Wait();
-  for (auto& t : pool) t.join();
-
-  result.wall_sec = work_sec;
   const uint64_t per_epoch_examples =
       per_node ? static_cast<uint64_t>(n) * nodes : static_cast<uint64_t>(n);
   result.examples_processed =
@@ -130,38 +97,26 @@ NnTrainResult TrainParallel(const Mlp& mlp, const DigitData& data,
   result.neurons_processed =
       result.examples_processed * mlp.neurons_per_example();
 
-  // Simulated time: every example touches all parameters (dense update).
-  numa::SimulationInput sim(nodes);
+  // Simulated time: every example reads and writes all parameters (dense
+  // update) of its worker's replica, which lives on node 0 when shared.
   const uint64_t param_bytes = mlp.num_params() * sizeof(double);
+  std::vector<numa::WorkerCost> costs(num_workers);
   for (int w = 0; w < num_workers; ++w) {
-    const int node = w / wpn;
-    numa::AccessCounters c;
-    const uint64_t ex = static_cast<uint64_t>(work[w].size()) *
-                        static_cast<uint64_t>(options.epochs);
-    const uint64_t input_bytes =
-        ex * static_cast<uint64_t>(data.input_dim) * sizeof(double);
-    c.local_read_bytes = input_bytes;
-    const uint64_t model_traffic = ex * param_bytes;
-    if (per_node || nodes == 1) {
-      c.model_read_bytes = model_traffic;
-      c.local_write_bytes = model_traffic;
-    } else {
-      // Shared buffer: reads cross sockets pro rata; writes are shared.
-      const double remote_frac = static_cast<double>(nodes - 1) / nodes;
-      c.remote_read_bytes =
-          static_cast<uint64_t>(model_traffic * remote_frac * 0.25);
-      c.model_read_bytes = model_traffic - c.remote_read_bytes;
-      c.shared_write_bytes = model_traffic;
-    }
-    c.flops = 2 * model_traffic / sizeof(double);
-    c.updates = ex;
-    sim.traffic.Add(node, c);
-    ++sim.active_workers[node];
+    numa::ItemCost& c = costs[w].cost;
+    c.updates = static_cast<uint64_t>(work[w].size()) *
+                static_cast<uint64_t>(options.epochs);
+    c.data_bytes =
+        c.updates * static_cast<uint64_t>(data.input_dim) * sizeof(double);
+    c.model_read_bytes = c.model_write_bytes = c.updates * param_bytes;
+    c.flops = 2 * c.model_read_bytes / sizeof(double);
+    costs[w].node = w / wpn;
+    costs[w].replica_node = per_node ? w / wpn : 0;
   }
-  sim.model_sharing_sockets = (per_node || nodes == 1) ? 1 : nodes;
-  sim.model_bytes = param_bytes;
-  result.sim_sec = numa::MemoryModel(topo).SimulateEpoch(sim).total_sec;
-  (void)total_timer;
+  result.sim_sec =
+      numa::MemoryModel(topo)
+          .SimulateEpoch(numa::PlaceTraffic(nodes, costs,
+                                            per_node ? 1 : nodes, param_bytes))
+          .total_sec;
   return result;
 }
 

@@ -41,9 +41,6 @@ struct AccessCounters {
   /// PMU analogue: cross-node DRAM requests (64B cacheline granularity).
   uint64_t remote_dram_requests() const { return remote_read_bytes / 64; }
 
-  /// PMU analogue: node-local DRAM requests.
-  uint64_t local_dram_requests() const { return local_read_bytes / 64; }
-
   uint64_t total_read_bytes() const {
     return local_read_bytes + remote_read_bytes;
   }

@@ -1,60 +1,55 @@
 #include "numa/bandwidth_probe.h"
 
+#include <algorithm>
 #include <atomic>
-#include <thread>
+#include <chrono>
 #include <vector>
 
 #include "util/aligned.h"
 #include "util/barrier.h"
-#include "util/timer.h"
+#include "util/thread_util.h"
 
 namespace dw::numa {
 
 namespace {
 
-// One worker's share of a kernel, [lo, hi).
-struct Range {
-  size_t lo, hi;
-};
-
-std::vector<Range> Split(size_t n, int threads) {
-  std::vector<Range> out;
-  const size_t chunk = n / threads;
-  size_t lo = 0;
-  for (int t = 0; t < threads; ++t) {
-    const size_t hi = (t == threads - 1) ? n : lo + chunk;
-    out.push_back({lo, hi});
-    lo = hi;
+// Runs work(t) once on each of `threads` fresh threads released together,
+// `iters` times, and returns the shortest time from the earliest start to
+// the latest end. Each worker reads the steady clock around its own share.
+// A timer on the calling thread would not do: if the caller is preempted
+// after the release, the timer covers only the tail of the work, and
+// best-of-N keeps that impossible rate.
+template <typename Work>
+double BestSeconds(int threads, int iters, Work work) {
+  using Clock = std::chrono::steady_clock;
+  double best = 1e30;
+  for (int it = 0; it < iters; ++it) {
+    std::vector<Clock::time_point> begin(threads), end(threads);
+    Barrier start(threads);
+    RunOnNewThreads(threads, [&](int t) {
+      start.Wait();
+      begin[t] = Clock::now();
+      work(t);
+      end[t] = Clock::now();
+    });
+    best = std::min(best, std::chrono::duration<double>(
+                              *std::max_element(end.begin(), end.end()) -
+                              *std::min_element(begin.begin(), begin.end()))
+                              .count());
   }
-  return out;
+  return best;
 }
 
+// Best bandwidth of kernel(i) over i in [0, n), split into one contiguous
+// share per thread.
 template <typename Kernel>
 double TimeKernel(int threads, size_t n, int iters, size_t bytes_per_elem,
                   Kernel kernel) {
-  const auto ranges = Split(n, threads);
-  double best_gbps = 0.0;
-  for (int it = 0; it < iters; ++it) {
-    SpinBarrier barrier(threads + 1);
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        barrier.Wait();
-        kernel(ranges[t].lo, ranges[t].hi);
-        barrier.Wait();
-      });
-    }
-    barrier.Wait();  // start
-    WallTimer timer;
-    barrier.Wait();  // done
-    const double sec = timer.Seconds();
-    for (auto& th : pool) th.join();
-    const double gbps =
-        static_cast<double>(n) * bytes_per_elem / sec / 1e9;
-    best_gbps = std::max(best_gbps, gbps);
-  }
-  return best_gbps;
+  const double sec = BestSeconds(threads, iters, [&](int t) {
+    const size_t hi = n * (t + 1) / threads;
+    for (size_t i = n * t / threads; i < hi; ++i) kernel(i);
+  });
+  return static_cast<double>(n) * bytes_per_elem / sec / 1e9;
 }
 
 }  // namespace
@@ -65,24 +60,19 @@ BandwidthResult MeasureBandwidth(int threads, size_t array_doubles,
   for (size_t i = 0; i < array_doubles; ++i) a[i] = 1.0 + (i & 7);
   const double q = 3.0;
   BandwidthResult r;
-  r.copy_gbps = TimeKernel(threads, array_doubles, iters, 16,
-                           [&](size_t lo, size_t hi) {
-                             for (size_t i = lo; i < hi; ++i) b[i] = a[i];
-                           });
-  r.scale_gbps = TimeKernel(threads, array_doubles, iters, 16,
-                            [&](size_t lo, size_t hi) {
-                              for (size_t i = lo; i < hi; ++i) b[i] = q * a[i];
-                            });
-  r.add_gbps = TimeKernel(threads, array_doubles, iters, 24,
-                          [&](size_t lo, size_t hi) {
-                            for (size_t i = lo; i < hi; ++i)
-                              c[i] = a[i] + b[i];
-                          });
-  r.triad_gbps = TimeKernel(threads, array_doubles, iters, 24,
-                            [&](size_t lo, size_t hi) {
-                              for (size_t i = lo; i < hi; ++i)
-                                c[i] = a[i] + q * b[i];
-                            });
+  const size_t n = array_doubles;
+  r.copy_gbps = TimeKernel(threads, n, iters, 16, [&](size_t i) {
+    b[i] = a[i];
+  });
+  r.scale_gbps = TimeKernel(threads, n, iters, 16, [&](size_t i) {
+    b[i] = q * a[i];
+  });
+  r.add_gbps = TimeKernel(threads, n, iters, 24, [&](size_t i) {
+    c[i] = a[i] + b[i];
+  });
+  r.triad_gbps = TimeKernel(threads, n, iters, 24, [&](size_t i) {
+    c[i] = a[i] + q * b[i];
+  });
   return r;
 }
 
@@ -92,29 +82,11 @@ double MeasureWriteReadCostRatio(int threads, int iters) {
 
   // Contended writes: all threads increment the same cacheline.
   alignas(kCacheLineBytes) static std::atomic<uint64_t> shared{0};
-  const double write_sec = [&] {
-    double best = 1e30;
-    for (int it = 0; it < iters; ++it) {
-      shared.store(0);
-      SpinBarrier barrier(threads + 1);
-      std::vector<std::thread> pool;
-      for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&] {
-          barrier.Wait();
-          for (size_t i = 0; i < kOps; ++i) {
-            shared.fetch_add(1, std::memory_order_relaxed);
-          }
-          barrier.Wait();
-        });
-      }
-      barrier.Wait();
-      WallTimer timer;
-      barrier.Wait();
-      best = std::min(best, timer.Seconds());
-      for (auto& th : pool) th.join();
+  const double write_sec = BestSeconds(threads, iters, [&](int) {
+    for (size_t i = 0; i < kOps; ++i) {
+      shared.fetch_add(1, std::memory_order_relaxed);
     }
-    return best / static_cast<double>(kOps);
-  }();
+  }) / static_cast<double>(kOps);
 
   // Private reads: each thread scans its own array.
   std::vector<AlignedArray<double>> arrays;
@@ -123,29 +95,12 @@ double MeasureWriteReadCostRatio(int threads, int iters) {
     arrays.emplace_back(kArr);
     for (size_t i = 0; i < kArr; ++i) arrays[t][i] = 1.0;
   }
-  const double read_sec = [&] {
-    double best = 1e30;
-    for (int it = 0; it < iters; ++it) {
-      SpinBarrier barrier(threads + 1);
-      std::vector<std::thread> pool;
-      std::atomic<double> sink{0.0};
-      for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] {
-          barrier.Wait();
-          double acc = 0.0;
-          for (size_t i = 0; i < kArr; ++i) acc += arrays[t][i];
-          sink.store(acc, std::memory_order_relaxed);
-          barrier.Wait();
-        });
-      }
-      barrier.Wait();
-      WallTimer timer;
-      barrier.Wait();
-      best = std::min(best, timer.Seconds());
-      for (auto& th : pool) th.join();
-    }
-    return best / static_cast<double>(kArr);
-  }();
+  std::atomic<double> sink{0.0};
+  const double read_sec = BestSeconds(threads, iters, [&](int t) {
+    double acc = 0.0;
+    for (size_t i = 0; i < kArr; ++i) acc += arrays[t][i];
+    sink.store(acc, std::memory_order_relaxed);
+  }) / static_cast<double>(kArr);
 
   return read_sec > 0.0 ? write_sec / read_sec : 0.0;
 }

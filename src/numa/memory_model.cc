@@ -10,6 +10,32 @@ namespace {
 constexpr double kGb = 1e9;
 }
 
+SimulationInput PlaceTraffic(int num_nodes,
+                             const std::vector<WorkerCost>& workers,
+                             int sharing_sockets, uint64_t model_bytes) {
+  SimulationInput in(num_nodes);
+  for (const WorkerCost& w : workers) {
+    const ItemCost& e = w.cost;
+    AccessCounters c;
+    (w.data_is_local ? c.local_read_bytes : c.remote_read_bytes) =
+        e.data_bytes;
+    if (w.replica_node == w.node) {
+      c.model_read_bytes = e.model_read_bytes;
+    } else {
+      c.remote_read_bytes += e.model_read_bytes;
+    }
+    (sharing_sockets > 1 ? c.shared_write_bytes : c.local_write_bytes) =
+        e.model_write_bytes;
+    c.flops = e.flops;
+    c.updates = e.updates;
+    in.traffic.Add(w.node, c);
+    ++in.active_workers[w.node];
+  }
+  in.model_sharing_sockets = sharing_sockets;
+  in.model_bytes = model_bytes;
+  return in;
+}
+
 double MemoryModel::WriteAmplification(int sockets) const {
   if (sockets <= 1) return 1.0;
   if (!params_.scale_alpha_by_sharers) return topo_.alpha;

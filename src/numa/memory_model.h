@@ -7,7 +7,7 @@
 // hardware efficiency (seconds per epoch on machine X) is predicted from
 // traffic with this model.
 //
-// Model (documented in DESIGN.md):
+// Model:
 //   For each virtual node n with aggregated counters C(n):
 //     t_read(n)  = C(n).local_read_bytes / min(dram_gbps_per_node,
 //                                              stream_gbps_per_core * k_n)
@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "numa/access_counters.h"
 #include "numa/topology.h"
@@ -37,8 +38,9 @@
 namespace dw::numa {
 
 /// Tunable constants of the cost model (defaults calibrated so that the
-/// paper's headline ratios reproduce on the paper's topologies; see
-/// bench_alpha_estimation and EXPERIMENTS.md).
+/// paper's headline ratios reproduce on the paper's topologies; the
+/// figure benches print those ratios, and bench_alpha_estimation measures
+/// alpha on the host).
 struct MemoryModelParams {
   double flops_per_cycle = 4.0;    ///< scalar FMA pipeline throughput
   double llc_speedup = 4.0;        ///< LLC bandwidth multiple of DRAM
@@ -63,6 +65,42 @@ struct SimulationInput {
   explicit SimulationInput(int nodes)
       : traffic(nodes), active_workers(nodes, 0) {}
 };
+
+/// Traffic of one step over one item (a row, a column, a training
+/// example, a sampled variable), or of a worker's whole epoch, before
+/// placement decides which bytes leave the worker's node.
+struct ItemCost {
+  uint64_t data_bytes = 0;  ///< read-only input bytes scanned
+  uint64_t model_read_bytes = 0;
+  uint64_t model_write_bytes = 0;
+  uint64_t flops = 0;
+  uint64_t updates = 0;     ///< steps taken
+
+  ItemCost& operator+=(const ItemCost& o) {
+    data_bytes += o.data_bytes;
+    model_read_bytes += o.model_read_bytes;
+    model_write_bytes += o.model_write_bytes;
+    flops += o.flops;
+    updates += o.updates;
+    return *this;
+  }
+};
+
+/// One worker's epoch cost and its placement.
+struct WorkerCost {
+  ItemCost cost;
+  NodeId node = 0;            ///< node the worker runs on
+  NodeId replica_node = 0;    ///< node of the model replica it updates
+  bool data_is_local = true;  ///< whether its data lives on its node
+};
+
+/// The one traffic rule of every epoch loop (engine, MLP, Gibbs): data is
+/// local or remote by where it is placed; model reads are local on the
+/// replica's node and remote elsewhere; model writes are shared when
+/// `sharing_sockets` > 1. `model_bytes` is the model state per node.
+SimulationInput PlaceTraffic(int num_nodes,
+                             const std::vector<WorkerCost>& workers,
+                             int sharing_sockets, uint64_t model_bytes);
 
 /// Breakdown of the simulated epoch time (all seconds).
 struct SimulatedTime {

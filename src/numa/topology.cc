@@ -26,6 +26,21 @@ int Topology::PhysicalCpuOfCore(CoreId core, int physical_cpus) const {
   return (node + within * num_nodes) % physical_cpus;
 }
 
+CoreId Topology::CoreOfWorker(int worker, int workers_per_node) const {
+  const NodeId node = worker / workers_per_node;
+  return node * cores_per_node + (worker % workers_per_node) % cores_per_node;
+}
+
+std::vector<int> Topology::WorkerCpus(int workers_per_node, bool pin) const {
+  std::vector<int> cpus(num_nodes * workers_per_node, -1);
+  if (!pin) return cpus;
+  const int host_cpus = NumOnlineCpus();  // a sysfs read: once per pool
+  for (int w = 0; w < static_cast<int>(cpus.size()); ++w) {
+    cpus[w] = PhysicalCpuOfCore(CoreOfWorker(w, workers_per_node), host_cpus);
+  }
+  return cpus;
+}
+
 namespace {
 
 Topology Make(const std::string& name, const std::string& abbrev, int nodes,

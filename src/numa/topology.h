@@ -60,6 +60,14 @@ struct Topology {
   /// node so that, even on a small host, workers of different virtual nodes
   /// land on different physical CPUs when possible).
   int PhysicalCpuOfCore(CoreId core, int physical_cpus) const;
+
+  /// Virtual core of a worker, numbered node-major with
+  /// `workers_per_node` per node; a node's slots wrap around its cores.
+  CoreId CoreOfWorker(int worker, int workers_per_node) const;
+
+  /// Host CPU of each of num_nodes * `workers_per_node` workers, in
+  /// worker order; all -1 (unpinned) unless `pin`.
+  std::vector<int> WorkerCpus(int workers_per_node, bool pin) const;
 };
 
 /// Named presets reproducing the paper's Figure 3 machine table.

@@ -1,51 +1,40 @@
 // Synchronization primitives for the epoch-based execution engine. Workers
-// meet at a barrier between epochs; spinning (not parking) keeps the
-// per-epoch overhead low for the short epochs of scaled-down datasets.
+// meet at a barrier between epochs. A waiter polls (yielding the CPU now
+// and then) for up to 5 ms, so that short epochs cross without a system
+// call, and then parks on a futex, so that an idle pool costs no CPU.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 
 #include "util/logging.h"
 
 namespace dw {
 
-/// Reusable sense-reversing spin barrier for a fixed set of participants.
-class SpinBarrier {
+/// Reusable barrier for a fixed set of participants: spin, then park.
+class Barrier {
  public:
   /// `parties` threads must call Wait() before any is released.
-  explicit SpinBarrier(uint32_t parties) : parties_(parties) {
+  explicit Barrier(uint32_t parties) : parties_(parties) {
     DW_CHECK_GT(parties, 0u);
   }
 
-  SpinBarrier(const SpinBarrier&) = delete;
-  SpinBarrier& operator=(const SpinBarrier&) = delete;
+  Barrier(const Barrier&) = delete;
+  Barrier& operator=(const Barrier&) = delete;
 
   /// Blocks until all parties arrive. Safe to reuse across generations.
-  void Wait() {
-    const bool my_sense = !sense_.load(std::memory_order_relaxed);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      sense_.store(my_sense, std::memory_order_release);
-    } else {
-      int spins = 0;
-      while (sense_.load(std::memory_order_acquire) != my_sense) {
-        if (++spins > 1024) {
-          std::this_thread::yield();
-          spins = 0;
-        }
-      }
-    }
-  }
-
-  /// Number of participating threads.
-  uint32_t parties() const { return parties_; }
+  /// Destroy the barrier only after every party has returned from its
+  /// last Wait(): the releaser touches it after the others are free.
+  void Wait();
 
  private:
   const uint32_t parties_;
   std::atomic<uint32_t> arrived_{0};
-  std::atomic<bool> sense_{false};
+  /// Bumped by the last arrival; also the futex word that sleepers wait
+  /// on, hence 32 bits.
+  std::atomic<uint32_t> generation_{0};
+  /// Waiters that may be in (or about to enter) FUTEX_WAIT.
+  std::atomic<uint32_t> sleepers_{0};
 };
 
 /// Tiny test-and-test-and-set spinlock (used only on cold paths such as

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <thread>
+#include <vector>
 
 namespace dw {
 
@@ -40,6 +41,13 @@ Status UnpinCurrentThread() {
 
 void SetCurrentThreadName(const std::string& name) {
   pthread_setname_np(pthread_self(), name.substr(0, 15).c_str());
+}
+
+void RunOnNewThreads(int threads, const std::function<void(int)>& fn) {
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (int t = 0; t < threads; ++t) pool.emplace_back(fn, t);
+  for (std::thread& th : pool) th.join();
 }
 
 }  // namespace dw

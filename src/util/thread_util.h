@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "util/status.h"
@@ -22,5 +23,10 @@ Status UnpinCurrentThread();
 
 /// Best-effort thread naming for debuggers (<=15 chars on Linux).
 void SetCurrentThreadName(const std::string& name);
+
+/// Runs fn(t) for t in [0, threads) on fresh threads and joins them: for
+/// one-shot scans (the parallel loss), MLlib-style stages, Fig. 13's sums
+/// and the STREAM probe. Epoch loops run on a WorkerPool instead.
+void RunOnNewThreads(int threads, const std::function<void(int)>& fn);
 
 }  // namespace dw

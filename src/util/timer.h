@@ -3,7 +3,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace dw {
 
@@ -18,13 +17,6 @@ class WallTimer {
   /// Seconds elapsed since construction or the last Reset().
   double Seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  /// Microseconds elapsed since construction or the last Reset().
-  int64_t Micros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 start_)
-        .count();
   }
 
  private:

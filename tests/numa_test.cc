@@ -2,11 +2,15 @@
 // model, bandwidth probe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "numa/access_counters.h"
 #include "numa/bandwidth_probe.h"
 #include "numa/memory_model.h"
 #include "numa/numa_allocator.h"
 #include "numa/topology.h"
+#include "util/thread_util.h"
 
 namespace dw::numa {
 namespace {
@@ -225,6 +229,33 @@ TEST(BandwidthProbeTest, MeasuresPositiveBandwidth) {
   EXPECT_GT(r.scale_gbps, 0.0);
   EXPECT_GT(r.add_gbps, 0.0);
   EXPECT_GT(r.triad_gbps, 0.0);
+}
+
+TEST(BandwidthProbeTest, OversubscribedProbeReportsNoImpossibleRate) {
+  // More workers than CPUs, so some thread is always waiting for a CPU.
+  // A probe whose clock ran on the calling thread reported rates
+  // thousands of times the real one whenever that thread was the one
+  // preempted; timed inside the workers, no repeat strays far above the
+  // others.
+  constexpr int kRepeats = 10;
+  constexpr double kMaxOverMedian = 4.0;
+  const int threads = std::min(16, 2 * NumOnlineCpus());
+  std::vector<std::vector<double>> rates(4);
+  for (int r = 0; r < kRepeats; ++r) {
+    const BandwidthResult b = MeasureBandwidth(threads, 1 << 20, 3);
+    rates[0].push_back(b.copy_gbps);
+    rates[1].push_back(b.scale_gbps);
+    rates[2].push_back(b.add_gbps);
+    rates[3].push_back(b.triad_gbps);
+  }
+  const char* kNames[] = {"copy", "scale", "add", "triad"};
+  for (int k = 0; k < 4; ++k) {
+    std::vector<double> sorted = rates[k];
+    std::sort(sorted.begin(), sorted.end());
+    const double median = sorted[kRepeats / 2];
+    EXPECT_LE(sorted.back(), kMaxOverMedian * median)
+        << kNames[k] << " GB/s: max " << sorted.back() << ", median " << median;
+  }
 }
 
 TEST(BandwidthProbeTest, ContendedWritesCostMoreThanReads) {

@@ -1,7 +1,12 @@
-// Unit tests for src/util: Status, logging, RNG, stats, table, barrier.
+// Unit tests for src/util: Status, logging, RNG, stats, table, barrier,
+// worker pool.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <mutex>
@@ -18,6 +23,7 @@
 #include "util/table.h"
 #include "util/thread_util.h"
 #include "util/timer.h"
+#include "util/worker_pool.h"
 
 namespace dw {
 namespace {
@@ -187,7 +193,7 @@ TEST(AlignedTest, PaddedOccupiesFullLine) {
 
 TEST(BarrierTest, ReleasesAllParties) {
   constexpr int kThreads = 4;
-  SpinBarrier barrier(kThreads);
+  Barrier barrier(kThreads);
   std::atomic<int> before{0}, after{0};
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
@@ -205,7 +211,7 @@ TEST(BarrierTest, ReleasesAllParties) {
 TEST(BarrierTest, ReusableAcrossGenerations) {
   constexpr int kThreads = 3;
   constexpr int kRounds = 50;
-  SpinBarrier barrier(kThreads);
+  Barrier barrier(kThreads);
   std::atomic<int> counter{0};
   std::vector<std::thread> pool;
   std::atomic<bool> ok{true};
@@ -223,6 +229,104 @@ TEST(BarrierTest, ReusableAcrossGenerations) {
   for (auto& th : pool) th.join();
   EXPECT_TRUE(ok.load());
   EXPECT_EQ(counter.load(), kThreads * kRounds);
+}
+
+TEST(BarrierTest, ReleasesALateArrivalAfterTheOthersPark) {
+  // The first three parties poll for at most 5 ms and then park; the last
+  // arrives 30 ms later and must wake them all. A lost wakeup hangs here,
+  // and the ctest timeout fails the test.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5;
+  Barrier barrier(kThreads);
+  std::atomic<int> released{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads - 1; ++t) {
+    pool.emplace_back([&] {
+      for (int r = 0; r < kRounds; ++r) {
+        barrier.Wait();
+        released.fetch_add(1);
+      }
+    });
+  }
+  for (int r = 0; r < kRounds; ++r) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_EQ(released.load(), r * (kThreads - 1));
+    barrier.Wait();
+    while (released.load() < (r + 1) * (kThreads - 1)) {
+      std::this_thread::yield();
+    }
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(released.load(), kRounds * (kThreads - 1));
+}
+
+TEST(WorkerPoolTest, RunCallsEveryWorkerOncePerPhase) {
+  constexpr int kWorkers = 4;
+  constexpr int kPhases = 1000;
+  WorkerPool pool(std::vector<int>(kWorkers, -1));
+  // Plain ints, one slot per worker: a repeated or shared `w` shows up as
+  // a wrong count (and as a race under TSan).
+  std::vector<int> calls(kWorkers, 0);
+  std::vector<int> seen_phase(kWorkers, -1);
+  int phase = 0;
+  for (; phase < kPhases; ++phase) {
+    pool.Run([&](int w) {
+      ++calls[w];
+      seen_phase[w] = phase;
+    });
+    for (int w = 0; w < kWorkers; ++w) {
+      ASSERT_EQ(calls[w], phase + 1) << "worker " << w;
+      ASSERT_EQ(seen_phase[w], phase) << "worker " << w;
+    }
+  }
+}
+
+TEST(WorkerPoolTest, DestroysCleanlyWithAndWithoutRun) {
+  { WorkerPool never_run(std::vector<int>(3, -1)); }
+  std::atomic<int> ran{0};
+  {
+    WorkerPool ran_once(std::vector<int>(3, -1));
+    ran_once.Run([&](int) { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 3);
+}
+
+TEST(WorkerPoolTest, PinsEachWorkerToItsCpuOnly) {
+  cpu_set_t allowed;
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(allowed), &allowed),
+            0);
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE && cpus.size() < 2; ++c) {
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+  }
+  cpus.push_back(-1);  // stays unpinned
+  WorkerPool pool(cpus);
+  std::vector<cpu_set_t> masks(cpus.size());
+  pool.Run([&](int w) {
+    pthread_getaffinity_np(pthread_self(), sizeof(masks[w]), &masks[w]);
+  });
+  for (size_t w = 0; w + 1 < cpus.size(); ++w) {
+    EXPECT_EQ(CPU_COUNT(&masks[w]), 1) << "worker " << w;
+    EXPECT_TRUE(CPU_ISSET(cpus[w], &masks[w])) << "worker " << w;
+  }
+  EXPECT_TRUE(CPU_EQUAL(&masks.back(), &allowed));
+}
+
+double ProcessCpuSeconds() {
+  rusage ru;
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+}
+
+TEST(WorkerPoolTest, IdleWorkersParkInsteadOfSpinning) {
+  WorkerPool pool(std::vector<int>(4, -1));
+  pool.Run([](int) {});  // the workers now wait for the next phase
+  const double before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Four workers that never park would burn up to 0.8 CPU-s here; these
+  // poll for at most 5 ms each first.
+  EXPECT_LT(ProcessCpuSeconds() - before, 0.05);
 }
 
 TEST(SpinLockTest, MutualExclusion) {
