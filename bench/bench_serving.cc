@@ -81,6 +81,7 @@
 #include "serve/serving_engine.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/timer.h"
 
 namespace dw {
 namespace {
@@ -353,7 +354,9 @@ SimdCompare CompareSimdLevels(int rows, int dim, int threads, double run_sec,
 struct AdmissionRun {
   double mice_p99_ms = 0.0;           ///< worst mouse p99
   double mice_served_fraction = 0.0;  ///< accepted/submitted over all mice
-  serve::FamilyServingStats fam;
+  /// The registry at the end of the run: the admission controller's
+  /// estimates are its admission.*{family=adm} metrics.
+  obs::RegistrySnapshot telemetry;
 };
 
 /// One overload run: `n_hogs` unthrottled hog threads flood a one-worker
@@ -462,7 +465,7 @@ AdmissionRun RunAdmissionOverload(const std::vector<double>& table,
   server.Stop();
 
   AdmissionRun out;
-  out.fam = server.Stats().families[0];
+  out.telemetry = server.telemetry().Snapshot();
   uint64_t mice_submitted = 0;
   uint64_t mice_accepted = 0;
   for (const MouseResult& res : mouse_results) {
@@ -497,8 +500,8 @@ struct TelemetryTrial {
 // per-row replica re-gather would drown instrument cost in memory
 // traffic). The telemetry-on trial also runs a live obs::TelemetryExporter
 // so the measured overhead includes periodic snapshot+render, not just the
-// inline fetch_adds. With telemetry off every registry-backed Stats()
-// field reads zero by contract, so only the on trial reads stats.
+// inline fetch_adds. With telemetry off the registry exports nothing, so
+// only the on trial reads it.
 TelemetryTrial RunTelemetryTrial(const data::Dataset& d,
                                  const models::ModelSpec& spec,
                                  const std::vector<double>& weights,
@@ -541,21 +544,23 @@ TelemetryTrial RunTelemetryTrial(const data::Dataset& d,
   TelemetryTrial out;
   out.rows_per_sec = total_rows / wall;
   if (telemetry) {
-    const serve::ServingStats stats = server.Stats();
-    DW_CHECK_EQ(stats.requests, static_cast<uint64_t>(total_rows));
+    const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+    DW_CHECK_EQ(snap.CounterValue("serve.rows", {{"family", "lr"}}),
+                static_cast<uint64_t>(total_rows));
     // The admit stage is excluded because serve.latency_ms starts its
     // clock at enqueue, after admission.
     for (int s = static_cast<int>(obs::Stage::kQueue); s < obs::kNumStages;
          ++s) {
-      out.stage_sum_us += stats.families[0].mean_stage_us[s];
+      out.stage_sum_us +=
+          snap.HistogramValue("serve.stage_us",
+                              {{"family", "lr"}, {"stage", obs::StageName(s)}})
+              .Mean();
     }
     // Histogram means are exact (bucketing only bounds the percentiles),
     // so this is the true mean submit-to-resolution latency.
-    out.e2e_mean_us = server.telemetry()
-                          .GetHistogram("serve.latency_ms", {{"family", "lr"}})
-                          ->Snapshot()
-                          .Mean() *
-                      1e3;
+    out.e2e_mean_us =
+        snap.HistogramValue("serve.latency_ms", {{"family", "lr"}}).Mean() *
+        1e3;
   }
   return out;
 }
@@ -801,9 +806,11 @@ double KeyedServingP99(const std::vector<double>& table, Index store_rows,
   });
   server.Stop();
 
-  const serve::ServingStats stats = server.Stats();
-  DW_CHECK_EQ(stats.requests, static_cast<uint64_t>(total_rows));
-  return stats.p99_latency_ms;
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  DW_CHECK_EQ(snap.CounterValue("serve.rows", {{"family", "kv"}}),
+              static_cast<uint64_t>(total_rows));
+  return snap.HistogramValue("serve.latency_ms", {{"family", "kv"}})
+      .Percentile(99.0);
 }
 
 }  // namespace
@@ -899,19 +906,22 @@ int main(int argc, char** argv) {
               adm_fair.mice_served_fraction, adm_fifo.mice_served_fraction);
   // Estimate convergence from the FAIR run (both runs feed the same kind
   // of controller; one suffices for the gate).
-  const serve::FamilyServingStats& adm_fam = adm_fair.fam;
+  const obs::RegistrySnapshot& adm_snap = adm_fair.telemetry;
+  const obs::Labels adm = {{"family", "adm"}};
+  const double est_us = adm_snap.GaugeValue("admission.est_row_us", adm);
+  const double measured_us =
+      adm_snap.GaugeValue("admission.measured_row_us", adm);
   const double est_over_measured =
-      adm_fam.measured_row_us_ewma > 0.0
-          ? adm_fam.est_row_us / adm_fam.measured_row_us_ewma
-          : 0.0;
+      measured_us > 0.0 ? est_us / measured_us : 0.0;
   gates.Check(est_over_measured >= 0.5 && est_over_measured <= 2.0,
               /*smoke=*/false,
               "admission estimate: prior %.2f us/row, calibrated %.2f us/row, "
               "measured EWMA %.2f us/row over %llu batches, est/measured %.2f "
               "(gate: within 2x)",
-              adm_fam.prior_row_us, adm_fam.est_row_us,
-              adm_fam.measured_row_us_ewma,
-              static_cast<unsigned long long>(adm_fam.cost_reports),
+              adm_snap.GaugeValue("admission.prior_row_us", adm), est_us,
+              measured_us,
+              static_cast<unsigned long long>(
+                  adm_snap.CounterValue("admission.cost_reports", adm)),
               est_over_measured);
 
   // --- telemetry: overhead + stage decomposition -------------------------

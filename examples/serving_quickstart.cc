@@ -13,8 +13,9 @@
 //      publishes fresh snapshots on a period WHILE training runs,
 //   5. score rows against either family -- id-keyed for stored entities,
 //      carried-feature for novel ones -- through the same batcher,
-//   6. read per-family stats: throughput, latency, snapshot staleness,
-//      and where the id-keyed feature gathers landed.
+//   6. read each family's numbers from the metric registry by name:
+//      rows, latency, snapshot staleness, admission, and where the
+//      id-keyed feature gathers landed.
 //
 // Build & run:  ./examples/serving_quickstart
 #include <cstdio>
@@ -209,39 +210,63 @@ int main() {
                 score.value(), narrow_data.b[i]);
   }
 
-  // 6. Stop serving; per-family stats include the staleness the async
-  //    pipeline traded for never blocking an epoch, and where the
-  //    id-keyed feature gathers landed (all node-local under a
-  //    replicated store -- the collocation the store exists for).
+  // 6. Stop serving and read each family's numbers from the metric
+  //    registry by name and labels: the staleness the async pipeline
+  //    traded for never blocking an epoch, and where the id-keyed
+  //    feature gathers landed (all node-local under a replicated store --
+  //    the collocation the store exists for). The lookup dies on a name
+  //    nothing registered, so a renamed metric fails this program.
   server.Stop();
-  const serve::ServingStats stats = server.Stats();
-  std::printf("served %llu requests in %llu batches total\n",
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.batches));
-  for (const serve::FamilyServingStats& f : stats.families) {
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  for (const serve::FamilyServingStats& f : server.Stats().families) {
+    const obs::Labels fam = {{"family", f.family}};
+    const obs::HistogramSnapshot& latency =
+        snap.HistogramValue("serve.latency_ms", fam);
+    const obs::HistogramSnapshot& staleness =
+        snap.HistogramValue("serve.staleness_ms", fam);
     std::printf(
-        "%-17s v%llu: %llu rows (%llu by id: %llu local / %llu remote "
-        "gathers), p50 %.3f ms, p99 %.3f ms, staleness mean %.1f ms "
-        "(max %.1f), rejected %llu\n",
-        f.family.c_str(), static_cast<unsigned long long>(f.served_version),
-        static_cast<unsigned long long>(f.requests),
-        static_cast<unsigned long long>(f.id_rows),
-        static_cast<unsigned long long>(f.local_store_rows),
-        static_cast<unsigned long long>(f.remote_store_rows),
-        f.p50_latency_ms, f.p99_latency_ms, f.mean_staleness_ms,
-        f.max_staleness_ms, static_cast<unsigned long long>(f.rejected));
+        "%-17s v%llu: %llu rows in %llu batches (%llu by id: %llu local / "
+        "%llu remote gathers), p50 %.3f ms, p99 %.3f ms, staleness mean "
+        "%.1f ms (max %.1f), rejected %llu\n",
+        f.family.c_str(),
+        static_cast<unsigned long long>(
+            server.FindFamily(f.family)->current_version()),
+        static_cast<unsigned long long>(snap.CounterValue("serve.rows", fam)),
+        static_cast<unsigned long long>(
+            snap.CounterValue("serve.batches", fam)),
+        static_cast<unsigned long long>(snap.CounterValue("store.id_rows", fam)),
+        static_cast<unsigned long long>(
+            snap.CounterValue("store.local_gather_rows", fam)),
+        static_cast<unsigned long long>(
+            snap.CounterValue("store.remote_gather_rows", fam)),
+        latency.Percentile(50.0), latency.Percentile(99.0), staleness.Mean(),
+        staleness.max,
+        static_cast<unsigned long long>(
+            snap.CounterValue("queue.rejected_full", fam) +
+            snap.CounterValue("queue.rejected_cost", fam)));
+    // The client roster (and each client's weight) is the one thing no
+    // instrument records; its counters are registry metrics too.
     for (const serve::RequestBatcher::ClientStats& c : f.clients) {
-      std::printf("                  client %-9s (weight %.1f): %llu "
-                  "accepted, %llu served, %llu rejected\n",
-                  c.client.str().c_str(), c.weight,
-                  static_cast<unsigned long long>(c.accepted),
-                  static_cast<unsigned long long>(c.served),
-                  static_cast<unsigned long long>(c.rejected));
+      const obs::Labels client = {{"family", f.family},
+                                  {"client", c.client.str()}};
+      std::printf(
+          "                  client %-9s (weight %.1f): %llu accepted, %llu "
+          "served, %llu rejected\n",
+          c.client.str().c_str(), c.weight,
+          static_cast<unsigned long long>(
+              snap.CounterValue("queue.client_accepted", client)),
+          static_cast<unsigned long long>(
+              snap.CounterValue("queue.client_served", client)),
+          static_cast<unsigned long long>(
+              snap.CounterValue("queue.client_rejected", client)));
     }
     std::printf("                  service estimate %.2f us/row (prior "
                 "%.2f, measured EWMA %.2f over %llu batches)\n",
-                f.est_row_us, f.prior_row_us, f.measured_row_us_ewma,
-                static_cast<unsigned long long>(f.cost_reports));
+                snap.GaugeValue("admission.est_row_us", fam),
+                snap.GaugeValue("admission.prior_row_us", fam),
+                snap.GaugeValue("admission.measured_row_us", fam),
+                static_cast<unsigned long long>(
+                    snap.CounterValue("admission.cost_reports", fam)));
   }
   return 0;
 }

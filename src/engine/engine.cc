@@ -320,12 +320,9 @@ RunResult Engine::Run(const RunConfig& config) {
   for (int e = 0; e < config.max_epochs; ++e) {
     EpochRecord rec = RunEpochNoEval();
     wall_acc += rec.wall_sec;
-    if ((e % std::max(1, config.eval_every)) == 0 ||
-        e == config.max_epochs - 1) {
-      WallTimer eval_timer;
-      rec.loss = EvaluateLoss();
-      rec.loss_eval_sec = eval_timer.Seconds();
-    }
+    WallTimer eval_timer;
+    rec.loss = EvaluateLoss();
+    rec.loss_eval_sec = eval_timer.Seconds();
     result.epochs.push_back(rec);
     if (rec.loss <= config.stop_loss) break;
     if (wall_acc > config.wall_timeout_sec) break;

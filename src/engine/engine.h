@@ -44,8 +44,6 @@ struct RunConfig {
   double stop_loss = -std::numeric_limits<double>::infinity();
   /// Stop when cumulative *wall* seconds exceed this (paper timeout rows).
   double wall_timeout_sec = std::numeric_limits<double>::infinity();
-  /// Evaluate loss every `eval_every` epochs (1 = every epoch).
-  int eval_every = 1;
 };
 
 /// An immutable export of the trained model, ready to hand to the serving

@@ -1,10 +1,11 @@
 #include "kernels/dispatch.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 
-#include "numa/bandwidth_probe.h"
 #include "util/logging.h"
 
 namespace dw::kernels {
@@ -119,33 +120,28 @@ KernelTuning ResolveTuning() {
       return t;
     }
     DW_LOG(Warning) << "ignoring unparseable DW_KERNEL_BLOCK_COLS='" << env
-                    << "'; auto-tuning instead";
+                    << "'; sizing the block from the L2 instead";
   }
-  // Auto-pick from the STREAM probe: copy bandwidth over an array of each
-  // candidate size (single thread, timing brackets the kernel only, so
-  // the probe costs well under a millisecond total). While the candidate
-  // fits the private caches, measured copy bandwidth is flat at cache
-  // speed; it falls off once the working set spills. Take the LARGEST
-  // candidate still within 80% of the best observed rate -- bigger blocks
-  // amortize more row traffic per model load, so prefer them until the
-  // cache says no.
+  // Size the block from the private L2: the largest candidate whose f64
+  // block fills at most half of it, leaving the other half to the row
+  // slices that stream past the resident block. Bigger blocks amortize
+  // more row traffic per model load, so prefer them while they fit. A
+  // host that reports no L2 size keeps the default.
+  long l2_bytes = 0;
+#ifdef _SC_LEVEL2_CACHE_SIZE
+  l2_bytes = sysconf(_SC_LEVEL2_CACHE_SIZE);
+#endif
   constexpr matrix::Index kCandidates[] = {2048, 4096, 8192, 16384};
-  double best_gbps = 0.0;
-  double gbps[4] = {0.0, 0.0, 0.0, 0.0};
-  for (int i = 0; i < 4; ++i) {
-    gbps[i] = numa::MeasureBandwidth(/*threads=*/1,
-                                     /*array_doubles=*/kCandidates[i],
-                                     /*iters=*/3)
-                  .copy_gbps;
-    best_gbps = std::max(best_gbps, gbps[i]);
+  if (l2_bytes > 0) {
+    t.block_cols = kCandidates[0];
+    for (const matrix::Index cols : kCandidates) {
+      if (static_cast<long>(cols * sizeof(double)) <= l2_bytes / 2) {
+        t.block_cols = cols;
+      }
+    }
   }
-  t.block_cols = kCandidates[0];
-  for (int i = 0; i < 4; ++i) {
-    if (gbps[i] >= 0.80 * best_gbps) t.block_cols = kCandidates[i];
-  }
-  DW_LOG(Info) << "kernel tuning: block_cols=" << t.block_cols
-               << " (probe copy GB/s " << gbps[0] << "/" << gbps[1] << "/"
-               << gbps[2] << "/" << gbps[3] << ")";
+  DW_LOG(Info) << "kernel tuning: block_cols=" << t.block_cols << " (L2 "
+               << l2_bytes << " B)";
   return t;
 }
 

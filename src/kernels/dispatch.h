@@ -84,10 +84,12 @@ struct KernelTuning {
 
 /// The tuning the kernels use, resolved once per process:
 /// DW_KERNEL_BLOCK_COLS (clamped to [512, 65536], rounded to a multiple
-/// of 8) if set, otherwise auto-picked from a short numa::BandwidthProbe
-/// sweep -- the largest candidate block whose streaming bandwidth still
-/// looks cache-resident. Block size changes dense summation boundaries,
-/// so one process-wide value keeps every level bitwise-comparable.
+/// of 8) if set, otherwise the largest candidate block (2,048 to 16,384
+/// columns) whose f64 model fills at most half of the private L2 that
+/// sysconf(_SC_LEVEL2_CACHE_SIZE) reports, or the default when the host
+/// reports none. Reads no clock, so every process on a host picks the
+/// same block. Block size changes dense summation boundaries, so one
+/// process-wide value keeps every level bitwise-comparable.
 const KernelTuning& Tuning();
 
 }  // namespace dw::kernels

@@ -261,83 +261,95 @@ std::string MetricKey(const std::string& name, const Labels& labels) {
   return key;
 }
 
-/// MetricKey for caller-supplied labels that may not be in canonical
-/// order yet (snapshot labels already are; query labels need the sort).
-std::string CanonicalMetricKey(const std::string& name, Labels labels) {
-  std::sort(labels.begin(), labels.end());
-  return MetricKey(name, labels);
+/// `name{k=v,...}` for error messages.
+std::string MetricKeyText(const std::string& name, const Labels& labels) {
+  std::string text = name + "{";
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (i > 0) text += ',';
+    text += labels[i].first + "=" + labels[i].second;
+  }
+  return text + "}";
 }
 
 }  // namespace
 
+// ----------------------------------------------------- RegistrySnapshot --
+
+const MetricSnapshot* RegistrySnapshot::Find(const std::string& name,
+                                             const Labels& labels,
+                                             MetricType type) const {
+  Labels canonical = labels;
+  std::sort(canonical.begin(), canonical.end());
+  for (const MetricSnapshot& m : metrics) {
+    if (m.name != name || m.labels != canonical) continue;
+    DW_CHECK(m.type == type) << "metric " << MetricKeyText(name, canonical)
+                             << " is a " << ToString(m.type) << ", read as a "
+                             << ToString(type);
+    return &m;
+  }
+  return nullptr;
+}
+
+const MetricSnapshot& RegistrySnapshot::Get(const std::string& name,
+                                            const Labels& labels,
+                                            MetricType type) const {
+  const MetricSnapshot* m = Find(name, labels, type);
+  DW_CHECK(m != nullptr) << "no " << ToString(type) << " "
+                         << MetricKeyText(name, labels)
+                         << " is registered";
+  return *m;
+}
+
+uint64_t RegistrySnapshot::CounterValue(const std::string& name,
+                                        const Labels& labels) const {
+  return Get(name, labels, MetricType::kCounter).counter_value;
+}
+
+double RegistrySnapshot::GaugeValue(const std::string& name,
+                                    const Labels& labels) const {
+  return Get(name, labels, MetricType::kGauge).gauge_value;
+}
+
+const HistogramSnapshot& RegistrySnapshot::HistogramValue(
+    const std::string& name, const Labels& labels) const {
+  return Get(name, labels, MetricType::kHistogram).histogram;
+}
+
 // --------------------------------------------------------- SnapshotDelta --
 
 SnapshotDelta::SnapshotDelta(RegistrySnapshot prev, RegistrySnapshot cur)
-    : prev_(std::move(prev)), cur_(std::move(cur)) {
-  prev_index_.reserve(prev_.metrics.size());
-  for (size_t i = 0; i < prev_.metrics.size(); ++i) {
-    const MetricSnapshot& m = prev_.metrics[i];
-    prev_index_[MetricKey(m.name, m.labels)] = i;
-  }
-  cur_index_.reserve(cur_.metrics.size());
-  for (size_t i = 0; i < cur_.metrics.size(); ++i) {
-    const MetricSnapshot& m = cur_.metrics[i];
-    cur_index_[MetricKey(m.name, m.labels)] = i;
-  }
-}
-
-const MetricSnapshot* SnapshotDelta::FindPrev(const std::string& name,
-                                              const Labels& labels) const {
-  const auto it = prev_index_.find(CanonicalMetricKey(name, labels));
-  return it == prev_index_.end() ? nullptr : &prev_.metrics[it->second];
-}
-
-const MetricSnapshot* SnapshotDelta::FindCur(const std::string& name,
-                                             const Labels& labels) const {
-  const auto it = cur_index_.find(CanonicalMetricKey(name, labels));
-  return it == cur_index_.end() ? nullptr : &cur_.metrics[it->second];
-}
+    : prev_(std::move(prev)), cur_(std::move(cur)) {}
 
 uint64_t SnapshotDelta::CounterDelta(const std::string& name,
                                      const Labels& labels) const {
-  const MetricSnapshot* c = FindCur(name, labels);
-  if (c == nullptr || c->type != MetricType::kCounter) return 0;
-  const MetricSnapshot* p = FindPrev(name, labels);
-  const uint64_t before =
-      (p != nullptr && p->type == MetricType::kCounter) ? p->counter_value : 0;
-  return c->counter_value >= before ? c->counter_value - before : 0;
+  const uint64_t now = cur_.CounterValue(name, labels);
+  const MetricSnapshot* p = prev_.Find(name, labels, MetricType::kCounter);
+  const uint64_t before = p != nullptr ? p->counter_value : 0;
+  return now >= before ? now - before : 0;
 }
 
-double SnapshotDelta::GaugeValue(const std::string& name, const Labels& labels,
-                                 double fallback) const {
-  const MetricSnapshot* c = FindCur(name, labels);
-  if (c == nullptr || c->type != MetricType::kGauge) return fallback;
-  return c->gauge_value;
+double SnapshotDelta::GaugeValue(const std::string& name,
+                                 const Labels& labels) const {
+  return cur_.GaugeValue(name, labels);
 }
 
 double SnapshotDelta::HistogramIntervalMean(const std::string& name,
                                             const Labels& labels,
                                             double fallback) const {
-  const MetricSnapshot* c = FindCur(name, labels);
-  if (c == nullptr || c->type != MetricType::kHistogram) return fallback;
-  const MetricSnapshot* p = FindPrev(name, labels);
-  const bool has_prev = p != nullptr && p->type == MetricType::kHistogram;
-  const uint64_t before = has_prev ? p->histogram.count : 0;
-  if (c->histogram.count <= before) return fallback;
-  const double sum_before = has_prev ? p->histogram.sum : 0.0;
-  return (c->histogram.sum - sum_before) /
-         static_cast<double>(c->histogram.count - before);
+  const HistogramSnapshot& now = cur_.HistogramValue(name, labels);
+  const MetricSnapshot* p = prev_.Find(name, labels, MetricType::kHistogram);
+  const uint64_t before = p != nullptr ? p->histogram.count : 0;
+  if (now.count <= before) return fallback;
+  const double sum_before = p != nullptr ? p->histogram.sum : 0.0;
+  return (now.sum - sum_before) / static_cast<double>(now.count - before);
 }
 
 uint64_t SnapshotDelta::HistogramIntervalCount(const std::string& name,
                                                const Labels& labels) const {
-  const MetricSnapshot* c = FindCur(name, labels);
-  if (c == nullptr || c->type != MetricType::kHistogram) return 0;
-  const MetricSnapshot* p = FindPrev(name, labels);
-  const uint64_t before =
-      (p != nullptr && p->type == MetricType::kHistogram) ? p->histogram.count
-                                                          : 0;
-  return c->histogram.count >= before ? c->histogram.count - before : 0;
+  const uint64_t now = cur_.HistogramValue(name, labels).count;
+  const MetricSnapshot* p = prev_.Find(name, labels, MetricType::kHistogram);
+  const uint64_t before = p != nullptr ? p->histogram.count : 0;
+  return now >= before ? now - before : 0;
 }
 
 Registry::Registry(RegistryOptions opts)
@@ -346,76 +358,39 @@ Registry::Registry(RegistryOptions opts)
       noop_gauge_(false),
       noop_histogram_(false) {}
 
-Counter* Registry::GetCounter(const std::string& name, Labels labels) {
-  if (!enabled_) return &noop_counter_;
+template <typename T>
+T* Registry::Intern(const std::string& name, Labels labels, MetricType type,
+                    std::vector<std::unique_ptr<T>>& instruments, T& noop) {
+  if (!enabled_) return &noop;
   std::sort(labels.begin(), labels.end());
   std::lock_guard<std::mutex> lk(mu_);
   const std::string key = MetricKey(name, labels);
   const auto it = index_.find(key);
   if (it != index_.end()) {
     const Entry& e = entries_[it->second];
-    DW_CHECK(e.type == MetricType::kCounter)
-        << "metric " << name << " re-registered as counter, was "
-        << ToString(e.type);
-    return counters_[e.index].get();
+    DW_CHECK(e.type == type) << "metric " << name << " re-registered as "
+                             << ToString(type) << ", was " << ToString(e.type);
+    return instruments[e.index].get();
   }
-  counters_.emplace_back(new Counter(true));
-  Entry e;
-  e.name = name;
-  e.labels = std::move(labels);
-  e.type = MetricType::kCounter;
-  e.index = counters_.size() - 1;
+  instruments.emplace_back(new T(true));
   index_[key] = entries_.size();
-  entries_.push_back(std::move(e));
-  return counters_.back().get();
+  entries_.push_back({name, std::move(labels), type, instruments.size() - 1});
+  return instruments.back().get();
+}
+
+Counter* Registry::GetCounter(const std::string& name, Labels labels) {
+  return Intern(name, std::move(labels), MetricType::kCounter, counters_,
+                noop_counter_);
 }
 
 Gauge* Registry::GetGauge(const std::string& name, Labels labels) {
-  if (!enabled_) return &noop_gauge_;
-  std::sort(labels.begin(), labels.end());
-  std::lock_guard<std::mutex> lk(mu_);
-  const std::string key = MetricKey(name, labels);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    const Entry& e = entries_[it->second];
-    DW_CHECK(e.type == MetricType::kGauge)
-        << "metric " << name << " re-registered as gauge, was "
-        << ToString(e.type);
-    return gauges_[e.index].get();
-  }
-  gauges_.emplace_back(new Gauge(true));
-  Entry e;
-  e.name = name;
-  e.labels = std::move(labels);
-  e.type = MetricType::kGauge;
-  e.index = gauges_.size() - 1;
-  index_[key] = entries_.size();
-  entries_.push_back(std::move(e));
-  return gauges_.back().get();
+  return Intern(name, std::move(labels), MetricType::kGauge, gauges_,
+                noop_gauge_);
 }
 
 Histogram* Registry::GetHistogram(const std::string& name, Labels labels) {
-  if (!enabled_) return &noop_histogram_;
-  std::sort(labels.begin(), labels.end());
-  std::lock_guard<std::mutex> lk(mu_);
-  const std::string key = MetricKey(name, labels);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    const Entry& e = entries_[it->second];
-    DW_CHECK(e.type == MetricType::kHistogram)
-        << "metric " << name << " re-registered as histogram, was "
-        << ToString(e.type);
-    return histograms_[e.index].get();
-  }
-  histograms_.emplace_back(new Histogram(true));
-  Entry e;
-  e.name = name;
-  e.labels = std::move(labels);
-  e.type = MetricType::kHistogram;
-  e.index = histograms_.size() - 1;
-  index_[key] = entries_.size();
-  entries_.push_back(std::move(e));
-  return histograms_.back().get();
+  return Intern(name, std::move(labels), MetricType::kHistogram, histograms_,
+                noop_histogram_);
 }
 
 RegistrySnapshot Registry::Snapshot() const {

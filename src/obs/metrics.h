@@ -182,37 +182,55 @@ struct MetricSnapshot {
 };
 
 /// The registry's full contents in registration order (what the
-/// exporters render).
+/// exporters render), and the one lookup that reads a metric back by its
+/// exported name: a family's serving numbers are read this way, e.g.
+/// `snap.CounterValue("serve.rows", {{"family", "ctr"}})`.
 struct RegistrySnapshot {
   std::vector<MetricSnapshot> metrics;
+
+  /// The metric registered as (name, labels), labels in any order;
+  /// nullptr when this snapshot holds no such metric (one registered
+  /// after the snapshot was taken). Dies when its type is not `type`.
+  const MetricSnapshot* Find(const std::string& name, const Labels& labels,
+                             MetricType type) const;
+
+  /// Find() that also dies when the metric is absent, so a misspelled
+  /// name or label cannot read a vacuous 0.
+  const MetricSnapshot& Get(const std::string& name, const Labels& labels,
+                            MetricType type) const;
+
+  /// Typed reads through Get().
+  uint64_t CounterValue(const std::string& name,
+                        const Labels& labels = {}) const;
+  double GaugeValue(const std::string& name, const Labels& labels = {}) const;
+  const HistogramSnapshot& HistogramValue(const std::string& name,
+                                          const Labels& labels = {}) const;
 };
 
-/// Interval view over two registry snapshots: indexes `prev` and `cur`
-/// by (name, canonicalized labels) and answers what happened BETWEEN
-/// them -- counter deltas, the mean of histogram observations recorded
-/// inside the interval, the latest gauge reading. This is how a control
-/// loop (opt::PlacementTuner) turns the registry's cumulative counters
-/// into observed rates without adding any bookkeeping to the hot paths
-/// that write them.
+/// Interval view over two registry snapshots: answers what happened
+/// BETWEEN them -- counter deltas, the mean of histogram observations
+/// recorded inside the interval, the latest gauge reading. This is how a
+/// control loop (opt::PlacementTuner) turns the registry's cumulative
+/// counters into observed rates without adding any bookkeeping to the hot
+/// paths that write them. Every read goes through `cur`'s checked lookup
+/// (RegistrySnapshot::Get), so an unknown name or a type mismatch dies; a
+/// metric absent from `prev` (registered mid-interval) diffs against zero.
 class SnapshotDelta {
  public:
   /// Both snapshots should come from the same registry, `prev` taken
-  /// first. A metric absent from `prev` (registered mid-interval) diffs
-  /// against zero; one absent from `cur` reports the miss fallback.
+  /// first.
   SnapshotDelta(RegistrySnapshot prev, RegistrySnapshot cur);
 
-  /// cur - prev of a counter; 0 when the metric is unknown, not a
-  /// counter, or went backwards (registry swapped out underneath).
+  /// cur - prev of a counter; 0 when it went backwards (registry swapped
+  /// out underneath).
   uint64_t CounterDelta(const std::string& name, const Labels& labels) const;
 
-  /// The latest (cur) gauge reading; `fallback` when unknown.
-  double GaugeValue(const std::string& name, const Labels& labels,
-                    double fallback = 0.0) const;
+  /// The latest (cur) gauge reading.
+  double GaugeValue(const std::string& name, const Labels& labels) const;
 
   /// Exact mean of the histogram observations recorded inside the
   /// interval, (cur.sum - prev.sum) / (cur.count - prev.count);
-  /// `fallback` when the metric is unknown or the interval recorded
-  /// nothing.
+  /// `fallback` when the interval recorded nothing.
   double HistogramIntervalMean(const std::string& name, const Labels& labels,
                                double fallback = 0.0) const;
 
@@ -221,15 +239,8 @@ class SnapshotDelta {
                                   const Labels& labels) const;
 
  private:
-  const MetricSnapshot* FindPrev(const std::string& name,
-                                 const Labels& labels) const;
-  const MetricSnapshot* FindCur(const std::string& name,
-                                const Labels& labels) const;
-
   RegistrySnapshot prev_;
   RegistrySnapshot cur_;
-  std::unordered_map<std::string, size_t> prev_index_;
-  std::unordered_map<std::string, size_t> cur_index_;
 };
 
 struct RegistryOptions {
@@ -272,6 +283,12 @@ class Registry {
     MetricType type = MetricType::kCounter;
     size_t index = 0;  ///< into the per-type deque
   };
+
+  /// The one registration path behind every Get*: interns (name, sorted
+  /// labels) and returns its instrument, or `noop` when disabled.
+  template <typename T>
+  T* Intern(const std::string& name, Labels labels, MetricType type,
+            std::vector<std::unique_ptr<T>>& instruments, T& noop);
 
   const bool enabled_;
   mutable std::mutex mu_;

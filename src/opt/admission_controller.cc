@@ -158,12 +158,6 @@ double AdmissionController::EstimatedDrainSeconds(int family,
          static_cast<double>(opts_.drain_workers);
 }
 
-double AdmissionController::BudgetSeconds(int family, size_t max_queue_rows,
-                                          double explicit_budget_sec) const {
-  if (explicit_budget_sec > 0.0) return explicit_budget_sec;
-  return EstimatedDrainSeconds(family, max_queue_rows);
-}
-
 AdmissionEstimate AdmissionController::Estimate(int family) const {
   AdmissionEstimate out;
   out.est_row_sec = EstimatedRowSeconds(family);

@@ -7,10 +7,10 @@
 // rejected past a hard-coded max_queue_rows, blind to what a queued row
 // actually costs to serve -- 64 queued rows of a 16k-dim dense family are
 // milliseconds of work, 64 rows of an 8-dim family are noise. The
-// AdmissionController replaces the row count with TIME: it estimates a
-// family's per-row batch service cost and admission rejects when the
-// estimated time-to-drain of the backlog ahead of a request exceeds the
-// family's queueing-delay budget.
+// AdmissionController prices the backlog in TIME: it estimates a
+// family's per-row batch service cost, and when the family sets a
+// queueing-delay budget, admission rejects when the estimated
+// time-to-drain of the backlog ahead of a request exceeds it.
 //
 // The estimate has two layers:
 //
@@ -122,14 +122,6 @@ class AdmissionController {
   /// Expected seconds until `queued_rows` backlog rows are all scored,
   /// with the drain parallelism of the worker pool.
   double EstimatedDrainSeconds(int family, size_t queued_rows) const;
-
-  /// The family's queueing-delay budget in seconds. An explicit budget
-  /// (> 0) wins; otherwise the legacy row bound is CONVERTED into time
-  /// at the current estimate -- max_queue_rows rows of backlog at
-  /// EstimatedRowSeconds() across the drain workers -- so by default the
-  /// delay test degenerates to exactly the old row-count bound.
-  double BudgetSeconds(int family, size_t max_queue_rows,
-                       double explicit_budget_sec) const;
 
   AdmissionEstimate Estimate(int family) const;
 

@@ -237,15 +237,15 @@ StatusOr<std::future<double>> RequestBatcher::Submit(
         return Status::ResourceExhausted("client queue share full");
       }
     }
-    // Cost-aware admission: reject when the backlog AHEAD of this
-    // request would take longer to drain than the family's delay budget.
-    // Under fair queuing the client sees only its own backlog, but also
-    // only its weighted share of the drain bandwidth. An empty queue is
-    // always admissible: zero wait can never exceed a budget.
-    if (controller_ != nullptr) {
-      const double budget_sec = controller_->BudgetSeconds(
-          family, q.opts.max_queue_rows,
-          std::chrono::duration<double>(q.opts.queue_delay_budget).count());
+    // Cost-aware admission, when the family sets a delay budget: reject
+    // when the backlog AHEAD of this request would take longer to drain
+    // than the budget. Under fair queuing the client sees only its own
+    // backlog, but also only its weighted share of the drain bandwidth.
+    // An empty queue is always admissible: zero wait can never exceed a
+    // budget.
+    if (controller_ != nullptr && q.opts.queue_delay_budget.count() > 0) {
+      const double budget_sec =
+          std::chrono::duration<double>(q.opts.queue_delay_budget).count();
       const double wait_sec =
           split_shares
               ? controller_->EstimatedDrainSeconds(family, cq.queue.size()) /

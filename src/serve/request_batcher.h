@@ -20,17 +20,16 @@
 // collapses the subqueues back into one arrival-ordered FIFO -- the
 // baseline bench_serving's admission gate measures fairness against.
 //
-// Admission is COST-AWARE when an opt::AdmissionController is attached:
-// instead of rejecting on the raw row count alone, Submit estimates the
-// queueing delay the new request would see -- backlog rows ahead of it
-// times the controller's calibrated per-row service estimate, divided by
-// the drain parallelism -- and rejects when that exceeds the family's
-// queueing-delay budget (Options::queue_delay_budget; zero converts
-// max_queue_rows into the budget at the current estimate, which
-// degenerates to exactly the legacy row bound). max_queue_rows always
-// remains as the hard memory cap. Under fair queuing both the row cap
-// and the delay budget are split across clients by weight, so a hog
-// exhausts only its own share.
+// Admission bounds every family by max_queue_rows, the hard memory cap.
+// It is also COST-AWARE when an opt::AdmissionController is attached and
+// the family sets a queueing-delay budget (Options::queue_delay_budget):
+// Submit estimates the queueing delay the new request would see --
+// backlog rows ahead of it times the controller's calibrated per-row
+// service estimate, divided by the drain parallelism -- and rejects when
+// that exceeds the budget. Without a budget (the default) only the row
+// cap applies. Under fair queuing both the row cap and the delay budget
+// are split across clients by weight, so a hog exhausts only its own
+// share.
 //
 // Flush policy (per family): a batch is released as soon as the queue
 // reaches max_batch_size rows (flush on size), or when the OLDEST queued
@@ -219,15 +218,12 @@ class RequestBatcher {
     std::chrono::microseconds max_delay{500};
     /// Hard admission cap: Submit always rejects (back-pressure) beyond
     /// this many queued rows IN THIS FAMILY -- the memory bound of last
-    /// resort, and the quantity the delay budget is derived from when no
-    /// explicit budget is set.
+    /// resort.
     size_t max_queue_rows = 1 << 16;
     /// Queueing-delay budget for cost-aware admission (needs an attached
     /// AdmissionController): reject when the estimated time-to-drain of
-    /// the backlog ahead of a request exceeds this. Zero derives the
-    /// budget from max_queue_rows at the controller's current per-row
-    /// estimate, which makes the delay test degenerate to the legacy row
-    /// bound exactly.
+    /// the backlog ahead of a request exceeds this. Zero (the default)
+    /// skips the delay test.
     std::chrono::microseconds queue_delay_budget{0};
     /// Deficit-round-robin fair queuing across clients. false = one
     /// arrival-ordered FIFO per family (the blind baseline): clients

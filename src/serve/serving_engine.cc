@@ -9,8 +9,10 @@
 #include <utility>
 
 #include "kernels/dispatch.h"
+#include "numa/access_counters.h"
 #include "util/logging.h"
 #include "util/thread_util.h"
+#include "util/timer.h"
 
 namespace dw::serve {
 
@@ -25,16 +27,13 @@ namespace {
 // Span ring capacity: the most recent sampled request traces kept.
 constexpr size_t kTraceCapacity = 256;
 
-// The admission controller shares the engine's drain parallelism: N
-// workers retire a family's backlog N times faster than one, so the
-// queueing-delay estimate divides by the pool size.
-opt::AdmissionControllerOptions AdmissionOptionsFor(
-    const ServingOptions& options) {
-  opt::AdmissionControllerOptions o;
-  o.drain_workers = options.num_threads > 0
-                        ? options.num_threads
-                        : options.topology.total_cores();
-  return o;
+// The pool size, resolved once: one worker per virtual core unless the
+// caller sized it.
+ServingOptions WithWorkerCount(ServingOptions options) {
+  if (options.num_threads <= 0) {
+    options.num_threads = options.topology.total_cores();
+  }
+  return options;
 }
 
 // The one wait behind the sync forms. A keyed row that vanished between
@@ -61,10 +60,14 @@ StatusOr<double> AwaitScore(StatusOr<std::future<double>> fut) {
 }  // namespace
 
 ServingEngine::ServingEngine(ServingOptions options)
-    : options_(std::move(options)),
+    : options_(WithWorkerCount(std::move(options))),
       obs_(obs::RegistryOptions{options_.telemetry}),
       spans_(options_.telemetry ? kTraceCapacity : 0),
-      admission_(options_.topology, AdmissionOptionsFor(options_)),
+      // The admission controller shares the engine's drain parallelism:
+      // N workers retire a family's backlog N times faster than one, so
+      // the queueing-delay estimate divides by the pool size.
+      admission_(options_.topology,
+                 opt::AdmissionControllerOptions{options_.num_threads}),
       allocator_(std::make_shared<numa::NumaAllocator>(options_.topology)),
       table_(std::make_shared<const FamilyTable>()) {
   // Admission and the batcher publish their counters on the engine's
@@ -88,8 +91,7 @@ ServingEngine::ServingEngine(ServingOptions options)
     node_traffic_[n].flops = obs_.GetCounter("numa.flops", labels);
   }
   const numa::Topology& topo = options_.topology;
-  const int nw = options_.num_threads > 0 ? options_.num_threads
-                                          : topo.total_cores();
+  const int nw = options_.num_threads;
   // Round-robin workers over nodes so every socket serves traffic at any
   // thread count (core ids are node-major: node n owns cores
   // [n*cores_per_node, (n+1)*cores_per_node)).
@@ -362,17 +364,11 @@ Status ServingEngine::Start() {
   // set, checked under register_mu_ which we hold): freeze a raw pointer
   // for the admission hot path. table_ keeps the object alive.
   frozen_table_.store(table.get(), std::memory_order_release);
-  // Resolve the process-wide kernel tiling before any worker runs. Left to
-  // the first dense batch, its bandwidth probe would spawn threads that
-  // inherit that worker's CPU pin, and every other worker would block on
-  // the static's initialization until the probe finished.
-  kernels::Tuning();
   const int nw = num_workers();
   workers_.reserve(nw);
   for (int w = 0; w < nw; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
   }
-  serve_timer_.Reset();
   running_.store(true, std::memory_order_release);
   return Status::OK();
 }
@@ -408,7 +404,6 @@ void ServingEngine::Stop() {
   batcher_.Shutdown();
   for (auto& t : workers_) t.join();
   workers_.clear();
-  stopped_wall_sec_ = serve_timer_.Seconds();
   running_.store(false, std::memory_order_release);
   stopped_ = true;
 }
@@ -550,11 +545,8 @@ void ServingEngine::WorkerLoop(int worker_id) {
   SetCurrentThreadName("dw-serve-" + std::to_string(worker_id));
   const numa::Topology& topo = options_.topology;
   const numa::NodeId node = worker_nodes_[worker_id];
-  if (options_.pin_threads) {
-    const int cpu =
-        topo.PhysicalCpuOfCore(worker_cores_[worker_id], NumOnlineCpus());
-    (void)PinCurrentThreadToCpu(cpu);
-  }
+  (void)PinCurrentThreadToCpu(
+      topo.PhysicalCpuOfCore(worker_cores_[worker_id], NumOnlineCpus()));
   const bool batched = options_.scoring == ScoringMode::kBatched;
   // One table load for the worker's whole life: the set is frozen once
   // Start() succeeds (RegisterFamily refuses while running).
@@ -818,8 +810,7 @@ void ServingEngine::WorkerLoop(int worker_id) {
     }
     if (key_rows > 0) inst.key_rows->Add(key_rows);
     if (key_misses > 0) inst.key_misses->Add(key_misses);
-    // Per-node logical traffic: the one record SimInput() and
-    // Stats().traffic read back.
+    // Per-node logical traffic: the one record SimInput() reads back.
     const NodeTraffic& nt = node_traffic_[node];
     nt.local_read_bytes->Add(delta.local_read_bytes);
     nt.remote_read_bytes->Add(delta.remote_read_bytes);
@@ -850,103 +841,36 @@ void ServingEngine::WorkerLoop(int worker_id) {
   }
 }
 
-// A THIN VIEW over the registry: every serving counter, the traffic
-// totals included, is read back from the instruments the workers write,
-// so Stats() takes no lock at all. With options_.telemetry == false every
-// counter here reads zero -- the documented contract of running with
-// telemetry off.
+// Read from the same instruments a registry snapshot exports (no lock
+// beyond the batcher's and the admission controller's own). With
+// options_.telemetry == false every counter here reads zero.
 ServingStats ServingEngine::Stats() const {
   ServingStats s;
   const auto table = Table();
-  const size_t nf = table->families.size();
-  s.families.resize(nf);
-  obs::HistogramSnapshot all_lat;
-  s.traffic = SimInput().traffic.Total();
-  s.wall_sec = running_.load(std::memory_order_acquire)
-                   ? serve_timer_.Seconds()
-                   : stopped_wall_sec_;
-  for (size_t f = 0; f < nf; ++f) {
-    const FamilyState& fs = table->families[f];
+  s.families.reserve(table->families.size());
+  for (const FamilyState& fs : table->families) {
     const FamilyInstruments& inst = fs.inst;
-    FamilyServingStats& out = s.families[f];
+    FamilyServingStats out;
     out.family = fs.family->name();
-    out.replication = fs.family->replication();
-    out.kernel_level = kernels::ToString(kernels::ActiveKernelLevel());
-    out.quantized = fs.family->quantized();
-    out.kernel_rows = inst.kernel_rows->Value();
-    out.served_version = fs.family->current_version();
-    out.store_version =
-        fs.store != nullptr ? fs.store->current_version() : 0;
-    out.requests = inst.rows->Value();
-    out.batches = inst.batches->Value();
-    out.local_replica_batches = inst.local_replica_batches->Value();
-    out.remote_replica_batches = inst.remote_replica_batches->Value();
-    out.id_rows = inst.id_rows->Value();
-    out.local_store_rows = inst.local_store_rows->Value();
-    out.remote_store_rows = inst.remote_store_rows->Value();
-    out.key_rows = inst.key_rows->Value();
-    out.key_misses = inst.key_misses->Value();
-    out.store_delta_bytes = inst.store_delta_bytes->Value();
-    out.store_full_bytes = inst.store_full_bytes->Value();
-    out.store_evictions = inst.store_evictions->Value();
-    if (fs.store != nullptr) {
-      // Live even on a disabled registry: read off the current snapshot,
-      // not an instrument.
-      const auto store_snap = fs.store->Acquire();
-      out.store_live_rows = store_snap != nullptr ? store_snap->live_rows()
-                                                  : 0;
+    const uint64_t batches = inst.batches->Value();
+    if (batches > 0) {
+      out.mean_batch_rows = static_cast<double>(inst.rows->Value()) /
+                            static_cast<double>(batches);
     }
-    const obs::HistogramSnapshot lat = inst.latency_ms->Snapshot();
-    out.p50_latency_ms = lat.Percentile(50.0);
-    out.p99_latency_ms = lat.Percentile(99.0);
-    out.max_latency_ms = lat.max;  // exact even in the bucketed histogram
-    const obs::HistogramSnapshot stale = inst.staleness_ms->Snapshot();
-    out.mean_staleness_ms = stale.Mean();
-    out.max_staleness_ms = stale.max;
-    const obs::HistogramSnapshot behind = inst.versions_behind->Snapshot();
-    out.mean_versions_behind = behind.Mean();
-    // min/max are exact, and version lags are integers well under 2^53.
-    out.max_versions_behind = static_cast<uint64_t>(behind.max);
-    for (int st = 0; st < obs::kNumStages; ++st) {
-      out.mean_stage_us[st] = inst.stage_us[st]->Snapshot().Mean();
-    }
-    const RequestBatcher::QueueStats qs = batcher_.queue_stats(fs.queue);
-    out.accepted = qs.accepted;
-    out.rejected = qs.rejected_full + qs.rejected_cost;
-    out.rejected_cost = qs.rejected_cost;
-    out.queue_depth = qs.depth;
+    RequestBatcher::QueueStats qs = batcher_.queue_stats(fs.queue);
+    out.clients = std::move(qs.clients);
     out.flush_size = qs.flush_size;
     out.flush_deadline = qs.flush_deadline;
     out.flush_drain = qs.flush_drain;
-    out.clients = qs.clients;
+    out.rejected = qs.rejected_full + qs.rejected_cost;
+    out.rejected_cost = qs.rejected_cost;
     const opt::AdmissionEstimate est = admission_.Estimate(fs.queue);
-    out.prior_row_us = est.prior_row_sec * 1e6;
     out.est_row_us = est.est_row_sec * 1e6;
     out.measured_row_us_ewma = est.measured_row_sec_ewma * 1e6;
-    out.cost_reports = est.reported_batches;
-    if (out.batches > 0) {
-      out.mean_batch_rows = static_cast<double>(out.requests) /
-                            static_cast<double>(out.batches);
-    }
-    if (s.wall_sec > 0.0) {
-      out.rows_per_sec = static_cast<double>(out.requests) / s.wall_sec;
-    }
-    s.requests += out.requests;
-    s.batches += out.batches;
-    s.local_replica_batches += out.local_replica_batches;
-    s.remote_replica_batches += out.remote_replica_batches;
-    all_lat.Merge(lat);
+    out.local_store_rows = inst.local_store_rows->Value();
+    out.remote_store_rows = inst.remote_store_rows->Value();
+    s.families.push_back(std::move(out));
   }
-  if (s.wall_sec > 0.0) {
-    s.rows_per_sec = static_cast<double>(s.requests) / s.wall_sec;
-  }
-  if (s.batches > 0) {
-    s.mean_batch_rows =
-        static_cast<double>(s.requests) / static_cast<double>(s.batches);
-  }
-  s.p50_latency_ms = all_lat.Percentile(50.0);
-  s.p99_latency_ms = all_lat.Percentile(99.0);
-  s.max_latency_ms = all_lat.max;
   return s;
 }
 

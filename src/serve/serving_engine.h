@@ -40,9 +40,14 @@
 // decomposition (admit/queue/batch-form/gather/score/complete), with the
 // worker's NUMA traffic drained into per-node numa.* counters so
 // serve-time local/remote DRAM requests are visible the way the paper
-// reports them for training. ServingStats()/FamilyServingStats and
-// SimInput() are THIN VIEWS over the registry (plus live queue state), so
-// existing callers keep working; a sampled obs::SpanRecorder keeps whole
+// reports them for training. The registry is the one record of those
+// numbers: a caller reads a family's numbers from telemetry().Snapshot()
+// by exported name and labels (RegistrySnapshot::CounterValue("serve.rows",
+// {{"family", name}})), and live object state from its owner (FindFamily()
+// for replication and version, FindStore() for the table, SimInput() for
+// traffic). Stats() keeps only the ten per-family numbers a benchmark
+// report reads, computed from the same instruments, plus the client
+// roster no instrument records. A sampled obs::SpanRecorder keeps whole
 // per-request stage breakdowns; options_.telemetry=false swaps in a no-op
 // registry (the baseline bench_serving's telemetry-overhead gate measures
 // against).
@@ -61,7 +66,6 @@
 
 #include "engine/engine.h"
 #include "models/model_spec.h"
-#include "numa/access_counters.h"
 #include "numa/memory_model.h"
 #include "numa/topology.h"
 #include "obs/metrics.h"
@@ -72,7 +76,6 @@
 #include "serve/model_family.h"
 #include "serve/request_batcher.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace dw::serve {
 
@@ -113,16 +116,15 @@ class StoreKeyMiss : public std::runtime_error {
 struct ServingOptions {
   numa::Topology topology = numa::HostTopology();
   /// Scoring threads; -1 means one per virtual core. Workers are assigned
-  /// to nodes round-robin so every socket serves traffic at any count.
+  /// to nodes round-robin so every socket serves traffic at any count,
+  /// and each is pinned to a physical CPU through the topology map.
   int num_threads = -1;
   /// Default per-family queue options (overridable per family).
   RequestBatcher::Options batch;
-  /// Pin workers to physical CPUs through the topology map.
-  bool pin_threads = true;
   ScoringMode scoring = ScoringMode::kBatched;
   /// Full telemetry (registry instruments + stage histograms + sampled
   /// spans). false swaps in a DISABLED registry: every instrument write
-  /// is a no-op, every Stats() counter reads 0 -- the baseline of
+  /// is a no-op and the registry snapshot is empty -- the baseline of
   /// bench_serving's telemetry-overhead gate, not a production mode.
   bool telemetry = true;
   /// Sample every Nth accepted request into the span ring; 0 disables.
@@ -151,88 +153,36 @@ struct ServingFamilyOptions : FamilyOptions {
   std::vector<std::pair<ClientId, double>> client_weights;
 };
 
-/// Per-family serving counters since Start().
+/// The per-family serving numbers a benchmark report reads, plus the
+/// client roster (order, weights, depth), which no instrument records.
+/// Every other serving number is read from the registry by its exported
+/// name (telemetry().Snapshot(), RegistrySnapshot::CounterValue and
+/// friends) or from the object that owns it (FindFamily, FindStore).
 struct FamilyServingStats {
   std::string family;
-  Replication replication = Replication::kPerNode;
-  /// The scoring-kernel dispatch level every batched kernel ran at
-  /// ("scalar" | "avx2" | "avx512"; kernels::ActiveKernelLevel()).
-  std::string kernel_level;
-  /// True when the family serves from int8-quantized replicas.
-  bool quantized = false;
-  /// Rows scored through the batched kernels (subset of `requests`;
-  /// scalar-mode and fallback rows are excluded).
-  uint64_t kernel_rows = 0;
-  uint64_t requests = 0;  ///< rows scored (fulfilled futures)
-  uint64_t batches = 0;
-  double rows_per_sec = 0.0;
+  /// Per-client fair-queuing view, first-seen order.
+  std::vector<RequestBatcher::ClientStats> clients;
+  /// serve.rows / serve.batches.
   double mean_batch_rows = 0.0;
-  double p50_latency_ms = 0.0;
-  double p99_latency_ms = 0.0;
-  double max_latency_ms = 0.0;
-  uint64_t local_replica_batches = 0;
-  uint64_t remote_replica_batches = 0;
-  // Admission counters (cost-aware: opt::AdmissionController).
-  uint64_t accepted = 0;
-  uint64_t rejected = 0;       ///< all back-pressure refusals
-  uint64_t rejected_cost = 0;  ///< the delay-budget subset of `rejected`
-  uint64_t queue_depth = 0;    ///< rows queued right now
+  /// queue.flush_{size,deadline,drain}.
   uint64_t flush_size = 0;
   uint64_t flush_deadline = 0;
   uint64_t flush_drain = 0;
-  // The admission controller's view of the family (all microseconds per
-  // row): the memory-model prior, the calibrated estimate admission
-  // tests against the delay budget, and the workers' measured EWMA that
-  // calibrates it online.
-  double prior_row_us = 0.0;
+  /// queue.rejected_full + queue.rejected_cost: every back-pressure
+  /// refusal; `rejected_cost` is the delay-budget subset.
+  uint64_t rejected = 0;
+  uint64_t rejected_cost = 0;
+  /// admission.est_row_us and admission.measured_row_us: the calibrated
+  /// per-row service estimate and the workers' measured EWMA behind it.
   double est_row_us = 0.0;
   double measured_row_us_ewma = 0.0;
-  uint64_t cost_reports = 0;  ///< worker batch timings folded in
-  /// Per-client fair-queuing view, first-seen order.
-  std::vector<RequestBatcher::ClientStats> clients;
-  // Snapshot staleness at scoring time (per batch): ms since the served
-  // version's weights left the trainer, and how many newer publishes
-  // existed when the batch was scored.
-  double mean_staleness_ms = 0.0;
-  double max_staleness_ms = 0.0;
-  double mean_versions_behind = 0.0;
-  uint64_t max_versions_behind = 0;
-  uint64_t served_version = 0;  ///< current version at Stats() time
-  // Serving-time feature store (id-keyed requests); all zero for a
-  // family without a registered store.
-  uint64_t id_rows = 0;           ///< rows scored via Score(family, row_id)
-  uint64_t local_store_rows = 0;  ///< gathered from the worker's own node
-  uint64_t remote_store_rows = 0; ///< gathered across the interconnect
-  uint64_t store_version = 0;     ///< current table version at Stats() time
-  // KV-keyed serving (ScoreKey) and delta-refresh accounting; all zero
-  // for a family scored purely by row id or carried payloads.
-  uint64_t key_rows = 0;    ///< rows scored via ScoreKey (subset of id_rows)
-  uint64_t key_misses = 0;  ///< key lookups that missed the pinned snapshot
-  uint64_t store_delta_bytes = 0;  ///< bytes actually written by publishes
-  uint64_t store_full_bytes = 0;   ///< what full rewrites would have written
-  uint64_t store_evictions = 0;    ///< keys evicted by the page clock
-  uint64_t store_live_rows = 0;    ///< resident keys at Stats() time
-  /// Mean per-row time in each lifecycle stage (obs::Stage order:
-  /// admit, queue, batch-form, gather, score, complete), microseconds.
-  /// Batch-level stages are row-weighted means.
-  std::array<double, obs::kNumStages> mean_stage_us{};
+  /// store.{local,remote}_gather_rows: id- and key-keyed rows gathered
+  /// from the worker's own node and across the interconnect.
+  uint64_t local_store_rows = 0;
+  uint64_t remote_store_rows = 0;
 };
 
-/// Aggregated serving counters since Start().
 struct ServingStats {
-  uint64_t requests = 0;  ///< rows scored (fulfilled futures)
-  uint64_t batches = 0;
-  double wall_sec = 0.0;
-  double rows_per_sec = 0.0;        ///< requests / wall_sec
-  double mean_batch_rows = 0.0;
-  double p50_latency_ms = 0.0;      ///< submit-to-score, per request
-  double p99_latency_ms = 0.0;
-  double max_latency_ms = 0.0;      ///< exact worst case (never decimated)
-  uint64_t local_replica_batches = 0;   ///< routed to the worker's node
-  uint64_t remote_replica_batches = 0;  ///< crossed the interconnect
-  /// Logical totals across workers, read off the numa.* counters (all
-  /// zero with telemetry off).
-  numa::AccessCounters traffic;
   std::vector<FamilyServingStats> families;  ///< registration order
 };
 
@@ -381,8 +331,8 @@ class ServingEngine {
   /// family is unknown or has no store. Valid for the engine's lifetime.
   const FeatureStore* FindStore(const std::string& family) const;
 
-  /// Counters aggregated across workers (callable while serving),
-  /// globally and per family.
+  /// The per-family numbers a benchmark report reads (callable while
+  /// serving); every other serving number lives in telemetry().
   ServingStats Stats() const;
 
   /// Serving traffic shaped for numa::MemoryModel::SimulateEpoch -- the
@@ -529,12 +479,9 @@ class ServingEngine {
   std::vector<numa::CoreId> worker_cores_;
   std::vector<numa::NodeId> worker_nodes_;
   std::vector<std::thread> workers_;
-  /// Atomic: Stats() may run on a monitoring thread while the owner
-  /// Stop()s; stopped_wall_sec_ is published by the release store.
+  /// Atomic: Score() and RegisterFamily() read it on other threads.
   std::atomic<bool> running_{false};
   bool stopped_ = false;  ///< owner-thread only (Start/Stop)
-  WallTimer serve_timer_;
-  double stopped_wall_sec_ = 0.0;
 };
 
 }  // namespace dw::serve

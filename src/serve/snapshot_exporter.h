@@ -8,8 +8,8 @@
 // thread-safe consensus copy refreshed at every averaging round and epoch
 // boundary -- epochs never block on it), and publishes the snapshot into
 // its serving family. Serving traffic then scores against weights at most
-// ~period + one averaging interval behind the trainer, and ServingStats'
-// per-family staleness columns measure exactly that lag.
+// ~period + one averaging interval behind the trainer, and the engine's
+// serve.staleness_ms{family=...} histogram measures exactly that lag.
 #pragma once
 
 #include <atomic>
@@ -46,7 +46,7 @@ class SnapshotExporter {
   };
 
   /// Publish-side counters (publish latency, NOT serving-side
-  /// staleness -- that lives in FamilyServingStats).
+  /// staleness -- that is the engine's serve.staleness_ms histogram).
   struct Stats {
     uint64_t publishes = 0;
     uint64_t last_version = 0;     ///< last version this exporter installed

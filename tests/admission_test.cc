@@ -112,17 +112,6 @@ TEST(AdmissionControllerTest, DrainScalesWithBacklogAndWorkers) {
               ctl1.EstimatedDrainSeconds(f1, 100) / 4.0, 1e-15);
 }
 
-TEST(AdmissionControllerTest, BudgetConvertsRowBoundUnlessExplicit) {
-  opt::AdmissionController ctl(numa::Local2());
-  const int f = ctl.AddFamily(Profile(256));
-  // No explicit budget: max_queue_rows is converted into time at the
-  // current estimate, i.e. the delay test degenerates to the row bound.
-  EXPECT_DOUBLE_EQ(ctl.BudgetSeconds(f, 1024, 0.0),
-                   ctl.EstimatedDrainSeconds(f, 1024));
-  // An explicit budget wins regardless of the row bound.
-  EXPECT_DOUBLE_EQ(ctl.BudgetSeconds(f, 1024, 0.25), 0.25);
-}
-
 TEST(AdmissionControllerTest, UpdateModelSharingRepricesPriorAndResetsEwma) {
   // The placement tuner's re-pricing hook: after a replication
   // migration, the family's prior must reflect the NEW placement and the
@@ -628,7 +617,9 @@ TEST(AdmissionEngineTest, ClientIdThreadsThroughScoreAndStats) {
   const ServingStats stats = server.Stats();
   ASSERT_EQ(stats.families.size(), 1u);
   const FamilyServingStats& f = stats.families[0];
-  EXPECT_EQ(f.requests, 33u);
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  const obs::Labels ls_family = {{"family", "ls"}};
+  EXPECT_EQ(snap.CounterValue("serve.rows", ls_family), 33u);
   ASSERT_EQ(f.clients.size(), 3u);  // alpha, beta, default (seen order)
   EXPECT_EQ(f.clients[0].client.str(), "alpha");
   EXPECT_DOUBLE_EQ(f.clients[0].weight, 2.0);
@@ -640,11 +631,11 @@ TEST(AdmissionEngineTest, ClientIdThreadsThroughScoreAndStats) {
   EXPECT_EQ(f.clients[2].accepted, 1u);
   uint64_t accepted = 0;
   for (const auto& c : f.clients) accepted += c.accepted;
-  EXPECT_EQ(accepted, f.accepted);
+  EXPECT_EQ(accepted, snap.CounterValue("queue.accepted", ls_family));
   // The workers reported measured batch times into the controller, and
   // the calibrated estimate tracks the EWMA within the clamp.
-  EXPECT_GT(f.cost_reports, 0u);
-  EXPECT_GT(f.prior_row_us, 0.0);
+  EXPECT_GT(snap.CounterValue("admission.cost_reports", ls_family), 0u);
+  EXPECT_GT(snap.GaugeValue("admission.prior_row_us", ls_family), 0.0);
   EXPECT_GT(f.measured_row_us_ewma, 0.0);
   EXPECT_GT(f.est_row_us, 0.0);
 }

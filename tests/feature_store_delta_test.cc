@@ -464,15 +464,17 @@ TEST(ScoreKeyServingTest, KeyAdmissionMatrixAndMissMetrics) {
   }
   server.Stop();
 
-  const ServingStats stats = server.Stats();
-  ASSERT_EQ(stats.families.size(), 1u);
-  EXPECT_EQ(stats.families[0].key_rows, static_cast<uint64_t>(rows));
-  EXPECT_EQ(stats.families[0].key_misses, 1u);
-  EXPECT_EQ(stats.families[0].store_live_rows, static_cast<uint64_t>(rows));
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  const obs::Labels ls_family = {{"family", "ls"}};
+  EXPECT_EQ(snap.CounterValue("store.key_rows", ls_family),
+            static_cast<uint64_t>(rows));
+  EXPECT_EQ(snap.CounterValue("store.key_misses", ls_family), 1u);
+  EXPECT_EQ(server.FindStore("ls")->Acquire()->live_rows(),
+            static_cast<uint64_t>(rows));
   // Full publishes write everything: delta bytes == full bytes so far.
-  EXPECT_GT(stats.families[0].store_full_bytes, 0u);
-  EXPECT_GE(stats.families[0].store_delta_bytes,
-            stats.families[0].store_full_bytes);
+  const uint64_t full_bytes = snap.CounterValue("store.full_bytes", ls_family);
+  EXPECT_GT(full_bytes, 0u);
+  EXPECT_GE(snap.CounterValue("store.delta_bytes", ls_family), full_bytes);
 }
 
 TEST(ScoreKeyServingTest, StringKeysRoundTripThroughTheHash) {
@@ -535,13 +537,14 @@ TEST(ScoreKeyServingTest, EvictionSurfacesAsNotFoundWithMetrics) {
   EXPECT_DOUBLE_EQ(hit.value(), 2.0 * dim);
   server.Stop();
 
-  const FamilyServingStats fam = server.Stats().families[0];
-  EXPECT_EQ(fam.store_evictions, 8u);
-  EXPECT_GE(fam.key_misses, 1u);
-  EXPECT_EQ(fam.store_live_rows, 5u);
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  const obs::Labels ls_family = {{"family", "ls"}};
+  EXPECT_EQ(snap.CounterValue("store.evictions", ls_family), 8u);
+  EXPECT_GE(snap.CounterValue("store.key_misses", ls_family), 1u);
+  EXPECT_EQ(server.FindStore("ls")->Acquire()->live_rows(), 5u);
   // The delta moved O(churn) bytes while a full rewrite was accounted as
   // the alternative.
-  EXPECT_GT(fam.store_full_bytes, 0u);
+  EXPECT_GT(snap.CounterValue("store.full_bytes", ls_family), 0u);
 }
 
 // --- TSan stress: deltas + evictions under pipelined key scoring ----------
@@ -640,7 +643,9 @@ TEST(FeatureStoreDeltaStressTest, HostileDeltasNeverTearKeyedScores) {
   // (evicted or never-published keys), and clock evictions.
   EXPECT_GT(hits.load(), 100u);
   EXPECT_GT(misses.load(), 0u);
-  EXPECT_GT(server.Stats().families[0].store_evictions, 0u);
+  EXPECT_GT(server.telemetry().Snapshot().CounterValue("store.evictions",
+                                                       {{"family", "kv"}}),
+            0u);
   EXPECT_GT(server.FindStore("kv")->current_version(), 1u);
 }
 

@@ -421,12 +421,15 @@ TEST(FeatureStoreServingTest, MixedCarriedAndIdRequestsShareBatches) {
   const ServingStats stats = server.Stats();
   ASSERT_EQ(stats.families.size(), 1u);
   const FamilyServingStats& f = stats.families[0];
-  EXPECT_EQ(f.requests, 2u * kRounds * rows);
-  EXPECT_EQ(f.id_rows, static_cast<uint64_t>(kRounds) * rows);
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  const obs::Labels lr_family = {{"family", "lr"}};
+  const uint64_t id_rows = snap.CounterValue("store.id_rows", lr_family);
+  EXPECT_EQ(snap.CounterValue("serve.rows", lr_family), 2u * kRounds * rows);
+  EXPECT_EQ(id_rows, static_cast<uint64_t>(kRounds) * rows);
   // Replicated store: every gather is the worker's own node.
-  EXPECT_EQ(f.local_store_rows, f.id_rows);
+  EXPECT_EQ(f.local_store_rows, id_rows);
   EXPECT_EQ(f.remote_store_rows, 0u);
-  EXPECT_EQ(f.store_version, 1u);
+  EXPECT_EQ(server.FindStore("lr")->current_version(), 1u);
 }
 
 TEST(FeatureStoreServingTest, ShardedGatherAccountsLocalAndRemoteRows) {
@@ -461,12 +464,14 @@ TEST(FeatureStoreServingTest, ShardedGatherAccountsLocalAndRemoteRows) {
   const ServingStats stats = server.Stats();
   ASSERT_EQ(stats.families.size(), 1u);
   const FamilyServingStats& f = stats.families[0];
-  EXPECT_EQ(f.id_rows, static_cast<uint64_t>(kTotal));
+  const uint64_t id_rows = server.telemetry().Snapshot().CounterValue(
+      "store.id_rows", {{"family", "ls"}});
+  EXPECT_EQ(id_rows, static_cast<uint64_t>(kTotal));
   // Which worker drained each batch is scheduling, but the local/remote
   // split must reconcile exactly, and remote gathers must be mirrored in
   // the interconnect traffic counter.
-  EXPECT_EQ(f.local_store_rows + f.remote_store_rows, f.id_rows);
-  EXPECT_GE(stats.traffic.remote_read_bytes,
+  EXPECT_EQ(f.local_store_rows + f.remote_store_rows, id_rows);
+  EXPECT_GE(server.SimInput().traffic.Total().remote_read_bytes,
             f.remote_store_rows * dim * sizeof(double));
 }
 
@@ -476,14 +481,13 @@ TEST(FeatureStoreServingTest, ShardedGatherAccountsLocalAndRemoteRows) {
 /// 1/nodes of a node's gathers hit its own shard and the rest cross the
 /// interconnect; the replicated store is node-local everywhere. The model
 /// side is pinned kPerNode, so it cancels out.
-numa::SimulationInput BalancedStoreSimInput(const ServingStats& stats,
+numa::SimulationInput BalancedStoreSimInput(const numa::AccessCounters& t,
                                             const numa::Topology& topo,
                                             bool sharded_features,
                                             int threads,
                                             uint64_t model_bytes) {
   const int nodes_used = std::min(threads, topo.num_nodes);
   numa::SimulationInput in(topo.num_nodes);
-  const numa::AccessCounters& t = stats.traffic;
   // All data-side bytes are feature gathers (rows * dim * 8).
   const uint64_t feature_total = t.local_read_bytes + t.remote_read_bytes;
   for (int n = 0; n < nodes_used; ++n) {
@@ -547,12 +551,14 @@ double StoreModelRowsPerSec(const std::vector<double>& table, Index rows,
   for (auto& f : futures) f.get();
   server.Stop();
 
-  const ServingStats stats = server.Stats();
-  EXPECT_EQ(stats.requests, static_cast<uint64_t>(total_rows));
+  EXPECT_EQ(server.telemetry().Snapshot().CounterValue("serve.rows",
+                                                        {{"family", "wide"}}),
+            static_cast<uint64_t>(total_rows));
   const double sim_sec =
       numa::MemoryModel(topo)
           .SimulateEpoch(BalancedStoreSimInput(
-              stats, topo, placement == StorePlacement::kSharded,
+              server.SimInput().traffic.Total(), topo,
+              placement == StorePlacement::kSharded,
               topo.total_cores(), dim * sizeof(double)))
           .total_sec;
   return sim_sec > 0.0 ? total_rows / sim_sec : 0.0;
@@ -638,11 +644,9 @@ TEST(FeatureStoreServingTest, HotSwapStoreWhileScoringNeverTearsARow) {
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(server.FindStore("ls")->current_version(),
             static_cast<uint64_t>(kVersions));
-  const ServingStats stats = server.Stats();
-  ASSERT_EQ(stats.families.size(), 1u);
-  EXPECT_EQ(stats.families[0].store_version,
-            static_cast<uint64_t>(kVersions));
-  EXPECT_GT(stats.families[0].id_rows, 0u);
+  EXPECT_GT(server.telemetry().Snapshot().CounterValue("store.id_rows",
+                                                       {{"family", "ls"}}),
+            0u);
 }
 
 }  // namespace

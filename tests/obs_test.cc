@@ -252,8 +252,6 @@ TEST(SnapshotDeltaTest, CounterDeltaMeasuresTheInterval) {
   rows->Add(5);
   const SnapshotDelta delta(prev, reg.Snapshot());
   EXPECT_EQ(delta.CounterDelta("serve.rows", {{"family", "m"}}), 5u);
-  // Unknown metric: zero, not a miss.
-  EXPECT_EQ(delta.CounterDelta("serve.rows", {{"family", "ghost"}}), 0u);
 }
 
 TEST(SnapshotDeltaTest, LookupCanonicalizesLabelOrder) {
@@ -274,7 +272,7 @@ TEST(SnapshotDeltaTest, MidIntervalRegistrationDiffsAgainstZero) {
   EXPECT_EQ(delta.CounterDelta("late.count", {}), 9u);
 }
 
-TEST(SnapshotDeltaTest, GaugeReadsLatestWithFallback) {
+TEST(SnapshotDeltaTest, GaugeReadsTheLatestValue) {
   Registry reg;
   Gauge* g = reg.GetGauge("x.level");
   g->Set(2.0);
@@ -282,7 +280,6 @@ TEST(SnapshotDeltaTest, GaugeReadsLatestWithFallback) {
   g->Set(8.0);
   const SnapshotDelta delta(prev, reg.Snapshot());
   EXPECT_DOUBLE_EQ(delta.GaugeValue("x.level", {}), 8.0);
-  EXPECT_DOUBLE_EQ(delta.GaugeValue("no.such", {}, -1.0), -1.0);
 }
 
 TEST(SnapshotDeltaTest, HistogramIntervalMeanIsExactOverTheInterval) {
@@ -306,7 +303,36 @@ TEST(SnapshotDeltaTest, EmptyIntervalReportsTheFallback) {
   const SnapshotDelta delta(prev, reg.Snapshot());  // nothing recorded
   EXPECT_EQ(delta.HistogramIntervalCount("x.lat", {}), 0u);
   EXPECT_DOUBLE_EQ(delta.HistogramIntervalMean("x.lat", {}, -1.0), -1.0);
-  EXPECT_DOUBLE_EQ(delta.HistogramIntervalMean("no.such", {}, -2.0), -2.0);
+}
+
+TEST(RegistrySnapshotDeathTest, CheckedLookupDiesOnUnknownNameAndTypeMismatch) {
+  Registry reg;
+  reg.GetCounter("serve.rows", {{"family", "m"}})->Add(1);
+  reg.GetGauge("queue.depth", {{"family", "m"}});
+  const RegistrySnapshot snap = reg.Snapshot();
+  // A misspelled name, or a known name under labels nothing registered,
+  // must not read a vacuous 0 -- nor through a SnapshotDelta.
+  EXPECT_DEATH(snap.CounterValue("serve.row", {{"family", "m"}}),
+               "no counter serve.row.family=m. is registered");
+  EXPECT_DEATH(snap.CounterValue("serve.rows", {{"family", "ghost"}}),
+               "no counter serve.rows.family=ghost. is registered");
+  const SnapshotDelta delta(snap, reg.Snapshot());
+  EXPECT_DEATH(delta.CounterDelta("serve.rows", {{"family", "ghost"}}),
+               "no counter serve.rows.family=ghost.");
+  EXPECT_DEATH(delta.HistogramIntervalMean("no.such", {}, -2.0),
+               "no histogram no.such");
+  EXPECT_DEATH(delta.GaugeValue("no.such", {}), "no gauge no.such");
+  // The right name read as the wrong type.
+  EXPECT_DEATH(snap.GaugeValue("serve.rows", {{"family", "m"}}),
+               "serve.rows.family=m. is a counter, read as a gauge");
+  EXPECT_DEATH(snap.Find("queue.depth", {{"family", "m"}},
+                         MetricType::kHistogram),
+               "is a gauge, read as a histogram");
+  // A disabled registry exports nothing, so every read dies.
+  Registry off(RegistryOptions{false});
+  off.GetCounter("serve.rows")->Add(1);
+  EXPECT_DEATH(off.Snapshot().CounterValue("serve.rows"),
+               "no counter serve.rows");
 }
 
 // --- prometheus rendering --------------------------------------------------

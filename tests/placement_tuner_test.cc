@@ -631,9 +631,9 @@ TEST(PlacementTunerTest, MigrationUnderLoadNeverFailsOrTearsRequests) {
   server.Stop();
 
   // Nothing was dropped: every accepted request was served.
-  const ServingStats stats = server.Stats();
-  ASSERT_EQ(stats.families.size(), 1u);
-  EXPECT_EQ(stats.families[0].requests, stats.families[0].accepted);
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  EXPECT_EQ(snap.CounterValue("serve.rows", {{"family", "hot"}}),
+            snap.CounterValue("queue.accepted", {{"family", "hot"}}));
 }
 
 }  // namespace

@@ -543,12 +543,19 @@ TEST(PredictBatchServingTest, QuantizedFamilyServesWithinErrorBound) {
         << "row " << r;
   }
   server.Stop();
-  const serve::ServingStats stats = server.Stats();
-  for (const serve::FamilyServingStats& f : stats.families) {
-    EXPECT_EQ(f.quantized, f.family == "int8");
-    EXPECT_EQ(f.kernel_level,
-              kernels::ToString(kernels::ActiveKernelLevel()));
-    EXPECT_EQ(f.kernel_rows, f.requests) << f.family;  // batched mode
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  for (const std::string family : {"plain", "int8"}) {
+    const bool int8 = family == "int8";
+    EXPECT_EQ(server.FindFamily(family)->quantized(), int8);
+    // Batched mode: every row ran through the kernel at the active level,
+    // reading the replica its `weights` label names.
+    EXPECT_EQ(snap.CounterValue(
+                  "serve.kernel_rows",
+                  {{"family", family},
+                   {"kernel", kernels::ToString(kernels::ActiveKernelLevel())},
+                   {"weights", int8 ? "int8" : "f64"}}),
+              snap.CounterValue("serve.rows", {{"family", family}}))
+        << family;
   }
 }
 

@@ -756,28 +756,31 @@ TEST(ServingEngineTest, ServedScoresMatchSingleThreadedReference) {
   }
 
   server.Stop();
-  const ServingStats stats = server.Stats();
-  EXPECT_EQ(stats.requests, static_cast<uint64_t>(d.a.rows()));
-  EXPECT_GT(stats.batches, 0u);
-  EXPECT_GT(stats.rows_per_sec, 0.0);
-  EXPECT_GE(stats.p99_latency_ms, stats.p50_latency_ms);
-  EXPECT_GT(stats.p50_latency_ms, 0.0);
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  const obs::Labels lr_family = {{"family", "lr"}};
+  const uint64_t batches = snap.CounterValue("serve.batches", lr_family);
+  EXPECT_EQ(snap.CounterValue("serve.rows", lr_family),
+            static_cast<uint64_t>(d.a.rows()));
+  EXPECT_GT(batches, 0u);
+  const obs::HistogramSnapshot& latency =
+      snap.HistogramValue("serve.latency_ms", lr_family);
+  EXPECT_GE(latency.Percentile(99.0), latency.Percentile(50.0));
+  EXPECT_GT(latency.Percentile(50.0), 0.0);
   // PerNode routing never crosses the interconnect.
-  EXPECT_EQ(stats.remote_replica_batches, 0u);
-  EXPECT_EQ(stats.traffic.remote_read_bytes, 0u);
-  EXPECT_EQ(stats.traffic.updates, static_cast<uint64_t>(d.a.rows()));
-  // The per-family view agrees with the global one.
+  EXPECT_EQ(snap.CounterValue("serve.remote_replica_batches", lr_family), 0u);
+  const numa::AccessCounters traffic = server.SimInput().traffic.Total();
+  EXPECT_EQ(traffic.remote_read_bytes, 0u);
+  EXPECT_EQ(traffic.updates, static_cast<uint64_t>(d.a.rows()));
+  EXPECT_EQ(snap.CounterValue("queue.accepted", lr_family),
+            static_cast<uint64_t>(d.a.rows()));
+  EXPECT_DOUBLE_EQ(snap.GaugeValue("queue.depth", lr_family), 0.0);
+  const ServingStats stats = server.Stats();
   ASSERT_EQ(stats.families.size(), 1u);
   const FamilyServingStats& fam = stats.families[0];
   EXPECT_EQ(fam.family, "lr");
-  EXPECT_EQ(fam.requests, stats.requests);
-  EXPECT_EQ(fam.batches, stats.batches);
-  EXPECT_EQ(fam.accepted, stats.requests);
   EXPECT_EQ(fam.rejected, 0u);
-  EXPECT_EQ(fam.queue_depth, 0u);
-  EXPECT_EQ(fam.flush_size + fam.flush_deadline + fam.flush_drain,
-            fam.batches);
-  EXPECT_EQ(fam.served_version, 1u);
+  EXPECT_EQ(fam.flush_size + fam.flush_deadline + fam.flush_drain, batches);
+  EXPECT_EQ(server.FindFamily("lr")->current_version(), 1u);
 }
 
 TEST(ServingEngineTest, TwoFamiliesServeIndependently) {
@@ -843,17 +846,22 @@ TEST(ServingEngineTest, TwoFamiliesServeIndependently) {
 
   const ServingStats stats = server.Stats();
   ASSERT_EQ(stats.families.size(), 2u);
-  const FamilyServingStats& wide = stats.families[0];
-  const FamilyServingStats& narrow = stats.families[1];
-  EXPECT_EQ(wide.family, "wide-lr");
-  EXPECT_EQ(narrow.family, "narrow-svm");
-  EXPECT_EQ(wide.replication, Replication::kPerNode);
-  EXPECT_EQ(narrow.replication, Replication::kPerMachine);
-  EXPECT_EQ(wide.requests, static_cast<uint64_t>(d.a.rows()));
-  EXPECT_EQ(narrow.requests, static_cast<uint64_t>(kNarrowRows));
-  EXPECT_EQ(stats.requests, wide.requests + narrow.requests);
+  EXPECT_EQ(stats.families[0].family, "wide-lr");
+  EXPECT_EQ(stats.families[1].family, "narrow-svm");
+  EXPECT_EQ(server.FindFamily("wide-lr")->replication(), Replication::kPerNode);
+  EXPECT_EQ(server.FindFamily("narrow-svm")->replication(),
+            Replication::kPerMachine);
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  const obs::Labels wide = {{"family", "wide-lr"}};
+  EXPECT_EQ(snap.CounterValue("serve.rows", wide),
+            static_cast<uint64_t>(d.a.rows()));
+  EXPECT_EQ(snap.CounterValue("serve.rows", {{"family", "narrow-svm"}}),
+            static_cast<uint64_t>(kNarrowRows));
+  // Rows scored across both families: the per-node numa.updates totals.
+  EXPECT_EQ(server.SimInput().traffic.Total().updates,
+            static_cast<uint64_t>(d.a.rows()) + kNarrowRows);
   // A PerNode family never crosses the interconnect.
-  EXPECT_EQ(wide.remote_replica_batches, 0u);
+  EXPECT_EQ(snap.CounterValue("serve.remote_replica_batches", wide), 0u);
 }
 
 TEST(ServingEngineTest, PerMachineRoutingCrossesTheInterconnect) {
@@ -878,17 +886,20 @@ TEST(ServingEngineTest, PerMachineRoutingCrossesTheInterconnect) {
   }
   server.Stop();
 
-  const ServingStats stats = server.Stats();
-  EXPECT_EQ(stats.requests, 256u);
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  const obs::Labels ls_family = {{"family", "ls"}};
+  EXPECT_EQ(snap.CounterValue("serve.rows", ls_family), 256u);
   // The node-1 worker reads the node-0 replica: remote traffic appears
   // whenever it served at least one batch (scheduling-dependent, so only
-  // the consistency of the two counters is asserted).
-  EXPECT_EQ(stats.local_replica_batches + stats.remote_replica_batches,
-            stats.batches);
+  // the consistency of the counters is asserted).
+  EXPECT_EQ(snap.CounterValue("serve.local_replica_batches", ls_family) +
+                snap.CounterValue("serve.remote_replica_batches", ls_family),
+            snap.CounterValue("serve.batches", ls_family));
   const numa::SimulationInput sim = server.SimInput();
   EXPECT_EQ(sim.model_sharing_sockets, 2);
   EXPECT_EQ(sim.traffic.Total().remote_read_bytes,
-            stats.traffic.remote_read_bytes);
+            snap.CounterValue("numa.remote_read_bytes", {{"node", "0"}}) +
+                snap.CounterValue("numa.remote_read_bytes", {{"node", "1"}}));
 }
 
 /// The memory-model input for a run's total traffic under BALANCED
@@ -899,13 +910,12 @@ TEST(ServingEngineTest, PerMachineRoutingCrossesTheInterconnect) {
 /// Fig. 8-style comparison is about. Under kPerMachine the canonical share
 /// of model reads from nodes other than the replica's crosses the
 /// interconnect.
-numa::SimulationInput BalancedSimInput(const ServingStats& stats,
+numa::SimulationInput BalancedSimInput(const numa::AccessCounters& t,
                                        const numa::Topology& topo,
                                        Replication rep, int threads,
                                        uint64_t model_bytes) {
   const int nodes_used = std::min(threads, topo.num_nodes);
   numa::SimulationInput in(topo.num_nodes);
-  const numa::AccessCounters& t = stats.traffic;
   const uint64_t model_total = t.model_read_bytes + t.remote_read_bytes;
   for (int n = 0; n < nodes_used; ++n) {
     numa::AccessCounters c;
@@ -968,11 +978,13 @@ double ModelRowsPerSec(const data::Dataset& d, const numa::Topology& topo,
   for (auto& f : futures) f.get();
   server.Stop();
 
-  const ServingStats stats = server.Stats();
-  EXPECT_EQ(stats.requests, static_cast<uint64_t>(total_rows));
+  EXPECT_EQ(server.telemetry().Snapshot().CounterValue("serve.rows",
+                                                        {{"family", "lr"}}),
+            static_cast<uint64_t>(total_rows));
   const double sim_sec =
       numa::MemoryModel(topo)
-          .SimulateEpoch(BalancedSimInput(stats, topo, rep,
+          .SimulateEpoch(BalancedSimInput(server.SimInput().traffic.Total(),
+                                          topo, rep,
                                           topo.total_cores(),
                                           dim * sizeof(double)))
           .total_sec;
@@ -1035,10 +1047,11 @@ TEST(ServingEngineTest, HotSwapWhileServingNeverMixesVersions) {
   // versions-behind staleness, never as mixed weights -- and the count
   // is bounded by the number of publishes (40 + the initial one), so an
   // accounting underflow (2^64-ish values) fails loudly here.
-  const ServingStats stats = server.Stats();
-  ASSERT_EQ(stats.families.size(), 1u);
-  EXPECT_LE(stats.families[0].max_versions_behind, 41u);
-  EXPECT_LE(stats.families[0].mean_versions_behind, 41.0);
+  const obs::HistogramSnapshot behind =
+      server.telemetry().Snapshot().HistogramValue("serve.versions_behind",
+                                                   {{"family", "m"}});
+  EXPECT_LE(behind.max, 41.0);
+  EXPECT_LE(behind.Mean(), 41.0);
 }
 
 TEST(ServingEngineTest, RejectsOutOfRangeFeatureIndex) {
@@ -1092,7 +1105,8 @@ TEST(ServingEngineTest, BothRequestFormsReportSameAdmissionCodes) {
                  server.ScoreKey(family, row).status().code()};
   };
   const auto key_misses = [&server] {
-    return server.Stats().families[0].key_misses;
+    return server.telemetry().Snapshot().CounterValue("store.key_misses",
+                                                      {{"family", "ls"}});
   };
   constexpr auto kNotFound = Status::Code::kNotFound;
   constexpr auto kInvalid = Status::Code::kInvalidArgument;
@@ -1327,9 +1341,11 @@ TEST(ServingEngineTest, BatchedServingOfWideModelCrossesColumnBlocks) {
     EXPECT_DOUBLE_EQ(served.value(), reference) << "row " << r;
   }
   server.Stop();
-  const ServingStats stats = server.Stats();
-  EXPECT_EQ(stats.requests, 64u);
-  EXPECT_GE(stats.max_latency_ms, stats.p99_latency_ms);
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  EXPECT_EQ(snap.CounterValue("serve.rows", {{"family", "ls"}}), 64u);
+  const obs::HistogramSnapshot& latency =
+      snap.HistogramValue("serve.latency_ms", {{"family", "ls"}});
+  EXPECT_GE(latency.max, latency.Percentile(99.0));
 }
 
 TEST(ServingEngineTest, StopDrainsAcceptedRequests) {
@@ -1397,11 +1413,14 @@ TEST(ServingEngineTest, AdmissionCountersSurfaceBackpressure) {
   const ServingStats stats = server.Stats();
   ASSERT_EQ(stats.families.size(), 1u);
   const FamilyServingStats& f = stats.families[0];
-  EXPECT_EQ(f.accepted, accepted);
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  const obs::Labels svm_family = {{"family", "svm"}};
+  EXPECT_EQ(snap.CounterValue("queue.accepted", svm_family), accepted);
   EXPECT_EQ(f.rejected, rejected);
-  EXPECT_EQ(f.requests, accepted);
-  EXPECT_EQ(f.queue_depth, 0u);
-  EXPECT_EQ(f.flush_size + f.flush_deadline + f.flush_drain, f.batches);
+  EXPECT_EQ(snap.CounterValue("serve.rows", svm_family), accepted);
+  EXPECT_DOUBLE_EQ(snap.GaugeValue("queue.depth", svm_family), 0.0);
+  EXPECT_EQ(f.flush_size + f.flush_deadline + f.flush_drain,
+            snap.CounterValue("serve.batches", svm_family));
   EXPECT_GT(accepted, 0u);
 }
 
@@ -1428,12 +1447,103 @@ TEST(ServingEngineTest, StalenessReflectsExportAge) {
     ASSERT_TRUE(server.ScoreSync("ls", {0}, {1.0}).ok());
   }
   server.Stop();
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  const obs::HistogramSnapshot& staleness =
+      snap.HistogramValue("serve.staleness_ms", {{"family", "ls"}});
+  EXPECT_GE(staleness.Mean(), 80.0);
+  EXPECT_GE(staleness.max, staleness.Mean());
+  EXPECT_EQ(snap.HistogramValue("serve.versions_behind", {{"family", "ls"}}).max,
+            0.0);
+}
+
+TEST(ServingEngineTest, StatsFieldsEqualTheRegistryMetricsTheyReport) {
+  // A benchmark report reads the ten FamilyServingStats numbers, a
+  // scraper reads the registry: they must be the same numbers. "mix"
+  // serves carried, row-id and key traffic from a sharded store; "held"
+  // keeps its rows until Stop() drains them, under a 1 us delay budget
+  // and a one-client roster, so it refuses on both grounds.
+  models::LeastSquaresSpec ls;
+  constexpr Index kDim = 8;
+  constexpr Index kRows = 16;
+  ServingOptions opts;
+  opts.topology = numa::Local2();
+  opts.num_threads = 2;  // one worker per node
+  opts.batch.max_batch_size = 4;
+  opts.batch.max_delay = std::chrono::microseconds(100);
+  ServingEngine server(opts);
+  ASSERT_TRUE(
+      server.RegisterFamily("mix", &ls, ServePinned(kDim, Replication::kPerNode))
+          .ok());
+  StoreOptions sopts;
+  sopts.placement_override = StorePlacement::kSharded;
+  ASSERT_TRUE(server.RegisterStore("mix", kRows, kDim, sopts).ok());
+  ServingFamilyOptions held = ServePinned(1 << 16, Replication::kPerNode);
+  held.batch = opts.batch;
+  held.batch->max_batch_size = 64;
+  held.batch->max_delay = std::chrono::seconds(10);
+  held.batch->queue_delay_budget = std::chrono::microseconds(1);
+  held.batch->max_clients = 1;
+  ASSERT_TRUE(server.RegisterFamily("held", &ls, held).ok());
+  // The premise of the over-budget refusal: one queued row costs more.
+  ASSERT_GT(server.admission().EstimatedDrainSeconds(1, 1), 1e-6);
+  server.Publish("mix", ConstantWeights(kDim, 1.0));
+  server.Publish("held", ConstantWeights(1 << 16, 1.0));
+  server.PublishStore("mix", std::vector<double>(kRows * kDim, 1.0));
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<std::future<double>> carried;
+  for (int i = 0; i < 32; ++i) {
+    carried.push_back(server.Score("mix", {Index(i % kDim)}, {1.0}).value());
+  }
+  for (Index r = 0; r < kRows; ++r) {
+    EXPECT_DOUBLE_EQ(server.ScoreSync("mix", r).value(), 8.0);
+    EXPECT_DOUBLE_EQ(server.ScoreKeySync("mix", uint64_t{r}).value(), 8.0);
+  }
+  for (auto& f : carried) EXPECT_DOUBLE_EQ(f.get(), 1.0);
+  std::future<double> first = server.Score("held", {0}, {1.0}).value();
+  EXPECT_EQ(server.Score("held", {1}, {1.0}).status().code(),
+            Status::Code::kResourceExhausted);  // over the delay budget
+  EXPECT_EQ(server.Score("held", {1}, {1.0}, ClientId("late")).status().code(),
+            Status::Code::kResourceExhausted);  // roster full
+  server.Stop();
+  EXPECT_DOUBLE_EQ(first.get(), 1.0);
+
   const ServingStats stats = server.Stats();
-  ASSERT_EQ(stats.families.size(), 1u);
-  EXPECT_GE(stats.families[0].mean_staleness_ms, 80.0);
-  EXPECT_GE(stats.families[0].max_staleness_ms,
-            stats.families[0].mean_staleness_ms);
-  EXPECT_EQ(stats.families[0].max_versions_behind, 0u);
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  ASSERT_EQ(stats.families.size(), 2u);
+  for (const FamilyServingStats& f : stats.families) {
+    SCOPED_TRACE(f.family);
+    const obs::Labels fam = {{"family", f.family}};
+    const auto counter = [&](const char* name) {
+      return snap.CounterValue(name, fam);
+    };
+    EXPECT_EQ(f.mean_batch_rows, static_cast<double>(counter("serve.rows")) /
+                                     counter("serve.batches"));
+    EXPECT_EQ(f.flush_size, counter("queue.flush_size"));
+    EXPECT_EQ(f.flush_deadline, counter("queue.flush_deadline"));
+    EXPECT_EQ(f.flush_drain, counter("queue.flush_drain"));
+    EXPECT_EQ(f.rejected,
+              counter("queue.rejected_full") + counter("queue.rejected_cost"));
+    EXPECT_EQ(f.rejected_cost, counter("queue.rejected_cost"));
+    EXPECT_EQ(f.est_row_us, snap.GaugeValue("admission.est_row_us", fam));
+    EXPECT_EQ(f.measured_row_us_ewma,
+              snap.GaugeValue("admission.measured_row_us", fam));
+    EXPECT_EQ(f.local_store_rows, counter("store.local_gather_rows"));
+    EXPECT_EQ(f.remote_store_rows, counter("store.remote_gather_rows"));
+    EXPECT_GT(f.measured_row_us_ewma, 0.0);
+  }
+  // The traffic reached the fields it should.
+  const FamilyServingStats& mix = stats.families[0];
+  EXPECT_EQ(snap.CounterValue("serve.rows", {{"family", "mix"}}),
+            32u + 2u * kRows);
+  EXPECT_EQ(mix.local_store_rows + mix.remote_store_rows, 2u * kRows);
+  EXPECT_GT(mix.flush_deadline, 0u);  // lone synchronous rows time out
+  EXPECT_EQ(mix.rejected, 0u);
+  const FamilyServingStats& h = stats.families[1];
+  EXPECT_EQ(h.rejected, 2u);
+  EXPECT_EQ(h.rejected_cost, 1u);
+  EXPECT_EQ(h.flush_drain, 1u);
+  EXPECT_EQ(h.flush_size + h.flush_deadline, 0u);
+  EXPECT_EQ(h.mean_batch_rows, 1.0);
 }
 
 // --- snapshot exporter ----------------------------------------------------
@@ -1503,11 +1613,12 @@ TEST(SnapshotExporterTest, PublishesMidTrainingWithoutBlockingEpochs) {
 
   // Serving-side staleness was measured and bounded: a 2ms export period
   // cannot leave minutes of staleness behind.
-  const ServingStats stats = server.Stats();
-  ASSERT_EQ(stats.families.size(), 1u);
-  EXPECT_GT(stats.families[0].requests, 0u);
-  EXPECT_GT(stats.families[0].mean_staleness_ms, 0.0);
-  EXPECT_LT(stats.families[0].mean_staleness_ms, 60e3);
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  EXPECT_GT(snap.CounterValue("serve.rows", {{"family", "lr"}}), 0u);
+  const double mean_staleness_ms =
+      snap.HistogramValue("serve.staleness_ms", {{"family", "lr"}}).Mean();
+  EXPECT_GT(mean_staleness_ms, 0.0);
+  EXPECT_LT(mean_staleness_ms, 60e3);
 }
 
 TEST(SnapshotExporterTest, StopIsIdempotentAndLastSnapshotStaysServed) {
