@@ -21,6 +21,7 @@
 
 #include "numa/numa_allocator.h"
 #include "numa/topology.h"
+#include "obs/metrics.h"
 #include "serve/feature_store.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -37,12 +38,13 @@ int EnvInt(const char* name, int dflt) {
 }
 
 std::unique_ptr<FeatureStore> MakeStore(
-    const std::shared_ptr<numa::NumaAllocator>& alloc, Index rows, Index dim,
-    Index page_rows) {
+    const std::shared_ptr<numa::NumaAllocator>& alloc,
+    obs::Registry* registry, Index rows, Index dim, Index page_rows) {
   StoreOptions o;
   o.placement_override = StorePlacement::kSharded;
   o.page_rows = page_rows;
-  return std::make_unique<FeatureStore>("bench", alloc, rows, dim, o);
+  return std::make_unique<FeatureStore>("bench", alloc, registry, rows, dim,
+                                        o);
 }
 
 /// Bootstraps `count` keys drawn from [base, base + count) in one delta.
@@ -69,13 +71,14 @@ double LookupNs(const FeatureStoreSnapshot& snap, uint64_t base,
 
 void RunLoadFactorSweep(Index rows, int lookups) {
   auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
+  obs::Registry registry;
   const Index dim = 8;
   Table t("key index: load-factor sweep");
   t.SetHeader({"fill", "live", "capacity", "load", "hit ns/op",
                "miss ns/op"});
   uint64_t sink = 0;
   for (const double fill : {0.1, 0.25, 0.5, 0.75, 1.0}) {
-    auto store = MakeStore(alloc, rows, dim, 256);
+    auto store = MakeStore(alloc, &registry, rows, dim, 256);
     const size_t live = static_cast<size_t>(fill * rows);
     SeedKeys(*store, 0, live, dim);
     const auto snap = store->Acquire();
@@ -96,12 +99,13 @@ void RunLoadFactorSweep(Index rows, int lookups) {
 
 void RunChurnSweep(Index rows) {
   auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
+  obs::Registry registry;
   const Index dim = 16;
   Table t("delta publish: bytes + wall time vs churn");
   t.SetHeader({"churn", "keys", "delta MB", "full MB", "ratio",
                "publish ms"});
   for (const double churn : {0.001, 0.01, 0.1, 1.0}) {
-    auto store = MakeStore(alloc, rows, dim, 64);
+    auto store = MakeStore(alloc, &registry, rows, dim, 64);
     SeedKeys(*store, 0, rows, dim);  // resident at capacity
     const size_t n = std::max<size_t>(1, static_cast<size_t>(churn * rows));
     // Overwrite a random resident subset: pure churn, no evictions.
@@ -133,8 +137,9 @@ void RunChurnSweep(Index rows) {
 
 void RunEvictionRounds(Index rows, int lookups) {
   auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
+  obs::Registry registry;
   const Index dim = 8;
-  auto store = MakeStore(alloc, rows, dim, 64);
+  auto store = MakeStore(alloc, &registry, rows, dim, 64);
   SeedKeys(*store, 0, rows, dim);
   Table t("eviction churn: tombstone reuse + probe cost");
   t.SetHeader({"round", "live", "tombstones", "capacity", "evicted",
@@ -159,7 +164,8 @@ void RunEvictionRounds(Index rows, int lookups) {
         LookupNs(*snap, fresh - per_round, per_round, lookups / 4, &sink);
     t.AddRow({std::to_string(round), std::to_string(live),
               std::to_string(tombs), std::to_string(capacity),
-              std::to_string(store->evictions_total()),
+              std::to_string(registry.Snapshot().CounterValue(
+                  "store.evictions", {{"family", "bench"}})),
               Table::Num(hit_ns, 1)});
   }
   t.Print();

@@ -668,6 +668,12 @@ TunerBenchResult RunTunerShift(const numa::Topology& topo, double phase_sec) {
     topts.confirm_scans = 2;
     topts.min_observed_rows = 512;
     opt::PlacementTuner* tuner = server.EnableTuner(topts);
+    // Completed migrations of either kind, read by name.
+    const auto flips = [&server] {
+      const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+      return snap.CounterValue("tuner.flips", {{"kind", "replication"}}) +
+             snap.CounterValue("tuner.flips", {{"kind", "store_placement"}});
+    };
 
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> rows{0};
@@ -701,7 +707,7 @@ TunerBenchResult RunTunerShift(const numa::Topology& topo, double phase_sec) {
     stop_republish.store(true, std::memory_order_release);
     republisher.join();
     WallTimer phase_b;
-    while (tuner->flips() < 2 && phase_b.Seconds() < 4.0 * phase_sec) {
+    while (flips() < 2 && phase_b.Seconds() < 4.0 * phase_sec) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       tuner->ScanOnce();
     }
@@ -719,7 +725,7 @@ TunerBenchResult RunTunerShift(const numa::Topology& topo, double phase_sec) {
     server.Stop();
 
     res.scans = tuner->scans();
-    res.flips = tuner->flips();
+    res.flips = flips();
     res.model_replication =
         ToString(server.FindFamily("tuned")->replication());
     res.store_placement = ToString(server.FindStore("tuned")->placement());

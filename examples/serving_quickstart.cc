@@ -246,7 +246,7 @@ int main() {
             snap.CounterValue("queue.rejected_cost", fam)));
     // The client roster (and each client's weight) is the one thing no
     // instrument records; its counters are registry metrics too.
-    for (const serve::RequestBatcher::ClientStats& c : f.clients) {
+    for (const serve::RequestBatcher::RosterEntry& c : f.clients) {
       const obs::Labels client = {{"family", f.family},
                                   {"client", c.client.str()}};
       std::printf(
@@ -267,6 +267,13 @@ int main() {
                 snap.GaugeValue("admission.measured_row_us", fam),
                 static_cast<unsigned long long>(
                     snap.CounterValue("admission.cost_reports", fam)));
+    // Each family's SnapshotExporter reports on the same registry.
+    std::printf("                  exporter: %llu publishes, mean %.3f ms, "
+                "last v%.0f\n",
+                static_cast<unsigned long long>(
+                    snap.CounterValue("exporter.publishes", fam)),
+                snap.HistogramValue("exporter.publish_ms", fam).Mean(),
+                snap.GaugeValue("exporter.last_version", fam));
   }
   return 0;
 }

@@ -8,10 +8,13 @@
 namespace dw::opt {
 
 AdmissionController::AdmissionController(numa::Topology topo,
-                                         AdmissionControllerOptions opts)
-    : opts_(opts), model_(std::move(topo)) {
-  DW_CHECK_GT(opts_.drain_workers, 0);
-  DW_CHECK_GE(opts_.max_calibration, 1.0);
+                                         obs::Registry* registry,
+                                         int drain_workers)
+    : model_(std::move(topo)),
+      registry_(registry),
+      drain_workers_(drain_workers) {
+  DW_CHECK(registry_ != nullptr) << "admission needs a registry";
+  DW_CHECK_GT(drain_workers_, 0);
 }
 
 double AdmissionController::PriorRowSeconds(
@@ -29,8 +32,7 @@ double AdmissionController::PriorRowSeconds(
   numa::SimulationInput in(topo.num_nodes);
   numa::AccessCounters c;
   c.local_read_bytes = static_cast<uint64_t>(batch_rows * row_bytes);
-  const uint64_t model_bytes =
-      static_cast<uint64_t>(profile.model_touch_fraction * row_bytes);
+  const uint64_t model_bytes = static_cast<uint64_t>(row_bytes);
   if (profile.model_sharing_sockets > 1 && topo.num_nodes > 1) {
     c.model_read_bytes = model_bytes / topo.num_nodes;
     c.remote_read_bytes = model_bytes - c.model_read_bytes;
@@ -54,13 +56,6 @@ double AdmissionController::PriorRowSeconds(
   return std::max(batch_sec / batch_rows, 1e-12);
 }
 
-void AdmissionController::AttachRegistry(obs::Registry* registry) {
-  std::lock_guard<std::mutex> lk(mu_);
-  DW_CHECK(families_.empty())
-      << "attach the registry before registering admission families";
-  registry_ = registry;
-}
-
 int AdmissionController::AddFamily(const AdmissionFamilyProfile& profile) {
   DW_CHECK_GT(profile.dim, 0u) << "admission profile needs dim";
   DW_CHECK_GT(profile.model_sharing_sockets, 0);
@@ -68,21 +63,17 @@ int AdmissionController::AddFamily(const AdmissionFamilyProfile& profile) {
   fs.profile = profile;
   fs.prior_row_sec = PriorRowSeconds(profile);
   std::lock_guard<std::mutex> lk(mu_);
-  if (registry_ != nullptr) {
-    const std::string label =
-        profile.name.empty() ? "f" + std::to_string(families_.size())
-                             : profile.name;
-    const obs::Labels labels = {{"family", label}};
-    fs.prior_gauge = registry_->GetGauge("admission.prior_row_us", labels);
-    fs.est_gauge = registry_->GetGauge("admission.est_row_us", labels);
-    fs.measured_gauge =
-        registry_->GetGauge("admission.measured_row_us", labels);
-    fs.reports_counter =
-        registry_->GetCounter("admission.cost_reports", labels);
-    fs.prior_gauge->Set(fs.prior_row_sec * 1e6);
-    // No reports yet: the calibrated estimate IS the prior.
-    fs.est_gauge->Set(fs.prior_row_sec * 1e6);
-  }
+  const std::string label = profile.name.empty()
+                                ? "f" + std::to_string(families_.size())
+                                : profile.name;
+  const obs::Labels labels = {{"family", label}};
+  fs.prior_gauge = registry_->GetGauge("admission.prior_row_us", labels);
+  fs.est_gauge = registry_->GetGauge("admission.est_row_us", labels);
+  fs.measured_gauge = registry_->GetGauge("admission.measured_row_us", labels);
+  fs.reports_counter = registry_->GetCounter("admission.cost_reports", labels);
+  fs.prior_gauge->Set(fs.prior_row_sec * 1e6);
+  // No reports yet: the calibrated estimate IS the prior.
+  fs.est_gauge->Set(fs.prior_row_sec * 1e6);
   families_.push_back(std::move(fs));
   return static_cast<int>(families_.size() - 1);
 }
@@ -110,11 +101,9 @@ void AdmissionController::ReportBatch(int family, size_t rows,
     fs.ewma_row_sec += kEwmaAlpha * (row_sec - fs.ewma_row_sec);
   }
   ++fs.reports;
-  if (fs.measured_gauge != nullptr) {
-    fs.measured_gauge->Set(fs.ewma_row_sec * 1e6);
-    fs.est_gauge->Set(EstimatedRowSecondsLocked(fs) * 1e6);
-    fs.reports_counter->Increment();
-  }
+  fs.measured_gauge->Set(fs.ewma_row_sec * 1e6);
+  fs.est_gauge->Set(EstimatedRowSecondsLocked(fs) * 1e6);
+  fs.reports_counter->Increment();
 }
 
 void AdmissionController::UpdateModelSharing(int family,
@@ -129,11 +118,9 @@ void AdmissionController::UpdateModelSharing(int family,
   // the first post-migration report, the new prior stands alone.
   fs.ewma_row_sec = 0.0;
   fs.reports = 0;
-  if (fs.prior_gauge != nullptr) {
-    fs.prior_gauge->Set(fs.prior_row_sec * 1e6);
-    fs.est_gauge->Set(fs.prior_row_sec * 1e6);
-    fs.measured_gauge->Set(0.0);
-  }
+  fs.prior_gauge->Set(fs.prior_row_sec * 1e6);
+  fs.est_gauge->Set(fs.prior_row_sec * 1e6);
+  fs.measured_gauge->Set(0.0);
 }
 
 double AdmissionController::EstimatedRowSecondsLocked(
@@ -142,8 +129,8 @@ double AdmissionController::EstimatedRowSecondsLocked(
   // Measured behavior corrects the prior, clamped so one absurd sample
   // cannot detach admission from physical reality entirely.
   const double ratio =
-      std::clamp(fs.ewma_row_sec / fs.prior_row_sec,
-                 1.0 / opts_.max_calibration, opts_.max_calibration);
+      std::clamp(fs.ewma_row_sec / fs.prior_row_sec, 1.0 / kMaxCalibration,
+                 kMaxCalibration);
   return fs.prior_row_sec * ratio;
 }
 
@@ -155,7 +142,7 @@ double AdmissionController::EstimatedRowSeconds(int family) const {
 double AdmissionController::EstimatedDrainSeconds(int family,
                                                   size_t queued_rows) const {
   return EstimatedRowSeconds(family) * static_cast<double>(queued_rows) /
-         static_cast<double>(opts_.drain_workers);
+         static_cast<double>(drain_workers_);
 }
 
 AdmissionEstimate AdmissionController::Estimate(int family) const {

@@ -44,18 +44,6 @@
 
 namespace dw::opt {
 
-/// Controller-wide knobs.
-struct AdmissionControllerOptions {
-  /// Workers concurrently draining the queues (the serving pool size).
-  /// Time-to-drain divides by this: N workers retire a backlog N times
-  /// faster than one.
-  int drain_workers = 1;
-  /// Clamp on the measured/prior calibration ratio: a single absurd
-  /// measurement (clock glitch, page-fault storm) may pull the estimate
-  /// at most this far from the memory-model prior in either direction.
-  double max_calibration = 64.0;
-};
-
 /// Per-family cost profile, fixed at registration (mirrors the fields of
 /// opt::ServingTrafficEstimate the batch cost actually depends on).
 struct AdmissionFamilyProfile {
@@ -66,8 +54,6 @@ struct AdmissionFamilyProfile {
   matrix::Index dim = 0;
   /// Expected rows per flushed mini-batch.
   double expected_batch_rows = 64.0;
-  /// Fraction of the model one batched scoring pass streams.
-  double model_touch_fraction = 1.0;
   /// Sockets sharing one model replica (1 under kPerNode; num_nodes
   /// under kPerMachine, where most workers' model reads cross the
   /// interconnect).
@@ -88,15 +74,19 @@ struct AdmissionEstimate {
 /// ReportBatch is one short critical section per scored batch.
 class AdmissionController {
  public:
-  explicit AdmissionController(numa::Topology topo,
-                               AdmissionControllerOptions opts = {});
+  /// Clamp on the measured/prior calibration ratio: a single absurd
+  /// measurement (clock glitch, page-fault storm) may pull the estimate
+  /// at most this far from the memory-model prior in either direction.
+  static constexpr double kMaxCalibration = 64.0;
 
-  /// Publishes the controller's estimates as gauges on `registry`
-  /// (admission.prior_row_us / est_row_us / measured_row_us and the
-  /// admission.cost_reports counter, labeled by family name). Call
-  /// before AddFamily; nullptr (the default) keeps admission silent.
-  /// `registry` must outlive the controller.
-  void AttachRegistry(obs::Registry* registry);
+  /// Publishes every family's estimates on `registry` (non-null; must
+  /// outlive the controller), labeled family=<name>: the
+  /// admission.{prior,est,measured}_row_us gauges and the
+  /// admission.cost_reports counter. `drain_workers` is the number of
+  /// workers draining the queues concurrently (the serving pool size):
+  /// N workers retire a backlog N times faster than one.
+  AdmissionController(numa::Topology topo, obs::Registry* registry,
+                      int drain_workers = 1);
 
   /// Registers a family; returns its id (dense, from 0 -- the caller
   /// keeps it aligned with the batcher's FamilyId). Checks dim > 0.
@@ -126,8 +116,6 @@ class AdmissionController {
   AdmissionEstimate Estimate(int family) const;
 
   int num_families() const;
-  const AdmissionControllerOptions& options() const { return opts_; }
-  const numa::Topology& topology() const { return model_.topology(); }
 
  private:
   struct FamilyState {
@@ -135,8 +123,7 @@ class AdmissionController {
     double prior_row_sec = 0.0;
     double ewma_row_sec = 0.0;  ///< guarded by mu_
     uint64_t reports = 0;       ///< guarded by mu_
-    /// Telemetry mirrors (no-op instruments when no registry attached);
-    /// updated by ReportBatch under mu_.
+    /// admission.* instruments; updated under mu_.
     obs::Gauge* prior_gauge = nullptr;
     obs::Gauge* est_gauge = nullptr;
     obs::Gauge* measured_gauge = nullptr;
@@ -150,9 +137,9 @@ class AdmissionController {
   /// without re-locking; ReportBatch refreshes the est gauge inline).
   double EstimatedRowSecondsLocked(const FamilyState& fs) const;
 
-  const AdmissionControllerOptions opts_;
   const numa::MemoryModel model_;
-  obs::Registry* registry_ = nullptr;  ///< nullptr: admission unobserved
+  obs::Registry* const registry_;
+  const int drain_workers_;
   /// One lock for registration and the EWMA state: every critical
   /// section is a handful of arithmetic ops, far too short to contend at
   /// batch (not row) frequency.

@@ -127,12 +127,10 @@ PlacementChoice ChooseModelPlacement(const numa::Topology& topo,
   DW_CHECK_GT(traffic.dim, 0u) << "traffic estimate needs the model dim";
   Period p;
   p.copy_bytes = static_cast<double>(traffic.dim) * sizeof(double);
-  // The blocked kernel streams the touched share of the model once per
-  // BATCH, so the batch width converts rows into model streams.
+  // The blocked kernel streams the model once per BATCH, so the batch
+  // width converts rows into model streams.
   p.read_bytes = std::max(0.0, rows) /
-                 std::max(1.0, traffic.expected_batch_rows) *
-                 (p.copy_bytes * std::clamp(traffic.model_touch_fraction,
-                                            0.0, 1.0));
+                 std::max(1.0, traffic.expected_batch_rows) * p.copy_bytes;
   p.publishes = publishes;
   p.cacheable = true;
   return Choose(topo, p, params);

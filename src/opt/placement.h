@@ -50,10 +50,6 @@ struct ServingTrafficEstimate {
   /// traffic is (rows / expected_batch_rows) streams -- wider batches
   /// amortize reads and shrink the payoff of replication.
   double expected_batch_rows = 64.0;
-  /// Fraction of the model one batched scoring pass touches: 1.0 for
-  /// dense rows (the blocked kernel streams every tile once per batch),
-  /// lower for sparse families whose rows hit few coordinates.
-  double model_touch_fraction = 1.0;
   /// Read/write asymmetry: ROWS scored per Publish(). Serving is
   /// read-mostly, so the default is high; a family refreshed by a fast
   /// SnapshotExporter against light traffic can be far lower (fractions
@@ -72,8 +68,9 @@ struct PlacementChoice {
   std::string rationale;
 };
 
-/// Model replicas: prices `rows` scored rows, batched and touched as
-/// `traffic` describes, against `publishes` full-model publishes.
+/// Model replicas: prices `rows` scored rows, batched as `traffic`
+/// describes and each batch streaming the whole model, against
+/// `publishes` full-model publishes.
 /// Registration passes (traffic.reads_per_publish, 1); the tuner passes
 /// the interval it observed, where 0 publishes means no write term.
 PlacementChoice ChooseModelPlacement(

@@ -194,8 +194,8 @@ void PlacementTuner::TuneStore(const obs::SnapshotDelta& delta,
   const uint64_t refreshes =
       Advance(&tf.table.last_version, store->current_version());
   // Observed churn: what the interval's publishes actually wrote vs what
-  // full rewrites would have (the store's own odometers, so tuner-driven
-  // republishes count too). An interval with no refresh bytes says
+  // full rewrites would have (the counters the store itself adds to, so
+  // tuner-driven republishes count too). An interval with no refresh bytes says
   // nothing about churn, so the conservative full-rewrite default holds.
   if (full_bytes > 0) {
     d.observed_churn = std::clamp(
@@ -260,7 +260,6 @@ void PlacementTuner::Recost(Side& side, TunerDecision d, uint64_t publishes,
   // The watermark moves past the tuner's own republish.
   side.last_version = migrate();
   ++(*migrations);
-  ++flips_;
   d.migrated = true;
   d.rationale = choice.rationale;
   RecordDecision(std::move(d));
@@ -290,7 +289,6 @@ void PlacementTuner::TuneExporter(const obs::SnapshotDelta& delta,
   if (next_floor == cur_floor) return;
   tf.exporter->SetPeriod(
       std::chrono::milliseconds(std::llround(next_floor)));
-  ++period_adjustments_;
   period_adjust_counter_->Increment();
 
   TunerDecision d;
@@ -347,16 +345,6 @@ std::vector<TunerDecision> PlacementTuner::Decisions() const {
 uint64_t PlacementTuner::scans() const {
   std::lock_guard<std::mutex> lk(mu_);
   return scan_seq_;
-}
-
-uint64_t PlacementTuner::flips() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return flips_;
-}
-
-uint64_t PlacementTuner::period_adjustments() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return period_adjustments_;
 }
 
 }  // namespace dw::opt

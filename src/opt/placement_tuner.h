@@ -135,8 +135,8 @@ class PlacementTuner {
   /// must be non-null and outlive the tuner; `store` may be null (no
   /// store side), as may `admission` (no prior re-pricing on
   /// migration). `traffic` carries the registration-time batch shape
-  /// (expected_batch_rows, model_touch_fraction); its reads_per_publish
-  /// is ignored -- that is exactly the number the tuner observes.
+  /// (expected_batch_rows); its reads_per_publish is ignored -- that is
+  /// exactly the number the tuner observes.
   void AddFamily(serve::ModelFamily* family, serve::FeatureStore* store,
                  AdmissionController* admission, int admission_id,
                  const ServingTrafficEstimate& traffic);
@@ -165,10 +165,12 @@ class PlacementTuner {
   /// The audit trail, oldest first (bounded: the newest kMaxDecisions).
   std::vector<TunerDecision> Decisions() const;
 
+  /// ScanOnce() passes so far: the scan number the audit trail stamps.
+  /// Every other count is a tuner.* metric on the registry: completed
+  /// migrations are tuner.flips{kind=replication|store_placement},
+  /// exporter cadence changes tuner.period_adjustments, and
+  /// tuner.holds/tuner.scans count the rest.
   uint64_t scans() const;
-  /// Completed migrations: model replication + store placement flips.
-  uint64_t flips() const;
-  uint64_t period_adjustments() const;
 
   /// Retained audit-trail bound (holds included).
   static constexpr size_t kMaxDecisions = 512;
@@ -235,8 +237,6 @@ class PlacementTuner {
   std::deque<TunerDecision> decisions_;
   obs::RegistrySnapshot prev_snapshot_;
   uint64_t scan_seq_ = 0;
-  uint64_t flips_ = 0;
-  uint64_t period_adjustments_ = 0;
 
   /// Background-thread lifecycle (separate from mu_: Stop() must never
   /// wait behind a scan to set the flag).

@@ -37,15 +37,20 @@ std::vector<StoreIndexShardStats> FeatureStoreSnapshot::IndexStats() const {
 
 FeatureStore::FeatureStore(std::string family,
                            std::shared_ptr<numa::NumaAllocator> allocator,
-                           matrix::Index rows, matrix::Index dim,
-                           const StoreOptions& options)
+                           obs::Registry* registry, matrix::Index rows,
+                           matrix::Index dim, const StoreOptions& options)
     : family_(std::move(family)),
       allocator_(std::move(allocator)),
       rows_(rows),
       dim_(dim) {
   DW_CHECK(allocator_ != nullptr) << "store needs an allocator";
+  DW_CHECK(registry != nullptr) << "store needs a registry";
   DW_CHECK_GT(rows_, 0u) << "store " << family_ << " needs rows";
   DW_CHECK_GT(dim_, 0u) << "store " << family_ << " needs dim";
+  const obs::Labels labels = {{"family", family_}};
+  delta_bytes_counter_ = registry->GetCounter("store.delta_bytes", labels);
+  full_bytes_counter_ = registry->GetCounter("store.full_bytes", labels);
+  evictions_counter_ = registry->GetCounter("store.evictions", labels);
   index_allocator_ =
       std::make_shared<numa::NumaAllocator>(allocator_->topology());
   const matrix::Index nodes =
@@ -80,15 +85,6 @@ uint64_t FeatureStore::HashKey(std::string_view key) {
     h *= 1099511628211ULL;  // FNV prime
   }
   return h;
-}
-
-void FeatureStore::AttachInstruments(obs::Counter* delta_bytes,
-                                     obs::Counter* full_bytes,
-                                     obs::Counter* evictions) {
-  std::lock_guard<std::mutex> publish_lock(publish_mu_);
-  delta_bytes_counter_ = delta_bytes;
-  full_bytes_counter_ = full_bytes;
-  evictions_counter_ = evictions;
 }
 
 std::shared_ptr<FeatureStoreSnapshot> FeatureStore::MakeShell(
@@ -553,21 +549,9 @@ void FeatureStore::InstallLocked(std::shared_ptr<FeatureStoreSnapshot> snap,
   const uint64_t version = next_version_++;
   snap->version_ = version;
   report->version = version;
-  delta_bytes_total_.fetch_add(report->delta_bytes,
-                               std::memory_order_relaxed);
-  full_bytes_total_.fetch_add(report->full_bytes,
-                              std::memory_order_relaxed);
-  evictions_total_.fetch_add(report->evicted_keys,
-                             std::memory_order_relaxed);
-  if (delta_bytes_counter_ != nullptr) {
-    delta_bytes_counter_->Add(report->delta_bytes);
-  }
-  if (full_bytes_counter_ != nullptr) {
-    full_bytes_counter_->Add(report->full_bytes);
-  }
-  if (evictions_counter_ != nullptr && report->evicted_keys > 0) {
-    evictions_counter_->Add(report->evicted_keys);
-  }
+  delta_bytes_counter_->Add(report->delta_bytes);
+  full_bytes_counter_->Add(report->full_bytes);
+  evictions_counter_->Add(report->evicted_keys);
   // Counter first, pointer second, mirroring ModelFamily::Publish: a
   // worker that acquires the NEW snapshot must never see a
   // current_version() older than it.

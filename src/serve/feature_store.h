@@ -73,6 +73,7 @@
 
 namespace dw::obs {
 class Counter;
+class Registry;
 }  // namespace dw::obs
 
 namespace dw::serve {
@@ -293,11 +294,14 @@ class FeatureStore {
   /// Chooses the placement through opt::ChooseStorePlacement over one
   /// refresh period of `options` unless options.placement_override pins
   /// it. `rows`/`dim` fix the slot capacity and row width for every
-  /// future version.
+  /// future version. Every publish -- engine PublishStore, tuner
+  /// Republish, direct PublishDelta -- adds its bytes and evictions to
+  /// the store.{delta_bytes,full_bytes,evictions}{family=<family>}
+  /// counters on `registry` (non-null; must outlive the store).
   FeatureStore(std::string family,
                std::shared_ptr<numa::NumaAllocator> allocator,
-               matrix::Index rows, matrix::Index dim,
-               const StoreOptions& options);
+               obs::Registry* registry, matrix::Index rows,
+               matrix::Index dim, const StoreOptions& options);
 
   const std::string& family() const { return family_; }
   /// Slot capacity, fixed at construction. Lock-free; safe on the
@@ -365,28 +369,6 @@ class FeatureStore {
     return snap != nullptr && snap->LookupSlot(key).has_value();
   }
 
-  /// Publish-bandwidth odometers (monotonic since construction); the
-  /// placement tuner's observed-churn inputs mirror these through the
-  /// attached registry counters.
-  uint64_t delta_bytes_total() const {
-    return delta_bytes_total_.load(std::memory_order_relaxed);
-  }
-  uint64_t full_bytes_total() const {
-    return full_bytes_total_.load(std::memory_order_relaxed);
-  }
-  uint64_t evictions_total() const {
-    return evictions_total_.load(std::memory_order_relaxed);
-  }
-
-  /// Wires the store's publish-side accounting into the family's
-  /// registry instruments (store.delta_bytes / store.full_bytes /
-  /// store.evictions). Any pointer may be null (telemetry disabled).
-  /// Publishes from ANY path -- engine PublishStore, tuner Republish,
-  /// direct PublishDelta -- account through these, which is why the
-  /// counters live here and not in the engine wrappers.
-  void AttachInstruments(obs::Counter* delta_bytes, obs::Counter* full_bytes,
-                         obs::Counter* evictions);
-
  private:
   struct DeltaRow {
     uint64_t key;
@@ -399,8 +381,8 @@ class FeatureStore {
   std::shared_ptr<FeatureStoreSnapshot> MakeShell(
       StorePlacement placement) const;
   /// Shared publish tail: stamps the next version into `snap` and
-  /// `report`, bumps the odometers/counters, and installs (version
-  /// counter first, then the pointer). publish_mu_ held.
+  /// `report`, adds its bytes to the store.* counters, and installs
+  /// (version counter first, then the pointer). publish_mu_ held.
   void InstallLocked(std::shared_ptr<FeatureStoreSnapshot> snap,
                      StorePublishReport* report);
   /// Clones (or grows) shard `s` of `base` and applies the upserts and
@@ -467,10 +449,7 @@ class FeatureStore {
   /// Shared with every snapshot (see FeatureStoreSnapshot::ref_bits_).
   std::shared_ptr<std::vector<std::atomic<uint8_t>>> ref_bits_;
 
-  // --- publish-bandwidth accounting --------------------------------------
-  std::atomic<uint64_t> delta_bytes_total_{0};
-  std::atomic<uint64_t> full_bytes_total_{0};
-  std::atomic<uint64_t> evictions_total_{0};
+  // --- publish-bandwidth accounting (store.* counters) ------------------
   obs::Counter* delta_bytes_counter_ = nullptr;
   obs::Counter* full_bytes_counter_ = nullptr;
   obs::Counter* evictions_counter_ = nullptr;

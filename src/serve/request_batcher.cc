@@ -43,19 +43,15 @@ Status ValidateClientId(const ClientId& client) {
   return Status::OK();
 }
 
+RequestBatcher::RequestBatcher(obs::Registry* registry)
+    : registry_(registry) {
+  DW_CHECK(registry_ != nullptr) << "the batcher needs a registry";
+}
+
 void RequestBatcher::AttachController(
     const opt::AdmissionController* controller) {
   std::lock_guard<std::mutex> lk(mu_);
   controller_ = controller;
-}
-
-void RequestBatcher::AttachRegistry(obs::Registry* registry) {
-  std::lock_guard<std::mutex> lk(mu_);
-  // Instruments are resolved when a queue is created, so a late attach
-  // would leave earlier queues counting into a different registry.
-  DW_CHECK(queues_.empty())
-      << "attach the registry before the first AddQueue";
-  registry_ = registry;
 }
 
 FamilyId RequestBatcher::AddQueue(const Options& opts,
@@ -65,12 +61,6 @@ FamilyId RequestBatcher::AddQueue(const Options& opts,
   DW_CHECK_GT(opts.drr_quantum_rows, 0u);
   DW_CHECK_GT(opts.max_clients, 0u);
   std::lock_guard<std::mutex> lk(mu_);
-  if (registry_ == nullptr) {
-    // Standalone use (tests, direct embedding): counters must still
-    // count, so the batcher owns a private registry.
-    own_registry_ = std::make_unique<obs::Registry>();
-    registry_ = own_registry_.get();
-  }
   FamilyQueue q;
   q.opts = opts;
   q.label = name.empty() ? "q" + std::to_string(queues_.size()) : name;
@@ -258,12 +248,14 @@ StatusOr<std::future<double>> RequestBatcher::Submit(
             "estimated queueing delay over budget");
       }
     }
-    ++q.submit_seq;
     // Trace sampling anchors on the first accepted request, then every
     // Nth after it, so short runs still produce at least one span.
-    if (q.opts.trace_sample_every > 0 &&
-        (q.submit_seq - 1) % q.opts.trace_sample_every == 0) {
-      req.traced = true;
+    if (q.opts.trace_sample_every > 0) {
+      if (q.until_traced == 0) {
+        req.traced = true;
+        q.until_traced = q.opts.trace_sample_every;
+      }
+      --q.until_traced;
     }
     q.accepted->Increment();
     cq.accepted->Increment();
@@ -446,46 +438,16 @@ size_t RequestBatcher::pending() const {
   return total;
 }
 
-RequestBatcher::QueueStats RequestBatcher::queue_stats(FamilyId family) const {
+std::vector<RequestBatcher::RosterEntry> RequestBatcher::Roster(
+    FamilyId family) const {
   std::lock_guard<std::mutex> lk(mu_);
   DW_CHECK_GE(family, 0);
   DW_CHECK_LT(family, static_cast<FamilyId>(queues_.size()));
-  const FamilyQueue& q = queues_[family];
-  // A thin view over the registry instruments (plus the live row count).
-  // On a disabled registry every counter reads 0 -- the documented
-  // contract of running with telemetry off.
-  QueueStats s;
-  s.accepted = q.accepted->Value();
-  s.rejected_full = q.rejected_full->Value();
-  s.rejected_cost = q.rejected_cost->Value();
-  s.flush_size = q.flush_size->Value();
-  s.flush_deadline = q.flush_deadline->Value();
-  s.flush_drain = q.flush_drain->Value();
-  s.depth = q.rows;
-  s.clients.reserve(q.clients.size());
-  for (const ClientQueue& cq : q.clients) {
-    ClientStats cs;
-    cs.client = cq.id;
-    cs.weight = cq.weight;
-    cs.accepted = cq.accepted->Value();
-    cs.rejected = cq.rejected->Value();
-    cs.served = cq.served->Value();
-    cs.depth = cq.queue.size();
-    s.clients.push_back(std::move(cs));
+  std::vector<RosterEntry> out;
+  for (const ClientQueue& cq : queues_[family].clients) {
+    out.push_back({cq.id, cq.weight, cq.queue.size()});
   }
-  return s;
-}
-
-const RequestBatcher::Options& RequestBatcher::options(FamilyId family) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  DW_CHECK_GE(family, 0);
-  DW_CHECK_LT(family, static_cast<FamilyId>(queues_.size()));
-  return queues_[family].opts;
-}
-
-int RequestBatcher::num_queues() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return static_cast<int>(queues_.size());
+  return out;
 }
 
 }  // namespace dw::serve

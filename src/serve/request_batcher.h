@@ -50,7 +50,6 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -257,44 +256,26 @@ class RequestBatcher {
     uint64_t trace_sample_every = 0;
   };
 
-  /// Per-client admission/service counters (inside QueueStats).
-  struct ClientStats {
+  /// One client of a family's roster: what no instrument records. Its
+  /// counts are the queue.client_{accepted,rejected,served} counters.
+  struct RosterEntry {
     ClientId client;
     double weight = 1.0;
-    uint64_t accepted = 0;
-    uint64_t rejected = 0;  ///< both full-queue and over-budget refusals
-    uint64_t served = 0;    ///< rows handed to a worker in some batch
-    size_t depth = 0;       ///< rows queued right now
-  };
-
-  /// Per-family admission counters (snapshot; `depth` is racy-by-design
-  /// monitoring data, the totals are exact at quiescence).
-  struct QueueStats {
-    uint64_t accepted = 0;
-    uint64_t rejected_full = 0;  ///< refusals on the hard row cap / share
-    uint64_t rejected_cost = 0;  ///< refusals on the queueing-delay budget
-    uint64_t flush_size = 0;
-    uint64_t flush_deadline = 0;
-    uint64_t flush_drain = 0;
     size_t depth = 0;  ///< rows queued right now
-    std::vector<ClientStats> clients;  ///< first-seen order
   };
 
-  RequestBatcher() = default;
+  /// Every queue's numbers are instruments on `registry` (non-null;
+  /// must outlive the batcher), labeled family=<queue name>:
+  /// queue.{accepted,rejected_full,rejected_cost} and
+  /// queue.flush_{size,deadline,drain} counters, the queue.depth gauge,
+  /// and per client (client=<id>) queue.client_{accepted,rejected,served}.
+  explicit RequestBatcher(obs::Registry* registry);
 
   /// Attaches the admission cost model. The controller's family ids must
   /// align with this batcher's FamilyIds (the serving engine registers
   /// both in lockstep). Call before traffic; nullptr disables cost-aware
   /// admission (the hard row cap still applies).
   void AttachController(const opt::AdmissionController* controller);
-
-  /// Backs every queue counter with instruments on `registry` (must
-  /// outlive the batcher). Must be called before the first AddQueue --
-  /// the instruments are resolved at queue creation. Without this call
-  /// the batcher lazily owns a private enabled registry, so standalone
-  /// use keeps exact counters; the serving engine attaches its own
-  /// (possibly disabled) registry instead.
-  void AttachRegistry(obs::Registry* registry);
 
   /// Adds a family queue; returns its id (dense, from 0). `name` labels
   /// the queue's metrics (family=<name>; "q<id>" when empty). Callable
@@ -339,9 +320,8 @@ class RequestBatcher {
   /// Rows currently queued across all families (racy snapshot).
   size_t pending() const;
 
-  QueueStats queue_stats(FamilyId family) const;
-  const Options& options(FamilyId family) const;
-  int num_queues() const;
+  /// `family`'s clients in first-seen order.
+  std::vector<RosterEntry> Roster(FamilyId family) const;
 
  private:
   struct ClientQueue {
@@ -358,9 +338,7 @@ class RequestBatcher {
     /// SetClientWeight pins the client against idle eviction: an
     /// operator-declared tenant keeps its reservation while idle.
     bool pinned = false;
-    /// Registry-backed counters (labels family=..., client=...); the
-    /// ClientStats view reads these, so the registry is the single
-    /// source of truth.
+    /// queue.client_* counters (labels family=..., client=...).
     obs::Counter* accepted = nullptr;
     obs::Counter* rejected = nullptr;
     obs::Counter* served = nullptr;
@@ -379,11 +357,10 @@ class RequestBatcher {
     size_t rows = 0;  ///< total queued rows across clients
     /// DRR rotation cursor over clients for size-triggered flushes.
     size_t drr_cursor = 0;
-    /// Accepted submissions, kept plain (mu_-guarded) because the trace
-    /// sampler needs an exact modulo even on a disabled registry.
-    uint64_t submit_seq = 0;
-    /// Registry-backed admission/flush counters and the depth gauge
-    /// (QueueStats is a thin view over these).
+    /// Accepted requests until the trace sampler marks the next one: the
+    /// sampler's own phase, exact on a disabled registry too.
+    uint64_t until_traced = 0;
+    /// queue.* admission/flush counters and the depth gauge.
     obs::Counter* accepted = nullptr;
     obs::Counter* rejected_full = nullptr;
     obs::Counter* rejected_cost = nullptr;
@@ -424,10 +401,7 @@ class RequestBatcher {
   size_t next_queue_ = 0;
   bool shutdown_ = false;
   const opt::AdmissionController* controller_ = nullptr;
-  /// Instrument source: an attached registry, or a lazily-created
-  /// private one when the batcher is used standalone.
-  obs::Registry* registry_ = nullptr;
-  std::unique_ptr<obs::Registry> own_registry_;
+  obs::Registry* const registry_;
 };
 
 }  // namespace dw::serve

@@ -66,14 +66,10 @@ ServingEngine::ServingEngine(ServingOptions options)
       // The admission controller shares the engine's drain parallelism:
       // N workers retire a family's backlog N times faster than one, so
       // the queueing-delay estimate divides by the pool size.
-      admission_(options_.topology,
-                 opt::AdmissionControllerOptions{options_.num_threads}),
+      admission_(options_.topology, &obs_, options_.num_threads),
+      batcher_(&obs_),
       allocator_(std::make_shared<numa::NumaAllocator>(options_.topology)),
       table_(std::make_shared<const FamilyTable>()) {
-  // Admission and the batcher publish their counters on the engine's
-  // registry; attach before any family registration resolves instruments.
-  admission_.AttachRegistry(&obs_);
-  batcher_.AttachRegistry(&obs_);
   batcher_.AttachController(&admission_);
   // Serve-time NUMA traffic per node (the serving analogue of the
   // training counters the paper reports); on a disabled registry these
@@ -191,9 +187,11 @@ Status ServingEngine::RegisterFamily(const std::string& family,
         obs_.GetCounter("store.remote_gather_bytes", labels);
     fs.inst.key_rows = obs_.GetCounter("store.key_rows", labels);
     fs.inst.key_misses = obs_.GetCounter("store.key_misses", labels);
-    fs.inst.store_delta_bytes = obs_.GetCounter("store.delta_bytes", labels);
-    fs.inst.store_full_bytes = obs_.GetCounter("store.full_bytes", labels);
-    fs.inst.store_evictions = obs_.GetCounter("store.evictions", labels);
+    fs.inst.flush_size = obs_.GetCounter("queue.flush_size", labels);
+    fs.inst.flush_deadline = obs_.GetCounter("queue.flush_deadline", labels);
+    fs.inst.flush_drain = obs_.GetCounter("queue.flush_drain", labels);
+    fs.inst.rejected_full = obs_.GetCounter("queue.rejected_full", labels);
+    fs.inst.rejected_cost = obs_.GetCounter("queue.rejected_cost", labels);
     // The dispatch level is resolved once per process, so the label is
     // fixed here; `weights` says which replica the batched kernel reads.
     obs::Labels kernel_labels = labels;
@@ -222,7 +220,6 @@ Status ServingEngine::RegisterFamily(const std::string& family,
   prof.name = family;
   prof.dim = fopts.traffic.dim;
   prof.expected_batch_rows = fopts.traffic.expected_batch_rows;
-  prof.model_touch_fraction = fopts.traffic.model_touch_fraction;
   prof.model_sharing_sockets =
       fs.family->replication() == Replication::kPerMachine
           ? options_.topology.num_nodes
@@ -268,14 +265,11 @@ Status ServingEngine::RegisterStore(const std::string& family,
         "store dim " + std::to_string(dim) + " does not match family dim " +
         std::to_string(fs->family->dim()) + " for " + family);
   }
-  auto store =
-      std::make_shared<FeatureStore>(family, allocator_, rows, dim, sopts);
-  // The store writes its own publish odometers onto the family's
-  // counters, so tuner-driven Republish flips (which bypass the engine's
-  // PublishStore wrapper) are accounted exactly like caller publishes.
-  const FamilyInstruments& inst = fs->inst;
-  store->AttachInstruments(inst.store_delta_bytes, inst.store_full_bytes,
-                           inst.store_evictions);
+  // The store counts its own publish bytes on the engine's registry, so
+  // tuner-driven Republish flips (which bypass the engine's PublishStore
+  // wrapper) are accounted exactly like caller publishes.
+  auto store = std::make_shared<FeatureStore>(family, allocator_, &obs_,
+                                              rows, dim, sopts);
   auto next = std::make_shared<FamilyTable>(*current);
   next->families[fs->queue].store = std::move(store);
   std::atomic_store_explicit(
@@ -857,13 +851,12 @@ ServingStats ServingEngine::Stats() const {
       out.mean_batch_rows = static_cast<double>(inst.rows->Value()) /
                             static_cast<double>(batches);
     }
-    RequestBatcher::QueueStats qs = batcher_.queue_stats(fs.queue);
-    out.clients = std::move(qs.clients);
-    out.flush_size = qs.flush_size;
-    out.flush_deadline = qs.flush_deadline;
-    out.flush_drain = qs.flush_drain;
-    out.rejected = qs.rejected_full + qs.rejected_cost;
-    out.rejected_cost = qs.rejected_cost;
+    out.clients = batcher_.Roster(fs.queue);
+    out.flush_size = inst.flush_size->Value();
+    out.flush_deadline = inst.flush_deadline->Value();
+    out.flush_drain = inst.flush_drain->Value();
+    out.rejected_cost = inst.rejected_cost->Value();
+    out.rejected = inst.rejected_full->Value() + out.rejected_cost;
     const opt::AdmissionEstimate est = admission_.Estimate(fs.queue);
     out.est_row_us = est.est_row_sec * 1e6;
     out.measured_row_us_ewma = est.measured_row_sec_ewma * 1e6;

@@ -160,8 +160,9 @@ struct ServingFamilyOptions : FamilyOptions {
 /// friends) or from the object that owns it (FindFamily, FindStore).
 struct FamilyServingStats {
   std::string family;
-  /// Per-client fair-queuing view, first-seen order.
-  std::vector<RequestBatcher::ClientStats> clients;
+  /// The fair-queuing roster (client, weight, depth), first-seen order;
+  /// per-client counts are queue.client_{accepted,rejected,served}.
+  std::vector<RequestBatcher::RosterEntry> clients;
   /// serve.rows / serve.batches.
   double mean_batch_rows = 0.0;
   /// queue.flush_{size,deadline,drain}.
@@ -373,13 +374,14 @@ class ServingEngine {
     /// (the caller-visible symptom of eviction).
     obs::Counter* key_rows = nullptr;
     obs::Counter* key_misses = nullptr;
-    /// store.delta_bytes / store.full_bytes / store.evictions: publish
-    /// byte odometers and clock evictions, written by the store itself
-    /// on every Publish/PublishDelta/Republish (AttachInstruments), so
-    /// tuner-driven flips are accounted too.
-    obs::Counter* store_delta_bytes = nullptr;
-    obs::Counter* store_full_bytes = nullptr;
-    obs::Counter* store_evictions = nullptr;
+    /// queue.flush_{size,deadline,drain} and queue.rejected_{full,cost}:
+    /// the batcher's own instruments, resolved by the same names so
+    /// Stats() reads them (no-op zeros with telemetry off).
+    obs::Counter* flush_size = nullptr;
+    obs::Counter* flush_deadline = nullptr;
+    obs::Counter* flush_drain = nullptr;
+    obs::Counter* rejected_full = nullptr;
+    obs::Counter* rejected_cost = nullptr;
     /// serve.kernel_rows{family=...,kernel=<level>,weights=f64|int8}:
     /// rows scored through the batched dispatch kernels.
     obs::Counter* kernel_rows = nullptr;

@@ -80,23 +80,17 @@ void SnapshotExporter::PublishOnce() {
   publish_ms_hist_->Record(ms);
 
   std::lock_guard<std::mutex> lk(mu_);
-  ++stats_.publishes;
-  stats_.last_version = version;
-  stats_.max_publish_ms = std::max(stats_.max_publish_ms, ms);
-  // Running mean: cheap and exact enough for a publish-rate counter.
-  stats_.mean_publish_ms +=
-      (ms - stats_.mean_publish_ms) / static_cast<double>(stats_.publishes);
   // EWMA drives the pacing: it tracks a drifting publish cost (model
   // growing mid-training, replicas added) faster than the all-time mean.
-  stats_.ewma_publish_ms =
-      stats_.publishes == 1 ? ms
-                            : stats_.ewma_publish_ms +
-                                  0.3 * (ms - stats_.ewma_publish_ms);
+  // A publish takes more than 0 ms, so 0 marks the first one.
+  ewma_publish_ms_ = ewma_publish_ms_ == 0.0
+                         ? ms
+                         : ewma_publish_ms_ + 0.3 * (ms - ewma_publish_ms_);
 }
 
-SnapshotExporter::Stats SnapshotExporter::stats() const {
+double SnapshotExporter::ewma_publish_ms() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return stats_;
+  return ewma_publish_ms_;
 }
 
 void SnapshotExporter::SetPeriod(std::chrono::milliseconds period) {
@@ -131,18 +125,13 @@ void SnapshotExporter::Loop() {
     // of wall time inside Export()+Publish(). The floor -- the runtime
     // override when set, `period` otherwise -- keeps the configured
     // cadence for cheap publishes; only expensive ones stretch it
-    // (stats_ is guarded by the lk we hold).
+    // (the EWMA is guarded by the lk we hold).
     const double floor_ms =
         period_override_ms_ > 0.0 ? period_override_ms_ : configured_ms;
-    const double paced_ms =
-        stats_.ewma_publish_ms / options_.max_publish_fraction;
+    const double paced_ms = ewma_publish_ms_ / options_.max_publish_fraction;
     const double effective_ms = std::max(floor_ms, paced_ms);
-    stats_.effective_period_ms = effective_ms;
     period_gauge_->Set(effective_ms);
-    if (effective_ms > floor_ms) {
-      ++stats_.paced_periods;
-      paced_counter_->Increment();
-    }
+    if (effective_ms > floor_ms) paced_counter_->Increment();
     period_dirty_ = false;
     const auto wait = std::chrono::duration<double, std::milli>(effective_ms);
     if (stop_cv_.wait_for(lk, wait,

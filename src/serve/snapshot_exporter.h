@@ -45,25 +45,14 @@ class SnapshotExporter {
     double max_publish_fraction = 0.05;
   };
 
-  /// Publish-side counters (publish latency, NOT serving-side
-  /// staleness -- that is the engine's serve.staleness_ms histogram).
-  struct Stats {
-    uint64_t publishes = 0;
-    uint64_t last_version = 0;     ///< last version this exporter installed
-    double mean_publish_ms = 0.0;  ///< Export()+Publish() wall latency
-    double max_publish_ms = 0.0;
-    /// EWMA of the publish latency (what the pacing reacts to; the mean
-    /// is the whole-run record).
-    double ewma_publish_ms = 0.0;
-    /// The period the loop last armed: Options::period, or the stretched
-    /// latency-derived value when publishes run long.
-    double effective_period_ms = 0.0;
-    /// Sleeps stretched past Options::period by the publish-time ceiling.
-    uint64_t paced_periods = 0;
-  };
-
   /// `trainer` and `server` must outlive the exporter; `family` must be
-  /// registered on `server` (checked at Start).
+  /// registered on `server` (checked at Start). The exporter's numbers
+  /// are metrics on the server's registry, labeled family=<family>:
+  /// exporter.publishes, exporter.paced_periods (sleeps stretched past
+  /// the floor by the publish-time ceiling), the exporter.last_version
+  /// and exporter.effective_period_ms gauges, and the
+  /// exporter.publish_ms histogram of Export()+Publish() wall latency.
+  /// Serving-side staleness is the engine's serve.staleness_ms.
   SnapshotExporter(engine::Engine* trainer, ServingEngine* server,
                    std::string family, Options options);
   ~SnapshotExporter();
@@ -83,7 +72,10 @@ class SnapshotExporter {
   /// by the destructor. The last installed snapshot stays served.
   void Stop();
 
-  Stats stats() const;
+  /// EWMA of the publish latency in ms, what the pacing reacts to (0
+  /// before the first publish). The loop's own state, so pacing works
+  /// with telemetry off.
+  double ewma_publish_ms() const;
 
   /// Overrides the pacing FLOOR at runtime (the placement tuner's
   /// staleness-SLO control): the loop re-derives its effective period
@@ -106,10 +98,8 @@ class SnapshotExporter {
   const std::string family_;
   const Options options_;
 
-  /// Telemetry mirrors on the server's registry (exporter.* metrics,
-  /// labeled by family); no-op instruments when the server runs with
-  /// telemetry off. stats_ stays authoritative -- the pacing loop reads
-  /// it, never the registry.
+  /// exporter.* instruments on the server's registry; no-op when the
+  /// server runs with telemetry off. The pacing loop never reads them.
   obs::Counter* publishes_counter_ = nullptr;
   obs::Counter* paced_counter_ = nullptr;
   obs::Gauge* version_gauge_ = nullptr;
@@ -117,7 +107,7 @@ class SnapshotExporter {
   obs::Histogram* publish_ms_hist_ = nullptr;
 
   std::thread thread_;
-  mutable std::mutex mu_;  ///< guards stop_ for the cv + the stats
+  mutable std::mutex mu_;  ///< guards stop_ for the cv + the EWMA
   std::condition_variable stop_cv_;
   bool stop_ = false;
   bool started_ = false;
@@ -125,7 +115,8 @@ class SnapshotExporter {
   /// period_dirty_ wakes an armed sleep so the change applies now.
   double period_override_ms_ = 0.0;
   bool period_dirty_ = false;
-  Stats stats_;
+  /// Publish latency EWMA (guarded by mu_); 0 until the first publish.
+  double ewma_publish_ms_ = 0.0;
 };
 
 }  // namespace dw::serve

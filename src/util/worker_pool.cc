@@ -13,6 +13,7 @@ WorkerPool::WorkerPool(std::vector<int> cpus)
     threads_.emplace_back(&WorkerPool::Loop, this, static_cast<int>(w),
                           cpus[w]);
   }
+  barrier_.Wait();  // every worker has named and pinned itself
 }
 
 WorkerPool::~WorkerPool() {
@@ -30,6 +31,7 @@ void WorkerPool::Run(const std::function<void(int)>& body) {
 void WorkerPool::Loop(int worker, int cpu) {
   SetCurrentThreadName("dw-worker-" + std::to_string(worker));
   if (cpu >= 0) (void)PinCurrentThreadToCpu(cpu);
+  barrier_.Wait();  // started: the constructor may return
   for (;;) {
     barrier_.Wait();
     if (body_ == nullptr) return;

@@ -14,8 +14,10 @@ namespace dw {
 
 class WorkerPool {
  public:
-  /// Starts one thread per entry of `cpus`: worker w pins itself once to
-  /// CPU cpus[w], or stays unpinned for -1.
+  /// Starts one thread per entry of `cpus`: worker w names itself
+  /// dw-worker-w and pins itself once to CPU cpus[w], or stays unpinned
+  /// for -1. Returns once every worker has done so, so the first Run
+  /// pays no thread start-up.
   explicit WorkerPool(std::vector<int> cpus);
   /// Releases the workers and joins them.
   ~WorkerPool();

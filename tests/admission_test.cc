@@ -35,7 +35,8 @@ opt::AdmissionFamilyProfile Profile(Index dim, int sharing_sockets = 1,
 }
 
 TEST(AdmissionControllerTest, PriorScalesWithRowWidthAndPlacement) {
-  opt::AdmissionController ctl(numa::Local2());
+  obs::Registry reg;
+  opt::AdmissionController ctl(numa::Local2(), &reg);
   const int narrow = ctl.AddFamily(Profile(64));
   const int wide = ctl.AddFamily(Profile(16384));
   const int wide_shared =
@@ -55,7 +56,8 @@ TEST(AdmissionControllerTest, PriorScalesWithRowWidthAndPlacement) {
 }
 
 TEST(AdmissionControllerTest, EwmaCalibratesEstimateTowardMeasured) {
-  opt::AdmissionController ctl(numa::Local2());
+  obs::Registry reg;
+  opt::AdmissionController ctl(numa::Local2(), &reg);
   const int f = ctl.AddFamily(Profile(128));
   const double measured_row_sec = 5e-6;
   for (int i = 0; i < 32; ++i) {
@@ -73,21 +75,23 @@ TEST(AdmissionControllerTest, EwmaCalibratesEstimateTowardMeasured) {
 }
 
 TEST(AdmissionControllerTest, CalibrationIsClampedAgainstGarbage) {
-  opt::AdmissionControllerOptions opts;
-  opts.max_calibration = 4.0;
-  opt::AdmissionController ctl(numa::Local2(), opts);
+  obs::Registry reg;
+  opt::AdmissionController ctl(numa::Local2(), &reg);
+  const double clamp = opt::AdmissionController::kMaxCalibration;
   const int f = ctl.AddFamily(Profile(128));
   const double prior = ctl.Estimate(f).prior_row_sec;
   // One absurd measurement (a descheduled batch billed a full second).
   ctl.ReportBatch(f, 1, 1.0);
-  EXPECT_LE(ctl.EstimatedRowSeconds(f), 4.0 * prior + 1e-15);
-  // And an absurdly fast one cannot drop the estimate below prior/clamp.
-  for (int i = 0; i < 64; ++i) ctl.ReportBatch(f, 1 << 20, 1e-9);
-  EXPECT_GE(ctl.EstimatedRowSeconds(f), prior / 4.0 - 1e-15);
+  EXPECT_LE(ctl.EstimatedRowSeconds(f), clamp * prior + 1e-15);
+  // And absurdly fast ones cannot drop the estimate below prior/clamp
+  // (256 reports pull the EWMA far below it).
+  for (int i = 0; i < 256; ++i) ctl.ReportBatch(f, 1 << 20, 1e-9);
+  EXPECT_GE(ctl.EstimatedRowSeconds(f), prior / clamp - 1e-15);
 }
 
 TEST(AdmissionControllerTest, DegenerateReportsAreDropped) {
-  opt::AdmissionController ctl(numa::Local2());
+  obs::Registry reg;
+  opt::AdmissionController ctl(numa::Local2(), &reg);
   const int f = ctl.AddFamily(Profile(32));
   ctl.ReportBatch(f, 0, 1.0);    // no rows
   ctl.ReportBatch(f, 16, 0.0);   // clock-granularity zero
@@ -96,12 +100,10 @@ TEST(AdmissionControllerTest, DegenerateReportsAreDropped) {
 }
 
 TEST(AdmissionControllerTest, DrainScalesWithBacklogAndWorkers) {
-  opt::AdmissionControllerOptions one;
-  one.drain_workers = 1;
-  opt::AdmissionControllerOptions four;
-  four.drain_workers = 4;
-  opt::AdmissionController ctl1(numa::Local2(), one);
-  opt::AdmissionController ctl4(numa::Local2(), four);
+  obs::Registry reg1;
+  obs::Registry reg4;
+  opt::AdmissionController ctl1(numa::Local2(), &reg1, /*drain_workers=*/1);
+  opt::AdmissionController ctl4(numa::Local2(), &reg4, /*drain_workers=*/4);
   const int f1 = ctl1.AddFamily(Profile(256));
   const int f4 = ctl4.AddFamily(Profile(256));
   EXPECT_DOUBLE_EQ(ctl1.EstimatedDrainSeconds(f1, 0), 0.0);
@@ -117,7 +119,8 @@ TEST(AdmissionControllerTest, UpdateModelSharingRepricesPriorAndResetsEwma) {
   // migration, the family's prior must reflect the NEW placement and the
   // EWMA window must restart -- every batch time in it measured the old
   // byte path.
-  opt::AdmissionController ctl(numa::Local2());
+  obs::Registry reg;
+  opt::AdmissionController ctl(numa::Local2(), &reg);
   const int f = ctl.AddFamily(Profile(128, /*sharing_sockets=*/2));
   for (int i = 0; i < 4; ++i) ctl.ReportBatch(f, 64, 64 * 3e-6);
   const opt::AdmissionEstimate before = ctl.Estimate(f);
@@ -141,7 +144,8 @@ TEST(AdmissionControllerTest, UpdateModelSharingRepricesPriorAndResetsEwma) {
 
 TEST(AdmissionControllerDeathTest, RejectsInvalidProfiles) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  opt::AdmissionController ctl(numa::Local2());
+  obs::Registry reg;
+  opt::AdmissionController ctl(numa::Local2(), &reg);
   EXPECT_DEATH(ctl.AddFamily(Profile(0)), "dim");
   const int f = ctl.AddFamily(Profile(8));
   (void)f;
@@ -149,6 +153,21 @@ TEST(AdmissionControllerDeathTest, RejectsInvalidProfiles) {
 }
 
 // --- ClientId validation --------------------------------------------------
+
+/// A standalone batcher's counters, read from its registry by exported
+/// name: queue.<name> of unnamed queue `f` (labeled family=q<f>), and
+/// queue.client_<name> of one of its clients.
+uint64_t QueueCount(const obs::Registry& reg, const std::string& name,
+                    FamilyId f) {
+  return reg.Snapshot().CounterValue(
+      "queue." + name, {{"family", "q" + std::to_string(f)}});
+}
+uint64_t ClientCount(const obs::Registry& reg, const std::string& name,
+                     FamilyId f, const ClientId& client) {
+  return reg.Snapshot().CounterValue(
+      "queue.client_" + name,
+      {{"family", "q" + std::to_string(f)}, {"client", client.str()}});
+}
 
 TEST(ClientIdTest, ValidationBoundsTheIdentifier) {
   EXPECT_TRUE(ValidateClientId(ClientId("tenant-a")).ok());
@@ -165,7 +184,8 @@ TEST(ClientIdTest, ValidationBoundsTheIdentifier) {
 }
 
 TEST(ClientIdTest, BatcherRejectsBadClientsOnBothRequestForms) {
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   RequestBatcher::Options o;
   o.max_batch_size = 8;
   o.max_delay = std::chrono::seconds(10);
@@ -183,13 +203,14 @@ TEST(ClientIdTest, BatcherRejectsBadClientsOnBothRequestForms) {
               Status::Code::kInvalidArgument);
   }
   // Nothing was admitted or counted.
-  EXPECT_EQ(b.queue_stats(f).accepted, 0u);
-  EXPECT_TRUE(b.queue_stats(f).clients.empty());
+  EXPECT_EQ(QueueCount(reg, "accepted", f), 0u);
+  EXPECT_TRUE(b.Roster(f).empty());
 }
 
 TEST(ClientIdDeathTest, OperatorConfigDiesOnInvalidClientOrWeight) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   RequestBatcher::Options o;
   const FamilyId f = b.AddQueue(o);
   // SetClientWeight is operator configuration, not request input: an
@@ -221,7 +242,8 @@ void MustSubmitAs(RequestBatcher& b, FamilyId f, const ClientId& c,
 }
 
 TEST(FairQueuingTest, SizeFlushInterleavesClientsByDeficitRoundRobin) {
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId f = b.AddQueue(FairOpts(/*max_batch=*/8, /*quantum=*/4));
   const ClientId hog("hog");
   const ClientId mouse("mouse");
@@ -244,7 +266,8 @@ TEST(FairQueuingTest, SizeFlushInterleavesClientsByDeficitRoundRobin) {
 }
 
 TEST(FairQueuingTest, WeightsScaleTheClientsBatchShare) {
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId f = b.AddQueue(FairOpts(/*max_batch=*/12, /*quantum=*/2));
   const ClientId heavy("heavy");
   const ClientId light("light");
@@ -264,7 +287,8 @@ TEST(FairQueuingTest, WeightsScaleTheClientsBatchShare) {
 }
 
 TEST(FairQueuingTest, FifoModePreservesArrivalOrderAcrossClients) {
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   RequestBatcher::Options o = FairOpts(/*max_batch=*/6, /*quantum=*/1);
   o.fair_queuing = false;
   const FamilyId f = b.AddQueue(o);
@@ -286,7 +310,8 @@ TEST(FairQueuingTest, FifoModePreservesArrivalOrderAcrossClients) {
 TEST(FairQueuingTest, PerClientSharesSplitTheRowCap) {
   // Family cap 8, two equal clients: each may hold 4 queued rows. The
   // hog's 5th submit is refused while the mouse's slots stay open.
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId f =
       b.AddQueue(FairOpts(/*max_batch=*/64, /*quantum=*/4, /*max_rows=*/8));
   const ClientId hog("hog");
@@ -297,21 +322,22 @@ TEST(FairQueuingTest, PerClientSharesSplitTheRowCap) {
   EXPECT_EQ(b.Submit(f, ScoreRequest::Carried({0}, {9.0}, hog)).status().code(),
             Status::Code::kResourceExhausted);
   for (int i = 0; i < 4; ++i) MustSubmitAs(b, f, mouse, i);
-  const RequestBatcher::QueueStats qs = b.queue_stats(f);
-  EXPECT_EQ(qs.accepted, 8u);
-  EXPECT_EQ(qs.rejected_full, 1u);
-  ASSERT_EQ(qs.clients.size(), 2u);
-  EXPECT_EQ(qs.clients[0].client, hog);
-  EXPECT_EQ(qs.clients[0].rejected, 1u);
-  EXPECT_EQ(qs.clients[1].client, mouse);
-  EXPECT_EQ(qs.clients[1].rejected, 0u);
+  EXPECT_EQ(QueueCount(reg, "accepted", f), 8u);
+  EXPECT_EQ(QueueCount(reg, "rejected_full", f), 1u);
+  const std::vector<RequestBatcher::RosterEntry> roster = b.Roster(f);
+  ASSERT_EQ(roster.size(), 2u);
+  EXPECT_EQ(roster[0].client, hog);
+  EXPECT_EQ(ClientCount(reg, "rejected", f, hog), 1u);
+  EXPECT_EQ(roster[1].client, mouse);
+  EXPECT_EQ(ClientCount(reg, "rejected", f, mouse), 0u);
 }
 
 TEST(FairQueuingTest, ClientRosterIsBoundedAgainstIdAbuse) {
   // Client ids cross a trust boundary: a caller misusing per-request ids
   // as client ids must be refused past max_clients, not allowed to grow
   // server state and dilute every tenant's share without bound.
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   RequestBatcher::Options o = FairOpts(/*max_batch=*/8, /*quantum=*/4);
   o.max_clients = 2;
   const FamilyId f = b.AddQueue(o);
@@ -322,14 +348,15 @@ TEST(FairQueuingTest, ClientRosterIsBoundedAgainstIdAbuse) {
                 .status()
                 .code(),
             Status::Code::kResourceExhausted);
-  EXPECT_EQ(b.queue_stats(f).clients.size(), 2u);
+  EXPECT_EQ(b.Roster(f).size(), 2u);
   // ...while known clients keep submitting.
   MustSubmitAs(b, f, ClientId("tenant-a"), 4.0);
 }
 
 TEST(FairQueuingDeathTest, OperatorRosterOverflowDies) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   RequestBatcher::Options o;
   o.max_clients = 1;
   const FamilyId f = b.AddQueue(o);
@@ -342,13 +369,12 @@ TEST(FairQueuingDeathTest, OperatorRosterOverflowDies) {
 TEST(FairQueuingTest, CostAwareAdmissionRejectsOverDelayBudget) {
   // A controller whose measured service time is enormous: the second
   // request's estimated wait behind the first blows the 1us budget.
-  opt::AdmissionControllerOptions copts;
-  copts.drain_workers = 1;
-  opt::AdmissionController ctl(numa::Local2(), copts);
+  obs::Registry reg;
+  opt::AdmissionController ctl(numa::Local2(), &reg, /*drain_workers=*/1);
   ASSERT_EQ(ctl.AddFamily(Profile(64)), 0);
   for (int i = 0; i < 8; ++i) ctl.ReportBatch(0, 1, 1.0);  // 1 s per row
 
-  RequestBatcher b;
+  RequestBatcher b(&reg);
   b.AttachController(&ctl);
   RequestBatcher::Options o = FairOpts(/*max_batch=*/64, /*quantum=*/4);
   o.queue_delay_budget = std::chrono::microseconds(1);
@@ -360,15 +386,14 @@ TEST(FairQueuingTest, CostAwareAdmissionRejectsOverDelayBudget) {
   auto fut = b.Submit(f, ScoreRequest::Carried({0}, {2.0}, kDefaultClient));
   ASSERT_FALSE(fut.ok());
   EXPECT_EQ(fut.status().code(), Status::Code::kResourceExhausted);
-  const RequestBatcher::QueueStats qs = b.queue_stats(f);
-  EXPECT_EQ(qs.rejected_cost, 1u);
-  EXPECT_EQ(qs.rejected_full, 0u);
+  EXPECT_EQ(QueueCount(reg, "rejected_cost", f), 1u);
+  EXPECT_EQ(QueueCount(reg, "rejected_full", f), 0u);
   // The keyed forms hit the identical budget check.
   EXPECT_EQ(b.Submit(f, ScoreRequest::RowId(0)).status().code(),
             Status::Code::kResourceExhausted);
   EXPECT_EQ(b.Submit(f, ScoreRequest::Key(0)).status().code(),
             Status::Code::kResourceExhausted);
-  EXPECT_EQ(b.queue_stats(f).rejected_cost, 3u);
+  EXPECT_EQ(QueueCount(reg, "rejected_cost", f), 3u);
 }
 
 TEST(FairQueuingTest, SeededOverloadBoundsMiceRejections) {
@@ -378,7 +403,8 @@ TEST(FairQueuingTest, SeededOverloadBoundsMiceRejections) {
   // per full batch. Per-client shares must keep the mice's rejection
   // ratio bounded while the hog eats rejections for its burst.
   Rng rng(1234);
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId f =
       b.AddQueue(FairOpts(/*max_batch=*/16, /*quantum=*/4, /*max_rows=*/64));
   const ClientId hog("hog");
@@ -433,7 +459,8 @@ TEST(FairQueuingTest, IdleClientsAgeOutAndTheirShareReturns) {
   // as they sit in the roster. With aging enabled, a departed hog must
   // fall out after client_idle_timeout and its share must flow back --
   // while a pinned operator tenant survives any amount of idleness.
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   RequestBatcher::Options o =
       FairOpts(/*max_batch=*/4, /*quantum=*/4, /*max_rows=*/12);
   o.client_idle_timeout = std::chrono::milliseconds(50);
@@ -463,10 +490,9 @@ TEST(FairQueuingTest, IdleClientsAgeOutAndTheirShareReturns) {
       b.Submit(f, ScoreRequest::Carried({0}, {9.0}, mouse)).status().code(),
       Status::Code::kResourceExhausted);
 
-  const RequestBatcher::QueueStats qs = b.queue_stats(f);
   bool saw_hog = false;
   bool saw_vip = false;
-  for (const RequestBatcher::ClientStats& cs : qs.clients) {
+  for (const RequestBatcher::RosterEntry& cs : b.Roster(f)) {
     if (cs.client == hog) saw_hog = true;
     if (cs.client == vip) saw_vip = true;
   }
@@ -478,7 +504,8 @@ TEST(FairQueuingTest, ReweightResetsEarnedDeficit) {
   // Deficit earned at an old weight must not carry into the new one: a
   // demoted client would otherwise keep draining at its former share
   // for a full earned-credit's worth of rows.
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId f = b.AddQueue(FairOpts(/*max_batch=*/32, /*quantum=*/16));
   const ClientId big("big");
   const ClientId small("small");
@@ -519,7 +546,8 @@ TEST(FairQueuingTest, ReweightRacesSubmittersWithoutCorruption) {
   // reset, and the share-cap reads must all agree under the queue lock;
   // the observable contract here is simply that every accepted row is
   // served exactly once while the weights thrash.
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   RequestBatcher::Options o =
       FairOpts(/*max_batch=*/16, /*quantum=*/4, /*max_rows=*/256);
   o.max_delay = std::chrono::milliseconds(1);
@@ -621,16 +649,21 @@ TEST(AdmissionEngineTest, ClientIdThreadsThroughScoreAndStats) {
   const obs::Labels ls_family = {{"family", "ls"}};
   EXPECT_EQ(snap.CounterValue("serve.rows", ls_family), 33u);
   ASSERT_EQ(f.clients.size(), 3u);  // alpha, beta, default (seen order)
+  const auto client_count = [&snap](const std::string& name,
+                                     const RequestBatcher::RosterEntry& c) {
+    return snap.CounterValue("queue.client_" + name,
+                             {{"family", "ls"}, {"client", c.client.str()}});
+  };
   EXPECT_EQ(f.clients[0].client.str(), "alpha");
   EXPECT_DOUBLE_EQ(f.clients[0].weight, 2.0);
-  EXPECT_EQ(f.clients[0].accepted, 24u);
-  EXPECT_EQ(f.clients[0].served, 24u);
+  EXPECT_EQ(client_count("accepted", f.clients[0]), 24u);
+  EXPECT_EQ(client_count("served", f.clients[0]), 24u);
   EXPECT_EQ(f.clients[1].client.str(), "beta");
-  EXPECT_EQ(f.clients[1].accepted, 8u);
+  EXPECT_EQ(client_count("accepted", f.clients[1]), 8u);
   EXPECT_EQ(f.clients[2].client.str(), "default");
-  EXPECT_EQ(f.clients[2].accepted, 1u);
+  EXPECT_EQ(client_count("accepted", f.clients[2]), 1u);
   uint64_t accepted = 0;
-  for (const auto& c : f.clients) accepted += c.accepted;
+  for (const auto& c : f.clients) accepted += client_count("accepted", c);
   EXPECT_EQ(accepted, snap.CounterValue("queue.accepted", ls_family));
   // The workers reported measured batch times into the controller, and
   // the calibrated estimate tracks the EWMA within the clamp.
@@ -708,13 +741,9 @@ TEST(AdmissionEngineTest, HogCannotStarveMiceUnderOverload) {
   // The mice keep almost all of their traffic regardless of what the
   // hog managed to do to the queue (generous bound: CI machines vary).
   EXPECT_LT(mice_ratio, 0.2);
-  const ServingStats stats = server.Stats();
-  ASSERT_EQ(stats.families.size(), 1u);
-  uint64_t stats_hog_rejected = 0;
-  for (const RequestBatcher::ClientStats& c : stats.families[0].clients) {
-    if (c.client.str() == "hog") stats_hog_rejected = c.rejected;
-  }
-  EXPECT_EQ(stats_hog_rejected, hog_rejected.load());
+  EXPECT_EQ(server.telemetry().Snapshot().CounterValue(
+                "queue.client_rejected", {{"family", "lr"}, {"client", "hog"}}),
+            hog_rejected.load());
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +28,14 @@ namespace dw::serve {
 namespace {
 
 using matrix::Index;
+
+/// A standalone store's store.<name> counter, read from its registry by
+/// exported name.
+uint64_t StoreCount(const obs::Registry& reg, const std::string& name,
+                    const FeatureStore& store) {
+  return reg.Snapshot().CounterValue("store." + name,
+                                     {{"family", store.family()}});
+}
 
 StoreOptions PagedStore(StorePlacement p, Index page_rows) {
   StoreOptions o;
@@ -56,10 +65,11 @@ std::vector<double> UniformRows(size_t keys, Index dim, double value) {
 TEST(FeatureStoreDeltaTest, DeltaSharesUntouchedPagesWithPreviousVersion) {
   const numa::Topology topo = numa::Local2();
   auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+  obs::Registry reg;
   const Index rows = 16;
   const Index dim = 4;
   // 4 pages of 4 rows.
-  FeatureStore store("f", alloc, rows, dim,
+  FeatureStore store("f", alloc, &reg, rows, dim,
                      PagedStore(StorePlacement::kReplicated, 4));
   store.Publish(CoordinateTable(rows, dim));
   const auto v1 = store.Acquire();
@@ -108,7 +118,8 @@ TEST(FeatureStoreDeltaTest, DeltaSharesUntouchedPagesWithPreviousVersion) {
 /// contrast). Returns delta bytes over full-rewrite bytes at 1% churn.
 double DeltaRatioAtOnePercentChurn(Index rows, Index dim) {
   auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
-  FeatureStore store("sweep", alloc, rows, dim,
+  obs::Registry reg;
+  FeatureStore store("sweep", alloc, &reg, rows, dim,
                      PagedStore(StorePlacement::kSharded, 32));
   store.Publish(UniformRows(rows, dim, 1.0));
   double ratio = 1.0;
@@ -141,8 +152,9 @@ TEST(FeatureStoreDeltaTest, DeltaBootstrapsAnEmptyStoreAndAddsKeys) {
   // materialize; the rest of the chain stays unallocated.
   const numa::Topology topo = numa::Local2();
   auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+  obs::Registry reg;
   const Index dim = 4;
-  FeatureStore store("f", alloc, 16, dim,
+  FeatureStore store("f", alloc, &reg, 16, dim,
                      PagedStore(StorePlacement::kReplicated, 4));
   const StorePublishReport rep =
       store.PublishDelta({100, 200}, UniformRows(2, dim, 3.0));
@@ -169,9 +181,10 @@ TEST(FeatureStoreDeltaTest, ShardedDeltaKeepsRowGranularInterleave) {
   // on the fragment their slot owns, and gathers agree from every node.
   const numa::Topology topo = numa::Local2();
   auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+  obs::Registry reg;
   const Index rows = 8;
   const Index dim = 3;
-  FeatureStore store("f", alloc, rows, dim,
+  FeatureStore store("f", alloc, &reg, rows, dim,
                      PagedStore(StorePlacement::kSharded, 4));
   store.Publish(CoordinateTable(rows, dim));
   store.PublishDelta({1, 2}, UniformRows(2, dim, 42.0));
@@ -192,9 +205,10 @@ TEST(FeatureStoreDeltaTest, ShardedDeltaKeepsRowGranularInterleave) {
 TEST(FeatureStoreDeltaTest, IndexLoadFactorStaysUnderTheGrowKnee) {
   const numa::Topology topo = numa::Local2();
   auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+  obs::Registry reg;
   const Index rows = 256;
   const Index dim = 2;
-  FeatureStore store("f", alloc, rows, dim,
+  FeatureStore store("f", alloc, &reg, rows, dim,
                      PagedStore(StorePlacement::kReplicated, 16));
   store.Publish(CoordinateTable(rows, dim));
   Rng rng(7);
@@ -221,9 +235,10 @@ TEST(FeatureStoreDeltaTest, IndexLoadFactorStaysUnderTheGrowKnee) {
 TEST(FeatureStoreDeltaTest, EvictionTombstonesAreReusedOnReinsert) {
   const numa::Topology topo = numa::Local2();
   auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+  obs::Registry reg;
   const Index rows = 8;
   const Index dim = 2;
-  FeatureStore store("f", alloc, rows, dim,
+  FeatureStore store("f", alloc, &reg, rows, dim,
                      PagedStore(StorePlacement::kReplicated, 4));
   store.Publish(CoordinateTable(rows, dim));  // identity keys 0..7, full
 
@@ -232,7 +247,7 @@ TEST(FeatureStoreDeltaTest, EvictionTombstonesAreReusedOnReinsert) {
       store.PublishDelta({100}, UniformRows(1, dim, 1.0));
   EXPECT_EQ(rep.evicted_keys, 4u);  // one page of 4 slots
   EXPECT_EQ(rep.live_rows, 5u);
-  EXPECT_EQ(store.evictions_total(), 4u);
+  EXPECT_EQ(StoreCount(reg, "evictions", store), 4u);
 
   const auto after_evict = store.Acquire();
   uint64_t tombs_before = 0;
@@ -267,9 +282,10 @@ TEST(FeatureStoreDeltaTest, EvictionTombstonesAreReusedOnReinsert) {
 TEST(FeatureStoreDeltaTest, IndexShardsBalanceAcrossNodes) {
   const numa::Topology topo = numa::Local8();
   auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+  obs::Registry reg;
   const Index rows = 4096;
   const Index dim = 2;
-  FeatureStore store("f", alloc, rows, dim,
+  FeatureStore store("f", alloc, &reg, rows, dim,
                      PagedStore(StorePlacement::kSharded, 64));
   store.Publish(CoordinateTable(rows, dim));
   const auto stats = store.Acquire()->IndexStats();
@@ -292,9 +308,10 @@ TEST(FeatureStoreDeltaTest, IndexShardsBalanceAcrossNodes) {
 TEST(FeatureStoreDeltaTest, EvictedKeysMissAndTheirSlotsRecycle) {
   const numa::Topology topo = numa::Local2();
   auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+  obs::Registry reg;
   const Index rows = 8;
   const Index dim = 2;
-  FeatureStore store("f", alloc, rows, dim,
+  FeatureStore store("f", alloc, &reg, rows, dim,
                      PagedStore(StorePlacement::kReplicated, 4));
   store.Publish(CoordinateTable(rows, dim));
 
@@ -320,9 +337,10 @@ TEST(FeatureStoreDeltaTest, EvictedKeysMissAndTheirSlotsRecycle) {
 TEST(FeatureStoreDeltaTest, GatherTouchesSteerTheClockAwayFromHotPages) {
   const numa::Topology topo = numa::Local2();
   auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+  obs::Registry reg;
   const Index rows = 8;
   const Index dim = 2;
-  FeatureStore store("f", alloc, rows, dim,
+  FeatureStore store("f", alloc, &reg, rows, dim,
                      PagedStore(StorePlacement::kReplicated, 4));
   store.Publish(CoordinateTable(rows, dim));
 
@@ -342,18 +360,20 @@ TEST(FeatureStoreDeltaTest, GatherTouchesSteerTheClockAwayFromHotPages) {
 TEST(FeatureStoreDeltaTest, RepublishMovesOnlyResidentPagesAndSharesIndex) {
   const numa::Topology topo = numa::Local2();
   auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+  obs::Registry reg;
   const Index rows = 16;
   const Index dim = 4;
-  FeatureStore store("f", alloc, rows, dim,
+  FeatureStore store("f", alloc, &reg, rows, dim,
                      PagedStore(StorePlacement::kReplicated, 4));
   // Bootstrap by delta: 2 live keys in one page, 3 pages never exist.
   store.PublishDelta({7, 11}, UniformRows(2, dim, 5.0));
-  const uint64_t delta_before = store.delta_bytes_total();
+  const uint64_t delta_before = StoreCount(reg, "delta_bytes", store);
 
   const uint64_t v = store.Republish(StorePlacement::kSharded);
   EXPECT_EQ(v, 2u);
   EXPECT_EQ(store.placement(), StorePlacement::kSharded);
-  const uint64_t republish_bytes = store.delta_bytes_total() - delta_before;
+  const uint64_t republish_bytes =
+      StoreCount(reg, "delta_bytes", store) - delta_before;
   // One 4-row page re-laid once (sharded = single copy) -- strictly less
   // than any full-table rewrite under either placement.
   EXPECT_EQ(republish_bytes, 4u * dim * sizeof(double));
@@ -371,9 +391,9 @@ TEST(FeatureStoreDeltaTest, RepublishMovesOnlyResidentPagesAndSharesIndex) {
     }
   }
   // Same placement again: no new version, no bytes moved.
-  const uint64_t bytes_now = store.delta_bytes_total();
+  const uint64_t bytes_now = StoreCount(reg, "delta_bytes", store);
   EXPECT_EQ(store.Republish(StorePlacement::kSharded), 2u);
-  EXPECT_EQ(store.delta_bytes_total(), bytes_now);
+  EXPECT_EQ(StoreCount(reg, "delta_bytes", store), bytes_now);
 }
 
 // --- shape/contract violations die -----------------------------------------
@@ -381,8 +401,9 @@ TEST(FeatureStoreDeltaTest, RepublishMovesOnlyResidentPagesAndSharesIndex) {
 TEST(FeatureStoreDeltaDeathTest, ContractViolationsDie) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
+  obs::Registry reg;
   const Index dim = 2;
-  FeatureStore store("f", alloc, 8, dim,
+  FeatureStore store("f", alloc, &reg, 8, dim,
                      PagedStore(StorePlacement::kReplicated, 4));
   store.Publish(CoordinateTable(8, dim));
   // Dim mismatch: 2 keys need 2 * dim doubles.
@@ -404,7 +425,7 @@ TEST(FeatureStoreDeltaDeathTest, ContractViolationsDie) {
   // screen. NOTE: slots freed by EVICTION are reused by the very delta
   // that evicted them, so their pages stay resident -- an unbacked page
   // only arises on a never-published range.
-  FeatureStore fresh("g", alloc, 8, dim,
+  FeatureStore fresh("g", alloc, &reg, 8, dim,
                      PagedStore(StorePlacement::kReplicated, 4));
   fresh.PublishDelta({1, 2}, UniformRows(2, dim, 1.0));
   const auto snap = fresh.Acquire();

@@ -57,7 +57,8 @@ std::vector<double> RandomTable(Index rows, Index dim, uint64_t seed) {
 
 TEST(FeatureStoreTest, EmptyUntilFirstPublish) {
   auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
-  FeatureStore store("f", alloc, 8, 4,
+  obs::Registry reg;
+  FeatureStore store("f", alloc, &reg, 8, 4,
                      PinnedStore(StorePlacement::kReplicated));
   EXPECT_EQ(store.current_version(), 0u);
   EXPECT_EQ(store.Acquire(), nullptr);
@@ -69,9 +70,10 @@ TEST(FeatureStoreTest, EmptyUntilFirstPublish) {
 TEST(FeatureStoreTest, ReplicatedPlacesFullTablePerNode) {
   const numa::Topology topo = numa::Local2();
   auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+  obs::Registry reg;
   const Index rows = 6;
   const Index dim = 4;
-  FeatureStore store("f", alloc, rows, dim,
+  FeatureStore store("f", alloc, &reg, rows, dim,
                      PinnedStore(StorePlacement::kReplicated));
   EXPECT_EQ(store.Publish(CoordinateTable(rows, dim)), 1u);
 
@@ -97,9 +99,10 @@ TEST(FeatureStoreTest, ReplicatedPlacesFullTablePerNode) {
 TEST(FeatureStoreTest, ShardedInterleavesRowsAcrossNodes) {
   const numa::Topology topo = numa::Local2();
   auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+  obs::Registry reg;
   const Index rows = 7;  // odd: shard 0 holds 4 rows, shard 1 holds 3
   const Index dim = 3;
-  FeatureStore store("f", alloc, rows, dim,
+  FeatureStore store("f", alloc, &reg, rows, dim,
                      PinnedStore(StorePlacement::kSharded));
   store.Publish(CoordinateTable(rows, dim));
 
@@ -126,22 +129,24 @@ TEST(FeatureStoreTest, CostModelChoosesPlacement) {
   // No override: the chooser decides from the traffic estimate, exactly
   // like the model-side registry does.
   auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local8());
+  obs::Registry reg;
   StoreOptions read_heavy;
   read_heavy.reads_per_refresh = 1 << 20;
-  FeatureStore hot("hot", alloc, 4096, 2048, read_heavy);
+  FeatureStore hot("hot", alloc, &reg, 4096, 2048, read_heavy);
   EXPECT_EQ(hot.placement(), StorePlacement::kReplicated);
   EXPECT_FALSE(hot.rationale().empty());
 
   StoreOptions refresh_heavy;
   refresh_heavy.reads_per_refresh = 0.0;
-  FeatureStore churn("churn", alloc, 4096, 2048, refresh_heavy);
+  FeatureStore churn("churn", alloc, &reg, 4096, 2048, refresh_heavy);
   EXPECT_EQ(churn.placement(), StorePlacement::kSharded);
   EXPECT_FALSE(churn.rationale().empty());
 }
 
 TEST(FeatureStoreTest, RepublishSwapsVersionAndOldSnapshotStaysValid) {
   auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
-  FeatureStore store("f", alloc, 4, 2,
+  obs::Registry reg;
+  FeatureStore store("f", alloc, &reg, 4, 2,
                      PinnedStore(StorePlacement::kReplicated));
   store.Publish(std::vector<double>(8, 1.0));
   const auto old_snap = store.Acquire();
@@ -159,7 +164,8 @@ TEST(FeatureStoreTest, SnapshotOutlivesStore) {
   std::shared_ptr<const FeatureStoreSnapshot> snap;
   {
     auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
-    FeatureStore store("f", alloc, 2, 2,
+    obs::Registry reg;
+    FeatureStore store("f", alloc, &reg, 2, 2,
                        PinnedStore(StorePlacement::kSharded));
     store.Publish({1.0, 2.0, 3.0, 4.0});
     snap = store.Acquire();
@@ -171,7 +177,8 @@ TEST(FeatureStoreTest, SnapshotOutlivesStore) {
 TEST(FeatureStoreTest, PublishRejectsShapeMismatch) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
-  FeatureStore store("f", alloc, 4, 4,
+  obs::Registry reg;
+  FeatureStore store("f", alloc, &reg, 4, 4,
                      PinnedStore(StorePlacement::kReplicated));
   EXPECT_DEATH(store.Publish(std::vector<double>(15, 1.0)),
                "shape mismatch");
@@ -183,7 +190,8 @@ TEST(FeatureStoreTest, RowAccessorsValidateIndices) {
   // refuse loudly instead.
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
-  FeatureStore store("f", alloc, 4, 2,
+  obs::Registry reg;
+  FeatureStore store("f", alloc, &reg, 4, 2,
                      PinnedStore(StorePlacement::kSharded));
   store.Publish(std::vector<double>(8, 1.0));
   const auto snap = store.Acquire();

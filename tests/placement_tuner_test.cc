@@ -96,6 +96,14 @@ void DriveIdKeyed(ServingEngine& server, const std::string& family,
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
 }
 
+/// Migrations the tuner completed, of either kind, read by name:
+/// tuner.flips{kind=replication} + tuner.flips{kind=store_placement}.
+uint64_t Flips(const ServingEngine& server) {
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  return snap.CounterValue("tuner.flips", {{"kind", "replication"}}) +
+         snap.CounterValue("tuner.flips", {{"kind", "store_placement"}});
+}
+
 /// An engine on the 2-socket test topology with fast flushes.
 ServingOptions TunedEngineOptions() {
   ServingOptions opts;
@@ -133,10 +141,10 @@ TEST(PlacementTunerTest, FlipsFrozenReplicationUnderReadHeavyTraffic) {
   // the tuner): on local2 the chooser models a ~1.13x win for kPerNode at
   // dim 128 (probed against the memory model), past the 1.05 gate.
   DriveCarried(server, "m", kDim, 4096);
-  EXPECT_EQ(tuner->flips(), 0u);
+  EXPECT_EQ(Flips(server), 0u);
   EXPECT_EQ(tuner->ScanOnce(), 1);
   EXPECT_EQ(tuner->scans(), 1u);
-  EXPECT_EQ(tuner->flips(), 1u);
+  EXPECT_EQ(Flips(server), 1u);
   EXPECT_EQ(server.FindFamily("m")->replication(), Replication::kPerNode);
   // The migration republished through the regular hot-swap path.
   EXPECT_EQ(server.FindFamily("m")->current_version(), 2u);
@@ -172,7 +180,7 @@ TEST(PlacementTunerTest, FlipsFrozenReplicationUnderReadHeavyTraffic) {
   // busy interval endorses the incumbent: no decision, no flip-back.
   DriveCarried(server, "m", kDim, 4096);
   EXPECT_EQ(tuner->ScanOnce(), 0);
-  EXPECT_EQ(tuner->flips(), 1u);
+  EXPECT_EQ(Flips(server), 1u);
   EXPECT_EQ(tuner->Decisions().size(), 1u);
   auto s = server.ScoreSync("m", std::vector<Index>{},
                             std::vector<double>(kDim, 1.0));
@@ -227,7 +235,7 @@ TEST(PlacementTunerTest, FlipsStorePlacementAndKeepsMarginsExact) {
   // for kReplicated on this 128x128 table, past the 1.2 gate.
   DriveIdKeyed(server, "m", kRows, 4096);
   EXPECT_EQ(tuner->ScanOnce(), 1);
-  EXPECT_EQ(tuner->flips(), 1u);
+  EXPECT_EQ(Flips(server), 1u);
   EXPECT_EQ(store->placement(), StorePlacement::kReplicated);
   EXPECT_EQ(store->current_version(), 2u);
 
@@ -282,7 +290,7 @@ TEST(PlacementTunerTest, RefreshFreeIntervalsKeepReplicatedStore) {
     DriveIdKeyed(server, "m", kRows, 256);
     tuner->ScanOnce();
   }
-  EXPECT_EQ(tuner->flips(), 0u);
+  EXPECT_EQ(Flips(server), 0u);
   EXPECT_EQ(server.FindStore("m")->placement(), StorePlacement::kReplicated);
   server.Stop();
 }
@@ -306,7 +314,7 @@ TEST(PlacementTunerTest, HysteresisRequiresConsecutiveConfirmingScans) {
   // First confirming scan: a vote, not a migration.
   DriveCarried(server, "m", kDim, 4096);
   EXPECT_EQ(tuner->ScanOnce(), 0);
-  EXPECT_EQ(tuner->flips(), 0u);
+  EXPECT_EQ(Flips(server), 0u);
   EXPECT_EQ(server.FindFamily("m")->replication(), Replication::kPerMachine);
   {
     const std::vector<opt::TunerDecision> decisions = tuner->Decisions();
@@ -320,7 +328,7 @@ TEST(PlacementTunerTest, HysteresisRequiresConsecutiveConfirmingScans) {
   // Second consecutive confirming scan migrates.
   DriveCarried(server, "m", kDim, 4096);
   EXPECT_EQ(tuner->ScanOnce(), 1);
-  EXPECT_EQ(tuner->flips(), 1u);
+  EXPECT_EQ(Flips(server), 1u);
   EXPECT_EQ(server.FindFamily("m")->replication(), Replication::kPerNode);
   const std::vector<opt::TunerDecision> decisions = tuner->Decisions();
   ASSERT_EQ(decisions.size(), 2u);
@@ -348,7 +356,7 @@ TEST(PlacementTunerTest, AdvantageGateHoldsMarginalWins) {
     DriveCarried(server, "m", kDim, 4096);
     EXPECT_EQ(tuner->ScanOnce(), 0);
   }
-  EXPECT_EQ(tuner->flips(), 0u);
+  EXPECT_EQ(Flips(server), 0u);
   EXPECT_EQ(server.FindFamily("m")->replication(), Replication::kPerMachine);
   const std::vector<opt::TunerDecision> decisions = tuner->Decisions();
   ASSERT_EQ(decisions.size(), 2u);
@@ -387,7 +395,7 @@ TEST(PlacementTunerTest, QuietIntervalNeitherVotesNorDecides) {
 
   DriveCarried(server, "m", kDim, 32);
   EXPECT_EQ(tuner->ScanOnce(), 0);
-  EXPECT_EQ(tuner->flips(), 0u);
+  EXPECT_EQ(Flips(server), 0u);
   EXPECT_TRUE(tuner->Decisions().empty());
   EXPECT_EQ(server.FindFamily("m")->replication(), Replication::kPerMachine);
   server.Stop();
@@ -449,7 +457,9 @@ TEST(PlacementTunerTest, TightensExporterPeriodOverStalenessSlo) {
     ASSERT_TRUE(rig.server->ScoreSync("ls", {0}, {1.0}).ok());
   }
   EXPECT_EQ(tuner->ScanOnce(), 0);  // period changes are not migrations
-  EXPECT_EQ(tuner->period_adjustments(), 1u);
+  EXPECT_EQ(rig.server->telemetry().Snapshot().CounterValue(
+                "tuner.period_adjustments"),
+            1u);
   EXPECT_DOUBLE_EQ(rig.exporter->period_floor_ms(), 25.0);
 
   const std::vector<opt::TunerDecision> decisions = tuner->Decisions();
@@ -481,7 +491,9 @@ TEST(PlacementTunerTest, StretchesExporterPeriodFarUnderSlo) {
     ASSERT_TRUE(rig.server->ScoreSync("ls", {0}, {1.0}).ok());
   }
   EXPECT_EQ(tuner->ScanOnce(), 0);
-  EXPECT_EQ(tuner->period_adjustments(), 1u);
+  EXPECT_EQ(rig.server->telemetry().Snapshot().CounterValue(
+                "tuner.period_adjustments"),
+            1u);
   EXPECT_DOUBLE_EQ(rig.exporter->period_floor_ms(), 100.0);
 
   rig.exporter->Stop();
@@ -625,7 +637,7 @@ TEST(PlacementTunerTest, MigrationUnderLoadNeverFailsOrTearsRequests) {
   monitor.join();
 
   // The tuner flipped the store off its frozen placement mid-flood.
-  EXPECT_GE(tuner->flips(), 1u);
+  EXPECT_GE(Flips(server), 1u);
   EXPECT_EQ(store->placement(), StorePlacement::kReplicated);
   EXPECT_GT(served.load(), 0u);
   server.Stop();

@@ -338,6 +338,14 @@ RequestBatcher::Options BatchOpts(size_t max_batch,
   return o;
 }
 
+/// A standalone batcher's queue.<name> counter for unnamed queue `f`
+/// (labeled family=q<f>), read from its registry by exported name.
+uint64_t QueueCount(const obs::Registry& reg, const std::string& name,
+                    FamilyId f) {
+  return reg.Snapshot().CounterValue(
+      "queue." + name, {{"family", "q" + std::to_string(f)}});
+}
+
 std::future<double> MustSubmit(RequestBatcher& b, FamilyId f, double value) {
   auto fut = b.Submit(f, ScoreRequest::Carried({0}, {value}));
   EXPECT_TRUE(fut.ok()) << fut.status().ToString();
@@ -345,7 +353,8 @@ std::future<double> MustSubmit(RequestBatcher& b, FamilyId f, double value) {
 }
 
 TEST(RequestBatcherTest, FlushesOnSizeWithoutWaitingForDeadline) {
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId f = b.AddQueue(BatchOpts(4, std::chrono::seconds(10)));
   for (int i = 0; i < 4; ++i) MustSubmit(b, f, i);
   WallTimer timer;
@@ -357,12 +366,13 @@ TEST(RequestBatcherTest, FlushesOnSizeWithoutWaitingForDeadline) {
   // Released by the size trigger, not the 10 s deadline.
   EXPECT_LT(timer.Seconds(), 1.0);
   EXPECT_EQ(b.pending(), 0u);
-  EXPECT_EQ(b.queue_stats(f).flush_size, 1u);
+  EXPECT_EQ(QueueCount(reg, "flush_size", f), 1u);
 }
 
 TEST(RequestBatcherTest, FlushesPartialBatchOnDeadline) {
   const auto delay = std::chrono::milliseconds(25);
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId f = b.AddQueue(BatchOpts(1000, delay));
   MustSubmit(b, f, 1.0);
   WallTimer timer;
@@ -375,11 +385,12 @@ TEST(RequestBatcherTest, FlushesPartialBatchOnDeadline) {
   // bound for slow CI).
   EXPECT_GE(waited, 0.015);
   EXPECT_LT(waited, 5.0);
-  EXPECT_EQ(b.queue_stats(f).flush_deadline, 1u);
+  EXPECT_EQ(QueueCount(reg, "flush_deadline", f), 1u);
 }
 
 TEST(RequestBatcherTest, ShutdownDrainsRemainderThenStops) {
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId f = b.AddQueue(BatchOpts(1000, std::chrono::seconds(10)));
   for (int i = 0; i < 3; ++i) MustSubmit(b, f, i);
   b.Shutdown();
@@ -391,15 +402,16 @@ TEST(RequestBatcherTest, ShutdownDrainsRemainderThenStops) {
   // Admission is closed.
   EXPECT_EQ(b.Submit(f, ScoreRequest::Carried({0}, {1.0})).status().code(),
             Status::Code::kFailedPrecondition);
-  EXPECT_EQ(b.queue_stats(f).flush_drain, 1u);
+  EXPECT_EQ(QueueCount(reg, "flush_drain", f), 1u);
 }
 
 TEST(RequestBatcherTest, QueueBoundsAndRejectionsArePerFamily) {
-  RequestBatcher b;
-  const FamilyId tiny =
-      b.AddQueue(BatchOpts(1000, std::chrono::seconds(10), /*max_rows=*/2));
+  obs::Registry reg;
+  RequestBatcher b(&reg);
+  const FamilyId tiny = b.AddQueue(
+      BatchOpts(1000, std::chrono::seconds(10), /*max_rows=*/2), "tiny");
   const FamilyId roomy =
-      b.AddQueue(BatchOpts(1000, std::chrono::seconds(10)));
+      b.AddQueue(BatchOpts(1000, std::chrono::seconds(10)), "roomy");
   MustSubmit(b, tiny, 1.0);
   MustSubmit(b, tiny, 2.0);
   // The tiny family back-pressures...
@@ -407,17 +419,19 @@ TEST(RequestBatcherTest, QueueBoundsAndRejectionsArePerFamily) {
             Status::Code::kResourceExhausted);
   // ...without starving its neighbor.
   MustSubmit(b, roomy, 4.0);
-  const auto ts = b.queue_stats(tiny);
-  EXPECT_EQ(ts.accepted, 2u);
-  EXPECT_EQ(ts.rejected_full, 1u);
-  EXPECT_EQ(ts.depth, 2u);
-  const auto rs = b.queue_stats(roomy);
-  EXPECT_EQ(rs.accepted, 1u);
-  EXPECT_EQ(rs.rejected_full, 0u);
+  const obs::RegistrySnapshot snap = reg.Snapshot();
+  const obs::Labels ts = {{"family", "tiny"}};
+  EXPECT_EQ(snap.CounterValue("queue.accepted", ts), 2u);
+  EXPECT_EQ(snap.CounterValue("queue.rejected_full", ts), 1u);
+  EXPECT_EQ(snap.GaugeValue("queue.depth", ts), 2.0);
+  const obs::Labels rs = {{"family", "roomy"}};
+  EXPECT_EQ(snap.CounterValue("queue.accepted", rs), 1u);
+  EXPECT_EQ(snap.CounterValue("queue.rejected_full", rs), 0u);
 }
 
 TEST(RequestBatcherTest, RejectsMismatchedRow) {
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId f = b.AddQueue(BatchOpts(8, std::chrono::milliseconds(1)));
   EXPECT_EQ(b.Submit(f, ScoreRequest::Carried({0, 1}, {1.0})).status().code(),
             Status::Code::kInvalidArgument);
@@ -444,7 +458,8 @@ TEST(RequestBatcherTest, CarriedAndIdFormsShareAdmissionCodes) {
   // Admission parity, batcher side: every request form goes through the
   // one Submit, so back-pressure and shutdown refusals must carry
   // identical Status codes whichever form hits them.
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId f =
       b.AddQueue(BatchOpts(1000, std::chrono::seconds(10), /*max_rows=*/1));
   MustSubmit(b, f, 1.0);  // fills the one-row queue
@@ -453,9 +468,9 @@ TEST(RequestBatcherTest, CarriedAndIdFormsShareAdmissionCodes) {
               Status::Code::kResourceExhausted)
         << ToString(kind);
   }
-  const auto qs = b.queue_stats(f);
-  EXPECT_EQ(qs.accepted, 1u);
-  EXPECT_EQ(qs.rejected_full, 3u);  // every refusal counted alike
+  EXPECT_EQ(QueueCount(reg, "accepted", f), 1u);
+  // Every refusal is counted alike.
+  EXPECT_EQ(QueueCount(reg, "rejected_full", f), 3u);
   b.Shutdown();
   for (const RequestKind kind : kAllKinds) {
     EXPECT_EQ(b.Submit(f, RequestOfKind(kind)).status().code(),
@@ -467,7 +482,8 @@ TEST(RequestBatcherTest, CarriedAndIdFormsShareAdmissionCodes) {
 TEST(RequestBatcherTest, IdRequestsBatchWithCarriedNeighbors) {
   // All forms interleave FIFO in one family queue; a flushed batch
   // preserves order, each request's kind, and the keyed forms' ids.
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId f = b.AddQueue(BatchOpts(4, std::chrono::seconds(10)));
   MustSubmit(b, f, 1.0);
   ASSERT_TRUE(b.Submit(f, ScoreRequest::RowId(7)).ok());
@@ -485,7 +501,8 @@ TEST(RequestBatcherTest, IdRequestsBatchWithCarriedNeighbors) {
 }
 
 TEST(RequestBatcherTest, OversizedBurstSplitsIntoFullBatches) {
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId f = b.AddQueue(BatchOpts(4, std::chrono::seconds(10)));
   for (int i = 0; i < 10; ++i) MustSubmit(b, f, i);
   b.Shutdown();
@@ -506,7 +523,8 @@ TEST(RequestBatcherTest, OversizedBurstSplitsIntoFullBatches) {
 TEST(RequestBatcherTest, ReadyBatchesRotateAcrossFamilies) {
   // Two families, both with full batches queued: workers must take them
   // round-robin, not drain one family first.
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId a = b.AddQueue(BatchOpts(2, std::chrono::seconds(10)));
   const FamilyId c = b.AddQueue(BatchOpts(2, std::chrono::seconds(10)));
   for (int i = 0; i < 4; ++i) MustSubmit(b, a, i);
@@ -524,7 +542,8 @@ TEST(RequestBatcherTest, ExpiredDeadlineOutranksSizeReadyNeighbor) {
   // A hot family that is ALWAYS size-ready must not starve a quiet
   // family whose lone request has aged past its deadline: the expired
   // deadline wins the next flush.
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId hot = b.AddQueue(BatchOpts(2, std::chrono::seconds(10)));
   const FamilyId quiet =
       b.AddQueue(BatchOpts(64, std::chrono::milliseconds(1)));
@@ -548,7 +567,8 @@ TEST(RequestBatcherTest, ExpiredDeadlineWinsEvenWhenCursorPointsElsewhere) {
   // from the cursor holds one expired request. The expired queue must be
   // drained before EITHER size-ready neighbor, cursor position be
   // damned.
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId hot_a = b.AddQueue(BatchOpts(2, std::chrono::seconds(10)));
   const FamilyId hot_b = b.AddQueue(BatchOpts(2, std::chrono::seconds(10)));
   const FamilyId quiet =
@@ -573,7 +593,8 @@ TEST(RequestBatcherTest, ExpiredDeadlineWinsEvenWhenCursorPointsElsewhere) {
 TEST(RequestBatcherTest, MultipleExpiredQueuesDrainInExpiryOrder) {
   // Two expired families: the one whose request aged FIRST flushes
   // first, not the one the cursor happens to reach first.
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId hot = b.AddQueue(BatchOpts(2, std::chrono::seconds(10)));
   const FamilyId late =
       b.AddQueue(BatchOpts(64, std::chrono::milliseconds(1)));
@@ -601,7 +622,8 @@ TEST(RequestBatcherTest, MultipleExpiredQueuesDrainInExpiryOrder) {
 TEST(RequestBatcherTest, DeadlineRespectsEachFamilysDelay) {
   // Family `slow` has a long delay, family `fast` a short one; a row in
   // each: the fast family's deadline must release first.
-  RequestBatcher b;
+  obs::Registry reg;
+  RequestBatcher b(&reg);
   const FamilyId slow =
       b.AddQueue(BatchOpts(1000, std::chrono::milliseconds(250)));
   const FamilyId fast =
@@ -1604,19 +1626,22 @@ TEST(SnapshotExporterTest, PublishesMidTrainingWithoutBlockingEpochs) {
   exporter.Stop();
   server.Stop();
 
-  const SnapshotExporter::Stats es = exporter.stats();
-  EXPECT_GE(es.publishes, 2u) << "exporter never republished mid-training";
-  EXPECT_EQ(es.last_version,
-            server.FindFamily("lr")->current_version());
-  EXPECT_GT(es.mean_publish_ms, 0.0);
-  EXPECT_GE(es.max_publish_ms, es.mean_publish_ms);
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  const obs::Labels lr_family = {{"family", "lr"}};
+  EXPECT_GE(snap.CounterValue("exporter.publishes", lr_family), 2u)
+      << "exporter never republished mid-training";
+  EXPECT_EQ(snap.GaugeValue("exporter.last_version", lr_family),
+            static_cast<double>(server.FindFamily("lr")->current_version()));
+  const obs::HistogramSnapshot& publish_ms =
+      snap.HistogramValue("exporter.publish_ms", lr_family);
+  EXPECT_GT(publish_ms.Mean(), 0.0);
+  EXPECT_GE(publish_ms.max, publish_ms.Mean());
 
   // Serving-side staleness was measured and bounded: a 2ms export period
   // cannot leave minutes of staleness behind.
-  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
-  EXPECT_GT(snap.CounterValue("serve.rows", {{"family", "lr"}}), 0u);
+  EXPECT_GT(snap.CounterValue("serve.rows", lr_family), 0u);
   const double mean_staleness_ms =
-      snap.HistogramValue("serve.staleness_ms", {{"family", "lr"}}).Mean();
+      snap.HistogramValue("serve.staleness_ms", lr_family).Mean();
   EXPECT_GT(mean_staleness_ms, 0.0);
   EXPECT_LT(mean_staleness_ms, 60e3);
 }
@@ -1686,13 +1711,14 @@ TEST(SnapshotExporterTest, PacingDerivesPeriodFromPublishLatency) {
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   exporter.Stop();
 
-  const SnapshotExporter::Stats es = exporter.stats();
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  const obs::Labels ls_family = {{"family", "ls"}};
   // The Start() publish + at most one loop publish + the Stop() flush: far
   // fewer than the ~150 publishes the raw 1ms period would have run.
-  EXPECT_LE(es.publishes, 4u);
-  EXPECT_GE(es.paced_periods, 1u);
-  EXPECT_GT(es.effective_period_ms, 1.0);
-  EXPECT_GT(es.ewma_publish_ms, 0.0);
+  EXPECT_LE(snap.CounterValue("exporter.publishes", ls_family), 4u);
+  EXPECT_GE(snap.CounterValue("exporter.paced_periods", ls_family), 1u);
+  EXPECT_GT(snap.GaugeValue("exporter.effective_period_ms", ls_family), 1.0);
+  EXPECT_GT(exporter.ewma_publish_ms(), 0.0);
 
   // The default fraction leaves a cheap publish on its configured floor:
   // same setup, default ceiling, expect many publishes in the window.
@@ -1709,7 +1735,9 @@ TEST(SnapshotExporterTest, PacingDerivesPeriodFromPublishLatency) {
   exporter2.Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   exporter2.Stop();
-  EXPECT_GT(exporter2.stats().publishes, 10u);
+  EXPECT_GT(server2.telemetry().Snapshot().CounterValue("exporter.publishes",
+                                                        ls_family),
+            10u);
 }
 
 TEST(SnapshotExporterTest, SetPeriodOverridesAndRestoresTheFloor) {
@@ -1756,7 +1784,107 @@ TEST(SnapshotExporterTest, SetPeriodOverridesAndRestoresTheFloor) {
   exporter2.SetPeriod(std::chrono::milliseconds(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   exporter2.Stop();
-  EXPECT_GT(exporter2.stats().publishes, 5u);
+  EXPECT_GT(server2.telemetry().Snapshot().CounterValue("exporter.publishes",
+                                                        {{"family", "ls"}}),
+            5u);
+}
+
+// --- telemetry off ----------------------------------------------------------
+
+TEST(ServingEngineTest, ServesAndPacesWithTelemetryOff) {
+  // Every serving component keeps working on a disabled registry: the
+  // three request forms and a store delta score right, the exporter still
+  // paces off its own publish-latency EWMA, nothing is exported, and
+  // Stats() reads its counted fields as zeros instead of dying.
+  constexpr Index kDim = 8;
+  constexpr Index kRows = 16;
+  const data::Dataset d = ServeDataset(60, kDim, 93);
+  models::LeastSquaresSpec ls;
+  engine::EngineOptions topts;
+  topts.topology = numa::Local2();
+  engine::Engine trainer(&d, &ls, topts);
+  ASSERT_TRUE(trainer.Init().ok());
+
+  ServingOptions opts;
+  opts.topology = numa::Local2();
+  opts.num_threads = 2;
+  opts.batch.max_batch_size = 8;
+  opts.batch.max_delay = std::chrono::microseconds(100);
+  opts.telemetry = false;
+  ServingEngine server(opts);
+  ASSERT_TRUE(server
+                  .RegisterFamily("fixed", &ls,
+                                  ServePinned(kDim, Replication::kPerNode))
+                  .ok());
+  ASSERT_TRUE(server.RegisterStore("fixed", kRows, kDim).ok());
+  ASSERT_TRUE(server
+                  .RegisterFamily("trained", &ls,
+                                  ServePinned(kDim, Replication::kPerNode))
+                  .ok());
+  server.Publish("fixed", std::vector<double>(kDim, 0.5));
+  // Row r (identity key r) holds r + 1 in every column.
+  std::vector<double> table(static_cast<size_t>(kRows) * kDim);
+  for (size_t i = 0; i < table.size(); ++i) {
+    table[i] = static_cast<double>(i / kDim + 1);
+  }
+  server.PublishStore("fixed", table);
+  SnapshotExporter::Options eopts;
+  eopts.period = std::chrono::milliseconds(1);
+  eopts.max_publish_fraction = 1e-6;  // any publish paces to seconds
+  SnapshotExporter exporter(&trainer, &server, "trained", eopts);
+  exporter.Start();
+  ASSERT_TRUE(server.Start().ok());
+
+  // Predict is 0.5 * (sum of the row's values).
+  const auto carried = server.ScoreSync("fixed", {0, 3}, {2.0, 4.0});
+  ASSERT_TRUE(carried.ok()) << carried.status().ToString();
+  EXPECT_DOUBLE_EQ(carried.value(), 3.0);
+  const auto by_id = server.ScoreSync("fixed", Index{2});
+  ASSERT_TRUE(by_id.ok()) << by_id.status().ToString();
+  EXPECT_DOUBLE_EQ(by_id.value(), 0.5 * kDim * 3.0);
+  const auto by_key = server.ScoreKeySync("fixed", 5);
+  ASSERT_TRUE(by_key.ok()) << by_key.status().ToString();
+  EXPECT_DOUBLE_EQ(by_key.value(), 0.5 * kDim * 6.0);
+  const StorePublishReport rep =
+      server.PublishStoreDelta("fixed", {5}, std::vector<double>(kDim, 10.0));
+  EXPECT_EQ(rep.version, 2u);
+  const auto after_delta = server.ScoreKeySync("fixed", 5);
+  ASSERT_TRUE(after_delta.ok()) << after_delta.status().ToString();
+  EXPECT_DOUBLE_EQ(after_delta.value(), 0.5 * kDim * 10.0);
+
+  // The Start() publish + at most one paced loop publish + the Stop()
+  // flush; an unpaced 1 ms period would publish ~150 times.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  exporter.Stop();
+  EXPECT_LE(server.FindFamily("trained")->current_version(), 4u);
+  EXPECT_GT(exporter.ewma_publish_ms(), 0.0);
+  server.Stop();
+
+  EXPECT_TRUE(server.telemetry().Snapshot().metrics.empty());
+  const ServingStats stats = server.Stats();
+  ASSERT_EQ(stats.families.size(), 2u);
+  for (const FamilyServingStats& f : stats.families) {
+    EXPECT_EQ(f.mean_batch_rows, 0.0) << f.family;
+    EXPECT_EQ(f.flush_size, 0u) << f.family;
+    EXPECT_EQ(f.flush_deadline, 0u) << f.family;
+    EXPECT_EQ(f.flush_drain, 0u) << f.family;
+    EXPECT_EQ(f.rejected, 0u) << f.family;
+    EXPECT_EQ(f.rejected_cost, 0u) << f.family;
+    EXPECT_EQ(f.local_store_rows, 0u) << f.family;
+    EXPECT_EQ(f.remote_store_rows, 0u) << f.family;
+    EXPECT_GT(f.est_row_us, 0.0) << f.family;
+  }
+}
+
+TEST(ServingComponentDeathTest, NullRegistryDies) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH({ RequestBatcher batcher(nullptr); }, "needs a registry");
+  EXPECT_DEATH(
+      { opt::AdmissionController admission(numa::Local2(), nullptr); },
+      "needs a registry");
+  const auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
+  EXPECT_DEATH({ FeatureStore store("f", alloc, nullptr, 4, 2, {}); },
+               "needs a registry");
 }
 
 }  // namespace

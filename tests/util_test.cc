@@ -8,9 +8,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -310,6 +315,40 @@ TEST(WorkerPoolTest, PinsEachWorkerToItsCpuOnly) {
     EXPECT_TRUE(CPU_ISSET(cpus[w], &masks[w])) << "worker " << w;
   }
   EXPECT_TRUE(CPU_EQUAL(&masks.back(), &allowed));
+}
+
+TEST(WorkerPoolTest, ConstructorReturnsWithEveryWorkerNamedAndPinned) {
+  cpu_set_t allowed;
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(allowed), &allowed),
+            0);
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE && cpus.size() < 4; ++c) {
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+  }
+  WorkerPool pool(cpus);
+  // No Run yet: every worker must already carry its name and sit on its
+  // CPU (the "processor" field, 39th of /proc/<tid>/stat).
+  std::map<std::string, int> cpu_of;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    if (name.rfind("dw-worker-", 0) != 0) continue;
+    std::ifstream stat(task.path() / "stat");
+    std::string line;
+    std::getline(stat, line);
+    std::istringstream fields(line.substr(line.rfind(')') + 2));
+    std::string field;
+    for (int f = 3; f <= 39; ++f) fields >> field;
+    cpu_of[name] = std::stoi(field);
+  }
+  ASSERT_EQ(cpu_of.size(), cpus.size());
+  for (size_t w = 0; w < cpus.size(); ++w) {
+    const auto it = cpu_of.find("dw-worker-" + std::to_string(w));
+    ASSERT_NE(it, cpu_of.end()) << "worker " << w;
+    EXPECT_EQ(it->second, cpus[w]) << "worker " << w;
+  }
 }
 
 double ProcessCpuSeconds() {
