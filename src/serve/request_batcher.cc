@@ -15,6 +15,8 @@ const char* ToString(FlushReason r) {
       return "deadline";
     case FlushReason::kDrain:
       return "drain";
+    case FlushReason::kIdle:
+      return "idle";
   }
   return "?";
 }
@@ -71,6 +73,7 @@ FamilyId RequestBatcher::AddQueue(const Options& opts,
   q.flush_size = registry_->GetCounter("queue.flush_size", labels);
   q.flush_deadline = registry_->GetCounter("queue.flush_deadline", labels);
   q.flush_drain = registry_->GetCounter("queue.flush_drain", labels);
+  q.flush_idle = registry_->GetCounter("queue.flush_idle", labels);
   q.depth = registry_->GetGauge("queue.depth", labels);
   queues_.push_back(std::move(q));
   return static_cast<FamilyId>(queues_.size() - 1);
@@ -176,6 +179,7 @@ StatusOr<std::future<double>> RequestBatcher::Submit(
   }
   std::future<double> fut = req.result.get_future();
 
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
     DW_CHECK_GE(family, 0);
@@ -263,10 +267,12 @@ StatusOr<std::future<double>> RequestBatcher::Submit(
     cq.queue.push_back(std::move(req));
     ++q.rows;
     q.depth->Set(static_cast<double>(q.rows));
+    // Only the family's first queued row (an idle flush, or a deadline
+    // to arm) and the row that fills a batch change what a waiter does;
+    // a row joining a waiting partial batch wakes nobody.
+    wake = q.rows == 1 || q.rows == q.opts.max_batch_size;
   }
-  // One waiter is enough: either a batch is full and it takes it, or it
-  // re-arms its deadline timer on the (possibly first) queued request.
-  ready_cv_.notify_one();
+  if (wake) ready_cv_.notify_one();
   return fut;
 }
 
@@ -289,7 +295,6 @@ void RequestBatcher::TakeBatch(FamilyId f, FlushReason reason, Batch* out) {
   out->family = f;
   out->reason = reason;
   out->formed_at = std::chrono::steady_clock::now();
-  out->requests.clear();
   out->requests.reserve(take);
   size_t taken = 0;
   if (reason == FlushReason::kSize && q.opts.fair_queuing &&
@@ -320,7 +325,7 @@ void RequestBatcher::TakeBatch(FamilyId f, FlushReason reason, Batch* out) {
       if (cq.queue.empty()) cq.deficit = 0;
     }
   } else {
-    // Deadline and drain flushes are the latency path: rows leave
+    // Deadline, idle and drain flushes are the latency path: rows leave
     // oldest-first across clients, so the aged request that triggered
     // the flush is in the batch, not stranded behind a rotation cursor.
     // (FIFO mode takes this arrival-ordered merge for every reason.)
@@ -342,6 +347,8 @@ void RequestBatcher::TakeBatch(FamilyId f, FlushReason reason, Batch* out) {
   }
   q.rows -= take;
   q.depth->Set(static_cast<double>(q.rows));
+  ++q.in_flight;
+  out->in_flight_ = true;
   switch (reason) {
     case FlushReason::kSize:
       q.flush_size->Increment();
@@ -352,24 +359,44 @@ void RequestBatcher::TakeBatch(FamilyId f, FlushReason reason, Batch* out) {
     case FlushReason::kDrain:
       q.flush_drain->Increment();
       break;
+    case FlushReason::kIdle:
+      q.flush_idle->Increment();
+      break;
   }
 }
 
+bool RequestBatcher::UnwatchedWorkLocked() const {
+  for (const FamilyQueue& q : queues_) {
+    if (q.rows == 0) continue;
+    if (shutdown_ || q.in_flight == 0 || q.rows >= q.opts.max_batch_size) {
+      return true;
+    }
+    std::chrono::steady_clock::time_point front;
+    OldestFront(q, &front);
+    if (front + q.opts.max_delay < timer_at_) return true;
+  }
+  return false;
+}
+
 bool RequestBatcher::NextBatch(Batch* out) {
+  // The hand-back: the batch this worker last took is finished. Its
+  // requests (payload vectors, resolved promises) are freed here, before
+  // the lock, so Submit never waits on a worker's deallocations.
+  out->requests.clear();
   std::unique_lock<std::mutex> lk(mu_);
+  if (out->in_flight_) {
+    out->in_flight_ = false;
+    --queues_[out->family].in_flight;
+  }
   for (;;) {
     const size_t nq = queues_.size();
-    // Expired deadlines outrank everything, INCLUDING size-ready
-    // neighbors and the round-robin cursor: a family whose oldest
-    // request has aged past max_delay already blew its latency promise,
-    // while a full batch merely became eligible -- under sustained load
-    // on one hot family the size branch is always ready, and checking it
-    // first would starve everyone else's deadlines without bound. The
-    // scan covers EVERY family and picks the earliest deadline, so
-    // multiple expired families drain in expiry order, not cursor order.
+    // One scan: the earliest deadline of any queued request, and the
+    // earliest among families with no batch in flight (idle).
     bool any_waiting = false;
     auto earliest = std::chrono::steady_clock::time_point::max();
     size_t earliest_f = 0;
+    auto idle_earliest = std::chrono::steady_clock::time_point::max();
+    size_t idle_f = nq;  // none
     for (size_t f = 0; f < nq; ++f) {
       std::chrono::steady_clock::time_point front;
       if (!OldestFront(queues_[f], &front)) continue;
@@ -379,44 +406,64 @@ bool RequestBatcher::NextBatch(Batch* out) {
         earliest = deadline;
         earliest_f = f;
       }
+      if (queues_[f].in_flight == 0 && deadline < idle_earliest) {
+        idle_earliest = deadline;
+        idle_f = f;
+      }
     }
+    // Expired deadlines outrank everything, INCLUDING size-ready
+    // neighbors and the round-robin cursor: a family whose oldest
+    // request has aged past max_delay already blew its latency promise,
+    // while a full batch merely became eligible -- under sustained load
+    // on one hot family the size branch is always ready, and checking it
+    // first would starve everyone else's deadlines without bound. The
+    // scan covers EVERY family and picks the earliest deadline, so
+    // multiple expired families drain in expiry order, not cursor order.
+    size_t pick = nq;
+    FlushReason reason = FlushReason::kDeadline;
     if (any_waiting && std::chrono::steady_clock::now() >= earliest) {
-      next_queue_ = (earliest_f + 1) % nq;
-      TakeBatch(static_cast<FamilyId>(earliest_f), FlushReason::kDeadline,
-                out);
-      lk.unlock();
-      // Leftover rows may already form another ready batch: hand them
-      // to a sibling worker immediately.
-      ready_cv_.notify_one();
-      return true;
+      pick = earliest_f;
     }
     // Size-triggered flush, round-robin from the cursor so a hot family
     // cannot monopolize the workers.
-    for (size_t k = 0; k < nq; ++k) {
+    for (size_t k = 0; pick == nq && k < nq; ++k) {
       const size_t f = (next_queue_ + k) % nq;
       if (queues_[f].rows >= queues_[f].opts.max_batch_size) {
-        next_queue_ = (f + 1) % nq;
-        TakeBatch(static_cast<FamilyId>(f), FlushReason::kSize, out);
-        lk.unlock();
-        ready_cv_.notify_one();
-        return true;
+        pick = f;
+        reason = FlushReason::kSize;
       }
     }
-    if (shutdown_) {
-      for (size_t k = 0; k < nq; ++k) {
+    if (pick == nq && shutdown_) {
+      for (size_t k = 0; pick == nq && k < nq; ++k) {
         const size_t f = (next_queue_ + k) % nq;
-        if (queues_[f].rows > 0) {
-          next_queue_ = (f + 1) % nq;
-          TakeBatch(static_cast<FamilyId>(f), FlushReason::kDrain, out);
-          lk.unlock();
-          ready_cv_.notify_one();
-          return true;
-        }
+        if (queues_[f].rows > 0) pick = f;
       }
-      return false;  // shut down AND fully drained
+      if (pick == nq) return false;  // shut down AND fully drained
+      reason = FlushReason::kDrain;
     }
-    if (any_waiting) {
+    // Nagle: a family with no batch in flight sends what it has.
+    if (pick == nq && idle_f < nq) {
+      pick = idle_f;
+      reason = FlushReason::kIdle;
+    }
+    if (pick < nq) {
+      next_queue_ = (pick + 1) % nq;
+      TakeBatch(static_cast<FamilyId>(pick), reason, out);
+      const bool wake = UnwatchedWorkLocked();
+      lk.unlock();
+      if (wake) ready_cv_.notify_one();
+      return true;
+    }
+    // Every queued row sits behind an in-flight batch of its family.
+    // Arm a timer for the earliest deadline unless a sleeping worker
+    // already wakes by then; otherwise wait for a Submit, a sibling's
+    // wake or Shutdown.
+    if (any_waiting && earliest < timer_at_) {
+      timer_at_ = earliest;
       ready_cv_.wait_until(lk, earliest);
+      if (timer_at_ == earliest) {
+        timer_at_ = std::chrono::steady_clock::time_point::max();
+      }
     } else {
       ready_cv_.wait(lk);
     }

@@ -31,17 +31,28 @@
 // are split across clients by weight, so a hog exhausts only its own
 // share.
 //
-// Flush policy (per family): a batch is released as soon as the queue
-// reaches max_batch_size rows (flush on size), or when the OLDEST queued
-// request in ANY of the family's client subqueues has waited max_delay
-// (flush on deadline), whichever comes first. Expired deadlines outrank
-// size-ready neighbors regardless of where the round-robin cursor
-// points, and multiple expired families drain in expiry order. Deadline
-// and drain flushes take rows oldest-first across clients (the latency
-// path honors age); size flushes take them DRR (the throughput path
-// honors fairness). Shutdown() drains: workers keep receiving partial
+// Flush policy (per family) is Nagle's rule (RFC 896) applied to
+// batches. A family with no batch in flight sends its queued rows at
+// once (flush on idle): an idle worker has nothing to wait for. While a
+// batch of the family is being scored, later rows coalesce behind it and
+// leave when the queue reaches max_batch_size (flush on size), when the
+// in-flight batch is handed back (the family is idle again), or when the
+// OLDEST queued request in ANY of the family's client subqueues has
+// waited max_delay (flush on deadline): max_delay is a ceiling, not a
+// fixed pause. Expired deadlines go first, in expiry order, regardless
+// of the round-robin cursor; then size-ready families, round-robin; then
+// idle families, earliest deadline first. Deadline, idle and drain
+// flushes take rows oldest-first across clients (the latency path
+// honors age); size flushes take them DRR (the throughput path honors
+// fairness). Shutdown() drains: the remaining rows leave as kDrain
 // batches until every queue is empty, so no accepted request is ever
 // dropped.
+//
+// Every hold of the batcher lock by a worker delays the submitting
+// thread, so wake-ups are kept to those that change what a worker does:
+// Submit wakes one waiter only when its row makes the family's queue
+// non-empty or fills a batch, and a worker that takes a batch wakes a
+// sibling only for work no sleeping worker will wake for.
 #pragma once
 
 #include <chrono>
@@ -193,11 +204,14 @@ enum class FlushReason {
   kSize,      ///< the queue reached max_batch_size
   kDeadline,  ///< the oldest request aged past max_delay
   kDrain,     ///< shutdown drained the remainder
+  kIdle,      ///< no batch of the family was in flight
 };
 
 const char* ToString(FlushReason r);
 
 /// A mini-batch handed to one scoring worker; all rows belong to `family`.
+/// It counts as in flight for its family from the NextBatch that formed
+/// it until it is passed into the next NextBatch (the hand-back).
 struct Batch {
   FamilyId family = 0;
   FlushReason reason = FlushReason::kSize;
@@ -206,14 +220,21 @@ struct Batch {
   std::chrono::steady_clock::time_point formed_at;
   std::vector<ScoreRequest> requests;
   size_t rows() const { return requests.size(); }
+
+ private:
+  friend class RequestBatcher;
+  bool in_flight_ = false;
 };
 
 /// Bounded MPMC queues (one per family, per-client subqueues inside) with
-/// size/deadline batch formation and a shared worker wait.
+/// idle/size/deadline batch formation and a shared worker wait.
 class RequestBatcher {
  public:
   struct Options {
     size_t max_batch_size = 64;
+    /// Ceiling on how long a partial batch waits behind an in-flight
+    /// batch of its family before it leaves as kDeadline. A family with
+    /// no batch in flight does not wait at all (kIdle).
     std::chrono::microseconds max_delay{500};
     /// Hard admission cap: Submit always rejects (back-pressure) beyond
     /// this many queued rows IN THIS FAMILY -- the memory bound of last
@@ -267,7 +288,7 @@ class RequestBatcher {
   /// Every queue's numbers are instruments on `registry` (non-null;
   /// must outlive the batcher), labeled family=<queue name>:
   /// queue.{accepted,rejected_full,rejected_cost} and
-  /// queue.flush_{size,deadline,drain} counters, the queue.depth gauge,
+  /// queue.flush_{size,deadline,drain,idle} counters, the queue.depth gauge,
   /// and per client (client=<id>) queue.client_{accepted,rejected,served}.
   explicit RequestBatcher(obs::Registry* registry);
 
@@ -307,11 +328,19 @@ class RequestBatcher {
       FamilyId family, ScoreRequest req,
       std::chrono::steady_clock::time_point admitted_at = {});
 
-  /// Blocks until some family has a batch ready under the flush policy;
-  /// returns false only once the batcher is shut down AND every queue is
-  /// drained. Ready queues are served round-robin so one hot family
-  /// cannot starve the others, and expired deadlines outrank size-ready
-  /// queues in expiry order.
+  /// Blocks until some family has a batch ready under the flush policy
+  /// and forms it into `out`; returns false only once the batcher is shut
+  /// down AND every queue is drained. Ready queues are served
+  /// round-robin so one hot family cannot starve the others, and expired
+  /// deadlines outrank size-ready queues in expiry order.
+  ///
+  /// Hand-back: a worker passes the SAME Batch it was last given. That
+  /// ends the old batch's flight, so its family's queued rows may leave
+  /// at once, and destroys its requests (payloads, resolved promises)
+  /// before the batcher lock is taken. Every promise in it must be
+  /// resolved by then. A fresh Batch hands nothing back; a Batch dropped
+  /// without a hand-back leaves its family counted in flight, so the
+  /// family's partial batches fall back to waiting max_delay.
   bool NextBatch(Batch* out);
 
   /// Stops admission and wakes all waiting workers to drain the queues.
@@ -355,6 +384,9 @@ class RequestBatcher {
     /// per-submit share math is O(1) under the admission lock.
     double total_weight = 0.0;
     size_t rows = 0;  ///< total queued rows across clients
+    /// Batches formed and not yet handed back: while nonzero, a partial
+    /// batch waits (up to max_delay) instead of leaving at once.
+    size_t in_flight = 0;
     /// DRR rotation cursor over clients for size-triggered flushes.
     size_t drr_cursor = 0;
     /// Accepted requests until the trace sampler marks the next one: the
@@ -367,6 +399,7 @@ class RequestBatcher {
     obs::Counter* flush_size = nullptr;
     obs::Counter* flush_deadline = nullptr;
     obs::Counter* flush_drain = nullptr;
+    obs::Counter* flush_idle = nullptr;
     obs::Gauge* depth = nullptr;
   };
 
@@ -388,10 +421,15 @@ class RequestBatcher {
   bool OldestFront(const FamilyQueue& q,
                    std::chrono::steady_clock::time_point* when) const;
 
-  /// Pops up to max_batch_size rows of queue `f` into `out` (mu_ held):
-  /// DRR across clients for size flushes, oldest-first merge for
-  /// deadline/drain flushes.
+  /// Pops up to max_batch_size rows of queue `f` into `out` and counts
+  /// the batch in flight (mu_ held): DRR across clients for size
+  /// flushes, oldest-first merge for every other reason.
   void TakeBatch(FamilyId f, FlushReason reason, Batch* out);
+
+  /// Whether queued work is left that no sleeping worker will wake for
+  /// (mu_ held): a full batch, rows of an idle family, rows to drain
+  /// after Shutdown, or a deadline earlier than timer_at_.
+  bool UnwatchedWorkLocked() const;
 
   mutable std::mutex mu_;
   std::condition_variable ready_cv_;
@@ -399,6 +437,11 @@ class RequestBatcher {
   std::deque<FamilyQueue> queues_;
   /// Round-robin cursor over families for size flushes.
   size_t next_queue_ = 0;
+  /// The earliest wake-up a waiting worker has armed for a deadline (max
+  /// when none). A later deadline needs no second timer. The worker that
+  /// armed it clears it when it wakes, for whatever reason.
+  std::chrono::steady_clock::time_point timer_at_ =
+      std::chrono::steady_clock::time_point::max();
   bool shutdown_ = false;
   const opt::AdmissionController* controller_ = nullptr;
   obs::Registry* const registry_;

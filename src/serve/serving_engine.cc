@@ -552,7 +552,9 @@ void ServingEngine::WorkerLoop(int worker_id) {
   std::vector<matrix::SparseVectorView> views;
   std::vector<size_t> view_req;
   std::vector<double> scores;
-  std::vector<size_t> traced_rows;
+  /// Traced rows: request index and the moment its promise resolved.
+  std::vector<std::pair<size_t, std::chrono::steady_clock::time_point>>
+      traced_rows;
   while (batcher_.NextBatch(&batch)) {
     // Wall time of this batch's whole service (snapshot acquire, view
     // build, kernel, promise resolution) -- the measured quantity that
@@ -710,14 +712,22 @@ void ServingEngine::WorkerLoop(int worker_id) {
       }
     }
     const auto scored_at = std::chrono::steady_clock::now();
+    const auto us = [](std::chrono::steady_clock::duration d) {
+      return std::chrono::duration<double, std::micro>(d).count();
+    };
 
     uint64_t batch_nnz = 0;
+    // Each row's complete stage ends at its own resolution, where its
+    // latency stops too, so a row's stages sum to its latency exactly.
+    // Summed here, recorded below as the batch's per-row mean.
+    double complete_us = 0.0;
     for (size_t r = 0; r < rows; ++r) {
       ScoreRequest& req = batch.requests[view_req[r]];
       req.result.set_value(scores[r]);
       // Stamped after set_value so the recorded latency covers the full
       // submit-to-resolution interval, including this batch's scoring.
       const auto resolved_at = std::chrono::steady_clock::now();
+      complete_us += us(resolved_at - scored_at);
       const uint64_t nnz = views[r].nnz;
       batch_nnz += nnz;
       if (!batched) {
@@ -742,12 +752,10 @@ void ServingEngine::WorkerLoop(int worker_id) {
             req.admit_us);
       }
       inst.stage_us[static_cast<int>(obs::Stage::kQueue)]->Record(
-          std::chrono::duration<double, std::micro>(batch.formed_at -
-                                                    req.enqueued_at)
-              .count());
-      if (req.traced) traced_rows.push_back(view_req[r]);
+          us(batch.formed_at - req.enqueued_at));
+      if (req.traced) traced_rows.emplace_back(view_req[r], resolved_at);
     }
-    const auto completed_at = std::chrono::steady_clock::now();
+    if (rows > 0) complete_us /= static_cast<double>(rows);
     if (batched && rows > 0) {
       // The spec reports what its batched kernel actually streams: the
       // blocked GLM kernels read each model tile once per row chunk; the
@@ -770,13 +778,9 @@ void ServingEngine::WorkerLoop(int worker_id) {
 
     // Batch-level stages, row-weighted so the stage histograms' means
     // stay per-row (one Record call, not `rows` identical ones).
-    const auto us = [](std::chrono::steady_clock::duration d) {
-      return std::chrono::duration<double, std::micro>(d).count();
-    };
     const double batch_form_us = us(picked_at - batch.formed_at);
     const double gather_us = us(gathered_at - picked_at);
     const double score_us = us(scored_at - gathered_at);
-    const double complete_us = us(completed_at - scored_at);
     inst.stage_us[static_cast<int>(obs::Stage::kBatchForm)]->Record(
         batch_form_us, rows);
     inst.stage_us[static_cast<int>(obs::Stage::kGather)]->Record(gather_us,
@@ -813,9 +817,9 @@ void ServingEngine::WorkerLoop(int worker_id) {
     nt.flops->Add(delta.flops);
 
     // Sampled spans: stage boundaries chain (queue ends at formed_at,
-    // batch-form at picked_at, ...), so the stages sum to total_us
-    // exactly, up to the shared batch-level tail.
-    for (const size_t r : traced_rows) {
+    // batch-form at picked_at, ..., complete at the row's resolution), so
+    // the stages sum to total_us exactly.
+    for (const auto& [r, resolved_at] : traced_rows) {
       const ScoreRequest& req = batch.requests[r];
       obs::SpanRecord rec;
       rec.family = fs.family->name();
@@ -828,8 +832,9 @@ void ServingEngine::WorkerLoop(int worker_id) {
       rec.stage_us[static_cast<int>(obs::Stage::kBatchForm)] = batch_form_us;
       rec.stage_us[static_cast<int>(obs::Stage::kGather)] = gather_us;
       rec.stage_us[static_cast<int>(obs::Stage::kScore)] = score_us;
-      rec.stage_us[static_cast<int>(obs::Stage::kComplete)] = complete_us;
-      rec.total_us = req.admit_us + us(completed_at - req.enqueued_at);
+      rec.stage_us[static_cast<int>(obs::Stage::kComplete)] =
+          us(resolved_at - scored_at);
+      rec.total_us = req.admit_us + us(resolved_at - req.enqueued_at);
       spans_.Record(std::move(rec));
     }
   }

@@ -10,10 +10,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/paper_datasets.h"
@@ -369,11 +372,116 @@ TEST(RequestBatcherTest, FlushesOnSizeWithoutWaitingForDeadline) {
   EXPECT_EQ(QueueCount(reg, "flush_size", f), 1u);
 }
 
+TEST(RequestBatcherTest, IdleFamilyFlushesALoneRowAtOnce) {
+  // No batch of the family is in flight, so a lone row does not wait for
+  // its 2 s max_delay: it wakes the sleeping worker and leaves at once as
+  // an idle flush.
+  obs::Registry reg;
+  RequestBatcher b(&reg);
+  const FamilyId f = b.AddQueue(BatchOpts(1000, std::chrono::seconds(2)));
+  Batch batch;
+  auto worker =
+      std::async(std::launch::async, [&] { return b.NextBatch(&batch); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // asleep
+  MustSubmit(b, f, 1.0);
+  const bool woke = worker.wait_for(std::chrono::seconds(1)) ==
+                    std::future_status::ready;
+  b.Shutdown();  // releases a worker the row failed to wake
+  EXPECT_TRUE(woke) << "the row did not wake the sleeping worker";
+  ASSERT_TRUE(worker.get());
+  EXPECT_EQ(batch.rows(), 1u);
+  EXPECT_EQ(batch.reason, FlushReason::kIdle);
+  EXPECT_EQ(QueueCount(reg, "flush_idle", f), 1u);
+  EXPECT_EQ(QueueCount(reg, "flush_deadline", f), 0u);
+}
+
+TEST(RequestBatcherTest, HandBackReleasesTheFamilysPartialBatch) {
+  // Batch A of family f is in flight. Rows queued behind it wait (a
+  // fresh worker sleeps toward the 2 s deadline), until A is handed
+  // back: the same Batch passed into NextBatch ends A's flight, and f's
+  // partial batch leaves at once as an idle flush.
+  obs::Registry reg;
+  RequestBatcher b(&reg);
+  const FamilyId f = b.AddQueue(BatchOpts(1000, std::chrono::seconds(2)));
+  MustSubmit(b, f, 1.0);
+  Batch held;
+  ASSERT_TRUE(b.NextBatch(&held));
+  ASSERT_EQ(held.reason, FlushReason::kIdle);
+  MustSubmit(b, f, 2.0);
+  MustSubmit(b, f, 3.0);
+
+  std::atomic<bool> fresh_returned{false};
+  std::thread fresh_worker([&] {
+    Batch fresh;
+    while (b.NextBatch(&fresh)) {
+    }
+    fresh_returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(fresh_returned.load()) << "a partial batch left behind A";
+  EXPECT_EQ(b.pending(), 2u);
+
+  WallTimer timer;
+  ASSERT_TRUE(b.NextBatch(&held));  // hands A back
+  EXPECT_LT(timer.Seconds(), 1.0);
+  EXPECT_EQ(held.family, f);
+  EXPECT_EQ(held.reason, FlushReason::kIdle);
+  ASSERT_EQ(held.rows(), 2u);
+  EXPECT_DOUBLE_EQ(held.requests[0].values[0], 2.0);
+  EXPECT_DOUBLE_EQ(held.requests[1].values[0], 3.0);
+  b.Shutdown();
+  fresh_worker.join();
+  EXPECT_TRUE(fresh_returned.load());
+  EXPECT_EQ(QueueCount(reg, "flush_idle", f), 2u);
+  EXPECT_EQ(QueueCount(reg, "flush_deadline", f), 0u);
+}
+
+TEST(RequestBatcherTest, WorkerWakesASiblingForASecondFullBatch) {
+  // Submit wakes one sleeping worker when a batch fills, not on every
+  // row. A burst that fills two batches behind an in-flight one (one row
+  // already waits there, so the burst wakes nobody on its first row)
+  // leaves the second to a sibling, which the first worker wakes when it
+  // takes its batch; without that wake the second batch waits for its
+  // 2 s deadline.
+  obs::Registry reg;
+  RequestBatcher b(&reg);
+  const FamilyId f = b.AddQueue(BatchOpts(4, std::chrono::seconds(2)));
+  MustSubmit(b, f, 0.0);
+  Batch held;  // never handed back: partial batches wait behind it
+  ASSERT_TRUE(b.NextBatch(&held));
+  MustSubmit(b, f, 0.0);
+  std::array<Batch, 2> batches;
+  std::vector<std::future<bool>> workers;
+  for (Batch& batch : batches) {
+    workers.push_back(std::async(std::launch::async,
+                                 [&b, &batch] { return b.NextBatch(&batch); }));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // asleep
+  for (int i = 1; i < 8; ++i) MustSubmit(b, f, i);
+  bool all_woke = true;
+  for (auto& w : workers) {
+    all_woke &=
+        w.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  }
+  b.Shutdown();  // releases a worker that slept through the second batch
+  EXPECT_TRUE(all_woke) << "the second full batch waited for its deadline";
+  for (size_t k = 0; k < batches.size(); ++k) {
+    ASSERT_TRUE(workers[k].get());
+    EXPECT_EQ(batches[k].reason, FlushReason::kSize);
+    EXPECT_EQ(batches[k].rows(), 4u);
+  }
+}
+
 TEST(RequestBatcherTest, FlushesPartialBatchOnDeadline) {
+  // Behind an in-flight batch of its family, a partial batch waits for
+  // max_delay and leaves as a deadline flush.
   const auto delay = std::chrono::milliseconds(25);
   obs::Registry reg;
   RequestBatcher b(&reg);
   const FamilyId f = b.AddQueue(BatchOpts(1000, delay));
+  MustSubmit(b, f, 0.0);
+  Batch held;  // never handed back: stays in flight
+  ASSERT_TRUE(b.NextBatch(&held));
   MustSubmit(b, f, 1.0);
   WallTimer timer;
   Batch batch;
@@ -620,14 +728,20 @@ TEST(RequestBatcherTest, MultipleExpiredQueuesDrainInExpiryOrder) {
 }
 
 TEST(RequestBatcherTest, DeadlineRespectsEachFamilysDelay) {
-  // Family `slow` has a long delay, family `fast` a short one; a row in
-  // each: the fast family's deadline must release first.
+  // Family `slow` has a long delay, family `fast` a short one; each holds
+  // a batch in flight and queues a row behind it: the fast family's
+  // deadline must release first.
   obs::Registry reg;
   RequestBatcher b(&reg);
   const FamilyId slow =
       b.AddQueue(BatchOpts(1000, std::chrono::milliseconds(250)));
   const FamilyId fast =
       b.AddQueue(BatchOpts(1000, std::chrono::milliseconds(5)));
+  MustSubmit(b, slow, 0.0);
+  MustSubmit(b, fast, 0.0);
+  std::array<Batch, 2> held;  // never handed back: both stay in flight
+  for (Batch& h : held) ASSERT_TRUE(b.NextBatch(&h));
+  EXPECT_NE(held[0].family, held[1].family);
   MustSubmit(b, slow, 1.0);
   MustSubmit(b, fast, 2.0);
   Batch batch;
@@ -637,6 +751,35 @@ TEST(RequestBatcherTest, DeadlineRespectsEachFamilysDelay) {
 }
 
 // --- serving engine -------------------------------------------------------
+
+/// Least squares whose first scored batch stays in flight until a later
+/// batch is scored. Rows submitted behind it queue (the family has a
+/// batch in flight), so a test can hold them there until Stop() drains.
+class FirstBatchWaitsSpec : public models::LeastSquaresSpec {
+ public:
+  void PredictBatch(const double* model, Index dim,
+                    const matrix::SparseVectorView* rows, size_t n,
+                    double* out) const override {
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      const int call = ++calls_;
+      cv_.notify_all();
+      if (call == 1) cv_.wait(lk, [this] { return calls_ > 1; });
+    }
+    LeastSquaresSpec::PredictBatch(model, dim, rows, n, out);
+  }
+
+  /// Blocks until the first batch is being scored.
+  void AwaitFirstBatch() const {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return calls_ > 0; });
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable int calls_ = 0;
+};
 
 // A row view over dataset row i, copied into the Submit format.
 void RowOf(const data::Dataset& d, Index i, std::vector<Index>* idx,
@@ -801,7 +944,9 @@ TEST(ServingEngineTest, ServedScoresMatchSingleThreadedReference) {
   const FamilyServingStats& fam = stats.families[0];
   EXPECT_EQ(fam.family, "lr");
   EXPECT_EQ(fam.rejected, 0u);
-  EXPECT_EQ(fam.flush_size + fam.flush_deadline + fam.flush_drain, batches);
+  EXPECT_EQ(fam.flush_size + fam.flush_deadline + fam.flush_drain +
+                snap.CounterValue("queue.flush_idle", lr_family),
+            batches);
   EXPECT_EQ(server.FindFamily("lr")->current_version(), 1u);
 }
 
@@ -1371,23 +1516,28 @@ TEST(ServingEngineTest, BatchedServingOfWideModelCrossesColumnBlocks) {
 }
 
 TEST(ServingEngineTest, StopDrainsAcceptedRequests) {
-  models::SvmSpec svm;
+  // The first row's batch stays in flight, so the nine rows behind it
+  // queue as a partial batch whose deadline is 10 s away: only the drain
+  // can flush them, and Stop() must.
+  FirstBatchWaitsSpec ls;
   ServingOptions opts;
   opts.topology = numa::Local2();
+  opts.num_threads = 2;  // one to hold the first batch, one to drain
   opts.batch.max_batch_size = 64;
-  opts.batch.max_delay = std::chrono::seconds(10);  // only drain can flush
+  opts.batch.max_delay = std::chrono::seconds(10);
   ServingEngine server(opts);
   ASSERT_TRUE(
-      server.RegisterFamily("svm", &svm, ServePinned(4, Replication::kPerNode))
+      server.RegisterFamily("ls", &ls, ServePinned(4, Replication::kPerNode))
           .ok());
-  server.Publish("svm", ConstantWeights(4, 1.0));
+  server.Publish("ls", ConstantWeights(4, 1.0));
   ASSERT_TRUE(server.Start().ok());
 
   std::vector<std::future<double>> futures;
   for (int i = 0; i < 10; ++i) {
-    auto fut = server.Score("svm", {0, 2}, {1.0, 1.0});
+    auto fut = server.Score("ls", {0, 2}, {1.0, 1.0});
     ASSERT_TRUE(fut.ok());
     futures.push_back(std::move(fut).value());
+    if (i == 0) ls.AwaitFirstBatch();
   }
   server.Stop();  // must flush the never-full batch
   for (auto& f : futures) {
@@ -1396,6 +1546,96 @@ TEST(ServingEngineTest, StopDrainsAcceptedRequests) {
   const ServingStats stats = server.Stats();
   ASSERT_EQ(stats.families.size(), 1u);
   EXPECT_EQ(stats.families[0].flush_drain, 1u);
+  EXPECT_EQ(server.telemetry().Snapshot().CounterValue("queue.flush_idle",
+                                                       {{"family", "ls"}}),
+            1u);
+}
+
+TEST(ServingEngineTest, QuietWakeupsStrandNoRequest) {
+  // Submit wakes a worker only for a family's first queued row or a full
+  // batch, and a worker wakes a sibling only for work nobody watches. A
+  // lost wake-up would strand a request behind an idle worker. Four
+  // workers, three families of different batch sizes and delays, and
+  // four producers mixing synchronous calls (lone rows: idle flushes)
+  // with asynchronous bursts (size and deadline flushes).
+  models::LeastSquaresSpec ls;
+  ServingOptions opts;
+  opts.topology = numa::Local2();
+  opts.num_threads = 4;
+  ServingEngine server(opts);
+  const std::array<size_t, 3> batch_sizes = {1, 4, 32};
+  const std::array<int64_t, 3> delays_us = {50, 200, 1000};
+  for (size_t k = 0; k < batch_sizes.size(); ++k) {
+    ServingFamilyOptions fam = ServePinned(8, Replication::kPerNode);
+    RequestBatcher::Options q;
+    q.max_batch_size = batch_sizes[k];
+    q.max_delay = std::chrono::microseconds(delays_us[k]);
+    fam.batch = q;
+    const std::string name = "f" + std::to_string(k);
+    ASSERT_TRUE(server.RegisterFamily(name, &ls, fam).ok());
+    server.Publish(name, ConstantWeights(8, 1.0));
+  }
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 600;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      std::vector<std::pair<double, std::future<double>>> pending;
+      for (int i = 0; i < kPerProducer; ++i) {
+        const std::string family = "f" + std::to_string((i + p) % 3);
+        const double v = static_cast<double>(i % 7);
+        if ((i + p) % 5 == 0) {
+          const StatusOr<double> got =
+              server.ScoreSync(family, {Index(i % 8)}, {v});
+          if (!got.ok() || got.value() != v) wrong.fetch_add(1);
+          continue;
+        }
+        auto fut = server.Score(family, {Index(i % 8)}, {v});
+        ASSERT_TRUE(fut.ok()) << fut.status().ToString();
+        pending.emplace_back(v, std::move(fut).value());
+        if (pending.size() == 24 || i + 1 == kPerProducer) {
+          for (auto& [want, f] : pending) {
+            ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
+                      std::future_status::ready)
+                << "a request was stranded";
+            if (f.get() != want) wrong.fetch_add(1);
+          }
+          pending.clear();
+        }
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  // Then lone synchronous rows on an idle engine: every worker has gone
+  // to sleep with nothing queued, so only the row's own wake-up serves it.
+  for (int i = 0; i < 12; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const StatusOr<double> got =
+        server.ScoreSync("f" + std::to_string(i % 3), {Index(0)}, {1.0});
+    if (!got.ok() || got.value() != 1.0) wrong.fetch_add(1);
+  }
+  server.Stop();
+  EXPECT_EQ(wrong.load(), 0);
+
+  const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+  uint64_t served = 0;
+  for (size_t k = 0; k < batch_sizes.size(); ++k) {
+    const std::string name = "f" + std::to_string(k);
+    SCOPED_TRACE(name);
+    const obs::Labels fam = {{"family", name}};
+    const uint64_t rows = snap.CounterValue("serve.rows", fam);
+    EXPECT_EQ(rows, snap.CounterValue("queue.accepted", fam));
+    EXPECT_EQ(snap.CounterValue("queue.flush_size", fam) +
+                  snap.CounterValue("queue.flush_deadline", fam) +
+                  snap.CounterValue("queue.flush_drain", fam) +
+                  snap.CounterValue("queue.flush_idle", fam),
+              snap.CounterValue("serve.batches", fam));
+    served += rows;
+  }
+  EXPECT_EQ(served, uint64_t{kProducers} * kPerProducer + 12);
 }
 
 TEST(ServingEngineTest, AdmissionCountersSurfaceBackpressure) {
@@ -1441,7 +1681,8 @@ TEST(ServingEngineTest, AdmissionCountersSurfaceBackpressure) {
   EXPECT_EQ(f.rejected, rejected);
   EXPECT_EQ(snap.CounterValue("serve.rows", svm_family), accepted);
   EXPECT_DOUBLE_EQ(snap.GaugeValue("queue.depth", svm_family), 0.0);
-  EXPECT_EQ(f.flush_size + f.flush_deadline + f.flush_drain,
+  EXPECT_EQ(f.flush_size + f.flush_deadline + f.flush_drain +
+                snap.CounterValue("queue.flush_idle", svm_family),
             snap.CounterValue("serve.batches", svm_family));
   EXPECT_GT(accepted, 0u);
 }
@@ -1482,9 +1723,11 @@ TEST(ServingEngineTest, StatsFieldsEqualTheRegistryMetricsTheyReport) {
   // A benchmark report reads the ten FamilyServingStats numbers, a
   // scraper reads the registry: they must be the same numbers. "mix"
   // serves carried, row-id and key traffic from a sharded store; "held"
-  // keeps its rows until Stop() drains them, under a 1 us delay budget
-  // and a one-client roster, so it refuses on both grounds.
+  // keeps its first batch in flight, so its second row waits until
+  // Stop() drains it, under a 1 us delay budget and a one-client roster,
+  // so it refuses on both grounds.
   models::LeastSquaresSpec ls;
+  FirstBatchWaitsSpec held_ls;
   constexpr Index kDim = 8;
   constexpr Index kRows = 16;
   ServingOptions opts;
@@ -1505,7 +1748,7 @@ TEST(ServingEngineTest, StatsFieldsEqualTheRegistryMetricsTheyReport) {
   held.batch->max_delay = std::chrono::seconds(10);
   held.batch->queue_delay_budget = std::chrono::microseconds(1);
   held.batch->max_clients = 1;
-  ASSERT_TRUE(server.RegisterFamily("held", &ls, held).ok());
+  ASSERT_TRUE(server.RegisterFamily("held", &held_ls, held).ok());
   // The premise of the over-budget refusal: one queued row costs more.
   ASSERT_GT(server.admission().EstimatedDrainSeconds(1, 1), 1e-6);
   server.Publish("mix", ConstantWeights(kDim, 1.0));
@@ -1522,12 +1765,16 @@ TEST(ServingEngineTest, StatsFieldsEqualTheRegistryMetricsTheyReport) {
   }
   for (auto& f : carried) EXPECT_DOUBLE_EQ(f.get(), 1.0);
   std::future<double> first = server.Score("held", {0}, {1.0}).value();
+  held_ls.AwaitFirstBatch();
+  // An empty queue is always admissible; the row it queues is not.
+  std::future<double> second = server.Score("held", {0}, {1.0}).value();
   EXPECT_EQ(server.Score("held", {1}, {1.0}).status().code(),
             Status::Code::kResourceExhausted);  // over the delay budget
   EXPECT_EQ(server.Score("held", {1}, {1.0}, ClientId("late")).status().code(),
             Status::Code::kResourceExhausted);  // roster full
   server.Stop();
   EXPECT_DOUBLE_EQ(first.get(), 1.0);
+  EXPECT_DOUBLE_EQ(second.get(), 1.0);
 
   const ServingStats stats = server.Stats();
   const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
@@ -1558,13 +1805,15 @@ TEST(ServingEngineTest, StatsFieldsEqualTheRegistryMetricsTheyReport) {
   EXPECT_EQ(snap.CounterValue("serve.rows", {{"family", "mix"}}),
             32u + 2u * kRows);
   EXPECT_EQ(mix.local_store_rows + mix.remote_store_rows, 2u * kRows);
-  EXPECT_GT(mix.flush_deadline, 0u);  // lone synchronous rows time out
+  // Lone synchronous rows leave at once.
+  EXPECT_GT(snap.CounterValue("queue.flush_idle", {{"family", "mix"}}), 0u);
   EXPECT_EQ(mix.rejected, 0u);
   const FamilyServingStats& h = stats.families[1];
   EXPECT_EQ(h.rejected, 2u);
   EXPECT_EQ(h.rejected_cost, 1u);
   EXPECT_EQ(h.flush_drain, 1u);
   EXPECT_EQ(h.flush_size + h.flush_deadline, 0u);
+  EXPECT_EQ(snap.CounterValue("queue.flush_idle", {{"family", "held"}}), 1u);
   EXPECT_EQ(h.mean_batch_rows, 1.0);
 }
 
