@@ -9,14 +9,21 @@
 //   3. Eviction + tombstone reuse -- index health (live/tombstones/
 //      capacity) and probe cost across churn rounds that overflow the
 //      store and recycle graves.
+//   4. Soak -- 400 deltas of 1% scattered overwrites at a fixed period,
+//      with and without a reader that holds each snapshot for one
+//      period: delta ratio, publish time, and the resident and live
+//      bytes gauges every 50 deltas. Resident bytes must stay flat.
 //
 // Knobs: DW_BENCH_ROWS (default 32768), DW_BENCH_LOOKUPS (default
 // 1000000). No google-benchmark dependency; plain tables like the other
 // paper benches.
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "numa/numa_allocator.h"
@@ -172,6 +179,65 @@ void RunEvictionRounds(Index rows, int lookups) {
   std::printf("(sink %llu)\n", static_cast<unsigned long long>(sink));
 }
 
+void RunSoak(Index rows, bool reader) {
+  auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
+  obs::Registry registry;
+  const Index dim = 128;
+  auto store = MakeStore(alloc, &registry, rows, dim, 64);
+  SeedKeys(*store, 0, rows, dim);
+  const size_t n = std::max<size_t>(1, rows / 100);
+  const std::vector<double> block(n * dim, 2.0);
+  const auto period = std::chrono::milliseconds(2);
+  std::atomic<bool> done{false};
+  std::thread holder;
+  if (reader) {
+    // Holds each snapshot it acquires for one delta period.
+    holder = std::thread([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const auto snap = store->Acquire();
+        std::this_thread::sleep_for(period);
+      }
+    });
+  }
+  Table t(std::string("soak: 1% scattered deltas every 2 ms, ") +
+          (reader ? "a reader holding each snapshot one period"
+                  : "no reader"));
+  t.SetHeader({"deltas", "ratio", "publish ms", "resident MB", "live MB"});
+  const obs::Labels family = {{"family", "bench"}};
+  Rng rng(9);
+  std::vector<uint64_t> perm(rows);
+  for (Index k = 0; k < rows; ++k) perm[k] = k;
+  auto next = std::chrono::steady_clock::now();
+  double ratio_sum = 0.0;
+  double ms_sum = 0.0;
+  for (int d = 1; d <= 400; ++d) {
+    next += period;
+    std::this_thread::sleep_until(next);
+    for (size_t i = 0; i < n; ++i) {
+      std::swap(perm[i], perm[i + rng.Below(rows - i)]);
+    }
+    const std::vector<uint64_t> keys(perm.begin(), perm.begin() + n);
+    WallTimer timer;
+    const StorePublishReport rep = store->PublishDelta(keys, block);
+    ms_sum += timer.Seconds() * 1e3;
+    ratio_sum += static_cast<double>(rep.delta_bytes) / rep.full_bytes;
+    if (d % 50 != 0) continue;
+    const obs::RegistrySnapshot snap = registry.Snapshot();
+    t.AddRow({std::to_string(d), Table::Num(ratio_sum / 50, 4),
+              Table::Num(ms_sum / 50, 3),
+              Table::Num(snap.GaugeValue("store.resident_bytes", family) / 1e6,
+                         2),
+              Table::Num(snap.GaugeValue("store.live_bytes", family) / 1e6,
+                         2)});
+    ratio_sum = 0.0;
+    ms_sum = 0.0;
+  }
+  done.store(true, std::memory_order_release);
+  if (holder.joinable()) holder.join();
+  t.Print();
+  std::printf("\n");
+}
+
 }  // namespace
 }  // namespace dw::serve
 
@@ -181,5 +247,8 @@ int main() {
   dw::serve::RunLoadFactorSweep(rows, lookups);
   dw::serve::RunChurnSweep(rows);
   dw::serve::RunEvictionRounds(rows, lookups);
+  std::printf("\n");
+  dw::serve::RunSoak(rows, /*reader=*/false);
+  dw::serve::RunSoak(rows, /*reader=*/true);
   return 0;
 }

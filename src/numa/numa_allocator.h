@@ -62,6 +62,13 @@ class NodeArray {
       : node_(node), ledger_(ledger), storage_(size) {
     if (ledger_ != nullptr) ledger_->Add(node_, size * sizeof(T));
   }
+  /// Tag for the constructor that skips the zero fill.
+  struct ForOverwrite {};
+  NodeArray(NodeId node, size_t size, NodeLedger* ledger, ForOverwrite)
+      : node_(node), ledger_(ledger) {
+    storage_.ResizeForOverwrite(size);
+    if (ledger_ != nullptr) ledger_->Add(node_, size * sizeof(T));
+  }
 
   NodeArray(NodeArray&& o) noexcept { *this = std::move(o); }
   NodeArray& operator=(NodeArray&& o) noexcept {
@@ -111,6 +118,16 @@ class NumaAllocator {
     DW_CHECK_GE(node, 0);
     DW_CHECK_LT(node, topo_.num_nodes);
     return NodeArray<T>(node, size, &ledger_);
+  }
+
+  /// AllocateOnNode without the zero fill, for buffers the caller
+  /// overwrites before it reads them (feature-store row blocks).
+  template <typename T>
+  NodeArray<T> AllocateOnNodeForOverwrite(NodeId node, size_t size) {
+    DW_CHECK_GE(node, 0);
+    DW_CHECK_LT(node, topo_.num_nodes);
+    return NodeArray<T>(node, size, &ledger_,
+                        typename NodeArray<T>::ForOverwrite{});
   }
 
   /// Records bytes that are *logically* placed on `node` without a

@@ -1,6 +1,7 @@
 #include "serve/feature_store.h"
 
 #include <cstring>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -8,6 +9,30 @@
 #include "opt/placement.h"
 
 namespace dw::serve {
+
+/// Versions whose snapshot has been destroyed, posted by the destructor
+/// and read by the publisher. A destructor runs after the final
+/// reference drop (an acq_rel decrement that orders every reader's
+/// reads before it), so a position read by that version is safe to
+/// rewrite once the publisher has read the post under `mu`. Only this
+/// small mutex is taken: dropping a snapshot never waits for a publish.
+struct StoreReleaseBoard {
+  std::mutex mu;
+  std::vector<uint64_t> gone;
+};
+
+namespace {
+
+/// A map entry naming no block: a slot of an evicted page.
+constexpr StoreRowRef kNoRow = {std::numeric_limits<uint32_t>::max(), 0};
+
+}  // namespace
+
+FeatureStoreSnapshot::~FeatureStoreSnapshot() {
+  if (releases_ == nullptr) return;  // MakeShell threw before setting it
+  std::lock_guard<std::mutex> lock(releases_->mu);
+  releases_->gone.push_back(version_);
+}
 
 const char* ToString(StorePlacement p) {
   switch (p) {
@@ -51,6 +76,9 @@ FeatureStore::FeatureStore(std::string family,
   delta_bytes_counter_ = registry->GetCounter("store.delta_bytes", labels);
   full_bytes_counter_ = registry->GetCounter("store.full_bytes", labels);
   evictions_counter_ = registry->GetCounter("store.evictions", labels);
+  live_bytes_gauge_ = registry->GetGauge("store.live_bytes", labels);
+  resident_bytes_gauge_ = registry->GetGauge("store.resident_bytes", labels);
+  releases_ = std::make_shared<StoreReleaseBoard>();
   index_allocator_ =
       std::make_shared<numa::NumaAllocator>(allocator_->topology());
   const matrix::Index nodes =
@@ -65,6 +93,10 @@ FeatureStore::FeatureStore(std::string family,
       std::make_shared<std::vector<std::atomic<uint8_t>>>(num_pages_);
   slot_to_key_.assign(rows_, 0);
   slot_live_.assign(rows_, 0);
+  free_.resize(nodes);
+  std::shared_ptr<StoreRowRef[]> evicted(new StoreRowRef[page_rows_]);
+  std::fill(evicted.get(), evicted.get() + page_rows_, kNoRow);
+  evicted_map_ = std::move(evicted);
   if (options.placement_override.has_value()) {
     placement_ = *options.placement_override;
     rationale_ = "explicit override";
@@ -100,6 +132,7 @@ std::shared_ptr<FeatureStoreSnapshot> FeatureStore::MakeShell(
   snap->allocator_ = allocator_;
   snap->index_allocator_ = index_allocator_;
   snap->ref_bits_ = ref_bits_;
+  snap->releases_ = releases_;
   return snap;
 }
 
@@ -111,41 +144,86 @@ uint64_t FeatureStore::FullRewriteBytes(StorePlacement placement) const {
              : table;
 }
 
-std::shared_ptr<StorePage> FeatureStore::AllocatePage(
-    size_t page, StorePlacement placement, uint64_t* delta_bytes) {
+std::shared_ptr<StorePage> FeatureStore::AllocateBlock(
+    matrix::Index span, StorePlacement placement, uint64_t* delta_bytes) {
   const int nodes = allocator_->topology().num_nodes;
-  const matrix::Index span = PageSpan(page);
-  auto p = std::make_shared<StorePage>();
-  p->fragments.reserve(nodes);
+  auto block = std::make_shared<StorePage>();
+  block->fragments.reserve(nodes);
   for (int n = 0; n < nodes; ++n) {
-    // Exact spans, no rounding slack: the byte ledger is part of the
-    // placement contract tests assert against.
     const size_t frag_rows =
         placement == StorePlacement::kReplicated
             ? static_cast<size_t>(span)
             : (static_cast<size_t>(span) + nodes - 1 - n) / nodes;
-    p->fragments.push_back(allocator_->AllocateOnNode<double>(
-        n, frag_rows * static_cast<size_t>(dim_)));
-    *delta_bytes += frag_rows * static_cast<size_t>(dim_) * sizeof(double);
+    const size_t doubles = frag_rows * static_cast<size_t>(dim_);
+    block->fragments.push_back(
+        allocator_->AllocateOnNodeForOverwrite<double>(n, doubles));
+    *delta_bytes += doubles * sizeof(double);
+    resident_bytes_ += doubles * sizeof(double);
   }
-  return p;
+  return block;
 }
 
-void FeatureStore::WriteSlot(StorePage* page, StorePlacement placement,
-                             matrix::Index slot, const double* row) {
-  const matrix::Index in_page = slot % page_rows_;
+StoreRowRef FeatureStore::TakePosition(matrix::Index slot,
+                                       StorePlacement placement,
+                                       uint64_t* delta_bytes) {
+  std::vector<StoreRowRef>& list = FreeList(slot, placement);
+  if (list.empty()) {
+    // Every position of a fresh block joins the free lists, the last
+    // first, so a run of takes fills the block in order.
+    const uint32_t id = static_cast<uint32_t>(blocks_.size());
+    blocks_.push_back(AllocateBlock(page_rows_, placement, delta_bytes));
+    for (uint32_t q = static_cast<uint32_t>(page_rows_); q-- > 0;) {
+      FreeList(q, placement).push_back(StoreRowRef{id, q});
+    }
+  }
+  const StoreRowRef ref = list.back();
+  list.pop_back();
+  return ref;
+}
+
+void FeatureStore::WriteRow(StorePage* block, StorePlacement placement,
+                            uint32_t pos, const double* row) {
+  const size_t bytes = static_cast<size_t>(dim_) * sizeof(double);
   if (placement == StorePlacement::kReplicated) {
-    for (numa::NodeArray<double>& frag : page->fragments) {
-      std::memcpy(frag.data() + static_cast<size_t>(in_page) * dim_, row,
-                  static_cast<size_t>(dim_) * sizeof(double));
+    for (numa::NodeArray<double>& frag : block->fragments) {
+      std::memcpy(frag.data() + static_cast<size_t>(pos) * dim_, row, bytes);
     }
     return;
   }
-  const matrix::Index nodes =
-      static_cast<matrix::Index>(page->fragments.size());
-  std::memcpy(page->fragments[slot % nodes].data() +
-                  static_cast<size_t>(in_page / nodes) * dim_,
-              row, static_cast<size_t>(dim_) * sizeof(double));
+  const uint32_t nodes = static_cast<uint32_t>(block->fragments.size());
+  std::memcpy(block->fragments[pos % nodes].data() +
+                  static_cast<size_t>(pos / nodes) * dim_,
+              row, bytes);
+}
+
+void FeatureStore::StartGenerationLocked() {
+  blocks_.assign(num_pages_, nullptr);
+  resident_bytes_ = 0;
+  for (std::vector<StoreRowRef>& list : free_) list.clear();
+  retired_.clear();
+  generation_start_ = next_version_;
+}
+
+void FeatureStore::CollectReleasedLocked() {
+  std::vector<uint64_t> gone;
+  {
+    std::lock_guard<std::mutex> lock(releases_->mu);
+    gone.swap(releases_->gone);
+  }
+  for (const uint64_t v : gone) alive_.erase(v);
+  // Batch v's positions were last mapped by versions older than v: they
+  // are free once no version of this generation older than v is alive.
+  const auto oldest = alive_.lower_bound(generation_start_);
+  const uint64_t floor = oldest == alive_.end()
+                             ? std::numeric_limits<uint64_t>::max()
+                             : *oldest;
+  const StorePlacement placement = placement_.load(std::memory_order_relaxed);
+  while (!retired_.empty() && retired_.front().version <= floor) {
+    for (const StoreRowRef& ref : retired_.front().refs) {
+      FreeList(ref.pos, placement).push_back(ref);
+    }
+    retired_.pop_front();
+  }
 }
 
 std::shared_ptr<const StoreIndexShard> FeatureStore::RebuildShard(
@@ -302,6 +380,8 @@ uint64_t FeatureStore::Publish(const std::vector<double>& row_major) {
   const StorePlacement placement =
       placement_.load(std::memory_order_relaxed);
   const int nodes = allocator_->topology().num_nodes;
+  CollectReleasedLocked();
+  StartGenerationLocked();
 
   // A full rewrite resets the key space to the identity map (key r ->
   // slot r, all slots live) -- the legacy dense-row-id contract.
@@ -319,17 +399,18 @@ uint64_t FeatureStore::Publish(const std::vector<double>& row_major) {
   report.full_bytes = FullRewriteBytes(placement);
   report.live_rows = rows_;
 
+  // Block p is page p, so every page maps by identity (no row maps).
   auto snap = MakeShell(placement);
-  snap->pages_.resize(num_pages_);
+  snap->maps_.resize(num_pages_);
   for (size_t p = 0; p < num_pages_; ++p) {
-    auto page = AllocatePage(p, placement, &report.delta_bytes);
-    const matrix::Index start = static_cast<matrix::Index>(p) * page_rows_;
     const matrix::Index span = PageSpan(p);
+    auto block = AllocateBlock(span, placement, &report.delta_bytes);
+    const size_t start = p * static_cast<size_t>(page_rows_);
     for (matrix::Index i = 0; i < span; ++i) {
-      WriteSlot(page.get(), placement, start + i,
-                row_major.data() + static_cast<size_t>(start + i) * dim_);
+      WriteRow(block.get(), placement, i,
+               row_major.data() + (start + i) * dim_);
     }
-    snap->pages_[p] = std::move(page);
+    blocks_[p] = std::move(block);
     ++report.touched_pages;
   }
 
@@ -374,14 +455,16 @@ StorePublishReport FeatureStore::PublishDelta(
   const int nodes = allocator_->topology().num_nodes;
   const auto prev =
       std::atomic_load_explicit(&current_, std::memory_order_acquire);
+  CollectReleasedLocked();
+  if (prev == nullptr) StartGenerationLocked();  // bootstrap: no blocks yet
 
   StorePublishReport report;
   report.full_bytes = FullRewriteBytes(placement);
 
-  // 1. Slot assignment. Existing keys overwrite their slot in place (the
-  //    index does not change for them); new keys pull from the free
-  //    list, then the never-used tail, then a clock eviction. Pages this
-  //    delta writes are pinned against eviction.
+  // 1. Slot assignment. Existing keys keep their slot (the index does
+  //    not change for them); new keys pull from the free list, then the
+  //    never-used tail, then a clock eviction. Pages this delta writes
+  //    are pinned against eviction.
   std::vector<DeltaRow> delta_rows;
   delta_rows.reserve(keys.size());
   std::unordered_set<uint64_t> seen;
@@ -398,7 +481,8 @@ StorePublishReport FeatureStore::PublishDelta(
         << family_;
     matrix::Index slot;
     const auto it = key_to_slot_.find(key);
-    if (it != key_to_slot_.end()) {
+    const bool overwrite = it != key_to_slot_.end();
+    if (overwrite) {
       slot = it->second;
     } else {
       if (free_slots_.empty() && next_slot_ < rows_) {
@@ -420,49 +504,72 @@ StorePublishReport FeatureStore::PublishDelta(
     slot_to_key_[slot] = key;
     slot_live_[slot] = 1;
     pinned[slot / page_rows_] = 1;
-    delta_rows.push_back(DeltaRow{key, slot, i});
+    delta_rows.push_back(DeltaRow{key, slot, i, overwrite});
   }
   std::vector<std::vector<uint64_t>> removals(nodes);
   for (const uint64_t key : removed_keys) {
     removals[MixKey(key) % static_cast<uint64_t>(nodes)].push_back(key);
   }
 
-  // 2. Page chain: clone the touched pages (copying their previous
-  //    contents), drop the evicted ones, SHARE everything else.
-  auto snap = MakeShell(placement);
+  // 2. Retire the positions the previous version maps and this one does
+  //    not: overwritten rows and the rows of evicted pages. An evicted
+  //    page's slots that later keys reuse are not overwrites, so no
+  //    position is retired twice.
+  std::vector<StoreRowRef> retired;
   if (prev != nullptr) {
-    snap->pages_ = prev->pages_;
-  } else {
-    snap->pages_.assign(num_pages_, nullptr);
-  }
-  std::vector<std::shared_ptr<StorePage>> writable(num_pages_);
-  for (size_t p = 0; p < num_pages_; ++p) {
-    if (pinned[p] == 0) continue;
-    auto page = AllocatePage(p, placement, &report.delta_bytes);
-    if (const StorePage* old = snap->pages_[p].get()) {
-      for (size_t n = 0; n < page->fragments.size(); ++n) {
-        if (old->fragments[n].size() > 0) {
-          std::memcpy(page->fragments[n].data(), old->fragments[n].data(),
-                      old->fragments[n].size() * sizeof(double));
+    for (const DeltaRow& dr : delta_rows) {
+      if (dr.overwrite) retired.push_back(prev->RefFor(dr.slot));
+    }
+    for (const size_t p : evicted_pages) {
+      const matrix::Index start = static_cast<matrix::Index>(p) * page_rows_;
+      for (matrix::Index i = 0; i < PageSpan(p); ++i) {
+        if (prev->SlotLive(start + i)) {
+          retired.push_back(prev->RefFor(start + i));
         }
       }
     }
-    writable[p] = page;
-    snap->pages_[p] = std::move(page);
-    ++report.touched_pages;
-  }
-  for (const size_t p : evicted_pages) {
-    // A page evicted mid-delta can have its freed slots reused by LATER
-    // keys of the same delta; it is then pinned + cloned above and must
-    // stay linked (occupancy already screens its dead slots).
-    if (pinned[p] == 0) snap->pages_[p] = nullptr;
-  }
-  for (const DeltaRow& dr : delta_rows) {
-    WriteSlot(writable[dr.slot / page_rows_].get(), placement, dr.slot,
-              row_major.data() + dr.src * static_cast<size_t>(dim_));
   }
 
-  // 3. Key index: only shards whose key SET changed rebuild (pure
+  // 3. Row maps: clone the touched pages' maps (dead slots name no
+  //    block), point evicted pages at the evicted map, SHARE the rest.
+  auto snap = MakeShell(placement);
+  if (prev != nullptr) {
+    snap->maps_ = prev->maps_;
+  } else {
+    snap->maps_.resize(num_pages_);
+  }
+  for (const size_t p : evicted_pages) snap->maps_[p] = evicted_map_;
+  std::vector<StoreRowRef*> writable(num_pages_);
+  for (size_t p = 0; p < num_pages_; ++p) {
+    if (pinned[p] == 0) continue;
+    std::shared_ptr<StoreRowRef[]> map(new StoreRowRef[page_rows_]);
+    const matrix::Index start = static_cast<matrix::Index>(p) * page_rows_;
+    const matrix::Index span = PageSpan(p);
+    for (matrix::Index i = 0; i < page_rows_; ++i) {
+      // Live slots keep their entry (step 4 replaces the written ones).
+      const bool live = i < span && slot_live_[start + i] != 0;
+      map[i] = live && prev != nullptr ? prev->RefFor(start + i) : kNoRow;
+    }
+    report.delta_bytes += page_rows_ * sizeof(StoreRowRef);
+    ++report.touched_pages;
+    writable[p] = map.get();
+    snap->maps_[p] = std::move(map);
+  }
+
+  // 4. Rows: each lands once, at a position no live version reads.
+  const uint64_t row_bytes =
+      static_cast<uint64_t>(dim_) * sizeof(double) *
+      (placement == StorePlacement::kReplicated ? nodes : 1);
+  for (const DeltaRow& dr : delta_rows) {
+    const StoreRowRef ref =
+        TakePosition(dr.slot, placement, &report.delta_bytes);
+    WriteRow(blocks_[ref.block].get(), placement, ref.pos,
+             row_major.data() + dr.src * static_cast<size_t>(dim_));
+    writable[dr.slot / page_rows_][dr.slot % page_rows_] = ref;
+    report.delta_bytes += row_bytes;
+  }
+
+  // 5. Key index: only shards whose key SET changed rebuild (pure
   //    overwrites ride the shared shard).
   snap->index_shards_.resize(nodes);
   for (int s = 0; s < nodes; ++s) {
@@ -477,8 +584,8 @@ StorePublishReport FeatureStore::PublishDelta(
     }
   }
 
-  // 4. Occupancy, rebuilt from the master liveness bytes (O(capacity)
-  //    bits -- noise next to one cloned page).
+  // 6. Occupancy, rebuilt from the master liveness bytes (O(capacity)
+  //    bits -- noise next to the rows).
   auto occ = std::make_shared<std::vector<uint64_t>>(
       (static_cast<size_t>(rows_) + 63) / 64, 0);
   uint64_t live = 0;
@@ -494,6 +601,9 @@ StorePublishReport FeatureStore::PublishDelta(
   snap->live_rows_ = live;
 
   InstallLocked(std::move(snap), &report);
+  if (!retired.empty()) {
+    retired_.push_back(RetiredBatch{report.version, std::move(retired)});
+  }
   return report;
 }
 
@@ -506,34 +616,31 @@ uint64_t FeatureStore::Republish(StorePlacement placement) {
   if (placement == placement_.load(std::memory_order_relaxed)) {
     return prev->version_;
   }
-  // Delta-aware migration: re-lay ONLY the resident pages under the new
-  // placement, fragment to fragment -- no dense materialization, no
+  // Delta-aware migration: re-lay ONLY the live rows, page p into a
+  // fresh block p of a new generation -- no dense materialization, no
   // index rehash (slots do not move, so the key index and occupancy are
   // shared with the previous version).
+  CollectReleasedLocked();
   placement_.store(placement, std::memory_order_release);
+  StartGenerationLocked();
   StorePublishReport report;
   report.full_bytes = FullRewriteBytes(placement);
-  const StorePlacement old_placement = prev->placement_;
-  const matrix::Index old_nodes =
-      static_cast<matrix::Index>(prev->num_nodes_);
   auto snap = MakeShell(placement);
-  snap->pages_.resize(num_pages_);
+  snap->maps_.resize(num_pages_);
   for (size_t p = 0; p < num_pages_; ++p) {
-    const StorePage* old = prev->pages_[p].get();
-    if (old == nullptr) continue;
-    auto page = AllocatePage(p, placement, &report.delta_bytes);
     const matrix::Index start = static_cast<matrix::Index>(p) * page_rows_;
     const matrix::Index span = PageSpan(p);
-    for (matrix::Index i = 0; i < span; ++i) {
-      const matrix::Index slot = start + i;
-      const double* src =
-          old_placement == StorePlacement::kReplicated
-              ? old->fragments[0].data() + static_cast<size_t>(i) * dim_
-              : old->fragments[slot % old_nodes].data() +
-                    static_cast<size_t>(i / old_nodes) * dim_;
-      WriteSlot(page.get(), placement, slot, src);
+    if (std::none_of(slot_live_.begin() + start,
+                     slot_live_.begin() + start + span,
+                     [](uint8_t live) { return live != 0; })) {
+      continue;  // evicted or never populated: stays without a block
     }
-    snap->pages_[p] = std::move(page);
+    auto block = AllocateBlock(span, placement, &report.delta_bytes);
+    for (matrix::Index i = 0; i < span; ++i) {
+      if (slot_live_[start + i] == 0) continue;
+      WriteRow(block.get(), placement, i, prev->RowForNode(0, start + i));
+    }
+    blocks_[p] = std::move(block);
     ++report.touched_pages;
   }
   snap->index_shards_ = prev->index_shards_;
@@ -549,9 +656,17 @@ void FeatureStore::InstallLocked(std::shared_ptr<FeatureStoreSnapshot> snap,
   const uint64_t version = next_version_++;
   snap->version_ = version;
   report->version = version;
+  snap->blocks_.assign(blocks_.begin(), blocks_.end());
+  alive_.insert(version);
   delta_bytes_counter_->Add(report->delta_bytes);
   full_bytes_counter_->Add(report->full_bytes);
   evictions_counter_->Add(report->evicted_keys);
+  const uint64_t copies = snap->placement_ == StorePlacement::kReplicated
+                              ? static_cast<uint64_t>(snap->num_nodes_)
+                              : 1;
+  live_bytes_gauge_->Set(static_cast<double>(
+      snap->live_rows_ * dim_ * sizeof(double) * copies));
+  resident_bytes_gauge_->Set(static_cast<double>(resident_bytes_));
   // Counter first, pointer second, mirroring ModelFamily::Publish: a
   // worker that acquires the NEW snapshot must never see a
   // current_version() older than it.

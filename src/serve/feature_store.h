@@ -12,24 +12,30 @@
 // the scoring worker gathers the features from its node's placement at
 // scoring time.
 //
-// The table is organized as fixed-size PAGES of rows, each page holding
-// one NUMA fragment per node (a full copy of the page's span under
-// kReplicated; the slots with slot % nodes == n, compacted, under
-// kSharded -- so sharding stays row-granular round-robin exactly as
-// before, pages only change the ALLOCATION granularity). Three things
-// ride on that:
+// The table's slots are grouped into fixed-size PAGES. A version maps
+// each slot to a POSITION in a row BLOCK: one 8-byte entry per slot, one
+// row map per page. A block holds one NUMA fragment per node (a full copy
+// of its positions under kReplicated; the positions with pos % nodes ==
+// n, compacted, under kSharded, and a slot's row always sits on node
+// slot % nodes -- so sharding stays row-granular round-robin). Publish
+// lays block p out as page p, so a page whose rows have not moved needs
+// no map. Three things ride on that:
 //
 //   Keys.   A per-node open-addressing key -> slot index (hash-sharded
-//           across nodes like the data pages) lets requests ship a
-//           uint64 entity key -- or a string, hashed through HashKey()
-//           -- instead of a dense row id. Lookups are lock-free reads
+//           across nodes like the rows) lets requests ship a uint64
+//           entity key -- or a string, hashed through HashKey() --
+//           instead of a dense row id. Lookups are lock-free reads
 //           against the published snapshot.
-//   Deltas. PublishDelta(keys, rows) clones ONLY the pages and index
-//           shards the delta touches, shares every untouched page with
-//           the previous version, and hot-swaps exactly like a full
-//           Publish. Refresh bandwidth is O(churned pages), not
-//           O(table) -- the bytes-moved win the PIM literature chases,
-//           applied to the refresh path.
+//   Deltas. PublishDelta(keys, rows) writes each churned row once, into
+//           a position no live version reads, clones only the row maps
+//           of the pages it touches (and the index shards whose key set
+//           changed), and hot-swaps exactly like a full Publish. Slots,
+//           the key index and row ids do not move. Refresh bandwidth is
+//           O(churned rows), not O(table) -- the bytes-moved win the
+//           PIM literature chases, applied to the refresh path. The
+//           position a delta retires is reused only once every version
+//           that could read it has been destroyed, so memory stays near
+//           the live table (plus what pinned old versions hold).
 //   Eviction. When every slot is live and a delta brings new keys, a
 //           clock sweep over pages (reference bits set by scoring-time
 //           gathers) evicts a cold page: its keys tombstone out of the
@@ -57,9 +63,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -73,19 +81,32 @@
 
 namespace dw::obs {
 class Counter;
+class Gauge;
 class Registry;
 }  // namespace dw::obs
 
 namespace dw::serve {
 
-/// One page's NUMA fragments. Immutable once linked into a snapshot;
-/// untouched pages are SHARED between consecutive versions (that sharing
-/// is what makes a delta publish O(churn)).
+/// One row block's NUMA fragments, shared by every version of its block
+/// generation (Publish and Republish start one). A position is written
+/// only while no live version maps a slot to it.
 struct StorePage {
-  /// fragments[n] lives on node n. kReplicated: the full page span.
-  /// kSharded: the page's slots with slot % nodes == n, compacted.
+  /// fragments[n] lives on node n. kReplicated: every position, so
+  /// position q is row q of each fragment. kSharded: the positions with
+  /// q % nodes == n, compacted (row q / nodes of fragment q % nodes).
+  /// Exact spans: the block Publish lays out for a short last page holds
+  /// only that page's rows.
   std::vector<numa::NodeArray<double>> fragments;
 };
+
+/// Where one slot's row sits: a block of the snapshot's block table and
+/// a position in it.
+struct StoreRowRef {
+  uint32_t block;
+  uint32_t pos;
+};
+
+struct StoreReleaseBoard;
 
 /// One open-addressing key->slot shard (linear probing). Shard i is
 /// allocated on node i through the store's index allocator; snapshots
@@ -118,9 +139,13 @@ struct StoreIndexShardStats {
 /// churn fraction the placement tuner re-costs on.
 struct StorePublishReport {
   uint64_t version = 0;
-  uint64_t delta_bytes = 0;    ///< bytes actually written (pages + index)
+  /// Bytes written: rows (once per copy), fresh blocks, row maps, index
+  /// shards and the occupancy bitmap.
+  uint64_t delta_bytes = 0;
   uint64_t full_bytes = 0;     ///< bytes a full rewrite would have written
-  uint64_t touched_pages = 0;  ///< pages cloned (evicted pages excluded)
+  /// Pages whose block a full publish laid out, or whose row map a delta
+  /// rewrote (evicted pages excluded).
+  uint64_t touched_pages = 0;
   uint64_t evicted_keys = 0;   ///< keys tombstoned to make room
   uint64_t live_rows = 0;      ///< live slots after the publish
 };
@@ -139,6 +164,11 @@ inline uint64_t MixKey(uint64_t x) {
 /// batch references it, even after newer versions are published.
 class FeatureStoreSnapshot {
  public:
+  /// Tells the store that this version's row positions are unread.
+  ~FeatureStoreSnapshot();
+  FeatureStoreSnapshot(const FeatureStoreSnapshot&) = delete;
+  FeatureStoreSnapshot& operator=(const FeatureStoreSnapshot&) = delete;
+
   uint64_t version() const { return version_; }
   /// Family this table serves.
   const std::string& family() const { return family_; }
@@ -150,7 +180,7 @@ class FeatureStoreSnapshot {
   /// Rows per page (a multiple of num_shards, so every page starts on
   /// the round-robin boundary).
   matrix::Index page_rows() const { return page_rows_; }
-  size_t num_pages() const { return pages_.size(); }
+  size_t num_pages() const { return maps_.size(); }
   /// Live (key-addressable) slots in this version.
   uint64_t live_rows() const { return live_rows_; }
 
@@ -168,25 +198,26 @@ class FeatureStoreSnapshot {
   }
 
   /// Feature row `row` (dim() doubles) for a reader on `node`: the
-  /// node-local page fragment under kReplicated, the owner fragment
+  /// node-local block fragment under kReplicated, the owner fragment
   /// (possibly remote) under kSharded. Same index validation as
-  /// OwnerNodeFor. The slot's page must be resident (live slot, or any
-  /// slot of a full Publish); gathering an evicted slot is a bug the
-  /// caller screens with SlotLive().
+  /// OwnerNodeFor. The slot must be live (or any slot of a full
+  /// Publish); gathering a dead slot is a bug the caller screens with
+  /// SlotLive(), and it dies on an evicted or never-populated page.
   const double* RowForNode(numa::NodeId node, matrix::Index row) const {
     CheckIndices(node, row);
-    const StorePage* page = pages_[row / page_rows_].get();
-    DW_CHECK(page != nullptr)
+    const StoreRowRef ref = RefFor(row);
+    const StorePage* block =
+        ref.block < blocks_.size() ? blocks_[ref.block].get() : nullptr;
+    DW_CHECK(block != nullptr)
         << "row " << row << " gathered from an evicted page of store "
         << family_;
-    const matrix::Index in_page = row % page_rows_;
     if (placement_ == StorePlacement::kReplicated) {
-      return page->fragments[node].data() +
-             static_cast<size_t>(in_page) * dim_;
+      return block->fragments[node].data() +
+             static_cast<size_t>(ref.pos) * dim_;
     }
-    const matrix::Index nodes = static_cast<matrix::Index>(num_nodes_);
-    return page->fragments[row % nodes].data() +
-           static_cast<size_t>(in_page / nodes) * dim_;
+    const uint32_t nodes = static_cast<uint32_t>(num_nodes_);
+    return block->fragments[ref.pos % nodes].data() +
+           static_cast<size_t>(ref.pos / nodes) * dim_;
   }
 
   /// Lock-free key lookup against this version's index: the slot holding
@@ -239,6 +270,17 @@ class FeatureStoreSnapshot {
     DW_CHECK_LT(row, rows_) << "row out of range for store " << family_;
   }
 
+  /// Slot `row`'s entry in its page's row map (identity when the page
+  /// has none).
+  StoreRowRef RefFor(matrix::Index row) const {
+    const matrix::Index page = row / page_rows_;
+    const matrix::Index in_page = row % page_rows_;
+    const StoreRowRef* map = maps_[page].get();
+    return map != nullptr ? map[in_page]
+                          : StoreRowRef{static_cast<uint32_t>(page),
+                                        static_cast<uint32_t>(in_page)};
+  }
+
   uint64_t version_ = 0;
   std::string family_;
   matrix::Index rows_ = 0;
@@ -247,15 +289,26 @@ class FeatureStoreSnapshot {
   int num_nodes_ = 1;
   matrix::Index page_rows_ = 64;
   uint64_t live_rows_ = 0;
-  /// Keep the ledgers the pages/index report into alive even if a reader
-  /// outlives the store. Declared before the owning members so they are
-  /// destroyed after them (their destructors post to the ledgers).
+  /// Keep the ledgers the blocks/index report into alive even if a
+  /// reader outlives the store. Declared before the owning members so
+  /// they are destroyed after them (their destructors post to the
+  /// ledgers).
   std::shared_ptr<numa::NumaAllocator> allocator_;
   std::shared_ptr<numa::NumaAllocator> index_allocator_;
-  /// Page chain; nullptr = evicted (or never-populated) page. Untouched
-  /// entries are shared with the previous version.
-  std::vector<std::shared_ptr<const StorePage>> pages_;
-  /// Key index, one shard per node; unchanged shards shared like pages.
+  /// Where the destructor posts this version; shared with the store, so
+  /// a snapshot may outlive it.
+  std::shared_ptr<StoreReleaseBoard> releases_;
+  /// Block table of this version's generation, shared block by block
+  /// with every version of it. Entries [0, num_pages) are the blocks a
+  /// Publish/Republish laid out as pages (nullptr: the page held no
+  /// live row); deltas append fresh blocks after them.
+  std::vector<std::shared_ptr<const StorePage>> blocks_;
+  /// One row map per slot page (page_rows entries). nullptr = identity:
+  /// slot i of page p at position i of block p. A map entry naming no
+  /// block marks a slot of an evicted page. Untouched maps are shared
+  /// with the previous version.
+  std::vector<std::shared_ptr<const StoreRowRef[]>> maps_;
+  /// Key index, one shard per node; unchanged shards shared like maps.
   std::vector<std::shared_ptr<const StoreIndexShard>> index_shards_;
   /// Bitmap of live slots (one bit per slot), cloned per publish.
   std::shared_ptr<const std::vector<uint64_t>> occupancy_;
@@ -276,19 +329,21 @@ struct StoreOptions {
   /// placement chooser; the tuner later replaces it with the OBSERVED
   /// delta_bytes / full_bytes ratio.
   double churn_per_refresh = 1.0;
-  /// Allocation granularity of the copy-on-write page chain, in rows.
-  /// Rounded up to a multiple of the node count. Smaller pages shrink
-  /// delta bytes; larger pages shrink per-page overhead.
+  /// Slots per page, which is also the positions per row block. Rounded
+  /// up to a multiple of the node count. A delta clones the row map
+  /// (8 bytes per slot) of each page it touches, so smaller pages shrink
+  /// delta bytes; larger pages shrink the per-page and per-block
+  /// overhead.
   matrix::Index page_rows = 64;
   /// Explicit placement for benches/ablations; leave unset in production
   /// so the cost model decides.
   std::optional<StorePlacement> placement_override;
 };
 
-/// One family's feature store: a versioned immutable page chain, a
-/// hash-sharded key index, and the placement strategy chosen at
-/// construction. Obtained from ServingEngine::RegisterStore (or
-/// constructed directly for tests).
+/// One family's feature store: versioned immutable row maps over shared
+/// row blocks, a hash-sharded key index, and the placement strategy
+/// chosen at construction. Obtained from ServingEngine::RegisterStore
+/// (or constructed directly for tests).
 class FeatureStore {
  public:
   /// Chooses the placement through opt::ChooseStorePlacement over one
@@ -297,7 +352,10 @@ class FeatureStore {
   /// future version. Every publish -- engine PublishStore, tuner
   /// Republish, direct PublishDelta -- adds its bytes and evictions to
   /// the store.{delta_bytes,full_bytes,evictions}{family=<family>}
-  /// counters on `registry` (non-null; must outlive the store).
+  /// counters on `registry` (non-null; must outlive the store) and sets
+  /// the store.{live_bytes,resident_bytes}{family=<family>} gauges: the
+  /// live rows' bytes, and the row bytes of the new version's blocks,
+  /// live or not.
   FeatureStore(std::string family,
                std::shared_ptr<numa::NumaAllocator> allocator,
                obs::Registry* registry, matrix::Index rows,
@@ -325,29 +383,33 @@ class FeatureStore {
   static uint64_t HashKey(std::string_view key);
 
   /// Full rewrite: copies the row-major table (`rows() * dim()` doubles,
-  /// row r at offset r * dim()) into a fresh page chain under identity
-  /// keys (key r -> slot r, all slots live) and installs it as the
-  /// store's current version (monotonic from 1). The size must match
+  /// row r at offset r * dim()) into fresh blocks, one per page, under
+  /// identity keys (key r -> slot r, all slots live) and installs it as
+  /// the store's current version (monotonic from 1). The size must match
   /// the fixed shape: admission validates row ids against rows() once,
   /// which is only sound if every version agrees. Resets any prior
-  /// key->slot state.
+  /// key->slot state and starts a new block generation.
   uint64_t Publish(const std::vector<double>& row_major);
 
-  /// Delta publish: upserts `keys[i] -> row_major[i*dim .. )`, cloning
-  /// only the touched pages and index shards; every untouched page is
-  /// shared with the previous version. New keys take free slots; when
-  /// none remain, a clock sweep evicts a cold page (its keys then miss).
-  /// Dies on shape mismatch or a duplicate key within one delta.
+  /// Delta publish: upserts `keys[i] -> row_major[i*dim .. )`. Each row
+  /// goes to a free position on its slot's owner node (a fresh block
+  /// when none is free); only the touched pages' row maps and the index
+  /// shards whose key set changed are cloned, everything else is shared
+  /// with the previous version. An existing key keeps its slot. New keys
+  /// take free slots; when none remain, a clock sweep evicts a cold page
+  /// (its keys then miss). Dies on shape mismatch or a duplicate key
+  /// within one delta.
   StorePublishReport PublishDelta(const std::vector<uint64_t>& keys,
                                   const std::vector<double>& row_major);
 
-  /// Live migration: re-lays the CURRENT version's resident pages under
-  /// `placement` and installs the result as a new version through the
-  /// regular hot-swap path -- in-flight batches keep the snapshot they
-  /// gathered from and no row ever tears. Delta-aware: only resident
-  /// pages are copied (evicted pages stay evicted) and the key index and
-  /// occupancy are SHARED with the previous version, so a tuner-driven
-  /// flip pays O(live pages), never a full-table rebuild plus rehash.
+  /// Live migration: re-lays the CURRENT version's resident pages (those
+  /// with a live slot) under `placement`, one block per page, and
+  /// installs the result as a new version through the regular hot-swap
+  /// path -- in-flight batches keep the snapshot they gathered from and
+  /// no row ever tears. Delta-aware: only live rows are copied (evicted
+  /// pages stay evicted) and the key index and occupancy are SHARED with
+  /// the previous version, so a tuner-driven flip pays O(live pages),
+  /// never a full-table rebuild plus rehash.
   /// No-op (returns the current version) when the placement already
   /// matches. CHECKs that a version has been published.
   uint64_t Republish(StorePlacement placement);
@@ -373,18 +435,35 @@ class FeatureStore {
   struct DeltaRow {
     uint64_t key;
     matrix::Index slot;
-    size_t src;  ///< row index into the delta's row_major block
+    size_t src;      ///< row index into the delta's row_major block
+    bool overwrite;  ///< the key was live before this delta
+  };
+
+  /// Positions a delta retired; batch `version`'s positions were last
+  /// mapped by versions older than `version`.
+  struct RetiredBatch {
+    uint64_t version;
+    std::vector<StoreRowRef> refs;
   };
 
   /// Fresh snapshot shell carrying the fixed shape, the allocators, and
-  /// the shared ref bits (pages/index/occupancy filled by the caller).
+  /// the shared ref bits (maps/index/occupancy filled by the caller).
   std::shared_ptr<FeatureStoreSnapshot> MakeShell(
       StorePlacement placement) const;
   /// Shared publish tail: stamps the next version into `snap` and
-  /// `report`, adds its bytes to the store.* counters, and installs
-  /// (version counter first, then the pointer). publish_mu_ held.
+  /// `report`, gives it the generation's block table, adds its bytes to
+  /// the store.* counters, sets the gauges, and installs (version
+  /// counter first, then the pointer). publish_mu_ held.
   void InstallLocked(std::shared_ptr<FeatureStoreSnapshot> snap,
                      StorePublishReport* report);
+  /// Drops every block, free and retired position of the current
+  /// generation; the next installed version starts a new one (old
+  /// versions keep their blocks alive). publish_mu_ held.
+  void StartGenerationLocked();
+  /// Reads the versions destroyed since the last call and moves every
+  /// retired batch that no live version of the generation can read to
+  /// the free lists. publish_mu_ held.
+  void CollectReleasedLocked();
   /// Clones (or grows) shard `s` of `base` and applies the upserts and
   /// tombstones recorded for it. Returns the new shard and adds the
   /// bytes it allocated to *delta_bytes. publish_mu_ held.
@@ -406,15 +485,31 @@ class FeatureStore {
         static_cast<matrix::Index>(page) * page_rows_;
     return std::min(page_rows_, rows_ - start);
   }
-  /// Allocates `page`'s fragments under `placement` (exact span -- the
-  /// ledger must stay byte-exact) and adds their bytes to *delta_bytes.
-  std::shared_ptr<StorePage> AllocatePage(size_t page,
-                                          StorePlacement placement,
-                                          uint64_t* delta_bytes);
-  /// Writes `row` (dim_ doubles) into `slot`'s position in `page` under
+  /// Allocates a block of `span` positions under `placement` (exact
+  /// span -- the ledger must stay byte-exact; not zeroed, every row read
+  /// is written first) and adds its bytes to *delta_bytes and to the
+  /// resident bytes.
+  std::shared_ptr<StorePage> AllocateBlock(matrix::Index span,
+                                           StorePlacement placement,
+                                           uint64_t* delta_bytes);
+  /// Takes a free position on `slot`'s owner node (any position when
+  /// replicated), appending a fresh block to the generation when none is
+  /// free. publish_mu_ held.
+  StoreRowRef TakePosition(matrix::Index slot, StorePlacement placement,
+                           uint64_t* delta_bytes);
+  /// The free list for positions on `owner`'s node (a position q, or
+  /// the owner slot, modulo the node count) under kSharded; list 0 under
+  /// kReplicated, where a position spans every node.
+  std::vector<StoreRowRef>& FreeList(uint64_t owner,
+                                     StorePlacement placement) {
+    return free_[placement == StorePlacement::kSharded
+                     ? owner % free_.size()
+                     : 0];
+  }
+  /// Writes `row` (dim_ doubles) at position `pos` of `block` under
   /// `placement` (all fragments when replicated, the owner when sharded).
-  void WriteSlot(StorePage* page, StorePlacement placement,
-                 matrix::Index slot, const double* row);
+  void WriteRow(StorePage* block, StorePlacement placement, uint32_t pos,
+                const double* row);
 
   const std::string family_;
   std::shared_ptr<numa::NumaAllocator> allocator_;
@@ -449,10 +544,33 @@ class FeatureStore {
   /// Shared with every snapshot (see FeatureStoreSnapshot::ref_bits_).
   std::shared_ptr<std::vector<std::atomic<uint8_t>>> ref_bits_;
 
+  // --- row positions (publish_mu_ held) ---------------------------------
+  /// Block table of the current generation; each of its versions holds
+  /// a copy.
+  std::vector<std::shared_ptr<StorePage>> blocks_;
+  /// Row bytes of blocks_ (store.resident_bytes).
+  uint64_t resident_bytes_ = 0;
+  /// Free positions: one list per owner node under kSharded (a position
+  /// q sits on node q % nodes), list 0 under kReplicated.
+  std::vector<std::vector<StoreRowRef>> free_;
+  /// Retired positions, oldest batch first.
+  std::deque<RetiredBatch> retired_;
+  /// First version of the current block generation.
+  uint64_t generation_start_ = 1;
+  /// Installed versions whose destruction has not been read yet.
+  std::set<uint64_t> alive_;
+  /// Where every snapshot's destructor posts its version. Shared with
+  /// the snapshots, which may outlive the store.
+  std::shared_ptr<StoreReleaseBoard> releases_;
+  /// The map of an evicted page: every entry names no block.
+  std::shared_ptr<const StoreRowRef[]> evicted_map_;
+
   // --- publish-bandwidth accounting (store.* counters) ------------------
   obs::Counter* delta_bytes_counter_ = nullptr;
   obs::Counter* full_bytes_counter_ = nullptr;
   obs::Counter* evictions_counter_ = nullptr;
+  obs::Gauge* live_bytes_gauge_ = nullptr;
+  obs::Gauge* resident_bytes_gauge_ = nullptr;
 };
 
 }  // namespace dw::serve

@@ -226,16 +226,17 @@ class ServingEngine {
                         const std::vector<double>& row_major);
 
   /// Publishes a DELTA into `family`'s store: upserts `keys[i]` with row
-  /// `row_major[i*dim .. (i+1)*dim)`, cloning only the touched pages into
-  /// a new snapshot (copy-on-write; untouched pages are shared with the
-  /// previous version) and hot-swapping it exactly like PublishStore.
-  /// Refresh cost therefore scales with churn, not table size. When the
-  /// store is at capacity, cold pages are evicted (clock over pages) to
-  /// make room; evicted keys miss until re-published. The store must be
-  /// registered (checked); a delta may also BOOTSTRAP a store that has
-  /// never seen a full PublishStore (never-touched pages simply stay
-  /// unallocated). Returns the publish report (new version + byte
-  /// accounting).
+  /// `row_major[i*dim .. (i+1)*dim)`, writing each row once at a position
+  /// no live version reads and cloning only the touched pages' row maps
+  /// into a new snapshot (everything else is shared with the previous
+  /// version), then hot-swapping it exactly like PublishStore. Row ids
+  /// keep naming their keys. Refresh cost therefore scales with churned
+  /// rows, not table size. When the store is at capacity, cold pages are
+  /// evicted (clock over pages) to make room; evicted keys miss until
+  /// re-published. The store must be registered (checked); a delta may
+  /// also BOOTSTRAP a store that has never seen a full PublishStore
+  /// (never-touched pages simply stay unallocated). Returns the publish
+  /// report (new version + byte accounting).
   StorePublishReport PublishStoreDelta(const std::string& family,
                                        const std::vector<uint64_t>& keys,
                                        const std::vector<double>& row_major);

@@ -23,7 +23,7 @@ inline constexpr size_t RoundUp(size_t n, size_t alignment) {
 }
 
 /// Fixed-size array of T aligned to (and padded to) cache-line boundaries.
-/// Zero-initialized.
+/// Zero-initialized, except through ResizeForOverwrite.
 template <typename T>
 class AlignedArray {
  public:
@@ -59,6 +59,18 @@ class AlignedArray {
     DW_CHECK(p != nullptr) << "aligned_alloc of " << bytes << " bytes failed";
     std::memset(p, 0, bytes);
     data_ = static_cast<T*>(p);
+  }
+
+  /// Resize without the zero fill: the contents are indeterminate, for
+  /// buffers the caller overwrites before it reads them.
+  void ResizeForOverwrite(size_t size) {
+    Free();
+    size_ = size;
+    if (size == 0) return;
+    const size_t bytes = RoundUp(size * sizeof(T), kCacheLineBytes);
+    data_ = static_cast<T*>(std::aligned_alloc(kCacheLineBytes, bytes));
+    DW_CHECK(data_ != nullptr) << "aligned_alloc of " << bytes
+                               << " bytes failed";
   }
 
   /// Element access (unchecked on release hot paths).

@@ -1,10 +1,12 @@
 // Tests for the KV-grade feature store surface: the sharded key index
-// (load factor, tombstone reuse, shard balance), copy-on-write delta
-// publishes (page sharing, byte accounting, delta bytes vs churn), clock
-// eviction and its caller-visible miss semantics, delta-aware Republish,
-// the engine's ScoreKey path (admission matrix, miss metrics), and a
-// TSan-facing stress that pushes deltas + evictions under pipelined key
-// scoring.
+// (load factor, tombstone reuse, shard balance), row-granular delta
+// publishes (row sharing, byte accounting, delta bytes vs churn, space
+// held under scattered churn, row positions pinned by old versions and
+// reused after them), clock eviction and its caller-visible miss
+// semantics, delta-aware Republish, the engine's ScoreKey path
+// (admission matrix, miss metrics, row ids after deltas), and two
+// TSan-facing stresses: deltas + evictions under pipelined key scoring,
+// and readers pinning old versions while positions are reused.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,7 +62,7 @@ std::vector<double> UniformRows(size_t keys, Index dim, double value) {
   return std::vector<double>(keys * static_cast<size_t>(dim), value);
 }
 
-// --- copy-on-write page chain ---------------------------------------------
+// --- row maps over shared blocks ------------------------------------------
 
 TEST(FeatureStoreDeltaTest, DeltaSharesUntouchedPagesWithPreviousVersion) {
   const numa::Topology topo = numa::Local2();
@@ -75,7 +77,8 @@ TEST(FeatureStoreDeltaTest, DeltaSharesUntouchedPagesWithPreviousVersion) {
   const auto v1 = store.Acquire();
   ASSERT_NE(v1, nullptr);
 
-  // Overwrite two keys in page 1 (slots 4..7). Only that page clones.
+  // Overwrite two keys in page 1 (slots 4..7). Only that page's row map
+  // clones; the two rows are written once each.
   const StorePublishReport rep =
       store.PublishDelta({5, 6}, UniformRows(2, dim, 7.0));
   EXPECT_EQ(rep.version, 2u);
@@ -87,15 +90,16 @@ TEST(FeatureStoreDeltaTest, DeltaSharesUntouchedPagesWithPreviousVersion) {
   const auto v2 = store.Acquire();
   ASSERT_NE(v2, nullptr);
   EXPECT_EQ(v2->version(), 2u);
-  for (Index r = 0; r < rows; ++r) {
-    const bool touched_page = r / 4 == 1;
-    if (touched_page) {
-      // The cloned page is NEW storage; untouched rows in it carry the
-      // old values.
-      EXPECT_NE(v1->RowForNode(0, r), v2->RowForNode(0, r)) << "row " << r;
-    } else {
-      // Untouched pages are SHARED: same bytes, same address.
-      EXPECT_EQ(v1->RowForNode(0, r), v2->RowForNode(0, r)) << "row " << r;
+  for (int n = 0; n < topo.num_nodes; ++n) {
+    for (Index r = 0; r < rows; ++r) {
+      if (r == 5 || r == 6) {
+        // Written rows land at positions v1 does not read.
+        EXPECT_NE(v1->RowForNode(n, r), v2->RowForNode(n, r)) << "row " << r;
+      } else {
+        // Every other row keeps its address, rows 4 and 7 of the touched
+        // page included: the delta copied no row it did not write.
+        EXPECT_EQ(v1->RowForNode(n, r), v2->RowForNode(n, r)) << "row " << r;
+      }
     }
   }
   // Values: 5 and 6 overwritten, everything else (page 1 included) keeps
@@ -145,6 +149,137 @@ TEST(FeatureStoreDeltaTest, RefreshBytesScaleWithChurnNotTableSize) {
   // a narrow and a wide table.
   EXPECT_LE(DeltaRatioAtOnePercentChurn(1024, 64), 0.25);
   EXPECT_LE(DeltaRatioAtOnePercentChurn(8192, 256), 0.25);
+}
+
+// --- scattered churn: rows written, positions reused ----------------------
+
+/// `n` distinct keys drawn uniformly from [0, rows): a partial
+/// Fisher-Yates draw, the way a scattered update feed arrives.
+std::vector<uint64_t> ScatteredKeys(Rng& rng, Index rows, size_t n) {
+  std::vector<uint64_t> perm(rows);
+  for (Index k = 0; k < rows; ++k) perm[k] = k;
+  for (size_t i = 0; i < n; ++i) {
+    std::swap(perm[i], perm[i + rng.Below(rows - i)]);
+  }
+  perm.resize(n);
+  return perm;
+}
+
+size_t LedgerBytes(const numa::NumaAllocator& alloc) {
+  size_t total = 0;
+  for (int n = 0; n < alloc.topology().num_nodes; ++n) {
+    total += alloc.ledger().BytesOnNode(n);
+  }
+  return total;
+}
+
+constexpr Index kChurnRows = 16384;
+constexpr Index kChurnDim = 128;
+constexpr Index kChurnPageRows = 64;
+constexpr size_t kChurnKeys = kChurnRows / 100;  // 1% per delta
+
+TEST(FeatureStoreDeltaTest, ScatteredChurnCopiesRowsNotPages) {
+  // 1% scattered keys touch about half of the 64-row pages. A delta that
+  // cloned those pages wrote about 0.47 of a full rewrite; one that
+  // writes the rows, the touched pages' row maps and the blocks it needs
+  // stays under 0.05, on both placements.
+  for (const StorePlacement p :
+       {StorePlacement::kSharded, StorePlacement::kReplicated}) {
+    auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
+    obs::Registry reg;
+    FeatureStore store("f", alloc, &reg, kChurnRows, kChurnDim,
+                       PagedStore(p, kChurnPageRows));
+    store.Publish(CoordinateTable(kChurnRows, kChurnDim));
+    Rng rng(11);
+    for (int d = 0; d < 3; ++d) {
+      const StorePublishReport rep = store.PublishDelta(
+          ScatteredKeys(rng, kChurnRows, kChurnKeys),
+          UniformRows(kChurnKeys, kChurnDim, d));
+      EXPECT_GT(rep.touched_pages, 64u) << ToString(p);
+      EXPECT_LE(static_cast<double>(rep.delta_bytes) / rep.full_bytes, 0.05)
+          << ToString(p) << " delta " << d;
+    }
+  }
+}
+
+TEST(FeatureStoreDeltaTest, ScatteredChurnSpaceStaysNearTheTable) {
+  // 400 scattered deltas, each snapshot released before the next delta:
+  // the positions each delta retires are reused, so the store's data
+  // ledger stays within 5% of the table plus one block per node, and the
+  // two space gauges read what the store holds.
+  for (const StorePlacement p :
+       {StorePlacement::kSharded, StorePlacement::kReplicated}) {
+    const numa::Topology topo = numa::Local2();
+    auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+    obs::Registry reg;
+    FeatureStore store("f", alloc, &reg, kChurnRows, kChurnDim,
+                       PagedStore(p, kChurnPageRows));
+    store.Publish(CoordinateTable(kChurnRows, kChurnDim));
+    const size_t copies = p == StorePlacement::kReplicated ? 2 : 1;
+    const size_t row_bytes = kChurnDim * sizeof(double) * copies;
+    const size_t table_bytes = kChurnRows * row_bytes;
+    const size_t block_bytes = kChurnPageRows * row_bytes;
+    const obs::Labels family = {{"family", "f"}};
+    Rng rng(5);
+    for (int d = 0; d < 400; ++d) {
+      store.PublishDelta(ScatteredKeys(rng, kChurnRows, kChurnKeys),
+                         UniformRows(kChurnKeys, kChurnDim, d));
+      const size_t ledger = LedgerBytes(*alloc);
+      ASSERT_LE(ledger, 1.05 * table_bytes + topo.num_nodes * block_bytes)
+          << ToString(p) << " delta " << d;
+      const obs::RegistrySnapshot snap = reg.Snapshot();
+      ASSERT_EQ(snap.GaugeValue("store.resident_bytes", family),
+                static_cast<double>(ledger))
+          << ToString(p) << " delta " << d;
+      ASSERT_EQ(snap.GaugeValue("store.live_bytes", family),
+                static_cast<double>(table_bytes))
+          << ToString(p) << " delta " << d;
+    }
+  }
+}
+
+TEST(FeatureStoreDeltaTest, PinnedVersionKeepsItsRowsUntilReleased) {
+  // A reader pinning v1 across 50 deltas pins v1's positions too: v1
+  // reads every original row bitwise and the ledger grows by each
+  // delta's rows. Once v1 is released, the retired positions cover the
+  // next 100 deltas without a new block.
+  for (const StorePlacement p :
+       {StorePlacement::kSharded, StorePlacement::kReplicated}) {
+    const numa::Topology topo = numa::Local2();
+    auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+    obs::Registry reg;
+    FeatureStore store("f", alloc, &reg, kChurnRows, kChurnDim,
+                       PagedStore(p, kChurnPageRows));
+    store.Publish(CoordinateTable(kChurnRows, kChurnDim));
+    auto v1 = store.Acquire();
+    const size_t copies = p == StorePlacement::kReplicated ? 2 : 1;
+    const size_t row_bytes = kChurnDim * sizeof(double) * copies;
+    const size_t published = LedgerBytes(*alloc);
+    Rng rng(3);
+    for (int d = 0; d < 50; ++d) {
+      store.PublishDelta(ScatteredKeys(rng, kChurnRows, kChurnKeys),
+                         UniformRows(kChurnKeys, kChurnDim, -1.0 - d));
+    }
+    EXPECT_GE(LedgerBytes(*alloc), published + 50 * kChurnKeys * row_bytes)
+        << ToString(p);
+    for (int n = 0; n < topo.num_nodes; ++n) {
+      for (Index r = 0; r < kChurnRows; ++r) {
+        const double* row = v1->RowForNode(n, r);
+        for (Index j = 0; j < kChurnDim; ++j) {
+          ASSERT_EQ(row[j], 1000.0 * r + j)
+              << ToString(p) << " node " << n << " row " << r;
+        }
+      }
+    }
+    v1.reset();
+    const size_t released = LedgerBytes(*alloc);
+    for (int d = 0; d < 100; ++d) {
+      store.PublishDelta(ScatteredKeys(rng, kChurnRows, kChurnKeys),
+                         UniformRows(kChurnKeys, kChurnDim, d));
+      ASSERT_EQ(LedgerBytes(*alloc), released)
+          << ToString(p) << " delta " << d << " allocated a block";
+    }
+  }
 }
 
 TEST(FeatureStoreDeltaTest, DeltaBootstrapsAnEmptyStoreAndAddsKeys) {
@@ -568,6 +703,56 @@ TEST(ScoreKeyServingTest, EvictionSurfacesAsNotFoundWithMetrics) {
   EXPECT_GT(snap.CounterValue("store.full_bytes", ls_family), 0u);
 }
 
+TEST(ScoreKeyServingTest, RowIdsNameTheirKeysAfterScatteredDeltas) {
+  // A delta moves churned rows to new positions but never moves a slot,
+  // so after 20 scattered deltas the row id r still names key r: both
+  // forms score the same row bitwise, and that row is key r's latest.
+  for (const StorePlacement p :
+       {StorePlacement::kSharded, StorePlacement::kReplicated}) {
+    models::LeastSquaresSpec ls;
+    const Index rows = 512;
+    const Index dim = 16;
+    ServingOptions opts;
+    opts.topology = numa::Local2();
+    opts.num_threads = 2;
+    ServingEngine server(opts);
+    ASSERT_TRUE(server.RegisterFamily("ls", &ls, ServeFamily(dim)).ok());
+    ASSERT_TRUE(
+        server.RegisterStore("ls", rows, dim, PagedStore(p, 64)).ok());
+    Rng rng(21);
+    std::vector<double> weights(dim);
+    for (double& w : weights) w = rng.Gaussian(0.0, 1.0);
+    server.Publish("ls", weights);
+    std::vector<double> table(static_cast<size_t>(rows) * dim);
+    for (double& v : table) v = rng.Gaussian(0.0, 1.0);
+    server.PublishStore("ls", table);
+    for (int d = 0; d < 20; ++d) {
+      const std::vector<uint64_t> keys = ScatteredKeys(rng, rows, rows / 20);
+      std::vector<double> block(keys.size() * dim);
+      for (double& v : block) v = rng.Gaussian(0.0, 1.0);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        std::copy(block.begin() + i * dim, block.begin() + (i + 1) * dim,
+                  table.begin() + keys[i] * dim);
+      }
+      server.PublishStoreDelta("ls", keys, block);
+    }
+    ASSERT_TRUE(server.Start().ok());
+    for (Index r = 0; r < rows; ++r) {
+      const auto by_id = server.ScoreSync("ls", r);
+      const auto by_key = server.ScoreKeySync("ls", static_cast<uint64_t>(r));
+      ASSERT_TRUE(by_id.ok()) << by_id.status().ToString();
+      ASSERT_TRUE(by_key.ok()) << by_key.status().ToString();
+      EXPECT_EQ(by_id.value(), by_key.value()) << ToString(p) << " row " << r;
+      double expect = 0.0;
+      for (Index j = 0; j < dim; ++j) {
+        expect += weights[j] * table[static_cast<size_t>(r) * dim + j];
+      }
+      EXPECT_NEAR(by_id.value(), expect, 1e-9) << ToString(p) << " row " << r;
+    }
+    server.Stop();
+  }
+}
+
 // --- TSan stress: deltas + evictions under pipelined key scoring ----------
 
 TEST(FeatureStoreDeltaStressTest, HostileDeltasNeverTearKeyedScores) {
@@ -668,6 +853,104 @@ TEST(FeatureStoreDeltaStressTest, HostileDeltasNeverTearKeyedScores) {
                                                        {{"family", "kv"}}),
             0u);
   EXPECT_GT(server.FindStore("kv")->current_version(), 1u);
+}
+
+TEST(FeatureStoreDeltaStressTest, ReadersPinningOldVersionsNeverSeeReusedRows) {
+  // A writer publishes scattered overwrites while readers hold each
+  // snapshot for 0-2 delta periods. Key k written at version v holds
+  // k * 2^16 + v in every cell, so a reader can name the one write it
+  // saw; after the run, each read must be its key's latest write at or
+  // before the snapshot's version. A position reused while a reader
+  // could still read it shows up as another key or a newer write (and
+  // as a race under TSan).
+  for (const StorePlacement p :
+       {StorePlacement::kSharded, StorePlacement::kReplicated}) {
+    const Index rows = 2048;
+    const Index dim = 8;
+    constexpr int kDeltas = 200;
+    auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
+    obs::Registry reg;
+    FeatureStore store("f", alloc, &reg, rows, dim, PagedStore(p, 64));
+    const auto cell = [](uint64_t key, uint64_t version) {
+      return static_cast<double>(key * 65536 + version);
+    };
+    std::vector<double> base(static_cast<size_t>(rows) * dim);
+    for (Index k = 0; k < rows; ++k) {
+      std::fill(base.begin() + k * dim, base.begin() + (k + 1) * dim,
+                cell(k, 1));
+    }
+    // writes[k]: the versions key k was written at, ascending.
+    std::vector<std::vector<uint64_t>> writes(rows, {1});
+    ASSERT_EQ(store.Publish(base), 1u);
+
+    struct Read {
+      uint64_t snapshot_version;
+      uint64_t key;
+      uint64_t written_at;
+    };
+    std::atomic<bool> done{false};
+    std::vector<std::vector<Read>> reads(3);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 3; ++t) {
+      readers.emplace_back([&, t] {
+        Rng rng(31 + t);
+        while (!done.load(std::memory_order_acquire)) {
+          const auto snap = store.Acquire();
+          const uint64_t hold_until = snap->version() + rng.Below(3);
+          do {
+            const uint64_t key = rng.Below(rows);
+            const auto slot = snap->LookupSlot(key);
+            ASSERT_TRUE(slot.has_value()) << "key " << key;
+            const double* row = snap->RowForNode(
+                static_cast<numa::NodeId>(rng.Below(2)), *slot);
+            for (Index j = 1; j < dim; ++j) {
+              ASSERT_EQ(row[j], row[0]) << "torn row of key " << key;
+            }
+            const uint64_t v = static_cast<uint64_t>(row[0]);
+            reads[t].push_back(Read{snap->version(), v >> 16, v & 0xffff});
+            ASSERT_EQ(v >> 16, key) << "a reused position served another key";
+          } while (store.current_version() < hold_until &&
+                   !done.load(std::memory_order_acquire));
+        }
+      });
+    }
+
+    Rng rng(77);
+    for (int d = 0; d < kDeltas; ++d) {
+      const uint64_t version = store.current_version() + 1;
+      const std::vector<uint64_t> keys = ScatteredKeys(rng, rows, rows / 50);
+      std::vector<double> block(keys.size() * dim);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        std::fill(block.begin() + i * dim, block.begin() + (i + 1) * dim,
+                  cell(keys[i], version));
+        writes[keys[i]].push_back(version);
+      }
+      ASSERT_EQ(store.PublishDelta(keys, block).version, version);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    done.store(true, std::memory_order_release);
+    for (std::thread& r : readers) r.join();
+
+    uint64_t checked = 0;
+    for (const std::vector<Read>& log : reads) {
+      for (const Read& r : log) {
+        const std::vector<uint64_t>& w = writes[r.key];
+        // The key's latest write at or before the snapshot's version.
+        const uint64_t expect =
+            *(std::upper_bound(w.begin(), w.end(), r.snapshot_version) - 1);
+        ASSERT_EQ(r.written_at, expect)
+            << ToString(p) << " key " << r.key << " at version "
+            << r.snapshot_version;
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 0u);
+    // Without reuse the deltas would add 4x the table; readers holding a
+    // few versions keep the store far below that.
+    const size_t copies = p == StorePlacement::kReplicated ? 2 : 1;
+    EXPECT_LT(LedgerBytes(*alloc), 3 * rows * dim * sizeof(double) * copies)
+        << ToString(p);
+  }
 }
 
 }  // namespace
