@@ -20,12 +20,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "numa/numa_allocator.h"
 #include "numa/topology.h"
 #include "obs/metrics.h"
@@ -38,11 +38,6 @@ namespace dw::serve {
 namespace {
 
 using matrix::Index;
-
-int EnvInt(const char* name, int dflt) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : dflt;
-}
 
 std::unique_ptr<FeatureStore> MakeStore(
     const std::shared_ptr<numa::NumaAllocator>& alloc,
@@ -242,8 +237,8 @@ void RunSoak(Index rows, bool reader) {
 }  // namespace dw::serve
 
 int main() {
-  const dw::matrix::Index rows = dw::serve::EnvInt("DW_BENCH_ROWS", 32768);
-  const int lookups = dw::serve::EnvInt("DW_BENCH_LOOKUPS", 1000000);
+  const dw::matrix::Index rows = dw::bench::EnvInt("DW_BENCH_ROWS", 32768);
+  const int lookups = dw::bench::EnvInt("DW_BENCH_LOOKUPS", 1000000);
   dw::serve::RunLoadFactorSweep(rows, lookups);
   dw::serve::RunChurnSweep(rows);
   dw::serve::RunEvictionRounds(rows, lookups);

@@ -78,6 +78,7 @@
 #include "data/synthetic.h"
 #include "kernels/dispatch.h"
 #include "kernels/score_kernels.h"
+#include "models/glm.h"
 #include "obs/exporter.h"
 #include "serve/serving_engine.h"
 #include "util/rng.h"

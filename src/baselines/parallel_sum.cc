@@ -17,10 +17,9 @@ double LocalSum(const double* v, size_t lo, size_t hi) {
   return acc;
 }
 
-}  // namespace
-
-SumResult RunParallelSum(const std::vector<double>& values, int threads,
-                         SumStrategy strategy, size_t chunk) {
+// One whole timed pass, thread spawn included.
+SumResult TimedPass(const std::vector<double>& values, int threads,
+                    SumStrategy strategy, size_t chunk) {
   const size_t n = values.size();
   const double* v = values.data();
   SumResult result;
@@ -102,6 +101,18 @@ SumResult RunParallelSum(const std::vector<double>& values, int threads,
           ? static_cast<double>(n) * sizeof(double) / result.seconds / 1e9
           : 0.0;
   return result;
+}
+
+}  // namespace
+
+SumResult RunParallelSum(const std::vector<double>& values, int threads,
+                         SumStrategy strategy, size_t chunk) {
+  SumResult best;
+  for (int pass = 0; pass < kSumPasses; ++pass) {
+    const SumResult r = TimedPass(values, threads, strategy, chunk);
+    if (pass == 0 || r.seconds < best.seconds) best = r;
+  }
+  return best;
 }
 
 }  // namespace dw::baselines

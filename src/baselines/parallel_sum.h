@@ -21,15 +21,22 @@ enum class SumStrategy {
   kMLlibStyle,     ///< per-worker partials, per-minibatch barrier + driver
 };
 
-/// Result of one run.
+/// Whole passes RunParallelSum times; it reports the fastest. Like STREAM
+/// and numa::MeasureBandwidth, best-of-N keeps one pass that a preempted
+/// thread or a cold page stalls from standing for the strategy.
+inline constexpr int kSumPasses = 3;
+
+/// Result of the fastest pass.
 struct SumResult {
   double sum = 0.0;
   double seconds = 0.0;
   double gb_per_sec = 0.0;
 };
 
-/// Sums `values` with `threads` workers under the given strategy.
-/// `chunk` is the task granularity for the queue/minibatch variants.
+/// Sums `values` with `threads` workers under the given strategy, timing
+/// kSumPasses whole passes (thread spawn included) and returning the
+/// fastest. `chunk` is the task granularity for the queue/minibatch
+/// variants.
 SumResult RunParallelSum(const std::vector<double>& values, int threads,
                          SumStrategy strategy, size_t chunk = 4096);
 
