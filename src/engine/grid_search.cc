@@ -1,5 +1,7 @@
 #include "engine/grid_search.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace dw::engine {
@@ -13,7 +15,11 @@ GridSearchResult GridSearchStepSize(
   GridSearchResult out;
   out.thresholds = threshold_percents;
   std::vector<double> best_score;
-  for (double step : steps) {
+  for (auto it = steps.begin(); it != steps.end(); ++it) {
+    const double step = *it;
+    // A repeated step would rerun the same configuration; the first run
+    // of a step stands for it.
+    if (std::find(steps.begin(), it, step) != it) continue;
     options.step_size = step;
     Engine engine(&dataset, &spec, options);
     const Status st = engine.Init();

@@ -19,10 +19,10 @@ struct GridSearchResult {
   std::vector<double> thresholds;
 };
 
-/// Runs the engine once per candidate step size and keeps the run that
-/// reaches the tightest threshold of `optimal_loss` in the fewest epochs
-/// (ties broken by the next threshold, then by best loss). Thresholds are
-/// the paper's {1, 10, 50, 100} percent by default.
+/// Runs the engine once per distinct candidate step size and keeps the run
+/// that reaches the tightest threshold of `optimal_loss` in the fewest
+/// epochs (ties broken by the next threshold, then by best loss).
+/// Thresholds are the paper's {1, 10, 50, 100} percent by default.
 GridSearchResult GridSearchStepSize(
     const data::Dataset& dataset, const models::ModelSpec& spec,
     EngineOptions options, int max_epochs, double optimal_loss,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/barrier.h"
 #include "util/logging.h"
 
 namespace dw::serve {
@@ -48,6 +49,9 @@ Status ValidateClientId(const ClientId& client) {
 RequestBatcher::RequestBatcher(obs::Registry* registry)
     : registry_(registry) {
   DW_CHECK(registry_ != nullptr) << "the batcher needs a registry";
+  polls_hit_ = registry_->GetCounter("queue.polls", {{"outcome", "hit"}});
+  polls_miss_ = registry_->GetCounter("queue.polls", {{"outcome", "miss"}});
+  parks_ = registry_->GetCounter("queue.parks");
 }
 
 void RequestBatcher::AttachController(
@@ -79,10 +83,14 @@ FamilyId RequestBatcher::AddQueue(const Options& opts,
   return static_cast<FamilyId>(queues_.size() - 1);
 }
 
-RequestBatcher::ClientQueue& RequestBatcher::GetOrAddClient(
+RequestBatcher::ClientQueue* RequestBatcher::FindClient(
     FamilyQueue& q, const ClientId& client) {
   const auto it = q.client_index.find(client.str());
-  if (it != q.client_index.end()) return q.clients[it->second];
+  return it == q.client_index.end() ? nullptr : &q.clients[it->second];
+}
+
+RequestBatcher::ClientQueue& RequestBatcher::AddClient(
+    FamilyQueue& q, const ClientId& client) {
   ClientQueue cq;
   cq.id = client;
   const obs::Labels labels = {{"family", q.label},
@@ -109,11 +117,14 @@ void RequestBatcher::SetClientWeight(FamilyId family, const ClientId& client,
   DW_CHECK_GE(family, 0);
   DW_CHECK_LT(family, static_cast<FamilyId>(queues_.size()));
   FamilyQueue& q = queues_[family];
-  DW_CHECK(q.client_index.count(client.str()) > 0 ||
-           q.clients.size() < q.opts.max_clients)
-      << "client roster full for family (max_clients="
-      << q.opts.max_clients << "): " << client.str();
-  ClientQueue& cq = GetOrAddClient(q, client);
+  ClientQueue* found = FindClient(q, client);
+  if (found == nullptr) {
+    DW_CHECK_LT(q.clients.size(), q.opts.max_clients)
+        << "client roster full for family (max_clients="
+        << q.opts.max_clients << "): " << client.str();
+    found = &AddClient(q, client);
+  }
+  ClientQueue& cq = *found;
   q.total_weight += weight - cq.weight;
   cq.weight = weight;
   // A weight change mid-service must not leave the DRR accounting torn:
@@ -196,12 +207,15 @@ StatusOr<std::future<double>> RequestBatcher::Submit(
     // distinct id holds a permanent subqueue and dilutes every tenant's
     // share, so a caller misusing per-request ids as client ids must be
     // refused, not accumulated.
-    if (q.client_index.count(req.client.str()) == 0 &&
-        q.clients.size() >= q.opts.max_clients) {
-      q.rejected_full->Increment();
-      return Status::ResourceExhausted("client roster full for family");
+    ClientQueue* found = FindClient(q, req.client);
+    if (found == nullptr) {
+      if (q.clients.size() >= q.opts.max_clients) {
+        q.rejected_full->Increment();
+        return Status::ResourceExhausted("client roster full for family");
+      }
+      found = &AddClient(q, req.client);
     }
-    ClientQueue& cq = GetOrAddClient(q, req.client);
+    ClientQueue& cq = *found;
     // A client's admission share: its weight over the weights of ALL
     // KNOWN clients (pre-registered through SetClientWeight or seen at
     // least once). Known-but-idle clients keep their reservation on
@@ -267,10 +281,13 @@ StatusOr<std::future<double>> RequestBatcher::Submit(
     cq.queue.push_back(std::move(req));
     ++q.rows;
     q.depth->Set(static_cast<double>(q.rows));
+    changes_.fetch_add(1);
     // Only the family's first queued row (an idle flush, or a deadline
     // to arm) and the row that fills a batch change what a waiter does;
-    // a row joining a waiting partial batch wakes nobody.
-    wake = q.rows == 1 || q.rows == q.opts.max_batch_size;
+    // a row joining a waiting partial batch wakes nobody. A polling
+    // worker rescans once it retakes the lock, which is after this
+    // Submit's, so it sees this row without a wake-up.
+    wake = !polling_ && (q.rows == 1 || q.rows == q.opts.max_batch_size);
   }
   if (wake) ready_cv_.notify_one();
   return fut;
@@ -384,9 +401,14 @@ bool RequestBatcher::NextBatch(Batch* out) {
   // the lock, so Submit never waits on a worker's deallocations.
   out->requests.clear();
   std::unique_lock<std::mutex> lk(mu_);
+  // Only a worker whose batch has just finished may poll, once: traffic
+  // has just flowed, so the next row is likely close behind.
+  bool may_poll = out->in_flight_;
+  bool polled = false;
   if (out->in_flight_) {
     out->in_flight_ = false;
     --queues_[out->family].in_flight;
+    changes_.fetch_add(1);
   }
   for (;;) {
     const size_t nq = queues_.size();
@@ -438,7 +460,10 @@ bool RequestBatcher::NextBatch(Batch* out) {
         const size_t f = (next_queue_ + k) % nq;
         if (queues_[f].rows > 0) pick = f;
       }
-      if (pick == nq) return false;  // shut down AND fully drained
+      if (pick == nq) {  // shut down AND fully drained
+        if (polled) polls_miss_->Increment();
+        return false;
+      }
       reason = FlushReason::kDrain;
     }
     // Nagle: a family with no batch in flight sends what it has.
@@ -447,6 +472,7 @@ bool RequestBatcher::NextBatch(Batch* out) {
       reason = FlushReason::kIdle;
     }
     if (pick < nq) {
+      if (polled) polls_hit_->Increment();
       next_queue_ = (pick + 1) % nq;
       TakeBatch(static_cast<FamilyId>(pick), reason, out);
       const bool wake = UnwatchedWorkLocked();
@@ -454,6 +480,26 @@ bool RequestBatcher::NextBatch(Batch* out) {
       if (wake) ready_cv_.notify_one();
       return true;
     }
+    // Nothing is queued anywhere and nobody polls: poll for the next
+    // change without the lock, then rescan. Any Submit that skipped its
+    // notify for this poll ran before the lock is retaken, so the rescan
+    // sees its row; a poll that comes back empty parks below.
+    if (may_poll && !any_waiting && !polling_) {
+      may_poll = false;
+      polled = true;
+      polling_ = true;
+      const uint32_t seen = changes_.load();
+      lk.unlock();
+      PollForChange(changes_, seen, kPollWindow);
+      lk.lock();
+      polling_ = false;
+      continue;
+    }
+    if (polled) {
+      polls_miss_->Increment();
+      polled = false;
+    }
+    parks_->Increment();
     // Every queued row sits behind an in-flight batch of its family.
     // Arm a timer for the earliest deadline unless a sleeping worker
     // already wakes by then; otherwise wait for a Submit, a sibling's
@@ -474,6 +520,7 @@ void RequestBatcher::Shutdown() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     shutdown_ = true;
+    changes_.fetch_add(1);
   }
   ready_cv_.notify_all();
 }

@@ -15,10 +15,10 @@ namespace {
 static_assert(sizeof(std::atomic<uint32_t>) == sizeof(uint32_t),
               "the futex word must be a bare 32-bit integer");
 
-// A waiter polls the generation kPollsPerYield times between yields and
-// parks once kSpinWindow has passed. Chosen by timing the ~25 us Hogwild
-// epoch of IntegrationTest.SgdBeatsMinibatchOnWallClock's inputs on a
-// 4-vCPU AVX-512 Xeon KVM guest, interleaved with the old spin-only
+// A poller reads the word kPollsPerYield times between yields. A barrier
+// waiter parks once kSpinWindow has passed. Chosen by timing the ~25 us
+// Hogwild epoch of IntegrationTest.SgdBeatsMinibatchOnWallClock's inputs
+// on a 4-vCPU AVX-512 Xeon KVM guest, interleaved with the old spin-only
 // barrier (median of per-batch p50s, 16-20 batches of 60 runs). Little
 // host steal: 1, 2 and 5 ms windows read 27.5, 28.6 and 27.5 us against
 // 26.4 (batch IQR 25.2-28.9). Heavy steal: windows of about 0.4, 1.5 and
@@ -34,6 +34,18 @@ long Futex(std::atomic<uint32_t>* word, int op, uint32_t val) {
 }
 
 }  // namespace
+
+bool PollForChange(const std::atomic<uint32_t>& word, uint32_t seen,
+                   std::chrono::nanoseconds window) {
+  const auto give_up_at = std::chrono::steady_clock::now() + window;
+  do {
+    for (int i = 0; i < kPollsPerYield; ++i) {
+      if (word.load(std::memory_order_acquire) != seen) return true;
+    }
+    sched_yield();
+  } while (std::chrono::steady_clock::now() < give_up_at);
+  return false;
+}
 
 void Barrier::Wait() {
   // The generation cannot move before this party arrives, so this is the
@@ -56,13 +68,7 @@ void Barrier::Wait() {
     }
     return;
   }
-  const auto park_at = std::chrono::steady_clock::now() + kSpinWindow;
-  do {
-    for (int i = 0; i < kPollsPerYield; ++i) {
-      if (generation_.load(std::memory_order_acquire) != gen) return;
-    }
-    sched_yield();
-  } while (std::chrono::steady_clock::now() < park_at);
+  if (PollForChange(generation_, gen, kSpinWindow)) return;
   sleepers_.fetch_add(1, std::memory_order_seq_cst);
   // Every pass, after every wake too, re-reads the word through the atomic
   // (seq_cst, so at least acquire): the ordering with the releaser's

@@ -5,11 +5,19 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 
 #include "util/logging.h"
 
 namespace dw {
+
+/// The polling half of poll-then-park: acquire loads of `word` until it
+/// differs from `seen` (true) or `window` has passed (false), yielding
+/// the CPU every 1,024 loads and reading the clock between those rounds,
+/// so at least one round runs. The caller parks on a false return.
+bool PollForChange(const std::atomic<uint32_t>& word, uint32_t seen,
+                   std::chrono::nanoseconds window);
 
 /// Reusable barrier for a fixed set of participants: spin, then park.
 class Barrier {

@@ -4,6 +4,7 @@
 // correctness against single-threaded reference scores, and the
 // memory-model ordering of PerNode over PerMachine serving throughput.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <array>
@@ -748,6 +749,113 @@ TEST(RequestBatcherTest, DeadlineRespectsEachFamilysDelay) {
   ASSERT_TRUE(b.NextBatch(&batch));
   EXPECT_EQ(batch.family, fast);
   EXPECT_EQ(batch.reason, FlushReason::kDeadline);
+}
+
+double ProcessCpuSeconds() {
+  rusage ru;
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+}
+
+/// Polls counted so far, hits and misses (batcher-wide counters).
+uint64_t Polls(const obs::Registry& reg) {
+  const obs::RegistrySnapshot snap = reg.Snapshot();
+  return snap.CounterValue("queue.polls", {{"outcome", "hit"}}) +
+         snap.CounterValue("queue.polls", {{"outcome", "miss"}});
+}
+
+uint64_t Parks(const obs::Registry& reg) {
+  return reg.Snapshot().CounterValue("queue.parks");
+}
+
+/// Waits up to 10 s for `done()`; returns whether it came true.
+template <typename Pred>
+bool AwaitTrue(Pred done) {
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// Waits until `reg` has counted at least `n` parks.
+bool AwaitParks(const obs::Registry& reg, uint64_t n) {
+  return AwaitTrue([&] { return Parks(reg) >= n; });
+}
+
+TEST(RequestBatcherTest, FreshWorkersParkWithoutPolling) {
+  // Only a worker that has just handed a batch back polls. Four fresh
+  // workers on an empty batcher park at once and cost no CPU.
+  obs::Registry reg;
+  RequestBatcher b(&reg);
+  b.AddQueue(BatchOpts(4, std::chrono::milliseconds(1)));
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([&b] {
+      Batch batch;
+      while (b.NextBatch(&batch)) {
+      }
+    });
+  }
+  EXPECT_TRUE(AwaitParks(reg, 4));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(Polls(reg), 0u);
+  const double before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(ProcessCpuSeconds() - before, 0.05);
+  b.Shutdown();
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(Polls(reg), 0u);
+}
+
+TEST(RequestBatcherTest, OneWorkerPollsAtATime) {
+  // Each round, two workers take one row each (two families) and hand
+  // their batches back together onto an empty batcher. Only one of them
+  // may poll; the other parks. A round can still count two polls when the
+  // second hand-back comes after the first poll has ended, so the check is
+  // that some rounds count one.
+  obs::Registry reg;
+  RequestBatcher b(&reg);
+  const std::array<FamilyId, 2> families = {
+      b.AddQueue(BatchOpts(4, std::chrono::seconds(1))),
+      b.AddQueue(BatchOpts(4, std::chrono::seconds(1)))};
+  std::atomic<int> taken{0};
+  std::atomic<int> released{0};
+  auto work = [&] {
+    Batch batch;
+    for (int round = 1; b.NextBatch(&batch); ++round) {
+      taken.fetch_add(1);
+      while (released.load() < round) {
+      }
+    }
+  };
+  std::thread w1(work);
+  std::thread w2(work);
+  constexpr int kRounds = 100;
+  int one_poll = 0;
+  for (int round = 1; round <= kRounds; ++round) {
+    for (FamilyId f : families) MustSubmit(b, f, 0.0);
+    if (!AwaitTrue([&] { return taken.load() == 2 * round; })) {
+      ADD_FAILURE() << "a row was not taken in round " << round;
+      break;
+    }
+    const uint64_t polls = Polls(reg);
+    const uint64_t parks = Parks(reg);
+    released.store(round);
+    if (!AwaitParks(reg, parks + 2)) {
+      ADD_FAILURE() << "a worker did not park in round " << round;
+      break;
+    }
+    one_poll += Polls(reg) - polls == 1;
+  }
+  released.store(kRounds + 1);
+  b.Shutdown();
+  w1.join();
+  w2.join();
+  EXPECT_GT(one_poll, 0) << "both workers polled in every round";
 }
 
 // --- serving engine -------------------------------------------------------
@@ -1636,6 +1744,149 @@ TEST(ServingEngineTest, QuietWakeupsStrandNoRequest) {
     served += rows;
   }
   EXPECT_EQ(served, uint64_t{kProducers} * kPerProducer + 12);
+}
+
+TEST(ServingEngineTest, IdleEngineParksAfterOnePoll) {
+  // One synchronous row on a 4-worker engine: the worker that served it
+  // polls once after handing its batch back, then every worker parks and
+  // the engine costs no CPU.
+  models::LeastSquaresSpec ls;
+  ServingOptions opts;
+  opts.topology = numa::Local2();
+  opts.num_threads = 4;
+  ServingEngine server(opts);
+  ASSERT_TRUE(
+      server.RegisterFamily("ls", &ls, ServePinned(4, Replication::kPerNode))
+          .ok());
+  server.Publish("ls", ConstantWeights(4, 1.0));
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(AwaitParks(server.telemetry(), 4));  // every worker waits
+  auto fut = server.Score("ls", {0}, {2.0});
+  ASSERT_TRUE(fut.ok());
+  ASSERT_EQ(fut.value().wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_DOUBLE_EQ(fut.value().get(), 2.0);
+  // The serving worker parks again after its poll.
+  ASSERT_TRUE(AwaitParks(server.telemetry(), 5));
+  EXPECT_LE(Polls(server.telemetry()), 1u);
+  const double before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(ProcessCpuSeconds() - before, 0.05);
+  EXPECT_LE(Polls(server.telemetry()), 1u);
+  server.Stop();
+}
+
+TEST(ServingEngineTest, PolledWaitsStrandNoRequest) {
+  // A worker that has just handed a batch back polls for kPollWindow, and
+  // Submit skips its wake-up while it does. A lost wake-up would strand a
+  // request. Rows arrive with busy-waited gaps drawn from 0 to twice the
+  // window, so they land on both sides of its end, on 1, 2 and 4 workers,
+  // three families and two producers mixing synchronous rows with
+  // asynchronous bursts; then one producer sends lone synchronous rows,
+  // which only the poller or the row's own wake-up can serve.
+  const auto window = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      RequestBatcher::kPollWindow);
+  const auto spin_for = [](std::chrono::nanoseconds gap) {
+    const auto until = std::chrono::steady_clock::now() + gap;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  const auto gap_from = [&](Rng& rng) {
+    return std::chrono::nanoseconds(rng.Below(2 * window.count() + 1));
+  };
+  const std::array<size_t, 3> batch_sizes = {1, 4, 32};
+  const std::array<int64_t, 3> delays_us = {50, 200, 1000};
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    models::LeastSquaresSpec ls;
+    ServingOptions opts;
+    opts.topology = numa::Local2();
+    opts.num_threads = workers;
+    ServingEngine server(opts);
+    for (size_t k = 0; k < batch_sizes.size(); ++k) {
+      ServingFamilyOptions fam = ServePinned(8, Replication::kPerNode);
+      RequestBatcher::Options q;
+      q.max_batch_size = batch_sizes[k];
+      q.max_delay = std::chrono::microseconds(delays_us[k]);
+      fam.batch = q;
+      const std::string name = "f" + std::to_string(k);
+      ASSERT_TRUE(server.RegisterFamily(name, &ls, fam).ok());
+      server.Publish(name, ConstantWeights(8, 1.0));
+    }
+    ASSERT_TRUE(server.Start().ok());
+
+    // Two spinning producers keep the test light on a loaded host (ctest
+    // -j4 runs it beside wall-clock tests).
+    constexpr int kProducers = 2;
+    constexpr int kPerProducer = 400;
+    constexpr int kLoneRows = 300;
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        Rng rng(static_cast<uint64_t>(workers * 10 + p));
+        std::vector<std::pair<double, std::future<double>>> pending;
+        for (int i = 0; i < kPerProducer; ++i) {
+          spin_for(gap_from(rng));
+          const std::string family = "f" + std::to_string((i + p) % 3);
+          const double v = static_cast<double>(i % 7);
+          auto fut = server.Score(family, {Index(i % 8)}, {v});
+          ASSERT_TRUE(fut.ok()) << fut.status().ToString();
+          pending.emplace_back(v, std::move(fut).value());
+          // Every fifth row is synchronous; the rest go in bursts of 8.
+          if ((i + p) % 5 == 0 || pending.size() == 8 ||
+              i + 1 == kPerProducer) {
+            for (auto& [want, f] : pending) {
+              ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
+                        std::future_status::ready)
+                  << "a request was stranded";
+              if (f.get() != want) wrong.fetch_add(1);
+            }
+            pending.clear();
+          }
+        }
+      });
+    }
+    for (std::thread& t : producers) t.join();
+    Rng rng(static_cast<uint64_t>(workers));
+    for (int i = 0; i < kLoneRows; ++i) {
+      spin_for(gap_from(rng));
+      auto fut = server.Score("f" + std::to_string(i % 3), {Index(0)}, {1.0});
+      ASSERT_TRUE(fut.ok());
+      ASSERT_EQ(fut.value().wait_for(std::chrono::seconds(30)),
+                std::future_status::ready)
+          << "lone row " << i << " was stranded";
+      if (fut.value().get() != 1.0) wrong.fetch_add(1);
+    }
+    server.Stop();
+    EXPECT_EQ(wrong.load(), 0);
+
+    const obs::RegistrySnapshot snap = server.telemetry().Snapshot();
+    uint64_t served = 0;
+    uint64_t batches = 0;
+    for (size_t k = 0; k < batch_sizes.size(); ++k) {
+      const obs::Labels fam = {{"family", "f" + std::to_string(k)}};
+      const uint64_t rows = snap.CounterValue("serve.rows", fam);
+      EXPECT_EQ(rows, snap.CounterValue("queue.accepted", fam));
+      EXPECT_EQ(snap.CounterValue("queue.flush_size", fam) +
+                    snap.CounterValue("queue.flush_deadline", fam) +
+                    snap.CounterValue("queue.flush_drain", fam) +
+                    snap.CounterValue("queue.flush_idle", fam),
+                snap.CounterValue("serve.batches", fam));
+      served += rows;
+      batches += snap.CounterValue("serve.batches", fam);
+    }
+    EXPECT_EQ(served, uint64_t{kProducers} * kPerProducer + kLoneRows);
+    // Each batch is handed back by its worker's next NextBatch, Stop's
+    // last one included, and a hand-back polls at most once.
+    const uint64_t hits =
+        snap.CounterValue("queue.polls", {{"outcome", "hit"}});
+    EXPECT_LE(hits + snap.CounterValue("queue.polls", {{"outcome", "miss"}}),
+              batches);
+    if (workers == 1) {
+      EXPECT_GT(hits, 0u) << "no row arrived in a poll";
+    }
+  }
 }
 
 TEST(ServingEngineTest, AdmissionCountersSurfaceBackpressure) {
