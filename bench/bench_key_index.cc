@@ -13,10 +13,14 @@
 //      with and without a reader that holds each snapshot for one
 //      period: delta ratio, publish time, and the resident and live
 //      bytes gauges every 50 deltas. Resident bytes must stay flat.
+//   5. Full publish -- Publish and Republish (kSharded -> kReplicated)
+//      wall time at serve-kv-churn's table shape (65,536 x 128, 64-row
+//      pages, local2), median of 21, with the number of loader threads
+//      that write the rows.
 //
-// Knobs: DW_BENCH_ROWS (default 32768), DW_BENCH_LOOKUPS (default
-// 1000000). No google-benchmark dependency; plain tables like the other
-// paper benches.
+// Knobs: DW_BENCH_ROWS (default 32768; tables 1-4), DW_BENCH_LOOKUPS
+// (default 1000000). No google-benchmark dependency; plain tables like
+// the other paper benches.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -31,6 +35,7 @@
 #include "obs/metrics.h"
 #include "serve/feature_store.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -233,6 +238,43 @@ void RunSoak(Index rows, bool reader) {
   std::printf("\n");
 }
 
+void RunFullPublish() {
+  const Index rows = 65536;
+  const Index dim = 128;
+  auto alloc = std::make_shared<numa::NumaAllocator>(numa::Local2());
+  obs::Registry registry;
+  Rng rng(11);
+  std::vector<double> table(static_cast<size_t>(rows) * dim);
+  for (double& v : table) v = rng.Gaussian(0.0, 1.0);
+  // One store throughout, like a serving process: a generation's blocks
+  // reuse the heap an earlier one freed, so the rows' copy is timed, not
+  // the kernel's page faults.
+  auto store = MakeStore(alloc, &registry, rows, dim, 64);  // kSharded
+  std::vector<double> publish_ms, republish_ms;
+  for (int i = 0; i < 21; ++i) {
+    WallTimer publish;
+    store->Publish(table);
+    publish_ms.push_back(publish.Seconds() * 1e3);
+  }
+  for (int i = 0; i < 21; ++i) {
+    WallTimer republish;
+    store->Republish(StorePlacement::kReplicated);
+    republish_ms.push_back(republish.Seconds() * 1e3);
+    store->Republish(StorePlacement::kSharded);  // back, untimed
+  }
+  const double table_mb = table.size() * sizeof(double) / 1e6;
+  const double pub = Percentile(publish_ms, 50);
+  const double repub = Percentile(republish_ms, 50);
+  Table t("full publish: 65536 x 128, 64-row pages, local2, median of 21");
+  t.SetHeader({"loaders", "publish ms", "publish GB/s", "republish ms",
+               "republish GB/s"});
+  // Republish to kReplicated writes one copy per node (2 on local2).
+  t.AddRow({std::to_string(store->loaders()), Table::Num(pub, 2),
+            Table::Num(table_mb / pub, 2), Table::Num(repub, 2),
+            Table::Num(2 * table_mb / repub, 2)});
+  t.Print();
+}
+
 }  // namespace
 }  // namespace dw::serve
 
@@ -245,5 +287,6 @@ int main() {
   std::printf("\n");
   dw::serve::RunSoak(rows, /*reader=*/false);
   dw::serve::RunSoak(rows, /*reader=*/true);
+  dw::serve::RunFullPublish();
   return 0;
 }

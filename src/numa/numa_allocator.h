@@ -2,10 +2,16 @@
 //
 // On a real NUMA box DimmWitted would call numa_alloc_onnode(); libnuma is
 // not available here, so the allocator performs ordinary cache-aligned
-// allocation but *records* the virtual node every region belongs to. All
+// allocation and *records* the virtual node every region belongs to. All
 // placement decisions (data/worker collocation, per-node replicas, OS-vs-
 // NUMA placement ablation) execute against these tags, and the per-node
 // byte ledger lets tests assert that plans place memory where they claim.
+// The allocator itself places no page: a fresh page lands on the node of
+// the CPU that first writes it. AllocateOnNode's zero fill is such a write
+// (on the allocating thread); AllocateOnNodeForOverwrite leaves the first
+// write to the caller, so a caller that writes from a thread pinned to the
+// node's CPUs (serve::FeatureStore's loaders) makes the tag physical on a
+// host whose CPUs sit on the modeled nodes.
 #pragma once
 
 #include <cstddef>
@@ -121,7 +127,8 @@ class NumaAllocator {
   }
 
   /// AllocateOnNode without the zero fill, for buffers the caller
-  /// overwrites before it reads them (feature-store row blocks).
+  /// overwrites before it reads them (feature-store row blocks and the
+  /// index shards of a full publish, first written by the node's loaders).
   template <typename T>
   NodeArray<T> AllocateOnNodeForOverwrite(NodeId node, size_t size) {
     DW_CHECK_GE(node, 0);

@@ -2,11 +2,13 @@
 
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "opt/placement.h"
+#include "util/thread_util.h"
 
 namespace dw::serve {
 
@@ -25,6 +27,26 @@ namespace {
 
 /// A map entry naming no block: a slot of an evicted page.
 constexpr StoreRowRef kNoRow = {std::numeric_limits<uint32_t>::max(), 0};
+
+/// Capacity of a freshly built index shard holding `live` keys: a power
+/// of two, at least 16, at most half full.
+uint64_t FreshShardCapacity(uint64_t live) {
+  const uint64_t want = std::max<uint64_t>(16, live * 2);
+  uint64_t cap = 16;
+  while (cap < want) cap <<= 1;
+  return cap;
+}
+
+/// Puts `key` into the first empty entry on its linear probe path.
+void PlaceFresh(StoreIndexShard* shard, uint64_t key, uint64_t marker) {
+  const uint64_t mask = shard->capacity - 1;
+  uint64_t i = (MixKey(key) >> 17) & mask;
+  while (shard->entries[i].marker != StoreIndexShard::kEmpty) {
+    i = (i + 1) & mask;
+  }
+  shard->entries[i].key = key;
+  shard->entries[i].marker = marker;
+}
 
 }  // namespace
 
@@ -89,6 +111,11 @@ FeatureStore::FeatureStore(std::string family,
   pr = ((pr + nodes - 1) / nodes) * nodes;
   page_rows_ = pr;
   num_pages_ = (static_cast<size_t>(rows_) + page_rows_ - 1) / page_rows_;
+  loader_cpus_ = allocator_->topology().WorkerCpus(
+      static_cast<int>(std::min<size_t>(
+          std::max(1, NumOnlineCpus() / static_cast<int>(nodes)),
+          num_pages_)),
+      /*pin=*/true);
   ref_bits_ =
       std::make_shared<std::vector<std::atomic<uint8_t>>>(num_pages_);
   slot_to_key_.assign(rows_, 0);
@@ -238,33 +265,20 @@ std::shared_ptr<const StoreIndexShard> FeatureStore::RebuildShard(
   // place, reusing tombstones -- the O(shard bytes) fast path.
   const uint64_t projected = base_live + base_tomb + upserts.size();
   const bool grow = cap == 0 || projected * 10 > cap * 7;
-  if (grow) {
-    const uint64_t want =
-        std::max<uint64_t>(16, (base_live + upserts.size()) * 2);
-    cap = 16;
-    while (cap < want) cap <<= 1;
-  }
+  if (grow) cap = FreshShardCapacity(base_live + upserts.size());
   auto shard = std::make_shared<StoreIndexShard>();
   shard->capacity = cap;
   shard->entries = index_allocator_->AllocateOnNode<StoreIndexShard::Entry>(
       shard_id, cap);
   *delta_bytes += cap * sizeof(StoreIndexShard::Entry);
   const uint64_t mask = cap - 1;
-  const auto place_fresh = [&](uint64_t key, uint64_t marker) {
-    uint64_t i = (MixKey(key) >> 17) & mask;
-    while (shard->entries[i].marker != StoreIndexShard::kEmpty) {
-      i = (i + 1) & mask;
-    }
-    shard->entries[i].key = key;
-    shard->entries[i].marker = marker;
-  };
   if (grow) {
     if (base != nullptr) {
       for (uint64_t i = 0; i < base->capacity; ++i) {
         const StoreIndexShard::Entry& e = base->entries[i];
         if (e.marker != StoreIndexShard::kEmpty &&
             e.marker != StoreIndexShard::kTombstone) {
-          place_fresh(e.key, e.marker);
+          PlaceFresh(shard.get(), e.key, e.marker);
         }
       }
     }
@@ -361,15 +375,55 @@ size_t FeatureStore::EvictOnePage(const std::vector<uint8_t>& pinned_pages,
   for (matrix::Index i = 0; i < span; ++i) {
     const matrix::Index slot = start + i;
     if (slot_live_[slot] == 0) continue;
-    const uint64_t key = slot_to_key_[slot];
-    key_to_slot_.erase(key);
-    removed_keys->push_back(key);
+    removed_keys->push_back(slot_to_key_[slot]);
     slot_live_[slot] = 0;
     free_slots_.push_back(slot);
     ++*evicted_keys;
   }
   refs[victim].store(0, std::memory_order_relaxed);
   return victim;
+}
+
+template <typename RowOf>
+void FeatureStore::LoadPagesLocked(
+    StorePlacement placement, const RowOf& row_of,
+    const std::vector<std::shared_ptr<StoreIndexShard>>& shards) {
+  const int nodes = allocator_->topology().num_nodes;
+  const bool sharded = placement == StorePlacement::kSharded;
+  const size_t row_bytes = static_cast<size_t>(dim_) * sizeof(double);
+  const int per_node = loaders() / nodes;
+  RunOnNewThreads(loaders(), [&](int t) {
+    (void)PinCurrentThreadToCpu(loader_cpus_[t]);
+    const int n = t / per_node;
+    const size_t k = static_cast<size_t>(t % per_node);
+    // Page p starts on a round-robin boundary, so its position i holds
+    // slot start + i, owned by node i % nodes.
+    const matrix::Index first = sharded ? n : 0;
+    const matrix::Index step = sharded ? nodes : 1;
+    for (size_t p = num_pages_ * k / per_node;
+         p < num_pages_ * (k + 1) / per_node; ++p) {
+      StorePage* block = blocks_[p].get();
+      if (block == nullptr) continue;
+      double* frag = block->fragments[n].data();
+      const matrix::Index start = static_cast<matrix::Index>(p) * page_rows_;
+      const matrix::Index span = PageSpan(p);
+      for (matrix::Index i = first; i < span; i += step) {
+        if (slot_live_[start + i] == 0) continue;
+        std::memcpy(frag + static_cast<size_t>(i / step) * dim_,
+                    row_of(n, start + i), row_bytes);
+      }
+    }
+    if (k != 0 || shards.empty()) return;
+    StoreIndexShard* shard = shards[n].get();
+    std::memset(shard->entries.data(), 0,
+                shard->capacity * sizeof(StoreIndexShard::Entry));
+    for (matrix::Index r = 0; r < rows_; ++r) {
+      if (MixKey(r) % static_cast<uint64_t>(nodes) ==
+          static_cast<uint64_t>(n)) {
+        PlaceFresh(shard, r, static_cast<uint64_t>(r) + 1);
+      }
+    }
+  });
 }
 
 uint64_t FeatureStore::Publish(const std::vector<double>& row_major) {
@@ -385,15 +439,10 @@ uint64_t FeatureStore::Publish(const std::vector<double>& row_major) {
 
   // A full rewrite resets the key space to the identity map (key r ->
   // slot r, all slots live) -- the legacy dense-row-id contract.
-  key_to_slot_.clear();
-  key_to_slot_.reserve(rows_);
   free_slots_.clear();
   next_slot_ = rows_;
-  for (matrix::Index r = 0; r < rows_; ++r) {
-    key_to_slot_.emplace(r, r);
-    slot_to_key_[r] = r;
-    slot_live_[r] = 1;
-  }
+  std::iota(slot_to_key_.begin(), slot_to_key_.end(), uint64_t{0});
+  std::fill(slot_live_.begin(), slot_live_.end(), uint8_t{1});
 
   StorePublishReport report;
   report.full_bytes = FullRewriteBytes(placement);
@@ -403,35 +452,36 @@ uint64_t FeatureStore::Publish(const std::vector<double>& row_major) {
   auto snap = MakeShell(placement);
   snap->maps_.resize(num_pages_);
   for (size_t p = 0; p < num_pages_; ++p) {
-    const matrix::Index span = PageSpan(p);
-    auto block = AllocateBlock(span, placement, &report.delta_bytes);
-    const size_t start = p * static_cast<size_t>(page_rows_);
-    for (matrix::Index i = 0; i < span; ++i) {
-      WriteRow(block.get(), placement, i,
-               row_major.data() + (start + i) * dim_);
-    }
-    blocks_[p] = std::move(block);
+    blocks_[p] = AllocateBlock(PageSpan(p), placement, &report.delta_bytes);
     ++report.touched_pages;
   }
-
-  std::vector<std::vector<std::pair<uint64_t, matrix::Index>>> upserts(
-      nodes);
+  std::vector<uint64_t> shard_keys(nodes, 0);
   for (matrix::Index r = 0; r < rows_; ++r) {
-    const uint64_t key = r;
-    upserts[MixKey(key) % static_cast<uint64_t>(nodes)].emplace_back(key,
-                                                                     r);
+    ++shard_keys[MixKey(r) % static_cast<uint64_t>(nodes)];
   }
-  snap->index_shards_.resize(nodes);
+  std::vector<std::shared_ptr<StoreIndexShard>> shards(nodes);
   for (int s = 0; s < nodes; ++s) {
-    snap->index_shards_[s] =
-        RebuildShard(nullptr, s, upserts[s], {}, &report.delta_bytes);
+    shards[s] = std::make_shared<StoreIndexShard>();
+    shards[s]->capacity = FreshShardCapacity(shard_keys[s]);
+    shards[s]->live = shard_keys[s];
+    shards[s]->entries =
+        index_allocator_
+            ->AllocateOnNodeForOverwrite<StoreIndexShard::Entry>(
+                s, shards[s]->capacity);
+    report.delta_bytes +=
+        shards[s]->capacity * sizeof(StoreIndexShard::Entry);
   }
+  LoadPagesLocked(
+      placement,
+      [&](numa::NodeId, matrix::Index slot) {
+        return row_major.data() + static_cast<size_t>(slot) * dim_;
+      },
+      shards);
+  snap->index_shards_.assign(shards.begin(), shards.end());
 
   auto occ = std::make_shared<std::vector<uint64_t>>(
-      (static_cast<size_t>(rows_) + 63) / 64, 0);
-  for (matrix::Index r = 0; r < rows_; ++r) {
-    (*occ)[r >> 6] |= uint64_t{1} << (r & 63);
-  }
+      (static_cast<size_t>(rows_) + 63) / 64, ~uint64_t{0});
+  if (rows_ % 64 != 0) occ->back() = (uint64_t{1} << (rows_ % 64)) - 1;
   report.delta_bytes += occ->size() * sizeof(uint64_t);
   snap->occupancy_ = std::move(occ);
   snap->live_rows_ = rows_;
@@ -479,12 +529,14 @@ StorePublishReport FeatureStore::PublishDelta(
     DW_CHECK(seen.insert(key).second)
         << "duplicate key " << key << " in one delta publish for store "
         << family_;
-    matrix::Index slot;
-    const auto it = key_to_slot_.find(key);
-    const bool overwrite = it != key_to_slot_.end();
-    if (overwrite) {
-      slot = it->second;
-    } else {
+    // A key exists when the previous version maps it to a slot that
+    // still holds it: a key evicted earlier in this delta fails the test
+    // (its slot is dead, or already holds a newer key).
+    std::optional<matrix::Index> slot =
+        prev != nullptr ? prev->LookupSlot(key) : std::nullopt;
+    const bool overwrite = slot.has_value() && slot_live_[*slot] != 0 &&
+                           slot_to_key_[*slot] == key;
+    if (!overwrite) {
       if (free_slots_.empty() && next_slot_ < rows_) {
         slot = next_slot_++;
       } else {
@@ -497,14 +549,13 @@ StorePublishReport FeatureStore::PublishDelta(
         slot = free_slots_.back();
         free_slots_.pop_back();
       }
-      key_to_slot_.emplace(key, slot);
       upserts[MixKey(key) % static_cast<uint64_t>(nodes)].emplace_back(
-          key, slot);
+          key, *slot);
     }
-    slot_to_key_[slot] = key;
-    slot_live_[slot] = 1;
-    pinned[slot / page_rows_] = 1;
-    delta_rows.push_back(DeltaRow{key, slot, i, overwrite});
+    slot_to_key_[*slot] = key;
+    slot_live_[*slot] = 1;
+    pinned[*slot / page_rows_] = 1;
+    delta_rows.push_back(DeltaRow{key, *slot, i, overwrite});
   }
   std::vector<std::vector<uint64_t>> removals(nodes);
   for (const uint64_t key : removed_keys) {
@@ -635,14 +686,15 @@ uint64_t FeatureStore::Republish(StorePlacement placement) {
                      [](uint8_t live) { return live != 0; })) {
       continue;  // evicted or never populated: stays without a block
     }
-    auto block = AllocateBlock(span, placement, &report.delta_bytes);
-    for (matrix::Index i = 0; i < span; ++i) {
-      if (slot_live_[start + i] == 0) continue;
-      WriteRow(block.get(), placement, i, prev->RowForNode(0, start + i));
-    }
-    blocks_[p] = std::move(block);
+    blocks_[p] = AllocateBlock(span, placement, &report.delta_bytes);
     ++report.touched_pages;
   }
+  LoadPagesLocked(
+      placement,
+      [&](numa::NodeId node, matrix::Index slot) {
+        return prev->RowForNode(node, slot);
+      },
+      {});
   snap->index_shards_ = prev->index_shards_;
   snap->occupancy_ = prev->occupancy_;
   snap->live_rows_ = prev->live_rows_;

@@ -44,6 +44,18 @@
 //           bounded by the construction-time shape; churning entity
 //           sets recycle slots instead of growing.
 //
+// Who writes which node's bytes. The publishing thread allocates every
+// block fragment and index shard (one malloc arena, so a set-up's freed
+// blocks are reused, not spread over per-thread arenas). A full Publish or
+// Republish then writes the rows on LOADERS: threads pinned, node-major,
+// to the host CPUs the topology maps each node to (Topology::WorkerCpus),
+// each writing its own node's fragments of a contiguous range of pages;
+// Publish's first loader of node n then fills index shard n. A copy that
+// was bandwidth-bound on one core runs on every core, and on a host whose
+// CPUs sit on the modeled nodes, a fresh page is first touched -- and so
+// placed -- on the node whose ledger entry it is. Deltas stay on the
+// publishing thread (a 1% delta is a few hundred rows).
+//
 // Placement is not passed in by the caller: it is chosen at construction
 // by opt::ChooseStorePlacement() (opt/placement.h, the chooser model
 // replicas share) from the calibrated memory model, the topology, and the
@@ -70,7 +82,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -382,13 +393,17 @@ class FeatureStore {
   /// hashed KV front door).
   static uint64_t HashKey(std::string_view key);
 
+  /// Threads a full Publish or Republish writes rows on: per node,
+  /// max(1, host CPUs / nodes), at most one per page.
+  int loaders() const { return static_cast<int>(loader_cpus_.size()); }
+
   /// Full rewrite: copies the row-major table (`rows() * dim()` doubles,
-  /// row r at offset r * dim()) into fresh blocks, one per page, under
-  /// identity keys (key r -> slot r, all slots live) and installs it as
-  /// the store's current version (monotonic from 1). The size must match
-  /// the fixed shape: admission validates row ids against rows() once,
-  /// which is only sound if every version agrees. Resets any prior
-  /// key->slot state and starts a new block generation.
+  /// row r at offset r * dim()) on the loaders into fresh blocks, one per
+  /// page, under identity keys (key r -> slot r, all slots live) and
+  /// installs it as the store's current version (monotonic from 1). The
+  /// size must match the fixed shape: admission validates row ids against
+  /// rows() once, which is only sound if every version agrees. Resets any
+  /// prior key->slot state and starts a new block generation.
   uint64_t Publish(const std::vector<double>& row_major);
 
   /// Delta publish: upserts `keys[i] -> row_major[i*dim .. )`. Each row
@@ -403,7 +418,8 @@ class FeatureStore {
                                   const std::vector<double>& row_major);
 
   /// Live migration: re-lays the CURRENT version's resident pages (those
-  /// with a live slot) under `placement`, one block per page, and
+  /// with a live slot) under `placement`, one block per page, on the
+  /// loaders (each reads its own node's copy of the old rows), and
   /// installs the result as a new version through the regular hot-swap
   /// path -- in-flight batches keep the snapshot they gathered from and
   /// no row ever tears. Delta-aware: only live rows are copied (evicted
@@ -460,6 +476,18 @@ class FeatureStore {
   /// generation; the next installed version starts a new one (old
   /// versions keep their blocks alive). publish_mu_ held.
   void StartGenerationLocked();
+  /// Writes the live rows of every block the caller laid out as a page
+  /// (blocks_[p], allocated on this thread) on the loaders. Loader k of
+  /// node n takes the k-th contiguous range of pages and writes node n's
+  /// positions of each (pos % nodes == n under kSharded, its full copy
+  /// under kReplicated), reading slot s's row from row_of(n, s). When
+  /// `shards` is not empty, node n's first loader then fills shards[n]
+  /// (allocated, not zeroed) with the identity keys k < rows() whose
+  /// MixKey(k) % nodes == n, in ascending order. publish_mu_ held.
+  template <typename RowOf>
+  void LoadPagesLocked(
+      StorePlacement placement, const RowOf& row_of,
+      const std::vector<std::shared_ptr<StoreIndexShard>>& shards);
   /// Reads the versions destroyed since the last call and moves every
   /// retired batch that no live version of the generation can read to
   /// the free lists. publish_mu_ held.
@@ -534,8 +562,12 @@ class FeatureStore {
   /// Accessed only through std::atomic_load/atomic_store.
   std::shared_ptr<const FeatureStoreSnapshot> current_;
 
+  /// Host CPU of each loader, node-major (the same count per node).
+  std::vector<int> loader_cpus_;
+
   // --- publisher master state (publish_mu_ held) -------------------------
-  std::unordered_map<uint64_t, matrix::Index> key_to_slot_;
+  // The key -> slot map is the current version's index shards
+  // (LookupSlot); these two arrays are the slot -> key side.
   std::vector<uint64_t> slot_to_key_;
   std::vector<uint8_t> slot_live_;
   std::vector<matrix::Index> free_slots_;

@@ -1,5 +1,7 @@
 // Tests for the serving-time feature store: snapshot layout and ledger
-// placement under both placements, publish/hot-swap semantics, the
+// placement under both placements, the loaders that write a full Publish
+// and a Republish (every row bitwise, per-node ledger bytes and the key
+// index against the serial rule), publish/hot-swap semantics, the
 // id-keyed scoring path end to end (bitwise equality against
 // carried-feature requests, per GLM spec), admission edge cases, the
 // memory-model ordering of a replicated over a sharded store, and a
@@ -10,7 +12,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <future>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "serve/feature_store.h"
 #include "serve/serving_engine.h"
 #include "util/rng.h"
+#include "util/thread_util.h"
 
 namespace dw::serve {
 namespace {
@@ -200,6 +205,249 @@ TEST(FeatureStoreTest, RowAccessorsValidateIndices) {
   EXPECT_DEATH(snap->OwnerNodeFor(0, 100), "row out of range");
   EXPECT_DEATH(snap->RowForNode(2, 0), "node out of range");
   EXPECT_DEATH(snap->RowForNode(-1, 0), "negative node");
+}
+
+// --- loaders: full Publish and Republish ----------------------------------
+
+StoreOptions PagedStore(StorePlacement p, Index page_rows) {
+  StoreOptions o;
+  o.placement_override = p;
+  o.page_rows = page_rows;
+  return o;
+}
+
+/// The index a serial build of the identity keys 0..rows-1 gives: shard
+/// s holds the keys with MixKey(k) % nodes == s in a power-of-two table
+/// of at least 16 entries, at most half full, without tombstones.
+std::vector<StoreIndexShardStats> SerialIdentityIndex(Index rows,
+                                                      int nodes) {
+  std::vector<StoreIndexShardStats> out(nodes);
+  for (int s = 0; s < nodes; ++s) out[s].node = s;
+  for (Index k = 0; k < rows; ++k) {
+    ++out[MixKey(k) % static_cast<uint64_t>(nodes)].live;
+  }
+  for (StoreIndexShardStats& st : out) {
+    st.capacity = 16;
+    while (st.capacity < 2 * st.live) st.capacity <<= 1;
+  }
+  return out;
+}
+
+void ExpectIndexStats(const FeatureStoreSnapshot& snap,
+                      const std::vector<StoreIndexShardStats>& want) {
+  const std::vector<StoreIndexShardStats> got = snap.IndexStats();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t s = 0; s < want.size(); ++s) {
+    EXPECT_EQ(got[s].node, want[s].node);
+    EXPECT_EQ(got[s].capacity, want[s].capacity) << "shard " << s;
+    EXPECT_EQ(got[s].live, want[s].live) << "shard " << s;
+    EXPECT_EQ(got[s].tombstones, want[s].tombstones) << "shard " << s;
+  }
+}
+
+/// Row bytes each node should hold for the snapshot's resident pages
+/// (those with a live slot): a page's positions split round-robin under
+/// kSharded, a full copy per node under kReplicated.
+std::vector<size_t> ExpectedNodeBytes(const FeatureStoreSnapshot& snap) {
+  const int nodes = snap.num_shards();
+  std::vector<size_t> bytes(nodes, 0);
+  for (size_t p = 0; p < snap.num_pages(); ++p) {
+    const Index start = static_cast<Index>(p) * snap.page_rows();
+    const Index span = std::min(snap.page_rows(), snap.rows() - start);
+    bool resident = false;
+    for (Index i = 0; i < span; ++i) resident |= snap.SlotLive(start + i);
+    if (!resident) continue;
+    for (int n = 0; n < nodes; ++n) {
+      const Index rows = snap.placement() == StorePlacement::kReplicated
+                             ? span
+                             : (span + nodes - 1 - n) / nodes;
+      bytes[n] += static_cast<size_t>(rows) * snap.dim() * sizeof(double);
+    }
+  }
+  return bytes;
+}
+
+/// Every expected key resolves, and its row reads back bitwise on every
+/// node.
+void ExpectRowsBitwise(const FeatureStoreSnapshot& snap,
+                       const std::map<uint64_t, std::vector<double>>& want) {
+  EXPECT_EQ(snap.live_rows(), want.size());
+  for (const auto& [key, row] : want) {
+    const auto slot = snap.LookupSlot(key);
+    ASSERT_TRUE(slot.has_value()) << "key " << key;
+    for (int n = 0; n < snap.num_shards(); ++n) {
+      EXPECT_EQ(std::memcmp(snap.RowForNode(n, *slot), row.data(),
+                            row.size() * sizeof(double)),
+                0)
+          << ToString(snap.placement()) << " key " << key << " node " << n;
+    }
+  }
+}
+
+TEST(FeatureStoreLoaderTest, MultiPageTablesLoadBitwiseWithSerialIndex) {
+  // Several pages per loader on every host: the page count grows with
+  // the CPU count. A short last page and a dim that is not a multiple of
+  // 8 put every fragment boundary off the cache-line grid.
+  const Index page_rows = 24;  // a multiple of 2 and 4
+  const Index rows = static_cast<Index>(4 * NumOnlineCpus() + 1) * page_rows - 5;
+  const Index dim = 13;
+  const std::vector<double> table = RandomTable(rows, dim, 17);
+  for (const numa::Topology& topo : {numa::Local2(), numa::Local4()}) {
+    for (const StorePlacement p :
+         {StorePlacement::kSharded, StorePlacement::kReplicated}) {
+      SCOPED_TRACE(topo.name + " " + ToString(p));
+      auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+      obs::Registry reg;
+      FeatureStore store("f", alloc, &reg, rows, dim, PagedStore(p, page_rows));
+      const int nodes = topo.num_nodes;
+      EXPECT_GE(store.loaders(), nodes);
+      EXPECT_EQ(store.loaders() % nodes, 0);
+      store.Publish(table);
+      const auto snap = store.Acquire();
+      ASSERT_NE(snap, nullptr);
+      EXPECT_GT(snap->num_pages(),
+                static_cast<size_t>(store.loaders() / nodes));
+
+      std::map<uint64_t, std::vector<double>> want;
+      for (Index r = 0; r < rows; ++r) {
+        const double* src = table.data() + static_cast<size_t>(r) * dim;
+        want[r].assign(src, src + dim);
+        EXPECT_EQ(snap->LookupSlot(r), r);
+      }
+      EXPECT_EQ(snap->LookupSlot(rows), std::nullopt);
+      ExpectRowsBitwise(*snap, want);
+
+      size_t data_bytes = 0;
+      const std::vector<size_t> node_bytes = ExpectedNodeBytes(*snap);
+      for (int n = 0; n < nodes; ++n) {
+        const size_t owned =
+            p == StorePlacement::kReplicated
+                ? rows
+                : static_cast<size_t>((rows + nodes - 1 - n) / nodes);
+        EXPECT_EQ(node_bytes[n], owned * dim * sizeof(double));
+        EXPECT_EQ(alloc->ledger().BytesOnNode(n), node_bytes[n]);
+        data_bytes += node_bytes[n];
+      }
+      const std::vector<StoreIndexShardStats> index =
+          SerialIdentityIndex(rows, nodes);
+      ExpectIndexStats(*snap, index);
+
+      // Bytes written: the rows, the index tables and the occupancy words.
+      uint64_t written = data_bytes + ((rows + 63) / 64) * sizeof(uint64_t);
+      for (const StoreIndexShardStats& st : index) {
+        written += st.capacity * sizeof(StoreIndexShard::Entry);
+      }
+      const obs::RegistrySnapshot m = reg.Snapshot();
+      const obs::Labels family = {{"family", "f"}};
+      EXPECT_EQ(m.CounterValue("store.delta_bytes", family), written);
+      EXPECT_EQ(m.GaugeValue("store.resident_bytes", family),
+                static_cast<double>(data_bytes));
+    }
+  }
+}
+
+TEST(FeatureStoreLoaderTest, TablesWithFewerPagesThanCpusLoadEveryRow) {
+  // One and three pages: a node never gets more loaders than pages.
+  for (const numa::Topology& topo : {numa::Local2(), numa::Local4()}) {
+    for (const Index rows : {Index{5}, Index{70}}) {
+      for (const StorePlacement p :
+           {StorePlacement::kSharded, StorePlacement::kReplicated}) {
+        SCOPED_TRACE(topo.name + " " + ToString(p) + " rows " +
+                     std::to_string(rows));
+        auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+        obs::Registry reg;
+        const Index dim = 3;
+        FeatureStore store("f", alloc, &reg, rows, dim, PagedStore(p, 24));
+        const std::vector<double> table = RandomTable(rows, dim, rows);
+        store.Publish(table);
+        const auto snap = store.Acquire();
+        EXPECT_LE(static_cast<size_t>(store.loaders()),
+                  topo.num_nodes * snap->num_pages());
+        std::map<uint64_t, std::vector<double>> want;
+        for (Index r = 0; r < rows; ++r) {
+          const double* src = table.data() + static_cast<size_t>(r) * dim;
+          want[r].assign(src, src + dim);
+        }
+        ExpectRowsBitwise(*snap, want);
+        ExpectIndexStats(*snap, SerialIdentityIndex(rows, topo.num_nodes));
+        const std::vector<size_t> node_bytes = ExpectedNodeBytes(*snap);
+        for (int n = 0; n < topo.num_nodes; ++n) {
+          EXPECT_EQ(alloc->ledger().BytesOnNode(n), node_bytes[n]);
+        }
+      }
+    }
+  }
+}
+
+TEST(FeatureStoreLoaderTest, RepublishBothWaysKeepsLiveRowsAfterDeltas) {
+  // Scattered overwrites plus fresh keys that evict pages: Republish
+  // must carry every live key's latest row, bitwise, to the new
+  // placement and back, and lay out only the resident pages.
+  const Index page_rows = 24;
+  const Index rows = static_cast<Index>(4 * NumOnlineCpus() + 1) * page_rows - 5;
+  const Index dim = 13;
+  for (const numa::Topology& topo : {numa::Local2(), numa::Local4()}) {
+    for (const StorePlacement from :
+         {StorePlacement::kSharded, StorePlacement::kReplicated}) {
+      const StorePlacement to = from == StorePlacement::kSharded
+                                    ? StorePlacement::kReplicated
+                                    : StorePlacement::kSharded;
+      SCOPED_TRACE(topo.name + " from " + ToString(from));
+      auto alloc = std::make_shared<numa::NumaAllocator>(topo);
+      obs::Registry reg;
+      FeatureStore store("f", alloc, &reg, rows, dim,
+                         PagedStore(from, page_rows));
+      Rng rng(23);
+      const std::vector<double> table = RandomTable(rows, dim, 29);
+      store.Publish(table);
+      std::map<uint64_t, std::vector<double>> want;
+      for (Index r = 0; r < rows; ++r) {
+        const double* src = table.data() + static_cast<size_t>(r) * dim;
+        want[r].assign(src, src + dim);
+      }
+      uint64_t fresh = uint64_t{1} << 40;
+      for (int d = 0; d < 12; ++d) {
+        std::vector<uint64_t> keys;
+        for (const auto& [key, row] : want) {
+          if (rng.Below(16) == 0) keys.push_back(key);
+        }
+        for (int i = 0; i < 9; ++i) keys.push_back(fresh++);
+        const std::vector<double> block =
+            RandomTable(static_cast<Index>(keys.size()), dim, 100 + d);
+        store.PublishDelta(keys, block);
+        for (size_t i = 0; i < keys.size(); ++i) {
+          want[keys[i]].assign(block.begin() + i * dim,
+                               block.begin() + (i + 1) * dim);
+        }
+        const auto snap = store.Acquire();
+        for (auto it = want.begin(); it != want.end();) {
+          it = snap->LookupSlot(it->first).has_value() ? std::next(it)
+                                                       : want.erase(it);
+        }
+      }
+      ASSERT_LT(want.size(), static_cast<size_t>(rows));  // pages evicted
+      const std::vector<StoreIndexShardStats> index =
+          store.Acquire()->IndexStats();
+
+      for (const StorePlacement target : {to, from}) {
+        SCOPED_TRACE(std::string("to ") + ToString(target));
+        store.Republish(target);
+        const auto snap = store.Acquire();
+        ASSERT_EQ(snap->placement(), target);
+        ExpectRowsBitwise(*snap, want);
+        ExpectIndexStats(*snap, index);  // shared, not rebuilt
+        const std::vector<size_t> node_bytes = ExpectedNodeBytes(*snap);
+        size_t data_bytes = 0;
+        for (int n = 0; n < topo.num_nodes; ++n) {
+          EXPECT_EQ(alloc->ledger().BytesOnNode(n), node_bytes[n]);
+          data_bytes += node_bytes[n];
+        }
+        EXPECT_EQ(reg.Snapshot().GaugeValue("store.resident_bytes",
+                                            {{"family", "f"}}),
+                  static_cast<double>(data_bytes));
+      }
+    }
+  }
 }
 
 // --- serving-engine integration -------------------------------------------
