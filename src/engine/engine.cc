@@ -29,17 +29,23 @@ Engine::Engine(const data::Dataset* dataset, const models::ModelSpec* spec,
       spec_(spec),
       options_(std::move(options)),
       memory_model_(options_.topology),
-      last_sim_(options_.topology.num_nodes) {
+      last_sim_(options_.topology.num_nodes),
+      averager_(
+          "dw-averager",
+          [this] {
+            return std::chrono::microseconds(
+                std::max(1, options_.sync_interval_us));
+          },
+          [this] {
+            if (!epoch_active_.load(std::memory_order_acquire)) return;
+            std::lock_guard<std::mutex> lk(averaging_mu_);
+            AverageReplicasOnce();
+          }) {
   DW_CHECK(dataset_ != nullptr);
   DW_CHECK(spec_ != nullptr);
 }
 
-Engine::~Engine() {
-  if (averager_.joinable()) {
-    averager_quit_.store(true);
-    averager_.join();
-  }
-}
+Engine::~Engine() = default;
 
 Status Engine::Init() {
   if (initialized_) return Status::FailedPrecondition("Init called twice");
@@ -128,9 +134,7 @@ Status Engine::Init() {
       options_.model_rep == ModelReplication::kPerNode &&
       plan_.num_replicas > 1 && options_.sync_interval_us > 0 &&
       aux_dim_ == 0;
-  if (async_ok) {
-    averager_ = std::thread([this] { AveragerLoop(); });
-  }
+  if (async_ok) averager_.Start();
 
   // Seed the export buffer so Export() is valid (and thread-safe) from
   // the moment Init() returns, before any epoch has run.
@@ -222,19 +226,6 @@ void Engine::RefreshExportBuffer(const double* weights, int epochs) {
   export_weights_.assign(weights, weights + model_dim_);
   if (epochs >= 0) export_epochs_ = epochs;
   export_refreshed_at_ = std::chrono::steady_clock::now();
-}
-
-void Engine::AveragerLoop() {
-  SetCurrentThreadName("dw-averager");
-  const auto period = std::chrono::microseconds(
-      std::max(1, options_.sync_interval_us));
-  while (!averager_quit_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(period);
-    if (epoch_active_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lk(averaging_mu_);
-      AverageReplicasOnce();
-    }
-  }
 }
 
 void Engine::EpochBoundarySync() {

@@ -10,9 +10,11 @@
 // caller averages at the boundary, and idle workers park. One optional
 // asynchronous averaging thread (paper Sec. 3.3: "a separate thread
 // averages models, batching many writes together across the cores into
-// one write") runs beside it. Replica updates are lock-free by design;
-// concurrent writes to shared replicas are the Hogwild!-style benign
-// races the paper studies.
+// one write") runs beside it: a dw::PeriodicLoop that averages every
+// sync_interval_us while an epoch runs, and is stopped and joined at once
+// by the destructor. Replica updates are lock-free by design; concurrent
+// writes to shared replicas are the Hogwild!-style benign races the paper
+// studies.
 #pragma once
 
 #include <atomic>
@@ -20,7 +22,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "data/dataset.h"
@@ -31,6 +32,7 @@
 #include "models/model_spec.h"
 #include "numa/memory_model.h"
 #include "numa/numa_allocator.h"
+#include "util/periodic_loop.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/worker_pool.h"
@@ -111,7 +113,6 @@ class Engine {
 
   void WorkerEpoch(int worker_id, double step_size);  // one worker's epoch
   void EpochBoundarySync();               // average + project + aux refresh
-  void AveragerLoop();                    // async averaging thread body
   void AverageReplicasOnce();             // one averaging round (model part)
   /// Copies `weights` (model_dim_ doubles) into the export buffer.
   /// `epochs` < 0 keeps the current trained-epochs figure (mid-epoch
@@ -138,14 +139,11 @@ class Engine {
   std::unique_ptr<WorkerPool> pool_;
   std::vector<Rng> worker_rngs_;
 
-  // Async averager.
-  std::thread averager_;
   /// Serializes averaging rounds against the epoch boundary: the
   /// boundary's consensus copy into the export buffer must never read a
   /// replica the averager is halfway through rewriting (workers' Hogwild
   /// races stay -- this guards only averager-vs-boundary).
   std::mutex averaging_mu_;
-  std::atomic<bool> averager_quit_{false};
   std::atomic<bool> epoch_active_{false};
 
   // Export buffer: the thread-safe hand-off point between training and
@@ -158,6 +156,10 @@ class Engine {
   numa::SimulationInput last_sim_{1};
   int epoch_counter_ = 0;
   bool initialized_ = false;
+
+  /// The async averager, started by Init() when the plan allows it.
+  /// Declared last: joined before the replicas and buffers it reads go.
+  PeriodicLoop averager_;
 };
 
 /// Loss of `model` over the full dataset: the mean row loss plus the

@@ -1,5 +1,6 @@
 #include "obs/exporter.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <unordered_map>
@@ -8,8 +9,6 @@
 
 #include "util/json_writer.h"
 #include "util/logging.h"
-#include "util/thread_util.h"
-#include "util/timer.h"
 
 namespace dw::obs {
 
@@ -201,43 +200,24 @@ std::string RenderJson(const RegistrySnapshot& snap) {
 
 TelemetryExporter::TelemetryExporter(const Registry* registry,
                                      Options options)
-    : registry_(registry), options_(std::move(options)) {
+    : registry_(registry),
+      options_(std::move(options)),
+      loop_("dw-telemetry", [this] { return options_.period; },
+            [this] { ExportOnce(); }) {
   DW_CHECK(registry_ != nullptr);
   DW_CHECK_GT(options_.period.count(), 0);
 }
 
 TelemetryExporter::~TelemetryExporter() { Stop(); }
 
-void TelemetryExporter::Start() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    DW_CHECK(!started_) << "telemetry exporter started twice";
-    started_ = true;
-  }
-  thread_ = std::thread([this] { Loop(); });
-}
+void TelemetryExporter::Start() { loop_.Start(); }
 
 void TelemetryExporter::Stop() {
-  // Claim the join under the lock, exactly like serve::SnapshotExporter:
-  // a destructor racing an explicit Stop() must not double-join.
-  std::thread claimed;
-  bool flush = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-    if (thread_.joinable()) {
-      claimed = std::move(thread_);
-      flush = started_;
-    }
-  }
-  stop_cv_.notify_all();
-  if (!claimed.joinable()) return;
-  claimed.join();
-  if (flush) ExportOnce();
+  // The final export runs after the join, on the one Stop() that joined.
+  if (loop_.Stop()) ExportOnce();
 }
 
 void TelemetryExporter::ExportOnce() {
-  WallTimer timer;
   const RegistrySnapshot snap = registry_->Snapshot();
   const std::string prom = RenderPrometheus(snap);
   const std::string json = RenderJson(snap);
@@ -251,30 +231,6 @@ void TelemetryExporter::ExportOnce() {
     f << json;
   }
   if (options_.sink) options_.sink(prom, json);
-  const double ms = timer.Seconds() * 1e3;
-
-  std::lock_guard<std::mutex> lk(mu_);
-  ++stats_.snapshots;
-  stats_.last_render_ms = ms;
-  stats_.last_prometheus_bytes = prom.size();
-}
-
-TelemetryExporter::Stats TelemetryExporter::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stats_;
-}
-
-void TelemetryExporter::Loop() {
-  SetCurrentThreadName("dw-telemetry");
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!stop_) {
-    if (stop_cv_.wait_for(lk, options_.period, [this] { return stop_; })) {
-      break;
-    }
-    lk.unlock();
-    ExportOnce();
-    lk.lock();
-  }
 }
 
 }  // namespace dw::obs

@@ -5,22 +5,17 @@
 //
 // The render functions are free and pure -- a scrape endpoint, a test,
 // or the bench artifact can call them on any snapshot without spinning
-// up the thread. The TelemetryExporter mirrors serve::SnapshotExporter's
-// lifecycle discipline (Start once, Stop idempotent and claimed under a
-// lock, final export on Stop so a short-lived process still leaves one
-// complete scrape behind).
+// up the thread. The TelemetryExporter's thread is a dw::PeriodicLoop
+// (Start once, Stop idempotent and race-safe), plus a final export on
+// Stop so a short-lived process still leaves one complete scrape behind.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.h"
+#include "util/periodic_loop.h"
 
 namespace dw::obs {
 
@@ -54,12 +49,6 @@ class TelemetryExporter {
         sink;
   };
 
-  struct Stats {
-    uint64_t snapshots = 0;        ///< export rounds completed
-    double last_render_ms = 0.0;   ///< snapshot + both renders
-    uint64_t last_prometheus_bytes = 0;
-  };
-
   /// `registry` must outlive the exporter.
   TelemetryExporter(const Registry* registry, Options options);
   ~TelemetryExporter();
@@ -79,20 +68,12 @@ class TelemetryExporter {
   /// without Start() for pull-style scraping.
   void ExportOnce();
 
-  Stats stats() const;
-
  private:
-  void Loop();
-
   const Registry* registry_;
   const Options options_;
 
-  std::thread thread_;
-  mutable std::mutex mu_;  ///< guards stop_/started_ for the cv + stats
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  bool started_ = false;
-  Stats stats_;
+  /// Declared last: joined before the members ExportOnce() reads go.
+  PeriodicLoop loop_;
 };
 
 }  // namespace dw::obs

@@ -7,7 +7,6 @@
 
 #include "serve/snapshot_exporter.h"
 #include "util/logging.h"
-#include "util/thread_util.h"
 
 namespace dw::opt {
 
@@ -37,7 +36,11 @@ uint64_t Advance(uint64_t* last, uint64_t version) {
 
 PlacementTuner::PlacementTuner(const numa::Topology& topo,
                                obs::Registry* registry, TunerOptions options)
-    : topo_(topo), registry_(registry), options_(options) {
+    : topo_(topo),
+      registry_(registry),
+      options_(options),
+      loop_("dw-tuner", [this] { return options_.scan_period; },
+            [this] { ScanOnce(); }) {
   DW_CHECK(registry_ != nullptr) << "tuner needs a metric registry";
   DW_CHECK_GE(options_.scan_period.count(), 0);
   DW_CHECK_GE(options_.min_advantage, 1.0)
@@ -54,8 +57,6 @@ PlacementTuner::PlacementTuner(const numa::Topology& topo,
   // the tuner existed are history, not evidence.
   prev_snapshot_ = registry_->Snapshot();
 }
-
-PlacementTuner::~PlacementTuner() { Stop(); }
 
 void PlacementTuner::AddFamily(serve::ModelFamily* family,
                                serve::FeatureStore* store,
@@ -95,39 +96,11 @@ void PlacementTuner::AttachExporter(const std::string& family,
 }
 
 void PlacementTuner::Start() {
-  {
-    std::lock_guard<std::mutex> lk(loop_mu_);
-    DW_CHECK(!started_) << "tuner started twice";
-    started_ = true;
-  }
   if (options_.scan_period.count() == 0) return;  // manual mode
-  thread_ = std::thread([this] { Loop(); });
+  loop_.Start();
 }
 
-void PlacementTuner::Stop() {
-  std::thread claimed;
-  {
-    std::lock_guard<std::mutex> lk(loop_mu_);
-    stop_ = true;
-    if (thread_.joinable()) claimed = std::move(thread_);
-  }
-  stop_cv_.notify_all();
-  if (claimed.joinable()) claimed.join();
-}
-
-void PlacementTuner::Loop() {
-  SetCurrentThreadName("dw-tuner");
-  std::unique_lock<std::mutex> lk(loop_mu_);
-  while (!stop_) {
-    if (stop_cv_.wait_for(lk, options_.scan_period,
-                          [this] { return stop_; })) {
-      break;
-    }
-    lk.unlock();
-    ScanOnce();
-    lk.lock();
-  }
-}
+void PlacementTuner::Stop() { loop_.Stop(); }
 
 int PlacementTuner::ScanOnce() {
   std::lock_guard<std::mutex> lk(mu_);
@@ -275,16 +248,20 @@ void PlacementTuner::TuneExporter(const obs::SnapshotDelta& delta,
   if (stale_ms < 0.0) return;  // nothing scored this interval
   // Stretch threshold as a fraction of the SLO.
   constexpr double kStalenessSlack = 0.25;
+  // Decided in the whole ms SetPeriod applies, so the comparison below
+  // sees the floor the exporter will report on the next scan.
   const double cur_floor = tf.exporter->period_floor_ms();
   double next_floor = cur_floor;
   if (stale_ms > options_.staleness_slo_ms) {
     // Over SLO: tighten the cadence (never under 1ms; the exporter's
     // publish-latency ceiling still paces on top of this floor).
-    next_floor = std::max(1.0, cur_floor * 0.5);
+    next_floor = std::max(1.0, std::round(cur_floor * 0.5));
   } else if (stale_ms < options_.staleness_slo_ms * kStalenessSlack) {
     // Far under SLO: stretch to save publish bandwidth, capped at the
-    // SLO itself (a period past the SLO guarantees a violation).
-    next_floor = std::min(options_.staleness_slo_ms, cur_floor * 2.0);
+    // SLO itself rounded down (a period past the SLO guarantees a
+    // violation).
+    next_floor = std::min(std::max(1.0, std::floor(options_.staleness_slo_ms)),
+                          cur_floor * 2.0);
   }
   if (next_floor == cur_floor) return;
   tf.exporter->SetPeriod(

@@ -35,13 +35,11 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "numa/topology.h"
@@ -50,6 +48,7 @@
 #include "opt/placement.h"
 #include "serve/feature_store.h"
 #include "serve/model_family.h"
+#include "util/periodic_loop.h"
 
 namespace dw::serve {
 // Forward declared: snapshot_exporter.h includes serving_engine.h, which
@@ -67,9 +66,11 @@ struct TunerOptions {
   /// Serving staleness SLO in ms, judged against the mean staleness
   /// observed over a scan interval. When an exporter is attached for a
   /// family, the tuner halves its period floor while staleness
-  /// overshoots the SLO and doubles it (capped at the SLO itself) while
-  /// staleness sits under a quarter of the SLO, saving publish
-  /// bandwidth. <= 0 disables exporter-period control.
+  /// overshoots the SLO and doubles it while staleness sits under a
+  /// quarter of the SLO, saving publish bandwidth. Floors are whole ms:
+  /// a halving rounds to the nearest ms (never under 1), and a doubling
+  /// is capped at max(1, floor(SLO)). <= 0 disables exporter-period
+  /// control.
   double staleness_slo_ms = 0.0;
   /// Hysteresis gate: the challenger strategy must model at least this
   /// cost advantage (incumbent cost / challenger cost) for a scan to
@@ -126,7 +127,6 @@ class PlacementTuner {
   /// refuse to enable tuning without telemetry.
   PlacementTuner(const numa::Topology& topo, obs::Registry* registry,
                  TunerOptions options);
-  ~PlacementTuner();
 
   PlacementTuner(const PlacementTuner&) = delete;
   PlacementTuner& operator=(const PlacementTuner&) = delete;
@@ -147,12 +147,12 @@ class PlacementTuner {
   void AttachExporter(const std::string& family,
                       serve::SnapshotExporter* exporter);
 
-  /// Starts the background scan thread (none in manual mode,
-  /// scan_period == 0). Once.
+  /// Starts the background scan thread; a second call dies. Manual mode
+  /// (scan_period == 0) starts nothing.
   void Start();
 
-  /// Stops and joins the scan thread. Idempotent; also run by the
-  /// destructor.
+  /// Stops and joins the scan thread; no final scan. Idempotent; also
+  /// run by the destructor.
   void Stop();
 
   /// One synchronous scan-and-migrate pass over every family; the unit
@@ -201,7 +201,6 @@ class PlacementTuner {
     Side table;
   };
 
-  void Loop();
   void TuneModel(const obs::SnapshotDelta& delta, TunedFamily& tf,
                  int* migrations);
   void TuneStore(const obs::SnapshotDelta& delta, TunedFamily& tf,
@@ -238,13 +237,10 @@ class PlacementTuner {
   obs::RegistrySnapshot prev_snapshot_;
   uint64_t scan_seq_ = 0;
 
-  /// Background-thread lifecycle (separate from mu_: Stop() must never
-  /// wait behind a scan to set the flag).
-  std::mutex loop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  bool started_ = false;
-  std::thread thread_;
+  /// The scan thread. Its lock is its own, not mu_, so Stop() never
+  /// waits behind a scan; declared last, so it is joined before the
+  /// members a scan reads are destroyed.
+  PeriodicLoop loop_;
 };
 
 }  // namespace dw::opt

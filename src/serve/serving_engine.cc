@@ -181,10 +181,6 @@ Status ServingEngine::RegisterFamily(const std::string& family,
         obs_.GetCounter("store.local_gather_rows", labels);
     fs.inst.remote_store_rows =
         obs_.GetCounter("store.remote_gather_rows", labels);
-    fs.inst.store_local_bytes =
-        obs_.GetCounter("store.local_gather_bytes", labels);
-    fs.inst.store_remote_bytes =
-        obs_.GetCounter("store.remote_gather_bytes", labels);
     fs.inst.key_rows = obs_.GetCounter("store.key_rows", labels);
     fs.inst.key_misses = obs_.GetCounter("store.key_misses", labels);
     fs.inst.flush_size = obs_.GetCounter("queue.flush_size", labels);
@@ -632,8 +628,6 @@ void ServingEngine::WorkerLoop(int worker_id) {
     uint64_t key_misses = 0;
     uint64_t local_store_rows = 0;
     uint64_t remote_store_rows = 0;
-    uint64_t store_local_bytes = 0;
-    uint64_t store_remote_bytes = 0;
     for (size_t ri = 0; ri < batch.requests.size(); ++ri) {
       ScoreRequest& req = batch.requests[ri];
       Index slot = 0;
@@ -681,11 +675,9 @@ void ServingEngine::WorkerLoop(int worker_id) {
       const uint64_t feature_bytes = fdim * sizeof(double);
       if (store_snap->OwnerNodeFor(node, slot) == node) {
         ++local_store_rows;
-        store_local_bytes += feature_bytes;
         delta.local_read_bytes += feature_bytes;
       } else {
         ++remote_store_rows;
-        store_remote_bytes += feature_bytes;
         delta.remote_read_bytes += feature_bytes;
       }
     }
@@ -803,8 +795,6 @@ void ServingEngine::WorkerLoop(int worker_id) {
       inst.id_rows->Add(id_rows);
       inst.local_store_rows->Add(local_store_rows);
       inst.remote_store_rows->Add(remote_store_rows);
-      inst.store_local_bytes->Add(store_local_bytes);
-      inst.store_remote_bytes->Add(store_remote_bytes);
     }
     if (key_rows > 0) inst.key_rows->Add(key_rows);
     if (key_misses > 0) inst.key_misses->Add(key_misses);

@@ -368,8 +368,6 @@ class ServingEngine {
     obs::Counter* id_rows = nullptr;
     obs::Counter* local_store_rows = nullptr;
     obs::Counter* remote_store_rows = nullptr;
-    obs::Counter* store_local_bytes = nullptr;
-    obs::Counter* store_remote_bytes = nullptr;
     /// store.key_rows / store.key_misses: KV-keyed requests resolved
     /// through the sharded key index, and the lookups that missed it
     /// (the caller-visible symptom of eviction).

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/logging.h"
-#include "util/thread_util.h"
 #include "util/timer.h"
 
 namespace dw::serve {
@@ -15,7 +14,9 @@ SnapshotExporter::SnapshotExporter(engine::Engine* trainer,
     : trainer_(trainer),
       server_(server),
       family_(std::move(family)),
-      options_(options) {
+      options_(options),
+      loop_("dw-exporter", [this] { return PacedPeriod(); },
+            [this] { PublishOnce(); }) {
   DW_CHECK(trainer_ != nullptr);
   DW_CHECK(server_ != nullptr);
   DW_CHECK_GT(options_.period.count(), 0);
@@ -35,36 +36,16 @@ SnapshotExporter::~SnapshotExporter() { Stop(); }
 void SnapshotExporter::Start() {
   DW_CHECK(server_->FindFamily(family_) != nullptr)
       << "exporter family not registered: " << family_;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    DW_CHECK(!started_) << "exporter started twice";
-    started_ = true;
-  }
   PublishOnce();
-  thread_ = std::thread([this] { Loop(); });
+  loop_.Start();
 }
 
 void SnapshotExporter::Stop() {
-  // Claim the join under the lock: concurrent Stop() calls (owner
-  // destructor vs an explicit shutdown path) must not both reach
-  // thread_.join() -- only the claimant joins and flushes.
-  std::thread claimed;
-  bool flush = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-    if (thread_.joinable()) {
-      claimed = std::move(thread_);
-      flush = started_;
-    }
-  }
-  stop_cv_.notify_all();
-  if (!claimed.joinable()) return;
-  claimed.join();
-  // One last flush AFTER the loop is gone: the final trained model must
-  // not be lost to a period boundary, and with the thread joined there is
-  // no publisher left to race with.
-  if (flush) PublishOnce();
+  // One last publish AFTER the loop is joined: the final trained model
+  // must not be lost to a period boundary, and with the thread gone there
+  // is no publisher left to race with. Only the Stop() that joined
+  // publishes, so concurrent and repeated calls flush once.
+  if (loop_.Stop()) PublishOnce();
 }
 
 void SnapshotExporter::PublishOnce() {
@@ -100,11 +81,10 @@ void SnapshotExporter::SetPeriod(std::chrono::milliseconds period) {
         period.count() > 0
             ? std::chrono::duration<double, std::milli>(period).count()
             : 0.0;
-    period_dirty_ = true;
   }
-  // Wake an armed sleep so a long OLD period does not delay the new
+  // Re-derive the armed wait so a long OLD period does not delay the new
   // cadence (tightening 5s -> 50ms must not wait out the 5s first).
-  stop_cv_.notify_all();
+  loop_.Wake();
 }
 
 double SnapshotExporter::period_floor_ms() const {
@@ -115,34 +95,18 @@ double SnapshotExporter::period_floor_ms() const {
                    .count();
 }
 
-void SnapshotExporter::Loop() {
-  SetCurrentThreadName("dw-exporter");
-  const double configured_ms =
-      std::chrono::duration<double, std::milli>(options_.period).count();
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!stop_) {
-    // Latency-derived pacing: never spend more than max_publish_fraction
-    // of wall time inside Export()+Publish(). The floor -- the runtime
-    // override when set, `period` otherwise -- keeps the configured
-    // cadence for cheap publishes; only expensive ones stretch it
-    // (the EWMA is guarded by the lk we hold).
-    const double floor_ms =
-        period_override_ms_ > 0.0 ? period_override_ms_ : configured_ms;
-    const double paced_ms = ewma_publish_ms_ / options_.max_publish_fraction;
-    const double effective_ms = std::max(floor_ms, paced_ms);
-    period_gauge_->Set(effective_ms);
-    if (effective_ms > floor_ms) paced_counter_->Increment();
-    period_dirty_ = false;
-    const auto wait = std::chrono::duration<double, std::milli>(effective_ms);
-    if (stop_cv_.wait_for(lk, wait,
-                          [this] { return stop_ || period_dirty_; })) {
-      if (stop_) break;
-      continue;  // re-derive the period without publishing early
-    }
-    lk.unlock();
-    PublishOnce();
-    lk.lock();
-  }
+std::chrono::nanoseconds SnapshotExporter::PacedPeriod() {
+  // Latency-derived pacing: never spend more than max_publish_fraction
+  // of wall time inside Export()+Publish(). The floor -- the runtime
+  // override when set, `period` otherwise -- keeps the configured
+  // cadence for cheap publishes; only expensive ones stretch it.
+  const double floor_ms = period_floor_ms();
+  const double effective_ms =
+      std::max(floor_ms, ewma_publish_ms() / options_.max_publish_fraction);
+  period_gauge_->Set(effective_ms);
+  if (effective_ms > floor_ms) paced_counter_->Increment();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::duration<double, std::milli>(effective_ms));
 }
 
 }  // namespace dw::serve

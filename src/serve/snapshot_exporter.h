@@ -12,16 +12,14 @@
 // serve.staleness_ms{family=...} histogram measures exactly that lag.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "engine/engine.h"
 #include "serve/serving_engine.h"
+#include "util/periodic_loop.h"
 
 namespace dw::serve {
 
@@ -79,8 +77,9 @@ class SnapshotExporter {
 
   /// Overrides the pacing FLOOR at runtime (the placement tuner's
   /// staleness-SLO control): the loop re-derives its effective period
-  /// from this value on its next wake, so a long armed sleep does not
-  /// delay the new cadence. The publish-latency ceiling
+  /// from this value at once, still counted from the last publish, so a
+  /// long armed sleep does not delay the new cadence and repeated calls
+  /// do not postpone the next publish. The publish-latency ceiling
   /// (max_publish_fraction) still applies on top. Values <= 0 restore
   /// Options::period.
   void SetPeriod(std::chrono::milliseconds period);
@@ -90,7 +89,10 @@ class SnapshotExporter {
   double period_floor_ms() const;
 
  private:
-  void Loop();
+  /// The effective period: the floor stretched to the publish-latency
+  /// ceiling. Also sets exporter.effective_period_ms and counts
+  /// exporter.paced_periods.
+  std::chrono::nanoseconds PacedPeriod();
   void PublishOnce();
 
   engine::Engine* trainer_;
@@ -106,17 +108,14 @@ class SnapshotExporter {
   obs::Gauge* period_gauge_ = nullptr;
   obs::Histogram* publish_ms_hist_ = nullptr;
 
-  std::thread thread_;
-  mutable std::mutex mu_;  ///< guards stop_ for the cv + the EWMA
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  bool started_ = false;
-  /// Runtime pacing-floor override in ms (0: none); guarded by mu_.
-  /// period_dirty_ wakes an armed sleep so the change applies now.
+  mutable std::mutex mu_;  ///< guards the override and the EWMA
+  /// Runtime pacing-floor override in ms (0: none).
   double period_override_ms_ = 0.0;
-  bool period_dirty_ = false;
-  /// Publish latency EWMA (guarded by mu_); 0 until the first publish.
+  /// Publish latency EWMA; 0 until the first publish.
   double ewma_publish_ms_ = 0.0;
+
+  /// Declared last: joined before the members PublishOnce() reads go.
+  PeriodicLoop loop_;
 };
 
 }  // namespace dw::serve

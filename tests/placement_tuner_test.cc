@@ -500,6 +500,40 @@ TEST(PlacementTunerTest, StretchesExporterPeriodFarUnderSlo) {
   rig.server->Stop();
 }
 
+TEST(PlacementTunerTest, StretchSettlesUnderAFractionalSlo) {
+  // Floors are whole ms, so a stretch that reaches a fractional SLO must
+  // settle on the whole ms under it: rounding up would put the period
+  // past the SLO, and comparing the unrounded target with the applied
+  // floor would re-apply the same adjustment on every scan.
+  ExporterRig rig(std::chrono::milliseconds(50));
+
+  opt::TunerOptions topts = ManualTuner();
+  topts.min_observed_rows = 1u << 30;
+  topts.staleness_slo_ms = 1'000'000.5;
+  opt::PlacementTuner* tuner = rig.server->EnableTuner(topts);
+  tuner->AttachExporter("ls", rig.exporter.get());
+
+  // 50 ms doubles 14 times to 819,200 ms; the 15th stretch is capped at
+  // 1,000,000 ms. The other scans must change nothing.
+  for (int i = 0; i < 24; ++i) {
+    for (int r = 0; r < 8; ++r) {
+      ASSERT_TRUE(rig.server->ScoreSync("ls", {0}, {1.0}).ok());
+    }
+    EXPECT_EQ(tuner->ScanOnce(), 0);
+  }
+  EXPECT_DOUBLE_EQ(rig.exporter->period_floor_ms(), 1e6);
+  EXPECT_LE(rig.exporter->period_floor_ms(), topts.staleness_slo_ms);
+  EXPECT_EQ(rig.server->telemetry().Snapshot().CounterValue(
+                "tuner.period_adjustments"),
+            15u);
+  const std::vector<opt::TunerDecision> decisions = tuner->Decisions();
+  ASSERT_EQ(decisions.size(), 15u);
+  EXPECT_EQ(decisions.back().from, "819200ms");
+
+  rig.exporter->Stop();
+  rig.server->Stop();
+}
+
 // --- background thread ----------------------------------------------------
 
 TEST(PlacementTunerTest, BackgroundThreadScansAndStopsIdempotently) {

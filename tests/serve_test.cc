@@ -2289,6 +2289,70 @@ TEST(SnapshotExporterTest, SetPeriodOverridesAndRestoresTheFloor) {
             5u);
 }
 
+TEST(SnapshotExporterTest, PublishesOnStartAndStopWhenNoPeriodElapsed) {
+  // A 10 s period never elapses here: the family gets the Start() publish
+  // and the final one of the Stop() that joined, and nothing else.
+  const data::Dataset d = ServeDataset(60, 8, 59);
+  models::LeastSquaresSpec ls;
+  engine::EngineOptions topts;
+  topts.topology = numa::Local2();
+  engine::Engine trainer(&d, &ls, topts);
+  ASSERT_TRUE(trainer.Init().ok());
+  ServingOptions opts;
+  opts.topology = numa::Local2();
+  opts.num_threads = 1;
+  ServingEngine server(opts);
+  ASSERT_TRUE(
+      server.RegisterFamily("ls", &ls, ServePinned(8, Replication::kPerNode))
+          .ok());
+  SnapshotExporter::Options eopts;
+  eopts.period = std::chrono::seconds(10);
+  {
+    SnapshotExporter exporter(&trainer, &server, "ls", eopts);
+    exporter.Start();
+    exporter.Stop();
+  }
+  EXPECT_EQ(server.telemetry().Snapshot().CounterValue("exporter.publishes",
+                                                       {{"family", "ls"}}),
+            2u);
+}
+
+TEST(SnapshotExporterTest, RepeatedSetPeriodDoesNotStarvePublishes) {
+  // A controller that sets the period more often than the period elapses
+  // must not postpone publishes: the period counts from the last publish,
+  // not from the last SetPeriod. Restarting the wait on every call would
+  // leave only the Start() publish here.
+  const data::Dataset d = ServeDataset(60, 8, 60);
+  models::LeastSquaresSpec ls;
+  engine::EngineOptions topts;
+  topts.topology = numa::Local2();
+  engine::Engine trainer(&d, &ls, topts);
+  ASSERT_TRUE(trainer.Init().ok());
+  ServingOptions opts;
+  opts.topology = numa::Local2();
+  opts.num_threads = 1;
+  ServingEngine server(opts);
+  ASSERT_TRUE(
+      server.RegisterFamily("ls", &ls, ServePinned(8, Replication::kPerNode))
+          .ok());
+  SnapshotExporter::Options eopts;
+  eopts.period = std::chrono::milliseconds(20);
+  SnapshotExporter exporter(&trainer, &server, "ls", eopts);
+  exporter.Start();
+  const auto end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (std::chrono::steady_clock::now() < end) {
+    exporter.SetPeriod(std::chrono::milliseconds(20));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  // Read before Stop(), whose final publish would count one more.
+  const uint64_t publishes = server.telemetry().Snapshot().CounterValue(
+      "exporter.publishes", {{"family", "ls"}});
+  exporter.Stop();
+  // The Start() publish plus about ten periodic ones.
+  EXPECT_GE(publishes, 6u);
+}
+
 // --- telemetry off ----------------------------------------------------------
 
 TEST(ServingEngineTest, ServesAndPacesWithTelemetryOff) {

@@ -1,5 +1,5 @@
 // Unit tests for src/util: Status, logging, RNG, stats, table, barrier,
-// worker pool.
+// worker pool, periodic loop.
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <sched.h>
@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -22,6 +23,7 @@
 #include "util/aligned.h"
 #include "util/barrier.h"
 #include "util/json_writer.h"
+#include "util/periodic_loop.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -366,6 +368,102 @@ TEST(WorkerPoolTest, IdleWorkersParkInsteadOfSpinning) {
   // Four workers that never park would burn up to 0.8 CPU-s here; these
   // poll for at most 5 ms each first.
   EXPECT_LT(ProcessCpuSeconds() - before, 0.05);
+}
+
+TEST(PeriodicLoopTest, TicksAtItsPeriod) {
+  // The period counts from the end of the previous tick, so ten ticks
+  // take at least ten periods however the host schedules the thread.
+  constexpr auto kPeriod = std::chrono::milliseconds(5);
+  constexpr int kTicks = 10;
+  std::mutex mu;
+  std::condition_variable cv;
+  int ticks = 0;
+  PeriodicLoop loop(
+      "dw-test-loop", [&] { return kPeriod; },
+      [&] {
+        std::lock_guard<std::mutex> lk(mu);
+        ++ticks;
+        cv.notify_all();
+      });
+  const auto start = std::chrono::steady_clock::now();
+  loop.Start();
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(10),
+                            [&] { return ticks >= kTicks; }));
+  }
+  EXPECT_GE(std::chrono::steady_clock::now() - start, kTicks * kPeriod);
+  EXPECT_TRUE(loop.Stop());
+}
+
+TEST(PeriodicLoopTest, WakesNeverPostponeATick) {
+  // Waking every 2 ms re-derives a 20 ms period ten times per period, but
+  // the period still counts from the last tick. A wait restarted on every
+  // wake would never tick here.
+  std::atomic<int> periods{0};
+  std::atomic<int> ticks{0};
+  PeriodicLoop loop(
+      "dw-test-loop",
+      [&] {
+        ++periods;
+        return std::chrono::milliseconds(20);
+      },
+      [&] { ++ticks; });
+  loop.Start();
+  const auto end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (std::chrono::steady_clock::now() < end) {
+    loop.Wake();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_TRUE(loop.Stop());
+  EXPECT_GE(ticks.load(), 5);
+  EXPECT_GT(periods.load(), ticks.load() + 1);  // the wakes re-derived it
+}
+
+TEST(PeriodicLoopTest, ConcurrentStopsJoinExactlyOnce) {
+  for (int i = 0; i < 200; ++i) {
+    PeriodicLoop loop(
+        "dw-test-loop", [] { return std::chrono::seconds(10); }, [] {});
+    loop.Start();
+    std::atomic<bool> go{false};
+    std::atomic<int> joined{0};
+    const auto stop = [&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      if (loop.Stop()) ++joined;
+    };
+    std::thread a(stop);
+    std::thread b(stop);
+    go.store(true, std::memory_order_release);
+    a.join();
+    b.join();
+    ASSERT_EQ(joined.load(), 1) << "iteration " << i;
+    EXPECT_FALSE(loop.Stop());
+  }
+}
+
+TEST(PeriodicLoopTest, StopBeforeStartRunsNoTick) {
+  std::atomic<int> ticks{0};
+  PeriodicLoop loop(
+      "dw-test-loop", [] { return std::chrono::milliseconds(1); },
+      [&] { ++ticks; });
+  EXPECT_FALSE(loop.Stop());
+  loop.Start();  // already stopped: starts no thread
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(loop.Stop());
+  EXPECT_EQ(ticks.load(), 0);
+}
+
+TEST(PeriodicLoopDeathTest, SecondStartDies) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        PeriodicLoop loop(
+            "dw-test-loop", [] { return std::chrono::seconds(10); }, [] {});
+        loop.Start();
+        loop.Start();
+      },
+      "dw-test-loop started twice");
 }
 
 TEST(SpinLockTest, MutualExclusion) {
